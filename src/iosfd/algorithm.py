@@ -89,6 +89,7 @@ class ConvergenceTrace:
     iterations: int
     terminated_by: str                     # "tolerance" | "max_iters"
     step_surrogates: list[tuple[float, float, float]] = field(default_factory=list)
+    pgd_cap_exits: int = 0                 # surface side solves stopped at the PGD cap
 
 
 @dataclass
@@ -173,6 +174,7 @@ def run_algorithm2(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec) -> RunRes
     duals: DualState | None = None
     terminated_by = "max_iters"
     iterations = 0
+    pgd_cap_exits = 0
 
     def surr(e, b, s):
         return surrogate_objective(e, b, s, cfg.gamma_down, cfg.gamma_up,
@@ -199,8 +201,9 @@ def run_algorithm2(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec) -> RunRes
         if scheme.phase_sides:
             qf = build_quadratic_forms(ch, bf, st, cfg.gamma_down, cfg.gamma_up,
                                        cfg.noise_users, cfg.noise_rx)
-            ios = solve_qcqp(vectorize(qf), ios, cfg.pgd,
-                             sides=scheme.phase_sides, tie_sides=scheme.tie_sides)
+            ios, capped = solve_qcqp(vectorize(qf), ios, cfg.pgd,
+                                     sides=scheme.phase_sides, tie_sides=scheme.tie_sides)
+            pgd_cap_exits += capped
             eff = _compose(ch, ios, scheme)
             s4 = surr(eff, bf, st)
             check("surface update", s4, s3)
@@ -233,5 +236,5 @@ def run_algorithm2(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec) -> RunRes
         report = weighted_sum_rate(eff, bf, cfg.gamma_down, cfg.gamma_up,
                                    cfg.noise_users, cfg.noise_rx)
 
-    trace = ConvergenceTrace(rates, iterations, terminated_by, step_log)
+    trace = ConvergenceTrace(rates, iterations, terminated_by, step_log, pgd_cap_exits)
     return RunResult(bf, ios, trace, report, duals)

@@ -7,10 +7,17 @@ product; the transpose convention is pinned by tests) gives, per side,
 
     minimize  v^H Q v - 2 Re{v^H conj(c)}
 
-over the per-element disks |theta_l|^2 + |phi_l|^2 <= 1.  The aggregated Q
-matrices are entrywise products of PSD matrices, hence PSD, so projected
-gradient with a Lipschitz step and per-element radial projection descends to
-the optimum.
+over the per-element disks |theta_l|^2 + |phi_l|^2 <= 1.
+
+No L-by-L matrix is ever formed.  Every coupling matrix is a low-rank Gram
+matrix, A = P P^H and B = R R^H with P, R of size L x s (s = stream count),
+and then A o B^T = F F^H where column (i, j) of F is p_i o conj(r_j).  By
+Schur's product theorem each Q is PSD by construction, and it is carried as
+its L x r factor F (r <= (K s)^2, independent of L).  A product Q v costs
+O(L r) as F (F^H v), the value is ||F^H v||^2 - 2 Re{v^H conj(c)}, and the
+Lipschitz step comes from the largest eigenvalue of the r x r Gram F^H F,
+which equals that of F F^H.  Projected gradient with that step and
+per-element radial projection then descends to the optimum.
 """
 from __future__ import annotations
 
@@ -20,31 +27,34 @@ import numpy as np
 
 from .channels import ChannelSet
 from .errors import NumericalError
-from .linalg import hermitize
+from .linalg import assert_finite, chol_pd, max_eigval
 from .system import BeamformerSet, IosState
 from .wmmse import WmmseState, constant_term
-
-_PSD_CLIP = 1e-9      # relative eigenvalue clip for roundoff
-_PSD_HARD = 1e-6      # beyond this the build is considered broken
 
 
 @dataclass
 class QuadraticFormSet:
-    """Per-link coupling matrices (all L x L) plus the coefficient-free rest.
+    """Per-user factors of the coupling matrices plus the aggregated linear terms.
 
-    a[k], b[k], x[k], d[j] are the PSD quadratic factors; c_lin/z_lin carry the
-    refraction signal terms and f_lin/y_lin the reflection cross terms (signs
-    included).  r_cg collects every term no coefficient can reach.
+    Each coupling matrix is M[k] M[k]^H for the (L, s) factor M[k] stored here:
+    a, x from the decoders and weights, b, d from the precoders.  c, f, z, y
+    are the linear vectors of phi_t, theta_t, phi_u, theta_u (signs included);
+    r_cg collects every term no coefficient can reach.
     """
-    a: np.ndarray          # (K, L, L) user-side decoder couplings
-    b: np.ndarray          # (K, L, L) downlink illumination of the surface
-    x: np.ndarray          # (K, L, L) receive-side decoder couplings
-    d: np.ndarray          # (K, L, L) uplink illumination of the surface
-    c_lin: np.ndarray      # (K, L, L)   refraction t-side linear terms
-    f_lin: np.ndarray      # (K, K, L, L) reflection t-side linear terms
-    y_lin: np.ndarray      # (K, K, L, L) reflection u-side linear terms
-    z_lin: np.ndarray      # (K, L, L)   refraction u-side linear terms
+    a: np.ndarray          # (K, L, s_d) sqrt(gamma_d) h_iu U_d chol(W_d)
+    b: np.ndarray          # (K, L, s_d) h_ti V_d: downlink illumination of the surface
+    x: np.ndarray          # (K, L, s_u) sqrt(gamma_u) h_ir U_u chol(W_u)
+    d: np.ndarray          # (K, L, s_u) h_iu V_u: uplink illumination of the surface
+    c: np.ndarray          # (L,) refraction t-side linear vector
+    f: np.ndarray          # (L,) reflection t-side linear vector
+    z: np.ndarray          # (L,) refraction u-side linear vector
+    y: np.ndarray          # (L,) reflection u-side linear vector
     r_cg: float
+
+
+def _diag_outer(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """diag(M N^H) without forming the L x L product."""
+    return np.sum(m * n.conj(), axis=1)
 
 
 def build_quadratic_forms(ch: ChannelSet, bf: BeamformerSet, st: WmmseState,
@@ -52,79 +62,50 @@ def build_quadratic_forms(ch: ChannelSet, bf: BeamformerSet, st: WmmseState,
                           noise_users: np.ndarray, noise_rx: float) -> QuadraticFormSet:
     K = ch.n_users
     L = ch.h_ti.shape[0]
-    a = np.zeros((K, L, L), dtype=complex)
-    b = np.zeros((K, L, L), dtype=complex)
-    x = np.zeros((K, L, L), dtype=complex)
-    d = np.zeros((K, L, L), dtype=complex)
-    c_lin = np.zeros((K, L, L), dtype=complex)
-    f_lin = np.zeros((K, K, L, L), dtype=complex)
-    y_lin = np.zeros((K, K, L, L), dtype=complex)
-    z_lin = np.zeros((K, L, L), dtype=complex)
+    hu = [ch.h_iu[k] @ st.u_d[k] for k in range(K)]           # (L, s_d)
+    hr = [ch.h_ir @ st.u_u[k] for k in range(K)]              # (L, s_u)
+    a = np.stack([np.sqrt(gamma_down[k]) * (hu[k] @ chol_pd(st.w_d[k])) for k in range(K)])
+    b = np.stack([ch.h_ti @ bf.v_d[k] for k in range(K)])
+    x = np.stack([np.sqrt(gamma_up[k]) * (hr[k] @ chol_pd(st.w_u[k])) for k in range(K)])
+    d = np.stack([ch.h_iu[k] @ bf.v_u[k] for k in range(K)])
+    c = np.zeros(L, dtype=complex)
+    f = np.zeros(L, dtype=complex)
+    z = np.zeros(L, dtype=complex)
+    y = np.zeros(L, dtype=complex)
 
-    for k in range(K):
-        uwd = st.u_d[k] @ st.w_d[k]                      # (N_ur, s_d)
-        uwu = st.u_u[k] @ st.w_u[k]                      # (N_r, s_u)
-        a[k] = gamma_down[k] * (ch.h_iu[k] @ uwd @ st.u_d[k].conj().T @ ch.h_iu[k].conj().T)
-        tv = ch.h_ti @ bf.v_d[k]                         # (L, s_d)
-        b[k] = tv @ tv.conj().T
-        x[k] = gamma_up[k] * (ch.h_ir @ uwu @ st.u_u[k].conj().T @ ch.h_ir.conj().T)
-        uv = ch.h_iu[k] @ bf.v_u[k]                      # (L, s_u)
-        d[k] = uv @ uv.conj().T
-        c_lin[k] = gamma_down[k] * (ch.h_ti @ bf.v_d[k] @ st.w_d[k]
-                                    @ st.u_d[k].conj().T @ ch.h_iu[k].conj().T)
-        z_lin[k] = gamma_up[k] * (ch.h_iu[k] @ bf.v_u[k] @ st.w_u[k]
-                                  @ st.u_u[k].conj().T @ ch.h_ir.conj().T)
-
-    # Cross terms between the surface paths and the direct paths.
+    # Linear terms: the refracted signal (c, z) and the cross terms between the
+    # reflected and the direct paths (f, y), whose coefficient-free part is in r_cg.
     r_cg = 0.0
     for k in range(K):
-        uwd = st.u_d[k] @ st.w_d[k] @ st.u_d[k].conj().T
-        uwu = st.u_u[k] @ st.w_u[k] @ st.u_u[k].conj().T
+        c += gamma_down[k] * _diag_outer(b[k] @ st.w_d[k], hu[k])
+        z += gamma_up[k] * _diag_outer(d[k] @ st.w_u[k], hr[k])
+        uw_d = st.u_d[k] @ st.w_d[k]
+        uw_u = st.u_u[k] @ st.w_u[k]
+        uwd = uw_d @ st.u_d[k].conj().T
+        uwu = uw_u @ st.u_u[k].conj().T
+        y_left = np.zeros_like(hu[k])
+        f_left = np.zeros_like(hr[k])
         for j in range(K):
-            vju = bf.v_u[j]
-            y_lin[k, j] = -gamma_down[k] * (ch.h_iu[j] @ vju @ vju.conj().T
-                                            @ ch.h_uu[j][k].conj().T @ uwd
-                                            @ ch.h_iu[k].conj().T)
-            vjd = bf.v_d[j]
-            f_lin[k, j] = -gamma_up[k] * (ch.h_ti @ vjd @ vjd.conj().T
-                                          @ ch.h_tr.conj().T @ uwu @ ch.h_ir.conj().T)
-            m = ch.h_uu[j][k] @ vju
+            m = ch.h_uu[j][k] @ bf.v_u[j]
+            md = ch.h_tr @ bf.v_d[j]
+            y_left += d[j] @ (m.conj().T @ uw_d)
+            f_left += b[j] @ (md.conj().T @ uw_u)
             r_cg -= gamma_down[k] * float(np.trace(uwd @ m @ m.conj().T).real)
-            md = ch.h_tr @ vjd
             r_cg -= gamma_up[k] * float(np.trace(uwu @ md @ md.conj().T).real)
+        y -= gamma_down[k] * _diag_outer(y_left, hu[k])
+        f -= gamma_up[k] * _diag_outer(f_left, hr[k])
 
+    assert_finite(a, b, x, d, c, f, z, y)
     r_cg += constant_term(st, gamma_down, gamma_up, noise_users, noise_rx)
-    return QuadraticFormSet(a, b, x, d, c_lin, f_lin, y_lin, z_lin, r_cg)
-
-
-def g_value(qf: QuadraticFormSet, ios: IosState) -> float:
-    """Objective from the matrix set, via explicit diagonal-matrix traces.
-
-    Equals the weighted surrogate evaluated at the same operating point; the
-    vectorized form below must agree term by term.
-    """
-    pt = np.diag(ios.phi_t)
-    tt = np.diag(ios.theta_t)
-    pu = np.diag(ios.phi_u)
-    tu = np.diag(ios.theta_u)
-    K = qf.a.shape[0]
-    total = qf.r_cg
-    for k in range(K):
-        total -= float(np.trace(pt.conj().T @ qf.a[k] @ pt @ qf.b[k]).real)
-        total += 2.0 * float(np.trace(pt @ qf.c_lin[k]).real)
-        total += 2.0 * float(np.trace(pu @ qf.z_lin[k]).real)
-        for j in range(K):
-            total -= float(np.trace(tt.conj().T @ qf.x[k] @ tt @ qf.b[j]).real)
-            total -= float(np.trace(tu.conj().T @ qf.a[k] @ tu @ qf.d[j]).real)
-            total -= float(np.trace(pu.conj().T @ qf.x[k] @ pu @ qf.d[j]).real)
-            total += 2.0 * float(np.trace(tt @ qf.f_lin[k, j]).real)
-            total += 2.0 * float(np.trace(tu @ qf.y_lin[k, j]).real)
-    return total
+    return QuadraticFormSet(a, b, x, d, c, f, z, y, r_cg)
 
 
 @dataclass
 class PhaseQuadratic:
-    """Vectorized problem data: g' = sum over blocks of v^H Q v - 2 Re{v^H conj(c)}."""
+    """Vectorized problem data: g' = sum over blocks of v^H Q v - 2 Re{v^H conj(c)}.
+
+    Each q_* holds the (L, r) factor F of its block, Q = F F^H.
+    """
     q_phi_t: np.ndarray
     q_theta_t: np.ndarray
     q_phi_u: np.ndarray
@@ -136,31 +117,34 @@ class PhaseQuadratic:
     r_cg: float
 
 
-def hadamard_quadratic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Q with phi^H Q phi = Tr(Phi^H A Phi B); the convention is Q = A o B^T."""
-    return a * b.T
+def _hadamard_factor(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """F with F F^H = (P P^H) o (R R^H)^T: column (i, j) is p_i o conj(r_j)."""
+    return (p[:, :, None] * r.conj()[:, None, :]).reshape(p.shape[0], -1)
+
+
+def _side_by_side(m: np.ndarray) -> np.ndarray:
+    """(K, L, s) per-user factors as one (L, K s) factor of sum_k M[k] M[k]^H."""
+    return m.transpose(1, 0, 2).reshape(m.shape[1], -1)
 
 
 def vectorize(qf: QuadraticFormSet) -> PhaseQuadratic:
-    a_sum = qf.a.sum(axis=0)
-    b_sum = qf.b.sum(axis=0)
-    x_sum = qf.x.sum(axis=0)
-    d_sum = qf.d.sum(axis=0)
+    a, b, x, d = (_side_by_side(m) for m in (qf.a, qf.b, qf.x, qf.d))
     return PhaseQuadratic(
-        q_phi_t=sum(hadamard_quadratic(qf.a[k], qf.b[k]) for k in range(qf.a.shape[0])),
-        q_theta_t=hadamard_quadratic(x_sum, b_sum),
-        q_phi_u=hadamard_quadratic(x_sum, d_sum),
-        q_theta_u=hadamard_quadratic(a_sum, d_sum),
-        c=np.diagonal(qf.c_lin.sum(axis=0)).copy(),
-        f=np.diagonal(qf.f_lin.sum(axis=(0, 1))).copy(),
-        z=np.diagonal(qf.z_lin.sum(axis=0)).copy(),
-        y=np.diagonal(qf.y_lin.sum(axis=(0, 1))).copy(),
-        r_cg=qf.r_cg,
+        q_phi_t=np.hstack([_hadamard_factor(qf.a[k], qf.b[k]) for k in range(qf.a.shape[0])]),
+        q_theta_t=_hadamard_factor(x, b),
+        q_phi_u=_hadamard_factor(x, d),
+        q_theta_u=_hadamard_factor(a, d),
+        c=qf.c, f=qf.f, z=qf.z, y=qf.y, r_cg=qf.r_cg,
     )
 
 
-def _block_value(q: np.ndarray, c: np.ndarray, v: np.ndarray) -> float:
-    return float((v.conj() @ (q @ v)).real - 2.0 * (v.conj() @ c.conj()).real)
+def _value(p: np.ndarray, v: np.ndarray, c_conj: np.ndarray) -> float:
+    """||p||^2 - 2 Re{v^H conj(c)} for p = F^H v."""
+    return float(np.vdot(p, p).real - 2.0 * np.vdot(v, c_conj).real)
+
+
+def _block_value(fq: np.ndarray, c: np.ndarray, v: np.ndarray) -> float:
+    return _value(fq.conj().T @ v, v, c.conj())
 
 
 def gprime_value(pq: PhaseQuadratic, ios: IosState) -> float:
@@ -169,6 +153,19 @@ def gprime_value(pq: PhaseQuadratic, ios: IosState) -> float:
             + _block_value(pq.q_theta_t, pq.f, ios.theta_t)
             + _block_value(pq.q_phi_u, pq.z, ios.phi_u)
             + _block_value(pq.q_theta_u, pq.y, ios.theta_u))
+
+
+def side_blocks(pq: PhaseQuadratic, side: str):
+    """(F_phi, c_phi, F_theta, c_theta) of side 't' or 'u', or of both sides
+    sharing one set of coefficients ('tied'): Q_t + Q_u = [F_t F_u][F_t F_u]^H."""
+    if side == "t":
+        return pq.q_phi_t, pq.c, pq.q_theta_t, pq.f
+    if side == "u":
+        return pq.q_phi_u, pq.z, pq.q_theta_u, pq.y
+    if side == "tied":
+        return (np.hstack([pq.q_phi_t, pq.q_phi_u]), pq.c + pq.z,
+                np.hstack([pq.q_theta_t, pq.q_theta_u]), pq.f + pq.y)
+    raise ValueError(f"side must be 't', 'u' or 'tied', got {side!r}")
 
 
 def project_feasible(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,8 +179,6 @@ def project_feasible(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np
 class PgdSettings:
     max_iters: int = 500
     tolerance: float = 1e-8
-    step_policy: str = "lipschitz"   # or "backtracking" (pure halving from 1.0)
-    polish: bool = False
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0:
@@ -192,75 +187,68 @@ class PgdSettings:
             raise ValueError("max_iters must be >= 1")
 
 
-def _validated_psd(q: np.ndarray) -> tuple[np.ndarray, float]:
-    """Clip roundoff-negative eigenvalues; hard failures raise."""
-    q = hermitize(q)
-    vals, vecs = np.linalg.eigh(q)
-    scale = max(float(np.trace(q).real), 1.0)
-    if vals[0] < -_PSD_HARD * scale:
-        raise NumericalError(f"aggregated quadratic matrix not PSD (min eig {vals[0]:.3e})")
-    if vals[0] < 0.0:
-        vals = np.clip(vals, 0.0, None)
-        q = (vecs * vals) @ vecs.conj().T
-    return q, float(vals[-1])
+def _pgd_side(f1, c1, f2, c2, v1, v2, settings: PgdSettings):
+    """Minimize the two coupled-constraint blocks of one side.
 
-
-def _pgd_side(q1, c1, q2, c2, v1, v2, settings: PgdSettings):
-    """Minimize the two coupled-constraint blocks of one side."""
-    q1, lam1 = _validated_psd(q1)
-    q2, lam2 = _validated_psd(q2)
-    lam = max(lam1, lam2, 1e-30)
-    step = 1.0 if settings.step_policy == "backtracking" else 1.0 / (2.0 * lam)
+    Returns the two vectors and whether the solve stopped at `max_iters`.
+    """
+    f1h, f2h = f1.conj().T, f2.conj().T
+    lam = max(max_eigval(f1h @ f1), max_eigval(f2h @ f2), 1e-30)
+    step = 1.0 / (2.0 * lam)
+    c1, c2 = c1.conj(), c2.conj()
 
     v1, v2 = project_feasible(v1.copy(), v2.copy())
-
-    def value(a, b):
-        return _block_value(q1, c1, a) + _block_value(q2, c2, b)
-
-    f_cur = value(v1, v2)
+    p1, p2 = f1h @ v1, f2h @ v2
+    f_cur = _value(p1, v1, c1) + _value(p2, v2, c2)
     for _ in range(settings.max_iters):
-        g1 = 2.0 * (q1 @ v1 - c1.conj())
-        g2 = 2.0 * (q2 @ v2 - c2.conj())
+        g1 = 2.0 * (f1 @ p1 - c1)
+        g2 = 2.0 * (f2 @ p2 - c2)
         trial = step
         for _ in range(60):
             w1, w2 = project_feasible(v1 - trial * g1, v2 - trial * g2)
-            f_new = value(w1, w2)
+            q1, q2 = f1h @ w1, f2h @ w2
+            f_new = _value(q1, w1, c1) + _value(q2, w2, c2)
             if f_new <= f_cur + 1e-15:
                 break
             trial *= 0.5
         else:
-            break
+            return v1, v2, False
         moved = f_cur - f_new
-        v1, v2, f_cur = w1, w2, f_new
+        v1, v2, p1, p2, f_cur = w1, w2, q1, q2, f_new
         if moved <= settings.tolerance * max(1.0, abs(f_cur)):
-            break
-    return v1, v2, f_cur
+            return v1, v2, False
+    return v1, v2, True
 
 
 def solve_qcqp(pq: PhaseQuadratic, init: IosState, settings: PgdSettings | None = None,
-               sides: tuple[str, ...] = ("t", "u"), tie_sides: bool = False) -> IosState:
-    """Projected-gradient solve; the two sides separate unless tied together."""
+               sides: tuple[str, ...] = ("t", "u"), tie_sides: bool = False
+               ) -> tuple[IosState, int]:
+    """Projected-gradient solve; the two sides separate unless tied together.
+
+    Returns the new state and the number of side solves that stopped at
+    `settings.max_iters` rather than on the tolerance.
+    """
     settings = settings or PgdSettings()
     out = init.copy()
+    cap_exits = 0
 
     if tie_sides:
-        phi, theta, _ = _pgd_side(pq.q_phi_t + pq.q_phi_u, pq.c + pq.z,
-                                  pq.q_theta_t + pq.q_theta_u, pq.f + pq.y,
-                                  init.phi_t, init.theta_t, settings)
+        phi, theta, capped = _pgd_side(*side_blocks(pq, "tied"),
+                                       init.phi_t, init.theta_t, settings)
         out.phi_t = out.phi_u = phi
         out.theta_t = out.theta_u = theta
+        cap_exits += capped
     else:
-        if "t" in sides:
-            out.phi_t, out.theta_t, _ = _pgd_side(pq.q_phi_t, pq.c, pq.q_theta_t, pq.f,
-                                                  init.phi_t, init.theta_t, settings)
-        if "u" in sides:
-            out.phi_u, out.theta_u, _ = _pgd_side(pq.q_phi_u, pq.z, pq.q_theta_u, pq.y,
-                                                  init.phi_u, init.theta_u, settings)
-        if settings.polish:
-            polished = PgdSettings(settings.max_iters, settings.tolerance, "lipschitz")
-            return solve_qcqp(pq, out, polished, sides=sides)
+        for side in ("t", "u"):
+            if side in sides:
+                phi, theta, capped = _pgd_side(*side_blocks(pq, side),
+                                               getattr(init, "phi_" + side),
+                                               getattr(init, "theta_" + side), settings)
+                setattr(out, "phi_" + side, phi)
+                setattr(out, "theta_" + side, theta)
+                cap_exits += capped
 
     out.validate()
     if gprime_value(pq, out) > gprime_value(pq, init) + 1e-12:
         raise NumericalError("projected gradient failed to descend")
-    return out
+    return out, cap_exits

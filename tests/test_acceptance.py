@@ -15,11 +15,12 @@ from iosfd import (FadingParams, GeometryConfig, IosState, PgdSettings, RunConfi
                    weighted_sum_rate)
 from iosfd.campaign import config_from_dict, run_campaign, rows_to_csv, write_campaign
 from iosfd.linalg import cn_sample
-from iosfd.phases import PhaseQuadratic, gprime_value, hadamard_quadratic
+from iosfd.phases import PhaseQuadratic, gprime_value
 from iosfd.system import LN2
 from iosfd.wmmse import surrogate_objective
 
 from conftest import fd_gradient, random_instance
+from dense_forms import hadamard_quadratic
 from test_beamformers import _lagrangian_down
 from test_phases import _grid_minimum, _single_block_pq
 
@@ -169,19 +170,21 @@ def test_qcqp_grid_oracle():
     for _ in range(20):
         a = cn_sample(rng, (2, 2))
         q1 = a @ a.conj().T
-        q1 /= max(np.trace(q1).real, 1e-12)
+        tr1 = max(np.trace(q1).real, 1e-12)
+        q1 /= tr1
         b = cn_sample(rng, (2, 2))
         q2 = b @ b.conj().T
-        q2 /= max(np.trace(q2).real, 1e-12)
+        tr2 = max(np.trace(q2).real, 1e-12)
+        q2 /= tr2
         c1 = 0.7 * cn_sample(rng, (2,))
         c2 = 0.7 * cn_sample(rng, (2,))
-        pq = PhaseQuadratic(q_phi_t=q1, q_theta_t=q2,
+        pq = PhaseQuadratic(q_phi_t=a / np.sqrt(tr1), q_theta_t=b / np.sqrt(tr2),
                             q_phi_u=np.zeros((2, 2), complex),
                             q_theta_u=np.zeros((2, 2), complex),
                             c=c1, f=c2, z=np.zeros(2, complex), y=np.zeros(2, complex),
                             r_cg=0.0)
-        out = solve_qcqp(pq, IosState.zeros(2), PgdSettings(max_iters=3000,
-                                                            tolerance=1e-12))
+        out, _ = solve_qcqp(pq, IosState.zeros(2), PgdSettings(max_iters=3000,
+                                                               tolerance=1e-12))
         gap = gprime_value(pq, out) - _grid_minimum(q1, c1, q2, c2)
         worst = max(worst, gap)
     _report("qcqp-grid-oracle", worst <= 1e-3, f"(worst gap above grid {worst:.2e})")
@@ -208,7 +211,8 @@ def test_gradient_checks():
         ch, _, eff, bf, st, gd, gu, nu, nr = inst
         pq = vectorize(build_quadratic_forms(ch, bf, st, gd, gu, nu, nr))
         state = random_ios(rng, 4)
-        for attr, q, c in (("phi_t", pq.q_phi_t, pq.c), ("theta_u", pq.q_theta_u, pq.y)):
+        for attr, q, c in (("phi_t", pq.q_phi_t @ pq.q_phi_t.conj().T, pq.c),
+                           ("theta_u", pq.q_theta_u @ pq.q_theta_u.conj().T, pq.y)):
             def f(vec, attr=attr):
                 s = state.copy()
                 setattr(s, attr, vec)

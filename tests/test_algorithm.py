@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iosfd import (FadingParams, GeometryConfig, IosState, RunConfig, Scheme,
+from iosfd import (FadingParams, GeometryConfig, IosState, PgdSettings, RunConfig, Scheme,
                    SchemeSpec, build_layout, quantize_phases, run_algorithm2,
                    sample_channels)
 
@@ -35,6 +35,15 @@ def desk_config(K=2, p_b=10.0, p_u=10 ** 0.5, max_outer=200):
 def channels_for(geometry, seed, direct=False):
     return sample_channels(build_layout(geometry), FadingParams.from_db(3.0), seed,
                            include_direct=direct)
+
+
+def test_trace_counts_pgd_cap_exits():
+    """Surface side solves cut off by the PGD iteration cap add up in the trace."""
+    ch = channels_for(integrated_geometry(L=8), 0)
+    cfg = desk_config()
+    cfg.pgd = PgdSettings(max_iters=1)
+    res = run_algorithm2(ch, cfg, SchemeSpec(Scheme.DS_IOS))
+    assert 0 < res.trace.pgd_cap_exits <= 2 * res.trace.iterations
 
 
 def test_zero_power_converges_immediately():

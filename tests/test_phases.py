@@ -1,19 +1,26 @@
 import numpy as np
 import pytest
 
-from iosfd import (IosState, PgdSettings, build_quadratic_forms, compose_effective,
-                   project_feasible, solve_qcqp, vectorize)
+from iosfd import (FadingParams, IosState, PgdSettings, build_layout, build_quadratic_forms,
+                   compose_effective, project_feasible, sample_channels, solve_qcqp,
+                   vectorize)
+from iosfd.errors import NumericalError
 from iosfd.linalg import cn_sample, min_eigval
-from iosfd.phases import (PhaseQuadratic, g_value, gprime_value, hadamard_quadratic,
-                          _validated_psd)
+from iosfd.phases import PhaseQuadratic, gprime_value, side_blocks
 from iosfd.wmmse import constant_term, surrogate_objective, update_state
 
-from conftest import random_instance, random_ios
+from conftest import random_beamformers, random_instance, random_ios, reference_geometry
+from dense_forms import build_dense_forms, dense_blocks, g_value, hadamard_quadratic
 
 
 def build_from_instance(inst):
     ch, ios, eff, bf, st, gd, gu, nu, nr = inst
     return build_quadratic_forms(ch, bf, st, gd, gu, nu, nr)
+
+
+def dense_from_instance(inst):
+    ch, ios, eff, bf, st, gd, gu, nu, nr = inst
+    return build_dense_forms(ch, bf, st, gd, gu, nu, nr)
 
 
 def test_hadamard_trace_identity(rng):
@@ -48,8 +55,8 @@ def test_zero_beamformers_leave_only_constant(rng):
     bf.v_u = [np.zeros_like(v) for v in bf.v_u]
     qf = build_quadratic_forms(ch, bf, st, gd, gu, nu, nr)
     assert np.allclose(qf.b, 0) and np.allclose(qf.d, 0)
-    assert np.allclose(qf.c_lin, 0) and np.allclose(qf.z_lin, 0)
-    assert np.allclose(qf.f_lin, 0) and np.allclose(qf.y_lin, 0)
+    assert np.allclose(qf.c, 0) and np.allclose(qf.z, 0)
+    assert np.allclose(qf.f, 0) and np.allclose(qf.y, 0)
     assert qf.r_cg == pytest.approx(constant_term(st, gd, gu, nu, nr))
 
 
@@ -61,13 +68,13 @@ def test_scalar_quadratic_factor(rng):
     u = st.u_d[0][0, 0]
     w = st.w_d[0][0, 0]
     expected = gd[0] * h * u * w * np.conj(u) * np.conj(h)
-    assert qf.a[0][0, 0] == pytest.approx(expected, rel=1e-12)
+    assert (qf.a[0] @ qf.a[0].conj().T)[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_quadratic_factors_hermitian_psd(rng):
     qf = build_from_instance(random_instance(rng, K=2, L=5))
     for stack in (qf.a, qf.b, qf.x, qf.d):
-        for m in stack:
+        for m in (p @ p.conj().T for p in stack):
             assert np.allclose(m, m.conj().T, atol=1e-12)
             assert min_eigval(m) >= -1e-9 * max(1.0, np.trace(m).real)
 
@@ -78,7 +85,7 @@ def test_matrix_objective_matches_surrogate(rng):
     for _ in range(8):
         inst = random_instance(rng, K=2, L=4)
         ch, ios, eff, bf, st, gd, gu, nu, nr = inst
-        qf = build_quadratic_forms(ch, bf, st, gd, gu, nu, nr)
+        qf = build_dense_forms(ch, bf, st, gd, gu, nu, nr)
         val = g_value(qf, ios)
         ref = surrogate_objective(eff, bf, st, gd, gu, nu, nr)
         assert abs(val - ref) <= 1e-8 * (1.0 + abs(ref))
@@ -91,20 +98,91 @@ def test_matrix_objective_matches_surrogate(rng):
 def test_vectorized_objective_matches_matrix_objective(rng):
     for _ in range(8):
         inst = random_instance(rng, K=2, L=4)
-        qf = build_from_instance(inst)
-        pq = vectorize(qf)
+        pq = vectorize(build_from_instance(inst))
         state = random_ios(rng, 4)
-        g = g_value(qf, state)
+        g = g_value(dense_from_instance(inst), state)
         gp = gprime_value(pq, state)
         assert g == pytest.approx(-gp + pq.r_cg, rel=1e-10, abs=1e-10)
+
+
+def oracle_instances(rng):
+    """Unit-scale random instances (K = 1..3, L = 1..7) and reference-geometry
+    channels from `sample_channels`, whose entries are around 1e-4."""
+    for _ in range(30):
+        yield random_instance(rng, K=int(rng.integers(1, 4)), L=int(rng.integers(1, 8)))
+    noise = 1e-8
+    for seed in range(4):
+        ch = sample_channels(build_layout(reference_geometry(L=8, K=2)),
+                             FadingParams.from_db(3.0), seed)
+        ios = random_ios(rng, 8)
+        eff = compose_effective(ch, ios)
+        bf = random_beamformers(rng, K=2)
+        st = update_state(eff, bf, np.full(2, noise), noise)
+        yield ch, ios, eff, bf, st, np.full(2, 0.5), np.full(2, 0.5), np.full(2, noise), noise
+
+
+def _rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+def test_factors_match_dense_oracle(rng):
+    """F F^H, the linear vectors and r_cg equal the dense build, per side and
+    with both sides tied, at unit scale and at physical channel scale."""
+    for inst in oracle_instances(rng):
+        pq = vectorize(build_from_instance(inst))
+        dense = dense_from_instance(inst)
+        blocks = dense_blocks(dense)
+        expected = {
+            "t": (blocks["phi_t"], blocks["theta_t"]),
+            "u": (blocks["phi_u"], blocks["theta_u"]),
+            "tied": tuple((blocks[p + "_t"][0] + blocks[p + "_u"][0],
+                           blocks[p + "_t"][1] + blocks[p + "_u"][1])
+                          for p in ("phi", "theta")),
+        }
+        for side, ((q_phi, c_phi), (q_theta, c_theta)) in expected.items():
+            f_phi, lin_phi, f_theta, lin_theta = side_blocks(pq, side)
+            assert _rel_err(f_phi @ f_phi.conj().T, q_phi) <= 1e-12, side
+            assert _rel_err(f_theta @ f_theta.conj().T, q_theta) <= 1e-12, side
+            assert _rel_err(lin_phi, c_phi) <= 1e-12, side
+            assert _rel_err(lin_theta, c_theta) <= 1e-12, side
+        assert abs(pq.r_cg - dense.r_cg) <= 1e-12 * abs(dense.r_cg)
+
+
+def test_factored_objective_matches_surrogate(rng):
+    """-g' + r_cg is the surrogate at the composed channels of any surface state."""
+    for inst in oracle_instances(rng):
+        ch, ios, eff, bf, st, gd, gu, nu, nr = inst
+        pq = vectorize(build_from_instance(inst))
+        for _ in range(2):
+            state = random_ios(rng, ch.h_ti.shape[0])
+            ref = surrogate_objective(compose_effective(ch, state), bf, st, gd, gu, nu, nr)
+            assert -gprime_value(pq, state) + pq.r_cg == pytest.approx(
+                ref, rel=1e-8, abs=1e-8)
+
+
+def test_factored_forms_stay_small(rng):
+    """At L = 256 the build and its vectorized form hold O(L) arrays, not O(L^2)."""
+    qf = build_from_instance(random_instance(rng, L=256))
+    pq = vectorize(qf)
+    held = sum(v.nbytes for obj in (qf, pq) for v in vars(obj).values()
+               if isinstance(v, np.ndarray))
+    assert held < 2 * 2 ** 20
+
+
+def test_nonfinite_build_raises(rng):
+    for name, bad in (("h_ti", np.nan), ("h_ir", np.inf)):
+        inst = random_instance(rng)
+        getattr(inst[0], name)[0, 0] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+            build_from_instance(inst)
 
 
 def test_aggregated_quadratics_psd(rng):
     qf = build_from_instance(random_instance(rng, K=3, L=6))
     pq = vectorize(qf)
-    for q in (pq.q_phi_t, pq.q_theta_t, pq.q_phi_u, pq.q_theta_u):
+    for fq in (pq.q_phi_t, pq.q_theta_t, pq.q_phi_u, pq.q_theta_u):
+        q = fq @ fq.conj().T
         assert min_eigval(q) >= -1e-9 * max(1.0, np.trace(q).real)
-        _validated_psd(q)
 
 
 def test_projection_cases():
@@ -152,8 +230,17 @@ def test_pgd_interior_optimum():
     c = np.zeros(L, dtype=complex)
     c[0] = 0.3
     pq = _single_block_pq(L, np.eye(L, dtype=complex), c)
-    out = solve_qcqp(pq, IosState.zeros(L), PgdSettings(max_iters=2000, tolerance=1e-14))
+    out, capped = solve_qcqp(pq, IosState.zeros(L),
+                             PgdSettings(max_iters=2000, tolerance=1e-14))
     assert np.allclose(out.phi_t, np.conj(c), atol=1e-6)
+    assert capped == 0
+
+
+def test_pgd_reports_cap_exits(rng):
+    """A side solve cut off by max_iters is counted."""
+    pq = vectorize(build_from_instance(random_instance(rng, K=2, L=6)))
+    _, capped = solve_qcqp(pq, random_ios(rng, 6), PgdSettings(max_iters=1))
+    assert capped > 0
 
 
 def test_pgd_boundary_optimum_takes_linear_phase():
@@ -161,7 +248,7 @@ def test_pgd_boundary_optimum_takes_linear_phase():
     c = np.zeros(L, dtype=complex)
     c[0] = 2.0 * np.exp(1j * 0.7)
     pq = _single_block_pq(L, np.eye(L, dtype=complex), c)
-    out = solve_qcqp(pq, IosState.zeros(L), PgdSettings(max_iters=5000, tolerance=1e-14))
+    out, _ = solve_qcqp(pq, IosState.zeros(L), PgdSettings(max_iters=5000, tolerance=1e-14))
     # constrained KKT point: unit amplitude at the conjugated linear phase
     assert abs(out.phi_t[0]) == pytest.approx(1.0, abs=1e-6)
     assert np.angle(out.phi_t[0]) == pytest.approx(-0.7, abs=1e-6)
@@ -172,7 +259,7 @@ def test_pgd_descends_and_stays_feasible(rng):
         inst = random_instance(rng, K=2, L=6)
         pq = vectorize(build_from_instance(inst))
         init = random_ios(rng, 6)
-        out = solve_qcqp(pq, init, PgdSettings())
+        out, _ = solve_qcqp(pq, init, PgdSettings())
         assert out.is_feasible()
         assert gprime_value(pq, out) <= gprime_value(pq, init) + 1e-12
 
@@ -182,7 +269,7 @@ def test_pgd_improves_surrogate_cross_module(rng):
         inst = random_instance(rng, K=2, L=5)
         ch, ios, eff, bf, st, gd, gu, nu, nr = inst
         pq = vectorize(build_quadratic_forms(ch, bf, st, gd, gu, nu, nr))
-        out = solve_qcqp(pq, ios, PgdSettings())
+        out, _ = solve_qcqp(pq, ios, PgdSettings())
         before = surrogate_objective(eff, bf, st, gd, gu, nu, nr)
         after = surrogate_objective(compose_effective(ch, out), bf, st, gd, gu, nu, nr)
         assert after >= before - 1e-9
@@ -201,7 +288,7 @@ def test_gprime_gradient_matches_finite_differences(rng):
             return gprime_value(pq, s)
 
         grad = fd_gradient(f, state.phi_t, h=1e-6)
-        analytic = 2.0 * (pq.q_phi_t @ state.phi_t - np.conj(pq.c))
+        analytic = 2.0 * (pq.q_phi_t @ pq.q_phi_t.conj().T @ state.phi_t - np.conj(pq.c))
         scale = max(np.max(np.abs(analytic)), 1e-12)
         assert np.max(np.abs(grad - analytic)) <= 1e-5 * scale
 
@@ -243,18 +330,20 @@ def test_pgd_matches_grid_search_within_tolerance(rng):
     for _ in range(6):
         a = cn_sample(rng, (2, 2))
         q1 = a @ a.conj().T
-        q1 /= max(np.trace(q1).real, 1e-12)
+        tr1 = max(np.trace(q1).real, 1e-12)
+        q1 /= tr1
         b = cn_sample(rng, (2, 2))
         q2 = b @ b.conj().T
-        q2 /= max(np.trace(q2).real, 1e-12)
+        tr2 = max(np.trace(q2).real, 1e-12)
+        q2 /= tr2
         c1 = 0.7 * cn_sample(rng, (2,))
         c2 = 0.7 * cn_sample(rng, (2,))
-        pq = PhaseQuadratic(q_phi_t=q1, q_theta_t=q2,
+        pq = PhaseQuadratic(q_phi_t=a / np.sqrt(tr1), q_theta_t=b / np.sqrt(tr2),
                             q_phi_u=np.zeros((2, 2), complex),
                             q_theta_u=np.zeros((2, 2), complex),
                             c=c1, f=c2, z=np.zeros(2, complex), y=np.zeros(2, complex),
                             r_cg=0.0)
-        out = solve_qcqp(pq, IosState.zeros(2), PgdSettings(max_iters=3000, tolerance=1e-12))
+        out, _ = solve_qcqp(pq, IosState.zeros(2), PgdSettings(max_iters=3000, tolerance=1e-12))
         pgd_obj = gprime_value(pq, out)
         grid_obj = _grid_minimum(q1, c1, q2, c2)
         assert pgd_obj <= grid_obj + 1e-3

@@ -3,8 +3,9 @@ import pytest
 
 from iosfd import (BeamformerSet, ChannelSet, IosState, compose_direct,
                    compose_effective, downlink_rate, uplink_rate, weighted_sum_rate)
-from iosfd.errors import GeometryError
-from iosfd.system import rate_bits
+from iosfd.errors import GeometryError, NumericalError
+from iosfd.linalg import cn_sample, hermitize, logdet_pd
+from iosfd.system import LN2, NEGATIVE_RATE_TOL, rate_bits
 
 from conftest import random_beamformers, random_channels, random_ios
 
@@ -123,6 +124,45 @@ def test_scalar_uplink_snr_three_gives_two_bits():
     eff = compose_effective(ch, ios)
     bf = BeamformerSet([np.array([[0.0 + 0j]])], [np.array([[np.sqrt(3.0) + 0j]])])
     assert uplink_rate(eff, bf, 0, 1.0) == pytest.approx(2.0)
+
+
+def test_rate_bits_reads_roundoff_below_zero_as_zero(rng):
+    """B at condition number 1e10 and a tiny S along B's strongest direction:
+    the exact rate is about 1e-16 bit, but the two log-dets round apart by up
+    to about 1e-6 bit in either direction.  The rate must never read negative."""
+    raws = []
+    for _ in range(50):
+        u, _ = np.linalg.qr(cn_sample(rng, (4, 4)))
+        b = (u * np.array([1.0, 1e-3, 1e-7, 1e-10])) @ u.conj().T
+        sv = 1e-8 * u[:, :1]
+        s = sv @ sv.conj().T
+        raw = (logdet_pd(hermitize(b) + hermitize(s)) - logdet_pd(hermitize(b))) / LN2
+        raws.append(raw)
+        assert rate_bits(s, b) == (raw if raw > 0.0 else 0.0)
+    assert min(raws) < -NEGATIVE_RATE_TOL      # roundoff alone goes past the floor
+
+
+def test_rate_bits_clamps_the_campaign_roundoff():
+    """Downlink user 1 of the WO_IOS cell at P_B = 15 dBm, seed 17 (L = 64,
+    reference geometry) gets no power; its log-det difference is -1.03e-14."""
+    b = np.array([[2.1987445490427806e-06 - 1.4392466993320126e-23j,
+                   -7.9464731858558236e-07 + 1.4368606481781981e-06j],
+                  [-7.9464731858558236e-07 - 1.4368606481781983e-06j,
+                   1.2560983657548040e-06 - 1.5941731382785946e-23j]])
+    s = np.array([[1.8895264924165577e-21 - 6.9649614564648074e-39j,
+                   3.6851749646325100e-23 + 1.4543684896587598e-21j],
+                  [3.6851749646325100e-23 - 1.4543684896587600e-21j,
+                   1.1201461126154417e-21 + 6.3493525958572945e-39j]])
+    raw = (logdet_pd(hermitize(b) + hermitize(s)) - logdet_pd(hermitize(b))) / LN2
+    assert -1e-13 < raw < 0.0
+    assert rate_bits(s, b) == 0.0
+
+
+def test_rate_bits_rejects_negative_beyond_roundoff():
+    """A non-PSD signal covariance is a defect, even when only slightly negative."""
+    for s in (-0.5 * np.eye(2), -1e-6 * np.eye(2)):
+        with pytest.raises(NumericalError):
+            rate_bits(s, np.eye(2))
 
 
 def test_rate_matches_eigenvalue_oracle(rng):

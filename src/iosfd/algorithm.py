@@ -17,7 +17,7 @@ from .beamformers import DualState, update_beamformers
 from .channels import ChannelSet
 from .errors import ConvergenceError
 from .phases import PgdSettings, build_quadratic_forms, project_feasible, solve_qcqp, vectorize
-from .system import (LN2, BeamformerSet, EffectiveChannels, IosState, RateReport,
+from .system import (BeamformerSet, EffectiveChannels, IosState, RateReport,
                      compose_direct, compose_effective, stream_counts,
                      weighted_sum_rate)
 from .wmmse import surrogate_objective, update_state
@@ -37,7 +37,6 @@ class SchemeSpec:
     quantization_bits: int | None = None
     tie_sides: bool = False
     quantize_at_end: bool = False
-    keep_downlink_power: bool = False   # SS variant that still radiates downlink
 
     def __post_init__(self) -> None:
         self.kind = Scheme(self.kind)
@@ -154,7 +153,7 @@ def apply_scheme(scheme: SchemeSpec, ch: ChannelSet, cfg: RunConfig
                  ) -> tuple[BeamformerSet, IosState, EffectiveChannels]:
     """Initial state for one run under the given benchmark scheme."""
     bf = initial_beamformers(ch, cfg.p_b, cfg.p_u)
-    if scheme.kind is Scheme.SS_IOS and not scheme.keep_downlink_power:
+    if scheme.kind is Scheme.SS_IOS:
         bf = BeamformerSet([np.zeros_like(v) for v in bf.v_d], bf.v_u)
     ios = initial_ios(ch.h_ti.shape[0], scheme)
     return bf, ios, _compose(ch, ios, scheme)

@@ -14,13 +14,13 @@ uplink users are budgeted individually.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import NumericalError
-from .linalg import hermitize, solve_pd, solve_psd_lstsq
+from .linalg import hermitize
 from .system import BeamformerSet, EffectiveChannels
 from .wmmse import WmmseState
 
@@ -33,21 +33,9 @@ _MAX_BISECT = 200
 
 @dataclass
 class DualState:
+    """Multipliers of the last update: downlink sum power, then per uplink user."""
     mu_d: float
     lambda_u: np.ndarray
-    eps_b: float = 1e-4
-    bracket_mu: tuple[float, float] = (0.0, 0.0)
-    bracket_lambda: list[tuple[float, float]] = field(default_factory=list)
-
-
-def _solve_stationary(xi: np.ndarray, rhs: np.ndarray, mu: float) -> np.ndarray:
-    if mu > 0.0:
-        return solve_pd(xi, rhs)
-    # Multiplier-free probe: Xi can be singular; take the minimum-norm solution.
-    try:
-        return solve_pd(xi, rhs)
-    except NumericalError:
-        return solve_psd_lstsq(xi, rhs)
 
 
 def uplink_weight_core(st: WmmseState, gamma_up: np.ndarray) -> np.ndarray:
@@ -70,13 +58,6 @@ def xi_down(eff: EffectiveChannels, st: WmmseState, gamma_down: np.ndarray,
     return hermitize(xi) + mu * np.eye(n_t)
 
 
-def update_v_down(eff: EffectiveChannels, st: WmmseState, gamma_down: np.ndarray,
-                  gamma_up: np.ndarray, mu: float, k: int) -> np.ndarray:
-    xi = xi_down(eff, st, gamma_down, gamma_up, mu, k)
-    rhs = gamma_down[k] * (eff.h_kd[k].conj().T @ st.u_d[k] @ st.w_d[k])
-    return _solve_stationary(xi, rhs, mu)
-
-
 def xi_up(eff: EffectiveChannels, st: WmmseState, gamma_down: np.ndarray,
           gamma_up: np.ndarray, lam: float, k: int) -> np.ndarray:
     """Uplink quadratic: leakage into every downlink receiver plus the
@@ -93,34 +74,23 @@ def xi_up(eff: EffectiveChannels, st: WmmseState, gamma_down: np.ndarray,
     return hermitize(xi) + lam * np.eye(n_ut)
 
 
-def update_v_up(eff: EffectiveChannels, st: WmmseState, gamma_down: np.ndarray,
-                gamma_up: np.ndarray, lam: float, k: int) -> np.ndarray:
-    xi = xi_up(eff, st, gamma_down, gamma_up, lam, k)
-    rhs = gamma_up[k] * (eff.h_ku[k].conj().T @ st.u_u[k] @ st.w_u[k])
-    return _solve_stationary(xi, rhs, lam)
-
-
 def bisect_multiplier(power_of: Callable[[float], float], budget: float,
-                      eps_b: float = 1e-4,
-                      bracket: tuple[float, float] = (0.0, 1.0)) -> float:
+                      eps_b: float = 1e-4) -> float:
     """Smallest multiplier whose consumed power meets the budget.
 
     Checks the multiplier-free solution first; otherwise doubles the upper
-    bracket until feasible and bisects.  The hard accuracy target is
-    eps_b * budget on the power gap, but iteration continues toward machine
-    precision so the result acts like the exact dual point.
+    end of the bracket [0, 1] until feasible and bisects.  The hard accuracy
+    target is eps_b * budget on the power gap, but iteration continues toward
+    machine precision so the result acts like the exact dual point.
     """
     if budget < 0:
         raise ValueError("power budget must be nonnegative")
-    lo, hi = bracket
-    if not (0.0 <= lo <= hi):
-        raise ValueError("bracket must satisfy 0 <= lower <= upper")
+    lo, hi = 0.0, 1.0
     if power_of(lo) <= budget * (1.0 + 1e-12):
         return lo
     if budget == 0.0:
         raise NumericalError("zero budget with nonzero unconstrained power")
 
-    hi = max(hi, 1.0)
     doublings = 0
     while power_of(hi) > budget:
         hi *= 2.0
@@ -208,7 +178,4 @@ def update_beamformers(eff: EffectiveChannels, st: WmmseState,
         lams[k] = lam
         v_u.append(solver.solution(lam))
 
-    return BeamformerSet(v_d, v_u), DualState(
-        mu, lams, eps_b,
-        bracket_mu=(0.0, max(mu, 1.0)),
-        bracket_lambda=[(0.0, max(l, 1.0)) for l in lams])
+    return BeamformerSet(v_d, v_u), DualState(mu, lams)

@@ -7,7 +7,9 @@ which makes the output independent of worker count.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +26,6 @@ from .geometry import GeometryConfig, build_layout
 from .phases import PgdSettings
 
 SWEEP_AXES = ("none", "L", "P_B", "P_U", "tx_ios_distance")
-FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6")
 
 
 def dbm_to_mw(dbm: float) -> float:
@@ -99,27 +100,25 @@ class CampaignConfig:
     seeds: list[int] = field(default_factory=lambda: [0])
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _coerce(value: Any, template: Any, path: str) -> Any:
     try:
-        if isinstance(template, bool):
-            if not isinstance(value, bool):
+        if isinstance(template, (bool, str, list)):
+            if not isinstance(value, type(template)):
                 raise TypeError
             return value
-        if isinstance(template, int) and not isinstance(template, bool):
-            if isinstance(value, bool) or (isinstance(value, float) and value != int(value)):
+        if isinstance(value, bool):     # JSON true/false is not a number
+            raise TypeError
+        if isinstance(template, int):
+            if isinstance(value, float) and value != int(value):
                 raise TypeError
             return int(value)
         if isinstance(template, float):
             return float(value)
-        if isinstance(template, str):
-            if not isinstance(value, str):
-                raise TypeError
-            return value
-        if isinstance(template, list):
-            if not isinstance(value, list):
-                raise TypeError
-            return value
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path}: expected {type(template).__name__}, got {value!r}") from None
     return value
 
@@ -147,16 +146,14 @@ def _parse_scheme(entry: Any, path: str) -> SchemeSpec:
             kind = entry.get("kind")
             if kind is None:
                 raise ValueError("missing 'kind'")
-            known = {"kind", "quantization_bits", "tie_sides", "quantize_at_end",
-                     "keep_downlink_power"}
+            known = {"kind", "quantization_bits", "tie_sides", "quantize_at_end"}
             extra = set(entry) - known
             if extra:
                 raise ValueError(f"unknown fields {sorted(extra)}")
             return SchemeSpec(Scheme(kind),
                               quantization_bits=entry.get("quantization_bits"),
                               tie_sides=bool(entry.get("tie_sides", False)),
-                              quantize_at_end=bool(entry.get("quantize_at_end", False)),
-                              keep_downlink_power=bool(entry.get("keep_downlink_power", False)))
+                              quantize_at_end=bool(entry.get("quantize_at_end", False)))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     raise ConfigError(f"{path}: expected scheme name or object")
@@ -164,7 +161,7 @@ def _parse_scheme(entry: Any, path: str) -> SchemeSpec:
 
 def _parse_seeds(data: Any, path: str) -> list[int]:
     if isinstance(data, list):
-        if not data or not all(isinstance(s, int) and not isinstance(s, bool) for s in data):
+        if not data or not all(_is_int(s) for s in data):
             raise ConfigError(f"{path}: expected a nonempty list of integers")
         return list(data)
     if isinstance(data, dict):
@@ -173,8 +170,10 @@ def _parse_seeds(data: Any, path: str) -> list[int]:
             raise ConfigError(f"{path}.{sorted(extra)[0]}: unknown field")
         base = data.get("base", 0)
         count = data.get("count", 1)
-        if not isinstance(base, int) or not isinstance(count, int) or count < 1:
-            raise ConfigError(f"{path}: base must be an integer and count >= 1")
+        if not _is_int(base):
+            raise ConfigError(f"{path}.base: expected an integer, got {base!r}")
+        if not _is_int(count) or count < 1:
+            raise ConfigError(f"{path}.count: expected an integer >= 1, got {count!r}")
         return [base + i for i in range(count)]
     raise ConfigError(f"{path}: expected a list or {{base, count}}")
 
@@ -212,6 +211,12 @@ def validate_config(cfg: CampaignConfig) -> None:
         raise ConfigError(f"sweep.axis: must be one of {SWEEP_AXES}")
     if cfg.sweep.axis != "none" and not cfg.sweep.values:
         raise ConfigError("sweep.values: must be nonempty for a sweep")
+    for i, value in enumerate(cfg.sweep.values):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"sweep.values[{i}]: expected a number, got {value!r}")
+        if cfg.sweep.axis == "L" and not (float(value).is_integer() and value >= 1):
+            raise ConfigError(f"sweep.values[{i}]: element count must be an integer >= 1, "
+                              f"got {value!r}")
     for name, tol in (("eps_w", cfg.solver.eps_w), ("eps_b", cfg.solver.eps_b),
                       ("pgd_tolerance", cfg.solver.pgd_tolerance)):
         if tol <= 0:
@@ -220,18 +225,21 @@ def validate_config(cfg: CampaignConfig) -> None:
         raise ConfigError("weights: rate weights must lie strictly inside (0, 1)")
 
 
-def load_config(path: str | Path) -> CampaignConfig:
+def load_config(path: str | Path, overrides: list[tuple[str, str]] = ()) -> CampaignConfig:
+    """Read a JSON config, apply `--section.field value` overrides, validate."""
     try:
         raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return config_from_dict(raw)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
+    except ValueError as exc:   # undecodable bytes or malformed JSON
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    return config_from_dict(apply_overrides(raw, overrides))
 
 
 def apply_overrides(data: dict, overrides: list[tuple[str, str]]) -> dict:
     """Set `--section.field value` pairs into the raw config dict."""
+    if not isinstance(data, dict):
+        raise ConfigError("config root: expected an object")
     for flag, raw_value in overrides:
         segments = [seg.replace("-", "_") for seg in flag.split(".")]
         try:
@@ -348,9 +356,9 @@ def _worker(args) -> tuple[tuple, ResultRow, list[float]]:
     return (scheme.label, sweep_value, seed), row, trace
 
 
-def _row_key(row: ResultRow):
-    sv = -np.inf if row.sweep_value is None else row.sweep_value
-    return (row.scheme, sv, row.seed)
+def _sweep_key(value: float | None) -> float:
+    """Sort key that puts the missing sweep value first."""
+    return -np.inf if value is None else value
 
 
 def run_campaign(cfg: CampaignConfig, threads: int = 1
@@ -364,13 +372,23 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1
             outcomes = list(pool.map(_worker, jobs))
     else:
         outcomes = [_worker(job) for job in jobs]
-    rows = sorted((row for _, row, _ in outcomes), key=_row_key)
+    rows = sorted((row for _, row, _ in outcomes),
+                  key=lambda r: (r.scheme, _sweep_key(r.sweep_value), r.seed))
     traces = {key: trace for key, _, trace in outcomes}
     return rows, traces
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _csv_text(header: list[str], rows) -> str:
+    """Header plus rows; cells are str, int, float (written as repr) or None (empty)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _float_or_none(x: float | None) -> float | None:
+    return None if x is None else float(x)
 
 
 def results_header(k_users: int) -> list[str]:
@@ -384,40 +402,39 @@ def results_header(k_users: int) -> list[str]:
 def rows_to_csv(rows: list[ResultRow]) -> str:
     if not rows:
         raise ConfigError("no rows to write")
-    k = len(rows[0].r_down)
-    lines = [",".join(results_header(k))]
-    for r in rows:
-        fields = [r.scheme,
-                  "" if r.sweep_value is None else _fmt(r.sweep_value),
-                  str(r.seed), _fmt(r.weighted_sum_rate), str(r.iterations),
-                  r.terminated_by]
-        fields += [_fmt(x) for x in r.r_down] + [_fmt(x) for x in r.r_up]
-        fields += [_fmt(r.wall_ms)]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    return _csv_text(results_header(len(rows[0].r_down)), (
+        [r.scheme, _float_or_none(r.sweep_value), r.seed, float(r.weighted_sum_rate),
+         r.iterations, r.terminated_by, *map(float, r.r_down), *map(float, r.r_up),
+         float(r.wall_ms)]
+        for r in rows))
 
 
 def read_results_csv(text: str) -> list[ResultRow]:
-    lines = [ln for ln in text.splitlines() if ln]
-    header = lines[0].split(",")
-    down_cols = [i for i, h in enumerate(header) if h.startswith("r_down_")]
-    up_cols = [i for i, h in enumerate(header) if h.startswith("r_up_")]
-    idx = {h: i for i, h in enumerate(header)}
+    reader = csv.DictReader(io.StringIO(text))
+    header = reader.fieldnames
+    if not header:
+        raise ConfigError("results file is empty")
+    missing = [c for c in results_header(0) if c not in header]
+    if missing:
+        raise ConfigError(f"results header lacks column(s) {', '.join(missing)}")
+    down_cols = [h for h in header if h.startswith("r_down_")]
+    up_cols = [h for h in header if h.startswith("r_up_")]
     rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        sv = parts[idx["sweep_value"]]
-        rows.append(ResultRow(
-            scheme=parts[idx["scheme"]],
-            sweep_value=None if sv == "" else float(sv),
-            seed=int(parts[idx["seed"]]),
-            weighted_sum_rate=float(parts[idx["weighted_sum_rate"]]),
-            r_down=[float(parts[i]) for i in down_cols],
-            r_up=[float(parts[i]) for i in up_cols],
-            iterations=int(parts[idx["iterations"]]),
-            terminated_by=parts[idx["terminated_by"]],
-            wall_ms=float(parts[idx["wall_ms"]]),
-        ))
+    for rec in reader:
+        try:
+            rows.append(ResultRow(
+                scheme=rec["scheme"],
+                sweep_value=None if rec["sweep_value"] == "" else float(rec["sweep_value"]),
+                seed=int(rec["seed"]),
+                weighted_sum_rate=float(rec["weighted_sum_rate"]),
+                r_down=[float(rec[h]) for h in down_cols],
+                r_up=[float(rec[h]) for h in up_cols],
+                iterations=int(rec["iterations"]),
+                terminated_by=rec["terminated_by"],
+                wall_ms=float(rec["wall_ms"]),
+            ))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"results line {reader.line_num}: {exc}") from None
     return rows
 
 
@@ -430,12 +447,10 @@ def write_campaign(cfg: CampaignConfig, out_dir: str | Path, threads: int = 1) -
     (base / "results.csv").write_text(rows_to_csv(rows))
     (base / "config.echo.json").write_text(
         json.dumps(dataclasses.asdict(cfg), indent=2, default=str) + "\n")
-    for (label, sweep_value, seed), trace in sorted(
-            traces.items(), key=lambda kv: (kv[0][0], str(kv[0][1]), kv[0][2])):
+    for (label, sweep_value, seed), trace in traces.items():
         sv = "none" if sweep_value is None else repr(float(sweep_value))
-        lines = ["iteration,weighted_sum_rate"]
-        lines += [f"{i},{_fmt(r)}" for i, r in enumerate(trace)]
-        (trace_dir / f"{label}_{sv}_{seed}.csv").write_text("\n".join(lines) + "\n")
+        (trace_dir / f"{label}_{sv}_{seed}.csv").write_text(_csv_text(
+            ["iteration", "weighted_sum_rate"], ([i, float(r)] for i, r in enumerate(trace))))
     return base
 
 
@@ -448,22 +463,16 @@ class AggregateRow:
     n: int
 
 
-def emit_figure_data(rows: list[ResultRow], figure: str) -> list[AggregateRow]:
+def emit_figure_data(rows: list[ResultRow]) -> list[AggregateRow]:
     """Mean and standard error of the weighted sum rate per sweep point per scheme."""
-    if figure not in FIGURES:
-        raise ConfigError(f"figure: must be one of {FIGURES}")
     if not rows:
         raise ConfigError("aggregation needs at least one result row")
     groups: dict[tuple, list[float]] = {}
     for r in rows:
         groups.setdefault((r.sweep_value, r.scheme), []).append(r.weighted_sum_rate)
 
-    def group_key(key):
-        sv, scheme = key
-        return (-np.inf if sv is None else sv, scheme)
-
     out = []
-    for key in sorted(groups, key=group_key):
+    for key in sorted(groups, key=lambda g: (_sweep_key(g[0]), g[1])):
         vals = np.asarray(groups[key])
         n = len(vals)
         stderr = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
@@ -472,8 +481,6 @@ def emit_figure_data(rows: list[ResultRow], figure: str) -> list[AggregateRow]:
 
 
 def aggregates_to_csv(aggs: list[AggregateRow]) -> str:
-    lines = ["sweep_value,scheme,mean_rate,stderr,n"]
-    for a in aggs:
-        sv = "" if a.sweep_value is None else _fmt(a.sweep_value)
-        lines.append(f"{sv},{a.scheme},{_fmt(a.mean_rate)},{_fmt(a.stderr)},{a.n}")
-    return "\n".join(lines) + "\n"
+    return _csv_text(["sweep_value", "scheme", "mean_rate", "stderr", "n"], (
+        [_float_or_none(a.sweep_value), a.scheme, float(a.mean_rate), float(a.stderr), a.n]
+        for a in aggs))

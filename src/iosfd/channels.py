@@ -19,7 +19,7 @@ grid row-major, then optional direct links), so a seed pins the realization.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,8 +55,7 @@ class ChannelSet:
     """One realization of all link matrices.
 
     `h_iu[k]` has shape (L, N_u) and is the single stored surface-user matrix;
-    the user->surface direction is its entrywise-transposed view
-    (`user_to_ios`), never an independent draw.
+    both link directions are built from it, never from an independent draw.
     """
     h_ti: np.ndarray                    # (L, N_t)
     h_tr: np.ndarray                    # (N_r, N_t)
@@ -69,10 +68,6 @@ class ChannelSet:
     @property
     def n_users(self) -> int:
         return len(self.h_iu)
-
-    def user_to_ios(self, j: int) -> np.ndarray:
-        """Uplink-direction view of the surface-user link (antenna-major)."""
-        return self.h_iu[j].T
 
 
 def _rician(amplitude: np.ndarray, distances: np.ndarray, wavelength: float,
@@ -93,6 +88,11 @@ def sample_channels(layout: SpatialLayout, fading: FadingParams, seed: int,
     ios = layout.ios_positions
     tx = layout.tx_positions
     rx = layout.rx_positions
+
+    def gainless_link(a: np.ndarray, b: np.ndarray, exponent: float = kappa / 2.0):
+        """Rician link (len(a), len(b)) with no element gain at either end."""
+        r = pairwise_distances(a, b)
+        return _rician(lam / (4.0 * np.pi * r ** exponent), r, lam, chi, rng)
 
     # Transmit array -> surface (LoS only).
     r_ti = pairwise_distances(ios, tx)
@@ -116,35 +116,17 @@ def sample_channels(layout: SpatialLayout, fading: FadingParams, seed: int,
     h_tr = _rician(amp_tr, r_tr, lam, chi, rng)
 
     # Surface <-> users (no gain factor); one matrix per user, both directions.
-    h_iu = []
-    for pos in layout.user_rx_positions:
-        r = pairwise_distances(ios, pos)
-        amp = lam / (4.0 * np.pi * r ** (kappa / 2.0))
-        h_iu.append(_rician(amp, r, lam, chi, rng))
+    h_iu = [gainless_link(ios, pos) for pos in layout.user_rx_positions]
 
     # User-user grid (includes each user's own tx->rx coupling).
     uu_exp = 1.0 if fading.uu_free_space else kappa / 2.0
-    h_uu: list[list[np.ndarray]] = []
-    for tx_pos in layout.user_tx_positions:
-        row = []
-        for rx_pos in layout.user_rx_positions:
-            r = pairwise_distances(rx_pos, tx_pos)
-            amp = lam / (4.0 * np.pi * r ** uu_exp)
-            row.append(_rician(amp, r, lam, chi, rng))
-        h_uu.append(row)
+    h_uu = [[gainless_link(rx_pos, tx_pos, uu_exp) for rx_pos in layout.user_rx_positions]
+            for tx_pos in layout.user_tx_positions]
 
     h_direct_tu = h_direct_ur = None
     if include_direct:
-        h_direct_tu = []
-        for pos in layout.user_rx_positions:
-            r = pairwise_distances(pos, tx)
-            amp = lam / (4.0 * np.pi * r ** (kappa / 2.0))
-            h_direct_tu.append(_rician(amp, r, lam, chi, rng))
-        h_direct_ur = []
-        for pos in layout.user_tx_positions:
-            r = pairwise_distances(rx, pos)
-            amp = lam / (4.0 * np.pi * r ** (kappa / 2.0))
-            h_direct_ur.append(_rician(amp, r, lam, chi, rng))
+        h_direct_tu = [gainless_link(pos, tx) for pos in layout.user_rx_positions]
+        h_direct_ur = [gainless_link(rx, pos) for pos in layout.user_tx_positions]
 
     return ChannelSet(h_ti, h_tr, h_iu, h_ir, h_uu, h_direct_tu, h_direct_ur)
 

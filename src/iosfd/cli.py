@@ -1,20 +1,21 @@
 """Command-line front end.
 
     iosfd simulate --config cfg.json [--threads N] [--out DIR] [--section.field value ...]
-    iosfd aggregate --figure figN --in results.csv [--out FILE]
+    iosfd aggregate --in results.csv [--out FILE]
 
-Exit codes: 0 success, 2 configuration error, 3 numerical/divergence error.
+`aggregate` writes the mean and standard error of the weighted sum rate per
+sweep value and scheme.  Exit codes: 0 success, 2 configuration or input
+error, 3 numerical/divergence error.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
-from .campaign import (aggregates_to_csv, apply_overrides, config_from_dict,
-                       emit_figure_data, read_results_csv, write_campaign)
+from .campaign import (aggregates_to_csv, emit_figure_data, load_config, read_results_csv,
+                       write_campaign)
 from .errors import ConfigError, ConvergenceError, GeometryError, NumericalError
 
 
@@ -33,14 +34,7 @@ def _parse_overrides(extras: list[str]) -> list[tuple[str, str]]:
 
 
 def _simulate(args, extras: list[str]) -> int:
-    try:
-        raw = json.loads(Path(args.config).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {args.config}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    apply_overrides(raw, _parse_overrides(extras))
-    cfg = config_from_dict(raw)
+    cfg = load_config(args.config, _parse_overrides(extras))
     threads = args.threads if args.threads else (os.cpu_count() or 1)
     base = write_campaign(cfg, args.out, threads=threads)
     print(f"wrote {base / 'results.csv'}")
@@ -52,10 +46,13 @@ def _aggregate(args, extras: list[str]) -> int:
         raise ConfigError(f"unrecognized argument: {extras[0]}")
     try:
         text = Path(args.infile).read_text()
-    except FileNotFoundError:
-        raise ConfigError(f"results file not found: {args.infile}") from None
-    rows = read_results_csv(text)
-    csv_text = aggregates_to_csv(emit_figure_data(rows, args.figure))
+    except OSError as exc:
+        raise ConfigError(f"cannot read results file {args.infile}: {exc.strerror}") from None
+    try:
+        aggs = emit_figure_data(read_results_csv(text))
+    except ConfigError as exc:
+        raise ConfigError(f"{args.infile}: {exc}") from None
+    csv_text = aggregates_to_csv(aggs)
     if args.out:
         Path(args.out).write_text(csv_text)
     else:
@@ -74,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default="out", help="output directory")
 
     agg = sub.add_parser("aggregate", help="aggregate a results.csv into figure data")
-    agg.add_argument("--figure", required=True, help="fig2 .. fig6")
     agg.add_argument("--in", dest="infile", required=True, help="results.csv path")
     agg.add_argument("--out", default=None, help="output CSV (default stdout)")
     return parser

@@ -8,7 +8,7 @@ of through steering-vector approximations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,10 +68,6 @@ class GeometryConfig:
     ios_anchor: np.ndarray
     user_anchors: np.ndarray            # (K, 3)
     wavelength: float = 0.05
-    # Boresights; defaults are derived from the anchors in build_layout.
-    ios_axis: np.ndarray | None = None
-    tx_normal: np.ndarray | None = None
-    rx_normal: np.ndarray | None = None
 
 
 @dataclass
@@ -79,9 +75,10 @@ class SpatialLayout:
     """All positions (meters) plus the boresight directions the gains refer to.
 
     The surface is double-faced, so `ios_axis` is an axis, not a direction:
-    elevation against it is folded into [0, pi/2].  The transmit and receive
-    arrays face each other by default, which keeps their direct coupling alive
-    for any gain exponent.
+    elevation against it is folded into [0, pi/2].  `build_layout` points it
+    from the transmitter to the surface, and turns the transmit and receive
+    arrays to face each other, which keeps their direct coupling alive for any
+    gain exponent.
     """
     tx_positions: np.ndarray            # (N_t, 3)
     rx_positions: np.ndarray            # (N_r, 3)
@@ -89,13 +86,9 @@ class SpatialLayout:
     user_rx_positions: list[np.ndarray]  # K arrays (N_ur, 3)
     user_tx_positions: list[np.ndarray]  # K arrays (N_ut, 3)
     wavelength: float
-    ios_axis: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
-    tx_normal: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0, 0.0]))
-    rx_normal: np.ndarray = field(default_factory=lambda: np.array([0.0, -1.0, 0.0]))
-
-    @property
-    def n_users(self) -> int:
-        return len(self.user_rx_positions)
+    ios_axis: np.ndarray
+    tx_normal: np.ndarray
+    rx_normal: np.ndarray
 
 
 def build_layout(cfg: GeometryConfig) -> SpatialLayout:
@@ -123,12 +116,9 @@ def build_layout(cfg: GeometryConfig) -> SpatialLayout:
         if np.linalg.norm(a - b) == 0.0:
             raise GeometryError(f"coincident anchors ({what}) give a zero link distance")
 
-    ios_axis = _unit(np.asarray(cfg.ios_axis, float)) if cfg.ios_axis is not None \
-        else _unit(ios_anchor - tx_anchor)
-    tx_normal = _unit(np.asarray(cfg.tx_normal, float)) if cfg.tx_normal is not None \
-        else _unit(rx_anchor - tx_anchor)
-    rx_normal = _unit(np.asarray(cfg.rx_normal, float)) if cfg.rx_normal is not None \
-        else _unit(tx_anchor - rx_anchor)
+    ios_axis = _unit(ios_anchor - tx_anchor)
+    tx_normal = _unit(rx_anchor - tx_anchor)
+    rx_normal = _unit(tx_anchor - rx_anchor)
 
     u1, u2 = _plane_basis(ios_axis)
     ios_positions = _grid_positions(ios_anchor, cfg.n_elements, spacing, u1, u2)

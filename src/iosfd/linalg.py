@@ -67,18 +67,8 @@ def solve_pd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(c.conj().T, y)
 
 
-def solve_psd_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm solve for Hermitian PSD A (used for zero-multiplier probes)."""
-    sol, *_ = np.linalg.lstsq(hermitize(a), b, rcond=None)
-    return sol
-
-
 def inv_pd(a: np.ndarray) -> np.ndarray:
     return solve_pd(a, np.eye(a.shape[0], dtype=complex))
-
-
-def min_eigval(a: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(hermitize(a))[0])
 
 
 def max_eigval(a: np.ndarray) -> float:

@@ -220,7 +220,7 @@ def _pgd_side(f1, c1, f2, c2, v1, v2, settings: PgdSettings):
     return v1, v2, True
 
 
-def solve_qcqp(pq: PhaseQuadratic, init: IosState, settings: PgdSettings | None = None,
+def solve_qcqp(pq: PhaseQuadratic, init: IosState, settings: PgdSettings,
                sides: tuple[str, ...] = ("t", "u"), tie_sides: bool = False
                ) -> tuple[IosState, int]:
     """Projected-gradient solve; the two sides separate unless tied together.
@@ -228,7 +228,6 @@ def solve_qcqp(pq: PhaseQuadratic, init: IosState, settings: PgdSettings | None 
     Returns the new state and the number of side solves that stopped at
     `settings.max_iters` rather than on the tolerance.
     """
-    settings = settings or PgdSettings()
     out = init.copy()
     cap_exits = 0
 

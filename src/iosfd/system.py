@@ -46,12 +46,12 @@ class IosState:
             return np.abs(self.theta_u) ** 2 + np.abs(self.phi_u) ** 2
         raise ValueError(f"side must be 't' or 'u', got {side!r}")
 
-    def is_feasible(self, tol: float = COUPLING_TOL) -> bool:
-        return bool(np.all(self.coupling("t") <= 1.0 + tol)
-                    and np.all(self.coupling("u") <= 1.0 + tol))
+    def is_feasible(self) -> bool:
+        return bool(np.all(self.coupling("t") <= 1.0 + COUPLING_TOL)
+                    and np.all(self.coupling("u") <= 1.0 + COUPLING_TOL))
 
-    def validate(self, tol: float = COUPLING_TOL) -> None:
-        if not self.is_feasible(tol):
+    def validate(self) -> None:
+        if not self.is_feasible():
             worst = max(self.coupling("t").max(), self.coupling("u").max())
             raise ValueError(f"coupling constraint violated: max |t|^2+|p|^2 = {worst}")
 
@@ -98,9 +98,6 @@ class BeamformerSet:
         for k in range(self.n_users):
             if self.uplink_power(k) > p_u * (1.0 + rel_tol) + 1e-15:
                 raise ValueError(f"uplink power budget exceeded for user {k}")
-
-    def copy(self) -> "BeamformerSet":
-        return BeamformerSet([v.copy() for v in self.v_d], [v.copy() for v in self.v_u])
 
 
 def stream_counts(n_t: int, n_r: int, n_ut: int, n_ur: int) -> tuple[int, int]:
@@ -162,8 +159,6 @@ class RateReport:
     r_down: np.ndarray        # (K,) bits/s/Hz
     r_up: np.ndarray          # (K,) bits/s/Hz
     weighted_sum: float
-    gamma_down: np.ndarray
-    gamma_up: np.ndarray
 
 
 def rate_bits(signal_cov: np.ndarray, denom_cov: np.ndarray) -> float:
@@ -243,4 +238,4 @@ def weighted_sum_rate(eff: EffectiveChannels, bf: BeamformerSet,
     r_down = np.array([downlink_rate(eff, bf, k, float(noise_users[k])) for k in range(K)])
     r_up = np.array([uplink_rate(eff, bf, k, noise_rx) for k in range(K)])
     total = float(np.dot(gamma_down, r_down) + np.dot(gamma_up, r_up))
-    return RateReport(r_down, r_up, total, gamma_down, gamma_up)
+    return RateReport(r_down, r_up, total)

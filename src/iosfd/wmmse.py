@@ -145,18 +145,3 @@ def surrogate_objective(eff: EffectiveChannels, bf: BeamformerSet, st: WmmseStat
             md = u.conj().T @ eff.h_t @ bf.v_d[j]
             total -= gamma_up[k] * _tr(w @ md @ md.conj().T)
     return total
-
-
-def surrogate_compact(eff: EffectiveChannels, bf: BeamformerSet, st: WmmseState,
-                      gamma_down: np.ndarray, gamma_up: np.ndarray,
-                      noise_users: np.ndarray, noise_rx: float) -> float:
-    """Same value through the compact form sum_k gamma (log|W| - Tr(W E) + s)."""
-    total = 0.0
-    for k in range(st.n_users):
-        e = mse_matrix_down(eff, bf, st.u_d[k], k, float(noise_users[k]))
-        w = st.w_d[k]
-        total += gamma_down[k] * (logdet_pd(w) - _tr(w @ e) + w.shape[0])
-        e = mse_matrix_up(eff, bf, st.u_u[k], k, noise_rx)
-        w = st.w_u[k]
-        total += gamma_up[k] * (logdet_pd(w) - _tr(w @ e) + w.shape[0])
-    return total

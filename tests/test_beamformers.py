@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from iosfd import bisect_multiplier, update_beamformers
-from iosfd.beamformers import update_v_down, update_v_up, xi_down, xi_up
+from iosfd.beamformers import xi_down, xi_up
 from iosfd.errors import NumericalError
-from iosfd.linalg import min_eigval
 from iosfd.wmmse import surrogate_objective
 
 from conftest import fd_gradient, random_instance
+from oracles import min_eigval, update_v_down, update_v_up
 
 
 def test_xi_hermitian_pd(rng):

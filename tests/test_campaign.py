@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from iosfd.campaign import (AggregateRow, aggregates_to_csv, apply_overrides,
+import iosfd.campaign
+from iosfd.campaign import (AggregateRow, ResultRow, aggregates_to_csv, apply_overrides,
                             config_from_dict, dbm_to_mw, emit_figure_data,
                             read_results_csv, rows_to_csv, run_campaign,
                             write_campaign)
@@ -80,6 +81,50 @@ def test_csv_round_trip():
     assert back == rows
 
 
+GOLDEN_ROWS = [
+    ResultRow("DS_IOS", None, 0, 1.5, [0.1, 1e-300], [-0.0, 2.0], 12, "tolerance", 3.25),
+    ResultRow("DS_IOS_q4", 0.1, 1, 0.1, [1e-300, 0.0], [0.30000000000000004, -0.0], 500,
+              "max_iters", 0.1),
+    ResultRow("SS_IOS", 1e-300, 2, 1e-300, [0.0, 0.0], [1e-300, 7.0], 3, "tolerance", 12.0),
+    ResultRow("WO_IOS", -0.0, 3, -0.0, [2.5, 0.1], [0.0, 0.0], 1, "tolerance", 0.0),
+]
+
+
+def test_csv_golden_format(tmp_path, monkeypatch):
+    """Exact bytes of every CSV the campaign writes: floats as repr, a missing
+    sweep value as an empty cell, "\n" line ends, no quoting."""
+    results = (
+        "scheme,sweep_value,seed,weighted_sum_rate,iterations,terminated_by,"
+        "r_down_0,r_down_1,r_up_0,r_up_1,wall_ms\n"
+        "DS_IOS,,0,1.5,12,tolerance,0.1,1e-300,-0.0,2.0,3.25\n"
+        "DS_IOS_q4,0.1,1,0.1,500,max_iters,1e-300,0.0,0.30000000000000004,-0.0,0.1\n"
+        "SS_IOS,1e-300,2,1e-300,3,tolerance,0.0,0.0,1e-300,7.0,12.0\n"
+        "WO_IOS,-0.0,3,-0.0,1,tolerance,2.5,0.1,0.0,0.0,0.0\n")
+    assert rows_to_csv(GOLDEN_ROWS) == results
+    assert read_results_csv(results) == GOLDEN_ROWS
+
+    aggs = [AggregateRow(None, "DS_IOS", 0.1, 0.0, 1),
+            AggregateRow(0.1, "SS_IOS", 1e-300, -0.0, 2),
+            AggregateRow(-0.0, "WO_IOS", 1.5, 1e-300, 20)]
+    assert aggregates_to_csv(aggs) == ("sweep_value,scheme,mean_rate,stderr,n\n"
+                                       ",DS_IOS,0.1,0.0,1\n"
+                                       "0.1,SS_IOS,1e-300,-0.0,2\n"
+                                       "-0.0,WO_IOS,1.5,1e-300,20\n")
+
+    traces = {("DS_IOS", None, 0): [0.0, 0.1, 1e-300, -0.0, 1.5],
+              ("DS_IOS_q4", 0.1, 1): [0.1]}
+    monkeypatch.setattr(iosfd.campaign, "run_campaign",
+                        lambda cfg, threads=1: (GOLDEN_ROWS, traces))
+    base = write_campaign(config_from_dict(tiny_config()), tmp_path)
+    assert (base / "results.csv").read_text() == results
+    assert sorted(f.name for f in (base / "traces").iterdir()) == [
+        "DS_IOS_none_0.csv", "DS_IOS_q4_0.1_1.csv"]
+    assert (base / "traces" / "DS_IOS_none_0.csv").read_text() == (
+        "iteration,weighted_sum_rate\n0,0.0\n1,0.1\n2,1e-300\n3,-0.0\n4,1.5\n")
+    assert (base / "traces" / "DS_IOS_q4_0.1_1.csv").read_text() == (
+        "iteration,weighted_sum_rate\n0,0.1\n")
+
+
 def test_trace_files_written(tmp_path):
     base = write_campaign(config_from_dict(tiny_config()), tmp_path)
     files = list((base / "traces").iterdir())
@@ -98,7 +143,7 @@ def test_aggregate_trivial_and_hand_values():
         "DS_IOS,1.0,0,1.0,3,tolerance,1.0,0.0,5.0\n"
         "DS_IOS,1.0,1,3.0,3,tolerance,3.0,0.0,5.0\n"
         "SS_IOS,1.0,0,2.0,3,tolerance,0.0,2.0,5.0\n")
-    aggs = emit_figure_data(rows, "fig3")
+    aggs = emit_figure_data(rows)
     assert aggs[0] == AggregateRow(1.0, "DS_IOS", 2.0, 1.0, 2)
     assert aggs[1] == AggregateRow(1.0, "SS_IOS", 2.0, 0.0, 1)
 
@@ -107,7 +152,7 @@ def test_aggregate_matches_recomputation():
     cfg = config_from_dict(tiny_config(seeds={"base": 0, "count": 3},
                                        sweep={"axis": "P_U", "values": [0.0, 5.0]}))
     rows, _ = run_campaign(cfg)
-    aggs = emit_figure_data(rows, "fig5")
+    aggs = emit_figure_data(rows)
     for agg in aggs:
         vals = [r.weighted_sum_rate for r in rows
                 if r.scheme == agg.scheme and r.sweep_value == agg.sweep_value]
@@ -116,14 +161,40 @@ def test_aggregate_matches_recomputation():
         assert agg.stderr == pytest.approx(np.std(vals, ddof=1) / np.sqrt(3))
 
 
-def test_aggregate_rejects_empty_and_bad_figure():
+def test_aggregate_rejects_empty_and_bad_figure(tmp_path, capsys):
     with pytest.raises(ConfigError):
-        emit_figure_data([], "fig3")
-    rows = read_results_csv(
+        emit_figure_data([])
+    results = tmp_path / "results.csv"
+    results.write_text(
         "scheme,sweep_value,seed,weighted_sum_rate,iterations,terminated_by,"
         "r_down_0,r_up_0,wall_ms\nDS_IOS,,0,1.0,3,tolerance,1.0,0.0,5.0\n")
-    with pytest.raises(ConfigError):
-        emit_figure_data(rows, "fig9")
+    assert main(["aggregate", "--in", str(results)]) == 0
+    # `--figure` is no longer an option: it is rejected, with any value.
+    assert main(["aggregate", "--figure", "fig2", "--in", str(results)]) == 2
+    assert "--figure" in capsys.readouterr().err
+
+
+def test_aggregate_rejects_empty_results_file(tmp_path, capsys):
+    results = tmp_path / "empty.csv"
+    results.write_text("")
+    assert main(["aggregate", "--in", str(results)]) == 2
+    assert "empty.csv" in capsys.readouterr().err
+
+
+def test_aggregate_rejects_missing_column(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text("scheme,seed,weighted_sum_rate,iterations,terminated_by,"
+                       "r_down_0,r_up_0,wall_ms\nDS_IOS,0,1.0,3,tolerance,1.0,0.0,5.0\n")
+    assert main(["aggregate", "--in", str(results)]) == 2
+    err = capsys.readouterr().err
+    assert "results.csv" in err and "sweep_value" in err
+
+
+def test_directory_given_as_input_file(tmp_path, capsys):
+    assert main(["aggregate", "--in", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+    assert main(["simulate", "--config", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
 
 
 def test_config_errors_carry_field_paths():
@@ -142,6 +213,19 @@ def test_config_errors_carry_field_paths():
             scenario={"k_users": 3, "user_anchors": [[20.0, 20.0, 1.5]]}))
     with pytest.raises(ConfigError, match="schemes"):
         config_from_dict(tiny_config(schemes=["XX_IOS"]))
+    with pytest.raises(ConfigError, match=r"schemes\[0\]: unknown .*keep_downlink_power"):
+        config_from_dict(tiny_config(schemes=[{"kind": "SS_IOS", "keep_downlink_power": True}]))
+    with pytest.raises(ConfigError, match=r"sweep.values\[1\]"):
+        config_from_dict(tiny_config(sweep={"axis": "L", "values": [16, 16.7]}))
+    for bad in (0, True, "16"):
+        with pytest.raises(ConfigError, match=r"sweep.values\[0\]"):
+            config_from_dict(tiny_config(sweep={"axis": "L", "values": [bad]}))
+    with pytest.raises(ConfigError, match="powers.p_b_dbm"):
+        config_from_dict(tiny_config(powers={"p_b_dbm": True}))
+    with pytest.raises(ConfigError, match="seeds.base"):
+        config_from_dict(tiny_config(seeds={"base": True, "count": 2}))
+    with pytest.raises(ConfigError, match="seeds.count"):
+        config_from_dict(tiny_config(seeds={"base": 0, "count": False}))
 
 
 def test_overrides_set_nested_fields():
@@ -169,8 +253,7 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert code == 0
     results = tmp_path / "out" / "unit" / "results.csv"
     assert results.exists()
-    code = main(["aggregate", "--figure", "fig2", "--in", str(results),
-                 "--out", str(tmp_path / "agg.csv")])
+    code = main(["aggregate", "--in", str(results), "--out", str(tmp_path / "agg.csv")])
     assert code == 0
     agg_text = (tmp_path / "agg.csv").read_text()
     assert agg_text.startswith("sweep_value,scheme,mean_rate,stderr,n")
@@ -182,5 +265,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(tiny_config(sweep={"axis": "nope", "values": [1]})))
     assert main(["simulate", "--config", str(bad)]) == 2
-    assert main(["aggregate", "--figure", "fig3", "--in", str(tmp_path / "nope.csv")]) == 2
+    bad.write_text("[1, 2]")
+    assert main(["simulate", "--config", str(bad), "--name", "x"]) == 2
+    assert main(["aggregate", "--in", str(tmp_path / "nope.csv")]) == 2
     capsys.readouterr()

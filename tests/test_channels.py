@@ -60,14 +60,6 @@ def test_huge_rician_factor_gives_pure_los(layout):
     assert np.max(ratio) < 1e-5
 
 
-def test_transpose_tie_is_a_view(layout):
-    fad = FadingParams.from_db(3.0)
-    ch = sample_channels(layout, fad, 3)
-    for j in range(ch.n_users):
-        assert np.array_equal(ch.user_to_ios(j), ch.h_iu[j].T)
-        assert ch.user_to_ios(j).base is ch.h_iu[j]
-
-
 def test_user_user_free_space_vs_kappa(layout):
     """The user-user denominator switch changes only the amplitude scale."""
     f_free = FadingParams.from_db(3.0, uu_free_space=True)

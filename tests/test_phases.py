@@ -5,12 +5,13 @@ from iosfd import (FadingParams, IosState, PgdSettings, build_layout, build_quad
                    compose_effective, project_feasible, sample_channels, solve_qcqp,
                    vectorize)
 from iosfd.errors import NumericalError
-from iosfd.linalg import cn_sample, min_eigval
+from iosfd.linalg import cn_sample
 from iosfd.phases import PhaseQuadratic, gprime_value, side_blocks
 from iosfd.wmmse import constant_term, surrogate_objective, update_state
 
 from conftest import random_beamformers, random_instance, random_ios, reference_geometry
 from dense_forms import build_dense_forms, dense_blocks, g_value, hadamard_quadratic
+from oracles import min_eigval
 
 
 def build_from_instance(inst):

@@ -5,11 +5,12 @@ from iosfd import (BeamformerSet, ChannelSet, IosState, compose_effective,
                    mse_matrix_down, mse_matrix_up, optimal_decoder_down,
                    optimal_decoder_up, optimal_weight_down, optimal_weight_up,
                    update_state, weighted_sum_rate)
-from iosfd.linalg import cn_sample, min_eigval
+from iosfd.linalg import cn_sample
 from iosfd.system import LN2, downlink_interference
-from iosfd.wmmse import surrogate_compact, surrogate_objective
+from iosfd.wmmse import surrogate_objective
 
 from conftest import fd_gradient, random_instance
+from oracles import min_eigval, surrogate_compact
 
 
 def scalar_setup():

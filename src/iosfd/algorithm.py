@@ -16,7 +16,8 @@ import numpy as np
 from .beamformers import DualState, update_beamformers
 from .channels import ChannelSet
 from .errors import ConvergenceError
-from .phases import PgdSettings, build_quadratic_forms, project_feasible, solve_qcqp, vectorize
+from .phases import (PgdCounts, PgdSettings, build_quadratic_forms, project_feasible,
+                     solve_qcqp, vectorize)
 from .system import (BeamformerSet, EffectiveChannels, IosState, RateReport,
                      compose_direct, compose_effective, stream_counts,
                      weighted_sum_rate)
@@ -89,6 +90,7 @@ class ConvergenceTrace:
     terminated_by: str                     # "tolerance" | "max_iters"
     step_surrogates: list[tuple[float, float, float]] = field(default_factory=list)
     pgd_cap_exits: int = 0                 # surface side solves stopped at the PGD cap
+    pgd_iters: int = 0                     # PGD iterations over all surface side solves
 
 
 @dataclass
@@ -173,7 +175,7 @@ def run_algorithm2(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec) -> RunRes
     duals: DualState | None = None
     terminated_by = "max_iters"
     iterations = 0
-    pgd_cap_exits = 0
+    pgd = PgdCounts()
 
     def surr(e, b, s):
         return surrogate_objective(e, b, s, cfg.gamma_down, cfg.gamma_up,
@@ -200,9 +202,8 @@ def run_algorithm2(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec) -> RunRes
         if scheme.phase_sides:
             qf = build_quadratic_forms(ch, bf, st, cfg.gamma_down, cfg.gamma_up,
                                        cfg.noise_users, cfg.noise_rx)
-            ios, capped = solve_qcqp(vectorize(qf), ios, cfg.pgd,
-                                     sides=scheme.phase_sides, tie_sides=scheme.tie_sides)
-            pgd_cap_exits += capped
+            ios, _ = solve_qcqp(vectorize(qf), ios, cfg.pgd, sides=scheme.phase_sides,
+                                tie_sides=scheme.tie_sides, counts=pgd)
             eff = _compose(ch, ios, scheme)
             s4 = surr(eff, bf, st)
             check("surface update", s4, s3)
@@ -235,5 +236,6 @@ def run_algorithm2(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec) -> RunRes
         report = weighted_sum_rate(eff, bf, cfg.gamma_down, cfg.gamma_up,
                                    cfg.noise_users, cfg.noise_rx)
 
-    trace = ConvergenceTrace(rates, iterations, terminated_by, step_log, pgd_cap_exits)
+    trace = ConvergenceTrace(rates, iterations, terminated_by, step_log,
+                             pgd.cap_exits, pgd.iters)
     return RunResult(bf, ios, trace, report, duals)

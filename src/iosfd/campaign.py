@@ -110,7 +110,7 @@ def _coerce(value: Any, template: Any, path: str) -> Any:
             if not isinstance(value, type(template)):
                 raise TypeError
             return value
-        if isinstance(value, bool):     # JSON true/false is not a number
+        if isinstance(value, (bool, str)):  # JSON true/false and strings are not numbers
             raise TypeError
         if isinstance(template, int):
             if isinstance(value, float) and value != int(value):
@@ -216,6 +216,9 @@ def validate_config(cfg: CampaignConfig) -> None:
             raise ConfigError(f"sweep.values[{i}]: expected a number, got {value!r}")
         if cfg.sweep.axis == "L" and not (float(value).is_integer() and value >= 1):
             raise ConfigError(f"sweep.values[{i}]: element count must be an integer >= 1, "
+                              f"got {value!r}")
+        if cfg.sweep.axis == "tx_ios_distance" and not (np.isfinite(value) and value > 0):
+            raise ConfigError(f"sweep.values[{i}]: distance must be a finite number > 0, "
                               f"got {value!r}")
     for name, tol in (("eps_w", cfg.solver.eps_w), ("eps_b", cfg.solver.eps_b),
                       ("pgd_tolerance", cfg.solver.pgd_tolerance)):

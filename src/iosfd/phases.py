@@ -1,4 +1,5 @@
-"""Surface-coefficient optimization as a convex QCQP solved by projected gradient.
+"""Surface-coefficient optimization as a convex QCQP solved by accelerated
+projected gradient.
 
 With precoders, decoders and weights frozen, the surrogate is a quadratic in
 each of the four coefficient vectors.  Collecting the couplings into L-by-L
@@ -16,8 +17,14 @@ Schur's product theorem each Q is PSD by construction, and it is carried as
 its L x r factor F (r <= (K s)^2, independent of L).  A product Q v costs
 O(L r) as F (F^H v), the value is ||F^H v||^2 - 2 Re{v^H conj(c)}, and the
 Lipschitz step comes from the largest eigenvalue of the r x r Gram F^H F,
-which equals that of F F^H.  Projected gradient with that step and
-per-element radial projection then descends to the optimum.
+which equals that of F F^H.
+
+Each side is solved by accelerated projected gradient (FISTA, Beck &
+Teboulle 2009) with that step and per-element radial projection.  A trial
+from the extrapolated point that does not descend restarts the momentum
+(function-value restart, O'Donoghue & Candes 2015), so the accepted iterates
+never ascend.  The solve stops when a plain step decreases g' by at most
+tolerance * max(1, |g'|), or at max_iters.
 """
 from __future__ import annotations
 
@@ -171,7 +178,7 @@ def side_blocks(pq: PhaseQuadratic, side: str):
 def project_feasible(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Radial projection of each (theta_l, phi_l) pair onto its unit disk."""
     norm2 = np.abs(theta) ** 2 + np.abs(phi) ** 2
-    scale = np.where(norm2 > 1.0, 1.0 / np.sqrt(np.maximum(norm2, 1e-300)), 1.0)
+    scale = 1.0 / np.sqrt(np.maximum(norm2, 1.0))
     return theta * scale, phi * scale
 
 
@@ -190,7 +197,13 @@ class PgdSettings:
 def _pgd_side(f1, c1, f2, c2, v1, v2, settings: PgdSettings):
     """Minimize the two coupled-constraint blocks of one side.
 
-    Returns the two vectors and whether the solve stopped at `max_iters`.
+    Accelerated projected gradient (FISTA) from the extrapolated point
+    y = w + beta (w - v); its F^H products are carried as the same
+    combination of the stored ones, so an iteration costs one F p and one
+    F^H w per block.  A trial from y that does not descend restarts the
+    momentum and steps from v instead; only that plain step is halved, and
+    only a plain step may end the solve on the tolerance.  Returns the two
+    vectors, the iteration count and whether the solve stopped at `max_iters`.
     """
     f1h, f2h = f1.conj().T, f2.conj().T
     lam = max(max_eigval(f1h @ f1), max_eigval(f2h @ f2), 1e-30)
@@ -200,54 +213,80 @@ def _pgd_side(f1, c1, f2, c2, v1, v2, settings: PgdSettings):
     v1, v2 = project_feasible(v1.copy(), v2.copy())
     p1, p2 = f1h @ v1, f2h @ v2
     f_cur = _value(p1, v1, c1) + _value(p2, v2, c2)
-    for _ in range(settings.max_iters):
-        g1 = 2.0 * (f1 @ p1 - c1)
-        g2 = 2.0 * (f2 @ p2 - c2)
-        trial = step
-        for _ in range(60):
-            w1, w2 = project_feasible(v1 - trial * g1, v2 - trial * g2)
+    y1, y2, r1, r2 = v1, v2, p1, p2
+    t, beta = 1.0, 0.0
+    for it in range(1, settings.max_iters + 1):
+        g1 = 2.0 * (f1 @ r1 - c1)
+        g2 = 2.0 * (f2 @ r2 - c2)
+        trial, rejected = step, 0
+        while True:
+            w1, w2 = project_feasible(y1 - trial * g1, y2 - trial * g2)
             q1, q2 = f1h @ w1, f2h @ w2
             f_new = _value(q1, w1, c1) + _value(q2, w2, c2)
             if f_new <= f_cur + 1e-15:
                 break
+            if beta > 0.0:      # function-value restart
+                y1, y2, r1, r2 = v1, v2, p1, p2
+                t, beta = 1.0, 0.0
+                g1 = 2.0 * (f1 @ p1 - c1)
+                g2 = 2.0 * (f2 @ p2 - c2)
+                continue
+            rejected += 1
+            if rejected == 60:
+                return v1, v2, it, False
             trial *= 0.5
-        else:
-            return v1, v2, False
-        moved = f_cur - f_new
-        v1, v2, p1, p2, f_cur = w1, w2, q1, q2, f_new
-        if moved <= settings.tolerance * max(1.0, abs(f_cur)):
-            return v1, v2, False
-    return v1, v2, True
+        if f_cur - f_new <= settings.tolerance * max(1.0, abs(f_new)):
+            if beta == 0.0:
+                return w1, w2, it, False
+            t = 1.0     # a short step from y proves nothing: take a plain one from w
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        y1, y2 = w1 + beta * (w1 - v1), w2 + beta * (w2 - v2)
+        r1, r2 = q1 + beta * (q1 - p1), q2 + beta * (q2 - p2)
+        v1, v2, p1, p2, f_cur, t = w1, w2, q1, q2, f_new, t_next
+    return v1, v2, settings.max_iters, True
+
+
+@dataclass
+class PgdCounts:
+    """PGD work summed over side solves: iterations, and solves stopped at the cap."""
+    iters: int = 0
+    cap_exits: int = 0
 
 
 def solve_qcqp(pq: PhaseQuadratic, init: IosState, settings: PgdSettings,
-               sides: tuple[str, ...] = ("t", "u"), tie_sides: bool = False
-               ) -> tuple[IosState, int]:
-    """Projected-gradient solve; the two sides separate unless tied together.
+               sides: tuple[str, ...] = ("t", "u"), tie_sides: bool = False,
+               counts: PgdCounts | None = None) -> tuple[IosState, int]:
+    """Accelerated projected-gradient solve; the two sides separate unless tied.
 
     Returns the new state and the number of side solves that stopped at
-    `settings.max_iters` rather than on the tolerance.
+    `settings.max_iters` rather than on the tolerance; `counts`, if given,
+    also accumulates the iterations and cap exits of every side solve.
     """
     out = init.copy()
-    cap_exits = 0
-
+    cap_exits = iters = 0
     if tie_sides:
-        phi, theta, capped = _pgd_side(*side_blocks(pq, "tied"),
-                                       init.phi_t, init.theta_t, settings)
+        phi, theta, n, capped = _pgd_side(*side_blocks(pq, "tied"),
+                                          init.phi_t, init.theta_t, settings)
         out.phi_t = out.phi_u = phi
         out.theta_t = out.theta_u = theta
         cap_exits += capped
+        iters += n
     else:
         for side in ("t", "u"):
             if side in sides:
-                phi, theta, capped = _pgd_side(*side_blocks(pq, side),
-                                               getattr(init, "phi_" + side),
-                                               getattr(init, "theta_" + side), settings)
+                phi, theta, n, capped = _pgd_side(*side_blocks(pq, side),
+                                                  getattr(init, "phi_" + side),
+                                                  getattr(init, "theta_" + side), settings)
                 setattr(out, "phi_" + side, phi)
                 setattr(out, "theta_" + side, theta)
                 cap_exits += capped
+                iters += n
 
     out.validate()
     if gprime_value(pq, out) > gprime_value(pq, init) + 1e-12:
         raise NumericalError("projected gradient failed to descend")
+    if counts is not None:
+        counts.iters += iters
+        counts.cap_exits += cap_exits
     return out, cap_exits

@@ -19,6 +19,20 @@ def reference_geometry(L=8, K=2, n_tx=2, n_rx=2, n_user=2):
     )
 
 
+def integrated_run_geometry(L: int, K: int = 2, n: int = 2) -> GeometryConfig:
+    """Surface mounted 0.1 m in front of the transceiver (its design regime)."""
+    direction = np.array([0.07, 0.07, 0.0])
+    direction /= np.linalg.norm(direction)
+    anchors = np.array([[20.0, 20.0, 1.5], [25.0, -35.0, 1.5], [35.0, -25.0, 1.5]])
+    return GeometryConfig(
+        n_tx=n, n_rx=n, n_elements=L, n_user_tx=n, n_user_rx=n,
+        tx_anchor=np.array([0.0, 0.0, 5.0]),
+        rx_anchor=np.array([0.0, 1.0, 5.0]),
+        ios_anchor=np.array([0.0, 0.0, 5.0]) + 0.1 * direction,
+        user_anchors=anchors[:K],
+    )
+
+
 def random_channels(rng, K=2, n_tx=2, n_rx=2, n_u=2, L=4, scale=1.0, direct=False):
     """Unstructured random link matrices for unit-level oracles."""
     ch = ChannelSet(

@@ -5,7 +5,8 @@ directly at a given multiplier, where the package sweeps every multiplier
 through one eigendecomposition (`beamformers._RegularizedSolve`).
 `surrogate_compact` evaluates the weighted surrogate through the compact
 per-link form sum_k gamma (log|W| - Tr(W E) + s), where the package sums it
-term by term (`wmmse.surrogate_objective`).
+term by term (`wmmse.surrogate_objective`).  `pgd_side_plain` is the plain
+projected gradient that `phases._pgd_side` accelerates.
 """
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ import numpy as np
 
 from iosfd.beamformers import xi_down, xi_up
 from iosfd.errors import NumericalError
-from iosfd.linalg import hermitize, logdet_pd, solve_pd
+from iosfd.linalg import hermitize, logdet_pd, max_eigval, solve_pd
+from iosfd.phases import PgdSettings, _value, project_feasible
 from iosfd.system import BeamformerSet, EffectiveChannels
 from iosfd.wmmse import WmmseState, mse_matrix_down, mse_matrix_up
 
@@ -69,3 +71,35 @@ def surrogate_compact(eff: EffectiveChannels, bf: BeamformerSet, st: WmmseState,
         w = st.w_u[k]
         total += gamma_up[k] * (logdet_pd(w) - _tr(w @ e) + w.shape[0])
     return total
+
+
+def pgd_side_plain(f1, c1, f2, c2, v1, v2, settings: PgdSettings):
+    """Plain projected gradient on one side, with the step and stop rule of
+    `phases._pgd_side`.  Returns the two vectors and whether the solve stopped
+    at `max_iters`."""
+    f1h, f2h = f1.conj().T, f2.conj().T
+    lam = max(max_eigval(f1h @ f1), max_eigval(f2h @ f2), 1e-30)
+    step = 1.0 / (2.0 * lam)
+    c1, c2 = c1.conj(), c2.conj()
+
+    v1, v2 = project_feasible(v1.copy(), v2.copy())
+    p1, p2 = f1h @ v1, f2h @ v2
+    f_cur = _value(p1, v1, c1) + _value(p2, v2, c2)
+    for _ in range(settings.max_iters):
+        g1 = 2.0 * (f1 @ p1 - c1)
+        g2 = 2.0 * (f2 @ p2 - c2)
+        trial = step
+        for _ in range(60):
+            w1, w2 = project_feasible(v1 - trial * g1, v2 - trial * g2)
+            q1, q2 = f1h @ w1, f2h @ w2
+            f_new = _value(q1, w1, c1) + _value(q2, w2, c2)
+            if f_new <= f_cur + 1e-15:
+                break
+            trial *= 0.5
+        else:
+            return v1, v2, False
+        moved = f_cur - f_new
+        v1, v2, p1, p2, f_cur = w1, w2, q1, q2, f_new
+        if moved <= settings.tolerance * max(1.0, abs(f_cur)):
+            return v1, v2, False
+    return v1, v2, True

@@ -19,7 +19,7 @@ from iosfd.phases import PhaseQuadratic, gprime_value
 from iosfd.system import LN2
 from iosfd.wmmse import surrogate_objective
 
-from conftest import fd_gradient, random_instance
+from conftest import fd_gradient, integrated_run_geometry, random_instance
 from dense_forms import hadamard_quadratic
 from test_beamformers import _lagrangian_down
 from test_phases import _grid_minimum, _single_block_pq
@@ -83,20 +83,6 @@ def test_rate_mse_equivalence():
     elapsed = time.time() - start
     _report("rate-mse-equivalence", worst <= 1e-7 and elapsed < 30.0,
             f"(worst rel err {worst:.2e}, {elapsed:.1f}s)")
-
-
-def integrated_run_geometry(L: int, K: int = 2, n: int = 2) -> GeometryConfig:
-    """Surface mounted 0.1 m in front of the transceiver (its design regime)."""
-    direction = np.array([0.07, 0.07, 0.0])
-    direction /= np.linalg.norm(direction)
-    anchors = np.array([[20.0, 20.0, 1.5], [25.0, -35.0, 1.5], [35.0, -25.0, 1.5]])
-    return GeometryConfig(
-        n_tx=n, n_rx=n, n_elements=L, n_user_tx=n, n_user_rx=n,
-        tx_anchor=np.array([0.0, 0.0, 5.0]),
-        rx_anchor=np.array([0.0, 1.0, 5.0]),
-        ios_anchor=np.array([0.0, 0.0, 5.0]) + 0.1 * direction,
-        user_anchors=anchors[:K],
-    )
 
 
 def test_monotone_convergence():

@@ -46,6 +46,23 @@ def test_trace_counts_pgd_cap_exits():
     assert 0 < res.trace.pgd_cap_exits <= 2 * res.trace.iterations
 
 
+def test_trace_counts_pgd_iterations():
+    """Every surface side solve adds its PGD iterations; a run without the
+    surface solves none."""
+    ch = channels_for(integrated_geometry(L=8), 0)
+    cfg = desk_config()
+    res = run_algorithm2(ch, cfg, SchemeSpec(Scheme.DS_IOS))
+    assert res.trace.pgd_iters >= 2 * res.trace.iterations
+    assert res.trace.pgd_iters >= res.trace.pgd_cap_exits * cfg.pgd.max_iters
+    cfg.pgd = PgdSettings(max_iters=1)
+    capped = run_algorithm2(ch, cfg, SchemeSpec(Scheme.DS_IOS)).trace
+    assert capped.pgd_cap_exits > 0
+    assert capped.pgd_iters >= capped.pgd_cap_exits * cfg.pgd.max_iters
+    direct = channels_for(integrated_geometry(L=8), 0, direct=True)
+    wo = run_algorithm2(direct, desk_config(), SchemeSpec(Scheme.WO_IOS)).trace
+    assert wo.pgd_iters == 0 and wo.pgd_cap_exits == 0
+
+
 def test_zero_power_converges_immediately():
     ch = channels_for(integrated_geometry(L=4), 0)
     cfg = desk_config(p_b=0.0, p_u=0.0)

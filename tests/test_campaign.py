@@ -226,6 +226,31 @@ def test_config_errors_carry_field_paths():
         config_from_dict(tiny_config(seeds={"base": True, "count": 2}))
     with pytest.raises(ConfigError, match="seeds.count"):
         config_from_dict(tiny_config(seeds={"base": 0, "count": False}))
+    for bad in (0, 0.0, -0.5, float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match=r"sweep.values\[1\]"):
+            config_from_dict(tiny_config(sweep={"axis": "tx_ios_distance",
+                                                "values": [0.5, bad]}))
+    with pytest.raises(ConfigError, match="powers.p_b_dbm"):
+        config_from_dict(tiny_config(powers={"p_b_dbm": "10"}))
+    with pytest.raises(ConfigError, match="scenario.l_elements"):
+        config_from_dict(tiny_config(scenario={"l_elements": "5"}))
+
+
+def test_overrides_must_be_json_numbers_for_numeric_fields(tmp_path, capsys):
+    """A non-JSON override token stays a string, which a numeric field rejects."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config()))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                 "--powers.p-b-dbm", ".5"]) == 2
+    assert "powers.p_b_dbm" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError, match="powers.p_b_dbm"):
+        config_from_dict(apply_overrides(tiny_config(), [("powers.p-b-dbm", ".5")]))
+    with pytest.raises(ConfigError, match="solver.max_outer_iters"):
+        config_from_dict(apply_overrides(tiny_config(), [("solver.max-outer-iters", "3x")]))
+    cfg = config_from_dict(apply_overrides(tiny_config(), [("powers.p-b-dbm", "0.5"),
+                                                           ("name", "plain-text")]))
+    assert cfg.powers.p_b_dbm == 0.5 and cfg.name == "plain-text"
 
 
 def test_overrides_set_nested_fields():

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from iosfd import (FadingParams, IosState, PgdSettings, build_layout, build_quadratic_forms,
-                   compose_effective, project_feasible, sample_channels, solve_qcqp,
+from iosfd import (FadingParams, IosState, PgdSettings, RunConfig, Scheme, SchemeSpec,
+                   apply_scheme, build_layout, build_quadratic_forms, compose_effective,
+                   project_feasible, sample_channels, solve_qcqp, update_beamformers,
                    vectorize)
 from iosfd.errors import NumericalError
 from iosfd.linalg import cn_sample
-from iosfd.phases import PhaseQuadratic, gprime_value, side_blocks
+from iosfd.phases import (PhaseQuadratic, _block_value, _pgd_side, gprime_value,
+                          side_blocks)
 from iosfd.wmmse import constant_term, surrogate_objective, update_state
 
-from conftest import random_beamformers, random_instance, random_ios, reference_geometry
+from conftest import (integrated_run_geometry, random_beamformers, random_instance,
+                      random_ios, reference_geometry)
 from dense_forms import build_dense_forms, dense_blocks, g_value, hadamard_quadratic
-from oracles import min_eigval
+from oracles import min_eigval, pgd_side_plain
 
 
 def build_from_instance(inst):
@@ -106,20 +109,27 @@ def test_vectorized_objective_matches_matrix_objective(rng):
         assert g == pytest.approx(-gp + pq.r_cg, rel=1e-10, abs=1e-10)
 
 
+def drawn_instance(rng, geometry, seed):
+    """`sample_channels` draw (entries around 1e-4) with a random surface,
+    random beamformers and the decoders and weights they induce."""
+    K = geometry.user_anchors.shape[0]
+    L = geometry.n_elements
+    noise = 1e-8
+    ch = sample_channels(build_layout(geometry), FadingParams.from_db(3.0), seed)
+    ios = random_ios(rng, L)
+    eff = compose_effective(ch, ios)
+    bf = random_beamformers(rng, K=K)
+    st = update_state(eff, bf, np.full(K, noise), noise)
+    return ch, ios, eff, bf, st, np.full(K, 0.5), np.full(K, 0.5), np.full(K, noise), noise
+
+
 def oracle_instances(rng):
     """Unit-scale random instances (K = 1..3, L = 1..7) and reference-geometry
     channels from `sample_channels`, whose entries are around 1e-4."""
     for _ in range(30):
         yield random_instance(rng, K=int(rng.integers(1, 4)), L=int(rng.integers(1, 8)))
-    noise = 1e-8
     for seed in range(4):
-        ch = sample_channels(build_layout(reference_geometry(L=8, K=2)),
-                             FadingParams.from_db(3.0), seed)
-        ios = random_ios(rng, 8)
-        eff = compose_effective(ch, ios)
-        bf = random_beamformers(rng, K=2)
-        st = update_state(eff, bf, np.full(2, noise), noise)
-        yield ch, ios, eff, bf, st, np.full(2, 0.5), np.full(2, 0.5), np.full(2, noise), noise
+        yield drawn_instance(rng, reference_geometry(L=8, K=2), seed)
 
 
 def _rel_err(got, want):
@@ -196,6 +206,25 @@ def test_projection_cases():
     assert inside[0][0] == 0.3 + 0.1j and inside[1][0] == 0.2 - 0.4j
 
 
+def test_projection_matches_where_form(rng):
+    """Bit for bit the same scale as where(norm2 > 1, 1/sqrt(max(norm2, 1e-300)), 1):
+    pairs outside, inside and exactly on the unit circle, and zeros."""
+    on_circle = ([1.0, 0.0, 1j, -1.0, 0.6], [0.0, 1.0, 0.0, -1j, 0.8j])
+    theta = np.concatenate([cn_sample(rng, (200,)), 3.0 * cn_sample(rng, (200,)),
+                            1e-3 * cn_sample(rng, (50,)), np.zeros(4), on_circle[0],
+                            np.exp(2j * np.pi * rng.uniform(size=20)), [1e-200]])
+    phi = np.concatenate([cn_sample(rng, (200,)), 3.0 * cn_sample(rng, (200,)),
+                          1e-3 * cn_sample(rng, (50,)), np.zeros(4), on_circle[1],
+                          np.zeros(20), [0.0]])
+    norm2 = np.abs(theta) ** 2 + np.abs(phi) ** 2
+    assert np.sum(norm2 == 1.0) >= 5 and np.sum(norm2 > 1.0) >= 100
+    assert np.sum((norm2 > 0.0) & (norm2 < 1.0)) >= 50 and np.sum(norm2 == 0.0) >= 4
+    scale = np.where(norm2 > 1.0, 1.0 / np.sqrt(np.maximum(norm2, 1e-300)), 1.0)
+    got_theta, got_phi = project_feasible(theta, phi)
+    assert np.array_equal(got_theta, theta * scale)
+    assert np.array_equal(got_phi, phi * scale)
+
+
 def test_projection_is_nearest_point_on_grid(rng):
     """Radial projection beats every candidate on a fine polar grid."""
     for _ in range(5):
@@ -263,6 +292,123 @@ def test_pgd_descends_and_stays_feasible(rng):
         out, _ = solve_qcqp(pq, init, PgdSettings())
         assert out.is_feasible()
         assert gprime_value(pq, out) <= gprime_value(pq, init) + 1e-12
+
+
+def close_mounted_qcqps(L, seed, n_outer):
+    """(PhaseQuadratic, surface state) of outer iterations 1..n_outer of a DS_IOS
+    run in the close-mounted geometry at P_B = 10 dBm, P_U = 5 dBm and -80 dBm
+    noise.  The surface steps come from the plain oracle, so the instances do
+    not depend on the solver under test."""
+    K = 3
+    ch = sample_channels(build_layout(integrated_run_geometry(L, K=K)),
+                         FadingParams.from_db(3.0), seed)
+    cfg = RunConfig(gamma_down=np.full(K, 0.5), gamma_up=np.full(K, 0.5),
+                    noise_users=np.full(K, 1e-11), noise_rx=1e-11,
+                    p_b=10.0, p_u=10.0 ** 0.5)
+    bf, ios, eff = apply_scheme(SchemeSpec(Scheme.DS_IOS), ch, cfg)
+    for _ in range(n_outer):
+        st = update_state(eff, bf, cfg.noise_users, cfg.noise_rx)
+        bf, _ = update_beamformers(eff, st, cfg.gamma_down, cfg.gamma_up, cfg.p_b, cfg.p_u,
+                                   cfg.eps_b, update_downlink=True, current=bf)
+        pq = vectorize(build_quadratic_forms(ch, bf, st, cfg.gamma_down, cfg.gamma_up,
+                                             cfg.noise_users, cfg.noise_rx))
+        yield pq, ios
+        ios = plain_solve(pq, ios, PgdSettings())
+        eff = compose_effective(ch, ios)
+
+
+def plain_solve(pq, init, settings):
+    """Both sides of `solve_qcqp` solved by the plain projected-gradient oracle."""
+    out = init.copy()
+    for side in ("t", "u"):
+        phi, theta, _ = pgd_side_plain(*side_blocks(pq, side), getattr(init, "phi_" + side),
+                                       getattr(init, "theta_" + side), settings)
+        setattr(out, "phi_" + side, phi)
+        setattr(out, "theta_" + side, theta)
+    return out
+
+
+def side_value(blocks, phi, theta):
+    """The part of g' that one side solve minimizes."""
+    f_phi, c_phi, f_theta, c_theta = blocks
+    return _block_value(f_phi, c_phi, phi) + _block_value(f_theta, c_theta, theta)
+
+
+def test_accelerated_pgd_ends_no_higher_than_plain(rng):
+    """Unit-scale instances, fresh draws in the reference and close-mounted
+    geometries, and the QCQPs of the first outer iterations of close-mounted
+    runs: the accelerated solve stays feasible, does not ascend, and each side
+    ends no higher than the plain projected gradient with the same step and
+    stop rule."""
+    cases = []
+    for _ in range(5):
+        inst = random_instance(rng, K=2, L=6)
+        cases.append((vectorize(build_from_instance(inst)), random_ios(rng, 6)))
+    for geometry in (reference_geometry(L=16, K=2), integrated_run_geometry(32, K=3)):
+        for seed in range(3):
+            inst = drawn_instance(rng, geometry, seed)
+            cases.append((vectorize(build_from_instance(inst)), inst[1]))
+    for seed in range(3):
+        cases.extend(close_mounted_qcqps(64, seed, 4))
+    for pq, init in cases:
+        out, _ = solve_qcqp(pq, init, PgdSettings())
+        assert out.is_feasible()
+        assert gprime_value(pq, out) <= gprime_value(pq, init) + 1e-12
+        for side in ("t", "u"):
+            blocks = side_blocks(pq, side)
+            got = side_value(blocks, getattr(out, "phi_" + side), getattr(out, "theta_" + side))
+            phi, theta, _ = pgd_side_plain(*blocks, getattr(init, "phi_" + side),
+                                           getattr(init, "theta_" + side), PgdSettings())
+            assert got <= side_value(blocks, phi, theta) + 1e-9 * max(1.0, abs(got)), side
+
+
+def test_accelerated_pgd_restarts_on_ill_conditioned_block(monkeypatch):
+    """Two elements, phi curvature 1 and 1e-2 along rotated axes, optimum on
+    the disk boundary: momentum overshoots and the restart branch runs."""
+    rot = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    f_phi = (rot @ np.diag([1.0, 0.1])).astype(complex)
+    f_theta = np.eye(2, dtype=complex)
+    c_phi = np.conj(f_phi @ f_phi.conj().T @ np.array([1.5, 0.3j]))
+    c_theta = np.array([0.2, -0.1j])
+    pq = PhaseQuadratic(q_phi_t=f_phi, q_theta_t=f_theta, q_phi_u=np.zeros((2, 2), complex),
+                        q_theta_u=np.zeros((2, 2), complex), c=c_phi, f=c_theta,
+                        z=np.zeros(2, complex), y=np.zeros(2, complex), r_cg=0.0)
+    trials = []
+    monkeypatch.setattr("iosfd.phases.project_feasible",
+                        lambda *args: trials.append(1) or project_feasible(*args))
+    init = IosState.zeros(2)
+    settings = PgdSettings(max_iters=5000, tolerance=1e-14)
+    phi, theta, iters, capped = _pgd_side(*side_blocks(pq, "t"), init.phi_t, init.theta_t,
+                                          settings)
+    monkeypatch.undo()
+    # With the exact Lipschitz step a plain step from v always descends, so
+    # every trial beyond the first projection and one per iteration is a restart.
+    assert not capped and len(trials) > iters + 1
+    out = init.copy()
+    out.phi_t, out.theta_t = phi, theta
+    g_out = gprime_value(pq, out)
+    assert g_out <= gprime_value(pq, init)
+    ref_phi, ref_theta, ref_capped = pgd_side_plain(
+        *side_blocks(pq, "t"), init.phi_t, init.theta_t,
+        PgdSettings(max_iters=200000, tolerance=1e-15))
+    assert not ref_capped
+    ref = init.copy()
+    ref.phi_t, ref.theta_t = ref_phi, ref_theta
+    assert g_out == pytest.approx(gprime_value(pq, ref), rel=1e-12, abs=1e-12)
+    assert np.allclose(phi, ref_phi, atol=1e-5) and np.allclose(theta, ref_theta, atol=1e-5)
+
+
+def test_accelerated_pgd_converges_where_plain_hits_the_cap():
+    """Close-mounted L = 128, the t side of the second outer iteration: the
+    plain oracle stops at the 500-iteration cap, the accelerated solve on the
+    tolerance."""
+    pq, init = list(close_mounted_qcqps(128, 1, 2))[-1]
+    blocks = side_blocks(pq, "t")
+    settings = PgdSettings()
+    *_, plain_capped = pgd_side_plain(*blocks, init.phi_t, init.theta_t, settings)
+    assert plain_capped
+    *_, iters, capped = _pgd_side(*blocks, init.phi_t, init.theta_t, settings)
+    assert not capped and iters < settings.max_iters
 
 
 def test_pgd_improves_surrogate_cross_module(rng):

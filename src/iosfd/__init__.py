@@ -13,11 +13,8 @@ from .geometry import GeometryConfig, SpatialLayout, antenna_gain, build_layout
 from .phases import (PgdSettings, PhaseQuadratic, QuadraticFormSet,
                      build_quadratic_forms, project_feasible, solve_qcqp, vectorize)
 from .system import (BeamformerSet, EffectiveChannels, IosState, RateReport,
-                     compose_direct, compose_effective, downlink_rate, uplink_rate,
-                     weighted_sum_rate)
-from .wmmse import (WmmseState, mse_matrix_down, mse_matrix_up, optimal_decoder_down,
-                    optimal_decoder_up, optimal_weight_down, optimal_weight_up,
-                    surrogate_objective, update_state)
+                     compose_direct, compose_effective, weighted_sum_rate)
+from .wmmse import WmmseState, surrogate_objective, update_state
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

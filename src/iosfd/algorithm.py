@@ -1,10 +1,11 @@
 """Outer alternating loop and the benchmark schemes.
 
 One iteration refreshes, in order: decoders/weights, precoders (dual
-bisection), surface coefficients (projected-gradient QCQP).  Each block
-maximizes the shared surrogate with the others fixed, so the true weighted
-sum rate never decreases between iterations; a guard aborts if numerics break
-that promise.  Termination is by relative change of the weighted sum rate.
+multipliers by safeguarded secant search), surface coefficients
+(projected-gradient QCQP).  Each block maximizes the shared surrogate with
+the others fixed, so the true weighted sum rate never decreases between
+iterations; a guard aborts if numerics break that promise.  Termination is
+by relative change of the weighted sum rate.
 """
 from __future__ import annotations
 
@@ -110,9 +111,9 @@ def initial_beamformers(ch: ChannelSet, p_b: float, p_u: float) -> BeamformerSet
     n_ur = ch.h_iu[0].shape[1]
     n_ut = ch.h_uu[0][0].shape[1]
     s_d, s_u = stream_counts(n_t, n_r, n_ut, n_ur)
-    v_d = [np.sqrt(p_b / (K * s_d)) * np.eye(n_t, s_d, dtype=complex) for _ in range(K)]
-    v_u = [np.sqrt(p_u / s_u) * np.eye(n_ut, s_u, dtype=complex) for _ in range(K)]
-    return BeamformerSet(v_d, v_u)
+    v_d = np.sqrt(p_b / (K * s_d)) * np.eye(n_t, s_d, dtype=complex)
+    v_u = np.sqrt(p_u / s_u) * np.eye(n_ut, s_u, dtype=complex)
+    return BeamformerSet(np.repeat(v_d[None], K, axis=0), np.repeat(v_u[None], K, axis=0))
 
 
 def initial_ios(L: int, scheme: SchemeSpec) -> IosState:
@@ -156,7 +157,7 @@ def apply_scheme(scheme: SchemeSpec, ch: ChannelSet, cfg: RunConfig
     """Initial state for one run under the given benchmark scheme."""
     bf = initial_beamformers(ch, cfg.p_b, cfg.p_u)
     if scheme.kind is Scheme.SS_IOS:
-        bf = BeamformerSet([np.zeros_like(v) for v in bf.v_d], bf.v_u)
+        bf = BeamformerSet(np.zeros_like(bf.v_d), bf.v_u)
     ios = initial_ios(ch.h_ti.shape[0], scheme)
     return bf, ios, _compose(ch, ios, scheme)
 

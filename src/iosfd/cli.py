@@ -33,9 +33,16 @@ def _parse_overrides(extras: list[str]) -> list[tuple[str, str]]:
     return pairs
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask), else all cores."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _simulate(args, extras: list[str]) -> int:
     cfg = load_config(args.config, _parse_overrides(extras))
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
+    threads = args.threads if args.threads else _available_cpus()
     base = write_campaign(cfg, args.out, threads=threads)
     print(f"wrote {base / 'results.csv'}")
     return 0
@@ -67,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a Monte-Carlo campaign")
     sim.add_argument("--config", required=True, help="campaign config (JSON)")
     sim.add_argument("--threads", type=int, default=0,
-                     help="worker processes (default: all cores)")
+                     help="worker processes (default: the CPUs this process may use)")
     sim.add_argument("--out", default="out", help="output directory")
 
     agg = sub.add_parser("aggregate", help="aggregate a results.csv into figure data")

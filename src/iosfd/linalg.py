@@ -1,7 +1,8 @@
 """Small complex linear-algebra helpers used throughout the solvers.
 
 Everything funnels Hermitian positive-(semi)definite work through Cholesky
-factorizations; explicit inverses are never formed.
+factorizations; explicit inverses are never formed.  Every matrix helper
+acts on the last two axes, so a (K, n, n) stack is handled in one call.
 """
 from __future__ import annotations
 
@@ -29,9 +30,14 @@ def cn_sample(rng: np.random.Generator, shape) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2.0)
 
 
+def adj(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Symmetrize away roundoff so Cholesky sees an exactly Hermitian matrix."""
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + adj(m))
 
 
 def _ridge_for(a: np.ndarray) -> float:
@@ -41,11 +47,14 @@ def _ridge_for(a: np.ndarray) -> float:
 
 
 def chol_pd(a: np.ndarray) -> np.ndarray:
-    """Cholesky factor of a Hermitian PD matrix, with a logged tiny-ridge retry."""
+    """Cholesky factor of a Hermitian PD matrix (or stack), with a logged
+    tiny-ridge retry for each matrix that fails."""
     a = hermitize(a)
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
+        if a.ndim > 2:
+            return np.stack([chol_pd(m) for m in a])
         ridge = _ridge_for(a)
         logger.warning("cholesky failed; retrying with ridge %.3e", ridge)
         try:
@@ -54,21 +63,22 @@ def chol_pd(a: np.ndarray) -> np.ndarray:
             raise NumericalError("matrix not positive definite even after ridge") from exc
 
 
-def logdet_pd(a: np.ndarray) -> float:
-    """log|A| for Hermitian PD A via the Cholesky factor."""
+def logdet_pd(a: np.ndarray):
+    """log|A| for Hermitian PD A via the Cholesky factor; one value per matrix
+    of a stack."""
     c = chol_pd(a)
-    return 2.0 * float(np.sum(np.log(np.diag(c).real)))
+    return 2.0 * np.sum(np.log(np.diagonal(c, axis1=-2, axis2=-1).real), axis=-1)
 
 
 def solve_pd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A X = B for Hermitian PD A through its Cholesky factor."""
+    """Solve A X = B for Hermitian PD A (or a stack) through its Cholesky factor."""
     c = chol_pd(a)
     y = np.linalg.solve(c, b)
-    return np.linalg.solve(c.conj().T, y)
+    return np.linalg.solve(adj(c), y)
 
 
 def inv_pd(a: np.ndarray) -> np.ndarray:
-    return solve_pd(a, np.eye(a.shape[0], dtype=complex))
+    return solve_pd(a, np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape))
 
 
 def max_eigval(a: np.ndarray) -> float:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .channels import ChannelSet
 from .errors import NumericalError
-from .linalg import assert_finite, chol_pd, max_eigval
+from .linalg import adj, assert_finite, chol_pd, max_eigval
 from .system import BeamformerSet, IosState
 from .wmmse import WmmseState, constant_term
 
@@ -59,48 +59,41 @@ class QuadraticFormSet:
     r_cg: float
 
 
-def _diag_outer(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """diag(M N^H) without forming the L x L product."""
-    return np.sum(m * n.conj(), axis=1)
+def _diag_outer(gamma: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """sum_k gamma_k diag(M_k N_k^H) without forming any L x L product."""
+    return np.einsum("k,kls,kls->l", gamma, m, n.conj())
 
 
 def build_quadratic_forms(ch: ChannelSet, bf: BeamformerSet, st: WmmseState,
                           gamma_down: np.ndarray, gamma_up: np.ndarray,
                           noise_users: np.ndarray, noise_rx: float) -> QuadraticFormSet:
-    K = ch.n_users
-    L = ch.h_ti.shape[0]
-    hu = [ch.h_iu[k] @ st.u_d[k] for k in range(K)]           # (L, s_d)
-    hr = [ch.h_ir @ st.u_u[k] for k in range(K)]              # (L, s_u)
-    a = np.stack([np.sqrt(gamma_down[k]) * (hu[k] @ chol_pd(st.w_d[k])) for k in range(K)])
-    b = np.stack([ch.h_ti @ bf.v_d[k] for k in range(K)])
-    x = np.stack([np.sqrt(gamma_up[k]) * (hr[k] @ chol_pd(st.w_u[k])) for k in range(K)])
-    d = np.stack([ch.h_iu[k] @ bf.v_u[k] for k in range(K)])
-    c = np.zeros(L, dtype=complex)
-    f = np.zeros(L, dtype=complex)
-    z = np.zeros(L, dtype=complex)
-    y = np.zeros(L, dtype=complex)
+    gamma_down = np.asarray(gamma_down, dtype=float)
+    gamma_up = np.asarray(gamma_up, dtype=float)
+    g = np.stack(ch.h_iu)                                      # (K, L, N_u)
+    hu = g @ st.u_d                                            # (K, L, s_d)
+    hr = ch.h_ir @ st.u_u                                      # (K, L, s_u)
+    a = np.sqrt(gamma_down)[:, None, None] * (hu @ chol_pd(st.w_d))
+    b = ch.h_ti @ bf.v_d
+    x = np.sqrt(gamma_up)[:, None, None] * (hr @ chol_pd(st.w_u))
+    d = g @ bf.v_u
+    uw_d = st.u_d @ st.w_d
+    uw_u = st.u_u @ st.w_u
 
     # Linear terms: the refracted signal (c, z) and the cross terms between the
     # reflected and the direct paths (f, y), whose coefficient-free part is in r_cg.
-    r_cg = 0.0
-    for k in range(K):
-        c += gamma_down[k] * _diag_outer(b[k] @ st.w_d[k], hu[k])
-        z += gamma_up[k] * _diag_outer(d[k] @ st.w_u[k], hr[k])
-        uw_d = st.u_d[k] @ st.w_d[k]
-        uw_u = st.u_u[k] @ st.w_u[k]
-        uwd = uw_d @ st.u_d[k].conj().T
-        uwu = uw_u @ st.u_u[k].conj().T
-        y_left = np.zeros_like(hu[k])
-        f_left = np.zeros_like(hr[k])
-        for j in range(K):
-            m = ch.h_uu[j][k] @ bf.v_u[j]
-            md = ch.h_tr @ bf.v_d[j]
-            y_left += d[j] @ (m.conj().T @ uw_d)
-            f_left += b[j] @ (md.conj().T @ uw_u)
-            r_cg -= gamma_down[k] * float(np.trace(uwd @ m @ m.conj().T).real)
-            r_cg -= gamma_up[k] * float(np.trace(uwu @ md @ md.conj().T).real)
-        y -= gamma_down[k] * _diag_outer(y_left, hu[k])
-        f -= gamma_up[k] * _diag_outer(f_left, hr[k])
+    # m[j, k] = h_uu[j][k] V_ju reaches user k directly; md[j] = h_tr V_jd the receiver.
+    m = np.array(ch.h_uu) @ bf.v_u[:, None]                    # (K, K, N_ur, s_u)
+    md = ch.h_tr @ bf.v_d                                      # (K, N_r, s_d)
+    y_left = np.einsum("jls,jkas->kla", d, m.conj()) @ uw_d      # sum_j d_j m_jk^H U W
+    f_left = np.einsum("jls,jas->la", b, md.conj()) @ uw_u       # sum_j b_j md_j^H U W
+    c = _diag_outer(gamma_down, b @ st.w_d, hu)
+    z = _diag_outer(gamma_up, d @ st.w_u, hr)
+    y = -_diag_outer(gamma_down, y_left, hu)
+    f = -_diag_outer(gamma_up, f_left, hr)
+    leak_d = (m @ adj(m)).sum(axis=0)                           # (K, N_ur, N_ur)
+    leak_u = (md @ adj(md)).sum(axis=0)                         # (N_r, N_r)
+    r_cg = -float(np.dot(gamma_down, np.einsum("kab,kba->k", uw_d @ adj(st.u_d), leak_d).real))
+    r_cg -= float(np.dot(gamma_up, np.einsum("kab,ba->k", uw_u @ adj(st.u_u), leak_u).real))
 
     assert_finite(a, b, x, d, c, f, z, y)
     r_cg += constant_term(st, gamma_down, gamma_up, noise_users, noise_rx)

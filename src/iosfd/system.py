@@ -13,7 +13,7 @@ import numpy as np
 
 from .channels import ChannelSet, require_reciprocal_user_arrays
 from .errors import NumericalError
-from .linalg import hermitize, logdet_pd
+from .linalg import adj, hermitize, logdet_pd
 
 COUPLING_TOL = 1e-9
 NEGATIVE_RATE_TOL = 1e-9   # bits; smallest negative rate taken for a defect, not roundoff
@@ -76,18 +76,31 @@ class IosState:
                         self.theta_u.copy(), self.phi_u.copy())
 
 
+class _Stacked:
+    """Dataclass mixin: every field named in _STACKED is held as one complex
+    ndarray with a leading user axis, however it is assigned (a list of
+    per-user matrices is stacked)."""
+    _STACKED: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in self._STACKED:
+            value = np.asarray(value, dtype=complex)
+        super().__setattr__(name, value)
+
+
 @dataclass
-class BeamformerSet:
-    """Downlink precoders v_d[k] (N_t, s_d) and uplink precoders v_u[k] (N_ut, s_u)."""
-    v_d: list[np.ndarray]
-    v_u: list[np.ndarray]
+class BeamformerSet(_Stacked):
+    """Downlink precoders v_d (K, N_t, s_d) and uplink precoders v_u (K, N_ut, s_u)."""
+    v_d: np.ndarray
+    v_u: np.ndarray
+    _STACKED = ("v_d", "v_u")
 
     @property
     def n_users(self) -> int:
         return len(self.v_d)
 
     def downlink_power(self) -> float:
-        return float(sum(np.sum(np.abs(v) ** 2) for v in self.v_d))
+        return float(np.sum(np.abs(self.v_d) ** 2))
 
     def uplink_power(self, k: int) -> float:
         return float(np.sum(np.abs(self.v_u[k]) ** 2))
@@ -106,18 +119,20 @@ def stream_counts(n_t: int, n_r: int, n_ut: int, n_ur: int) -> tuple[int, int]:
 
 
 @dataclass
-class EffectiveChannels:
-    """Composite links as seen by the decoders.
+class EffectiveChannels(_Stacked):
+    """Composite links as seen by the decoders, stacked over users.
 
-    h_kd[k]    : transmitter -> user k, through the refracting t-side
-    h_jk[j][k] : user j -> user k (direct plus u-side reflection)
-    h_ku[k]    : user k -> receive array, through the refracting u-side
-    h_t        : transmit -> receive self-coupling (direct plus t-side reflection)
+    h_kd (K, N_ur, N_t)        : transmitter -> user k, through the refracting t-side
+    h_jk (K, K, N_ur, N_ut)    : [j, k] is user j -> user k (direct plus u-side reflection)
+    h_ku (K, N_r, N_ut)        : user k -> receive array, through the refracting u-side
+    h_t  (N_r, N_t)            : transmit -> receive self-coupling (direct plus t-side
+                                 reflection)
     """
-    h_kd: list[np.ndarray]
-    h_jk: list[list[np.ndarray]]
-    h_ku: list[np.ndarray]
+    h_kd: np.ndarray
+    h_jk: np.ndarray
+    h_ku: np.ndarray
     h_t: np.ndarray
+    _STACKED = ("h_kd", "h_jk", "h_ku", "h_t")
 
     @property
     def n_users(self) -> int:
@@ -130,17 +145,12 @@ def compose_effective(ch: ChannelSet, ios: IosState) -> EffectiveChannels:
     L = ios.n_elements
     if ch.h_ti.shape[0] != L:
         raise ValueError(f"surface state has {L} elements, channels have {ch.h_ti.shape[0]}")
-    phi_t = ios.phi_t[:, None]
-    theta_t = ios.theta_t[:, None]
-    phi_u = ios.phi_u[:, None]
-    theta_u = ios.theta_u[:, None]
-
-    K = ch.n_users
-    h_kd = [ch.h_iu[k].conj().T @ (phi_t * ch.h_ti) for k in range(K)]
-    h_ku = [ch.h_ir.conj().T @ (phi_u * ch.h_iu[k]) for k in range(K)]
-    h_jk = [[ch.h_uu[j][k] + ch.h_iu[k].conj().T @ (theta_u * ch.h_iu[j])
-             for k in range(K)] for j in range(K)]
-    h_t = ch.h_tr + ch.h_ir.conj().T @ (theta_t * ch.h_ti)
+    g = np.stack(ch.h_iu)                                          # (K, L, N_u)
+    g_h = adj(g)
+    h_kd = g_h @ (ios.phi_t[:, None] * ch.h_ti)
+    h_ku = ch.h_ir.conj().T @ (ios.phi_u[:, None] * g)
+    h_jk = np.array(ch.h_uu) + g_h[None] @ (ios.theta_u[:, None] * g)[:, None]
+    h_t = ch.h_tr + ch.h_ir.conj().T @ (ios.theta_t[:, None] * ch.h_ti)
     return EffectiveChannels(h_kd, h_jk, h_ku, h_t)
 
 
@@ -148,10 +158,8 @@ def compose_direct(ch: ChannelSet) -> EffectiveChannels:
     """Surface absent: direct links only (requires sampled direct channels)."""
     if ch.h_direct_tu is None or ch.h_direct_ur is None:
         raise ValueError("channel set was sampled without direct links")
-    K = ch.n_users
-    h_jk = [[ch.h_uu[j][k] for k in range(K)] for j in range(K)]
-    return EffectiveChannels([m.copy() for m in ch.h_direct_tu], h_jk,
-                             [m.copy() for m in ch.h_direct_ur], ch.h_tr.copy())
+    return EffectiveChannels(np.stack(ch.h_direct_tu), np.array(ch.h_uu),
+                             np.stack(ch.h_direct_ur), ch.h_tr.copy())
 
 
 @dataclass
@@ -161,8 +169,9 @@ class RateReport:
     weighted_sum: float
 
 
-def rate_bits(signal_cov: np.ndarray, denom_cov: np.ndarray) -> float:
-    """log2|I + S B^{-1}| evaluated as logdet(B + S) - logdet(B), B Hermitian PD.
+def rate_bits(signal_cov: np.ndarray, denom_cov: np.ndarray):
+    """log2|I + S B^{-1}| evaluated as logdet(B + S) - logdet(B), B Hermitian PD;
+    one rate per matrix pair of a stack.
 
     With S PSD the rate cannot be negative, but the two log-dets can round
     apart: by about 1e-6 bit for a 4 x 4 B at condition number 1e10, against
@@ -173,57 +182,47 @@ def rate_bits(signal_cov: np.ndarray, denom_cov: np.ndarray) -> float:
     b = hermitize(denom_cov)
     s = hermitize(signal_cov)
     try:
-        bits = (logdet_pd(b + s) - logdet_pd(b)) / LN2
+        logdets = logdet_pd(np.stack([b + s, b]))
     except NumericalError as exc:
         raise NumericalError("singular interference-plus-noise matrix") from exc
-    if bits >= 0.0:
-        return bits
-    vals = np.linalg.eigvalsh(b)
-    n = b.shape[0]
-    cond = vals[-1] / max(vals[0], np.finfo(float).tiny)
-    roundoff = 2.0 * n * (n + 1) * np.finfo(float).eps * cond / LN2
-    if bits < -max(NEGATIVE_RATE_TOL, roundoff):
-        raise NumericalError(f"negative rate {bits:.3e} bit/s/Hz: signal covariance not PSD")
-    return 0.0
+    bits = np.asarray((logdets[0] - logdets[1]) / LN2)
+    neg = bits < 0.0
+    if np.any(neg):
+        vals = np.linalg.eigvalsh(b[neg])
+        n = b.shape[-1]
+        cond = vals[:, -1] / np.maximum(vals[:, 0], np.finfo(float).tiny)
+        roundoff = 2.0 * n * (n + 1) * np.finfo(float).eps * cond / LN2
+        worst = bits[neg] + np.maximum(NEGATIVE_RATE_TOL, roundoff)
+        if np.any(worst < 0.0):
+            raise NumericalError(f"negative rate {bits[neg].min():.3e} bit/s/Hz: "
+                                 "signal covariance not PSD")
+        bits = np.where(neg, 0.0, bits)
+    return bits[()]
 
 
-def downlink_interference(eff: EffectiveChannels, bf: BeamformerSet, k: int) -> np.ndarray:
-    """Sum over all uplink transmissions leaking into user k's receiver."""
-    n = eff.h_kd[k].shape[0]
-    cov = np.zeros((n, n), dtype=complex)
-    for j in range(eff.n_users):
-        m = eff.h_jk[j][k] @ bf.v_u[j]
-        cov += m @ m.conj().T
-    return cov
+def _gram(m: np.ndarray) -> np.ndarray:
+    return m @ adj(m)
 
 
-def uplink_interference(eff: EffectiveChannels, bf: BeamformerSet, k: int) -> np.ndarray:
-    """Other uplinks plus the residual transmit-side self-coupling at the receiver."""
-    n = eff.h_t.shape[0]
-    cov = np.zeros((n, n), dtype=complex)
-    for j in range(eff.n_users):
-        if j != k:
-            m = eff.h_ku[j] @ bf.v_u[j]
-            cov += m @ m.conj().T
-        md = eff.h_t @ bf.v_d[j]
-        cov += md @ md.conj().T
-    return cov
+def link_covariances(eff: EffectiveChannels, bf: BeamformerSet, noise_users: np.ndarray,
+                     noise_rx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Received signal H V and interference-plus-noise covariance of every link.
 
-
-def downlink_rate(eff: EffectiveChannels, bf: BeamformerSet, k: int,
-                  noise_var: float) -> float:
-    sig = eff.h_kd[k] @ bf.v_d[k]
-    n = sig.shape[0]
-    denom = downlink_interference(eff, bf, k) + noise_var * np.eye(n)
-    return rate_bits(sig @ sig.conj().T, denom)
-
-
-def uplink_rate(eff: EffectiveChannels, bf: BeamformerSet, k: int,
-                noise_var: float) -> float:
-    sig = eff.h_ku[k] @ bf.v_u[k]
-    n = sig.shape[0]
-    denom = uplink_interference(eff, bf, k) + noise_var * np.eye(n)
-    return rate_bits(sig @ sig.conj().T, denom)
+    Returns (hv_d, den_d, hv_u, den_u): hv_d[k] = H_kd V_kd (K, N_ur, s_d) and
+    den_d[k] the uplink leakage into user k's receiver plus its noise; hv_u[k]
+    = H_ku V_ku (K, N_r, s_u) and den_u[k] the other uplinks plus the
+    transmit-side self-coupling at the receive array plus noise.
+    """
+    K = eff.n_users
+    hv_d = eff.h_kd @ bf.v_d
+    hv_u = eff.h_ku @ bf.v_u
+    n_d, n_u = hv_d.shape[1], hv_u.shape[1]
+    den_d = _gram(eff.h_jk @ bf.v_u[:, None]).sum(axis=0)
+    den_d += np.asarray(noise_users, dtype=float)[:, None, None] * np.eye(n_d)
+    others = (1.0 - np.eye(K)) @ _gram(hv_u).reshape(K, -1)     # exact 0/1 weights
+    den_u = others.reshape(K, n_u, n_u) + _gram(eff.h_t @ bf.v_d).sum(axis=0)
+    den_u += noise_rx * np.eye(n_u)
+    return hv_d, den_d, hv_u, den_u
 
 
 def weighted_sum_rate(eff: EffectiveChannels, bf: BeamformerSet,
@@ -234,8 +233,8 @@ def weighted_sum_rate(eff: EffectiveChannels, bf: BeamformerSet,
     if np.any(gamma_down <= 0) or np.any(gamma_down >= 1) \
             or np.any(gamma_up <= 0) or np.any(gamma_up >= 1):
         raise ValueError("rate weights must lie strictly inside (0, 1)")
-    K = eff.n_users
-    r_down = np.array([downlink_rate(eff, bf, k, float(noise_users[k])) for k in range(K)])
-    r_up = np.array([uplink_rate(eff, bf, k, noise_rx) for k in range(K)])
+    hv_d, den_d, hv_u, den_u = link_covariances(eff, bf, noise_users, noise_rx)
+    r_down = rate_bits(_gram(hv_d), den_d)
+    r_up = rate_bits(_gram(hv_u), den_u)
     total = float(np.dot(gamma_down, r_down) + np.dot(gamma_up, r_up))
     return RateReport(r_down, r_up, total)

@@ -1,23 +1,279 @@
 """Reference solvers the tests compare the production paths against.
 
-`update_v_down` / `update_v_up` solve one precoder's stationarity condition
-directly at a given multiplier, where the package sweeps every multiplier
-through one eigendecomposition (`beamformers._RegularizedSolve`).
-`surrogate_compact` evaluates the weighted surrogate through the compact
-per-link form sum_k gamma (log|W| - Tr(W E) + s), where the package sums it
-term by term (`wmmse.surrogate_objective`).  `pgd_side_plain` is the plain
-projected gradient that `phases._pgd_side` accelerates.
+The package computes every per-user quantity for all K users at once on
+stacked arrays.  The oracles here are the per-user loop forms it replaced,
+one user (and one interferer) at a time on single matrices:
+
+* `downlink_interference` / `uplink_interference` and the `rate_bits`-based
+  `downlink_rate` / `uplink_rate` / `rates_loop` (`system.weighted_sum_rate`);
+* `mse_matrix_*`, `optimal_decoder_*`, `optimal_weight_*` and
+  `update_state_loop` (`wmmse.update_state`);
+* `surrogate_terms`, the surrogate summed term by term, and
+  `surrogate_compact`, the per-link form sum_k gamma (log|W| - Tr(W E) + s)
+  (`wmmse.surrogate_objective`);
+* `xi_down` / `xi_up`, one precoder's quadratic at a given multiplier
+  (`beamformers.xi_down` / `xi_up`), and `update_v_down` / `update_v_up`,
+  which solve its stationarity condition directly where the package sweeps
+  every multiplier through one eigendecomposition;
+* `bisect_multiplier_plain`, the plain bisection that
+  `beamformers.bisect_multiplier` replaced by a safeguarded secant search.
+
+`pgd_side_plain` is the plain projected gradient that `phases._pgd_side`
+accelerates.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from iosfd.beamformers import xi_down, xi_up
 from iosfd.errors import NumericalError
-from iosfd.linalg import hermitize, logdet_pd, max_eigval, solve_pd
+from iosfd.linalg import hermitize, inv_pd, logdet_pd, max_eigval, solve_pd
 from iosfd.phases import PgdSettings, _value, project_feasible
-from iosfd.system import BeamformerSet, EffectiveChannels
-from iosfd.wmmse import WmmseState, mse_matrix_down, mse_matrix_up
+from iosfd.system import BeamformerSet, EffectiveChannels, rate_bits
+from iosfd.wmmse import WmmseState
+
+
+def _tr(m: np.ndarray) -> float:
+    return float(np.trace(m).real)
+
+
+# -- rates ------------------------------------------------------------------
+
+def downlink_interference(eff: EffectiveChannels, bf: BeamformerSet, k: int) -> np.ndarray:
+    """Sum over all uplink transmissions leaking into user k's receiver."""
+    n = eff.h_kd[k].shape[0]
+    cov = np.zeros((n, n), dtype=complex)
+    for j in range(eff.n_users):
+        m = eff.h_jk[j][k] @ bf.v_u[j]
+        cov += m @ m.conj().T
+    return cov
+
+
+def uplink_interference(eff: EffectiveChannels, bf: BeamformerSet, k: int) -> np.ndarray:
+    """Other uplinks plus the residual transmit-side self-coupling at the receiver."""
+    n = eff.h_t.shape[0]
+    cov = np.zeros((n, n), dtype=complex)
+    for j in range(eff.n_users):
+        if j != k:
+            m = eff.h_ku[j] @ bf.v_u[j]
+            cov += m @ m.conj().T
+        md = eff.h_t @ bf.v_d[j]
+        cov += md @ md.conj().T
+    return cov
+
+
+def downlink_rate(eff: EffectiveChannels, bf: BeamformerSet, k: int,
+                  noise_var: float) -> float:
+    sig = eff.h_kd[k] @ bf.v_d[k]
+    n = sig.shape[0]
+    denom = downlink_interference(eff, bf, k) + noise_var * np.eye(n)
+    return rate_bits(sig @ sig.conj().T, denom)
+
+
+def uplink_rate(eff: EffectiveChannels, bf: BeamformerSet, k: int,
+                noise_var: float) -> float:
+    sig = eff.h_ku[k] @ bf.v_u[k]
+    n = sig.shape[0]
+    denom = uplink_interference(eff, bf, k) + noise_var * np.eye(n)
+    return rate_bits(sig @ sig.conj().T, denom)
+
+
+def rates_loop(eff, bf, gamma_down, gamma_up, noise_users, noise_rx):
+    """(r_down, r_up, weighted sum) user by user."""
+    K = eff.n_users
+    r_down = np.array([downlink_rate(eff, bf, k, float(noise_users[k])) for k in range(K)])
+    r_up = np.array([uplink_rate(eff, bf, k, noise_rx) for k in range(K)])
+    return r_down, r_up, float(np.dot(gamma_down, r_down) + np.dot(gamma_up, r_up))
+
+
+# -- decoders and weights ---------------------------------------------------
+
+def _mse(h: np.ndarray, v: np.ndarray, u: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """(U^H H V - I)(.)^H + U^H (interference + noise) U."""
+    s = v.shape[1]
+    resid = u.conj().T @ h @ v - np.eye(s)
+    return hermitize(resid @ resid.conj().T + u.conj().T @ denom @ u)
+
+
+def mse_matrix_down(eff: EffectiveChannels, bf: BeamformerSet, u_kd: np.ndarray,
+                    k: int, noise_var: float) -> np.ndarray:
+    n = eff.h_kd[k].shape[0]
+    denom = downlink_interference(eff, bf, k) + noise_var * np.eye(n)
+    return _mse(eff.h_kd[k], bf.v_d[k], u_kd, denom)
+
+
+def mse_matrix_up(eff: EffectiveChannels, bf: BeamformerSet, u_ku: np.ndarray,
+                  k: int, noise_var: float) -> np.ndarray:
+    n = eff.h_t.shape[0]
+    denom = uplink_interference(eff, bf, k) + noise_var * np.eye(n)
+    return _mse(eff.h_ku[k], bf.v_u[k], u_ku, denom)
+
+
+def _mmse_decoder(h: np.ndarray, v: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """U* = (H V V^H H^H + denom)^{-1} H V via a Hermitian solve."""
+    hv = h @ v
+    return solve_pd(hermitize(hv @ hv.conj().T + denom), hv)
+
+
+def optimal_decoder_down(eff: EffectiveChannels, bf: BeamformerSet, k: int,
+                         noise_var: float) -> np.ndarray:
+    n = eff.h_kd[k].shape[0]
+    denom = downlink_interference(eff, bf, k) + noise_var * np.eye(n)
+    return _mmse_decoder(eff.h_kd[k], bf.v_d[k], denom)
+
+
+def optimal_decoder_up(eff: EffectiveChannels, bf: BeamformerSet, k: int,
+                       noise_var: float) -> np.ndarray:
+    n = eff.h_t.shape[0]
+    denom = uplink_interference(eff, bf, k) + noise_var * np.eye(n)
+    return _mmse_decoder(eff.h_ku[k], bf.v_u[k], denom)
+
+
+def optimal_weight_down(eff: EffectiveChannels, bf: BeamformerSet, u_star: np.ndarray,
+                        k: int, noise_var: float) -> np.ndarray:
+    return hermitize(inv_pd(mse_matrix_down(eff, bf, u_star, k, noise_var)))
+
+
+def optimal_weight_up(eff: EffectiveChannels, bf: BeamformerSet, u_star: np.ndarray,
+                      k: int, noise_var: float) -> np.ndarray:
+    return hermitize(inv_pd(mse_matrix_up(eff, bf, u_star, k, noise_var)))
+
+
+def update_state_loop(eff: EffectiveChannels, bf: BeamformerSet,
+                      noise_users: np.ndarray, noise_rx: float) -> WmmseState:
+    """Decoders and weights of every link, one link at a time."""
+    u_d, w_d, u_u, w_u = [], [], [], []
+    for k in range(eff.n_users):
+        ud = optimal_decoder_down(eff, bf, k, float(noise_users[k]))
+        u_d.append(ud)
+        w_d.append(optimal_weight_down(eff, bf, ud, k, float(noise_users[k])))
+        uu = optimal_decoder_up(eff, bf, k, noise_rx)
+        u_u.append(uu)
+        w_u.append(optimal_weight_up(eff, bf, uu, k, noise_rx))
+    return WmmseState(u_d, w_d, u_u, w_u)
+
+
+# -- surrogate --------------------------------------------------------------
+
+def surrogate_terms(eff: EffectiveChannels, bf: BeamformerSet, st: WmmseState,
+                    gamma_down: np.ndarray, gamma_up: np.ndarray,
+                    noise_users: np.ndarray, noise_rx: float) -> float:
+    """Weighted surrogate in nats, evaluated term by term.
+
+    Per user: the constant block, the two signal cross terms, minus the
+    signal and interference quadratics on each link.
+    """
+    K = eff.n_users
+    total = 0.0
+    for k in range(K):
+        w, u = st.w_d[k], st.u_d[k]
+        total += gamma_down[k] * (logdet_pd(w) - _tr(w)
+                                  - float(noise_users[k]) * _tr(w @ u.conj().T @ u)
+                                  + w.shape[0])
+        hv = eff.h_kd[k] @ bf.v_d[k]
+        uhv = u.conj().T @ hv
+        total += gamma_down[k] * (2.0 * float(np.trace(w @ uhv).real)
+                                  - _tr(w @ uhv @ uhv.conj().T))
+        for j in range(K):
+            m = u.conj().T @ eff.h_jk[j][k] @ bf.v_u[j]
+            total -= gamma_down[k] * _tr(w @ m @ m.conj().T)
+
+        w, u = st.w_u[k], st.u_u[k]
+        total += gamma_up[k] * (logdet_pd(w) - _tr(w)
+                                - noise_rx * _tr(w @ u.conj().T @ u) + w.shape[0])
+        hv = eff.h_ku[k] @ bf.v_u[k]
+        uhv = u.conj().T @ hv
+        total += gamma_up[k] * 2.0 * float(np.trace(w @ uhv).real)
+        for j in range(K):
+            m = u.conj().T @ eff.h_ku[j] @ bf.v_u[j]
+            total -= gamma_up[k] * _tr(w @ m @ m.conj().T)
+            md = u.conj().T @ eff.h_t @ bf.v_d[j]
+            total -= gamma_up[k] * _tr(w @ md @ md.conj().T)
+    return total
+
+
+def surrogate_compact(eff: EffectiveChannels, bf: BeamformerSet, st: WmmseState,
+                      gamma_down: np.ndarray, gamma_up: np.ndarray,
+                      noise_users: np.ndarray, noise_rx: float) -> float:
+    """The same value through the compact per-link form, link by link."""
+    total = 0.0
+    for k in range(st.n_users):
+        e = mse_matrix_down(eff, bf, st.u_d[k], k, float(noise_users[k]))
+        w = st.w_d[k]
+        total += gamma_down[k] * (logdet_pd(w) - _tr(w @ e) + w.shape[0])
+        e = mse_matrix_up(eff, bf, st.u_u[k], k, noise_rx)
+        w = st.w_u[k]
+        total += gamma_up[k] * (logdet_pd(w) - _tr(w @ e) + w.shape[0])
+    return total
+
+
+# -- precoders --------------------------------------------------------------
+
+def uplink_weight_core(st: WmmseState, gamma_up: np.ndarray) -> np.ndarray:
+    """sum_j gamma_ju U_ju W_ju U_ju^H."""
+    n = st.u_u[0].shape[0]
+    core = np.zeros((n, n), dtype=complex)
+    for j in range(st.n_users):
+        core += gamma_up[j] * (st.u_u[j] @ st.w_u[j] @ st.u_u[j].conj().T)
+    return hermitize(core)
+
+
+def xi_down(eff: EffectiveChannels, st: WmmseState, gamma_down: np.ndarray,
+            gamma_up: np.ndarray, mu: float, k: int) -> np.ndarray:
+    """Downlink quadratic: own-link term plus the self-coupling penalty plus mu*I."""
+    h = eff.h_kd[k]
+    uw = st.u_d[k] @ st.w_d[k] @ st.u_d[k].conj().T
+    xi = gamma_down[k] * (h.conj().T @ uw @ h)
+    xi += eff.h_t.conj().T @ uplink_weight_core(st, gamma_up) @ eff.h_t
+    n_t = eff.h_t.shape[1]
+    return hermitize(xi) + mu * np.eye(n_t)
+
+
+def xi_up(eff: EffectiveChannels, st: WmmseState, gamma_down: np.ndarray,
+          gamma_up: np.ndarray, lam: float, k: int) -> np.ndarray:
+    """Uplink quadratic: leakage into every downlink receiver plus the
+    receive-side coupling, plus lambda*I.  h_jk[k][j] is the user-k to user-j
+    effective channel."""
+    n_ut = eff.h_ku[k].shape[1]
+    xi = np.zeros((n_ut, n_ut), dtype=complex)
+    for j in range(eff.n_users):
+        h_kj = eff.h_jk[k][j]
+        uw = st.u_d[j] @ st.w_d[j] @ st.u_d[j].conj().T
+        xi += gamma_down[j] * (h_kj.conj().T @ uw @ h_kj)
+    h = eff.h_ku[k]
+    xi += h.conj().T @ uplink_weight_core(st, gamma_up) @ h
+    return hermitize(xi) + lam * np.eye(n_ut)
+
+
+def bisect_multiplier_plain(power_of, budget: float, eps_b: float = 1e-4) -> float:
+    """Plain bisection with the bracket, stop rule and feasible-side return of
+    `beamformers.bisect_multiplier`."""
+    if budget < 0:
+        raise ValueError("power budget must be nonnegative")
+    lo, hi = 0.0, 1.0
+    if power_of(lo) <= budget * (1.0 + 1e-12):
+        return lo
+    if budget == 0.0:
+        raise NumericalError("zero budget with nonzero unconstrained power")
+
+    doublings = 0
+    while power_of(hi) > budget:
+        hi *= 2.0
+        doublings += 1
+        if doublings > 60:
+            raise NumericalError("bisection bracket never became feasible")
+
+    tol = min(eps_b, 1e-12) * budget
+    mid = hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        p = power_of(mid)
+        if p > budget:
+            lo = mid
+        else:
+            hi = mid
+        if abs(p - budget) <= tol or (hi - lo) <= 1e-15 * max(1.0, hi):
+            break
+    return hi if power_of(mid) > budget else mid
 
 
 def solve_psd_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -52,25 +308,6 @@ def update_v_up(eff: EffectiveChannels, st: WmmseState, gamma_down: np.ndarray,
     xi = xi_up(eff, st, gamma_down, gamma_up, lam, k)
     rhs = gamma_up[k] * (eff.h_ku[k].conj().T @ st.u_u[k] @ st.w_u[k])
     return _solve_stationary(xi, rhs, lam)
-
-
-def _tr(m: np.ndarray) -> float:
-    return float(np.trace(m).real)
-
-
-def surrogate_compact(eff: EffectiveChannels, bf: BeamformerSet, st: WmmseState,
-                      gamma_down: np.ndarray, gamma_up: np.ndarray,
-                      noise_users: np.ndarray, noise_rx: float) -> float:
-    """Same value as `surrogate_objective` through the compact per-link form."""
-    total = 0.0
-    for k in range(st.n_users):
-        e = mse_matrix_down(eff, bf, st.u_d[k], k, float(noise_users[k]))
-        w = st.w_d[k]
-        total += gamma_down[k] * (logdet_pd(w) - _tr(w @ e) + w.shape[0])
-        e = mse_matrix_up(eff, bf, st.u_u[k], k, noise_rx)
-        w = st.w_u[k]
-        total += gamma_up[k] * (logdet_pd(w) - _tr(w @ e) + w.shape[0])
-    return total
 
 
 def pgd_side_plain(f1, c1, f2, c2, v1, v2, settings: PgdSettings):

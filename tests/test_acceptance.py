@@ -185,7 +185,7 @@ def test_gradient_checks():
         v = cn_sample(rng, bf.v_d[0].shape)
         grad_fd = fd_gradient(lambda x: _lagrangian_down(eff, st, gd, gu, mu, 0, x),
                               v, h=1e-6)
-        from iosfd.beamformers import xi_down
+        from oracles import xi_down
         analytic = 2.0 * (xi_down(eff, st, gd, gu, mu, 0) @ v
                           - gd[0] * eff.h_kd[0].conj().T @ st.u_d[0] @ st.w_d[0])
         scale = max(np.max(np.abs(analytic)), 1e-12)

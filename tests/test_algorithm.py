@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from iosfd import (FadingParams, GeometryConfig, IosState, PgdSettings, RunConfig, Scheme,
-                   SchemeSpec, build_layout, quantize_phases, run_algorithm2,
-                   sample_channels)
+import iosfd.algorithm
+from iosfd import (BeamformerSet, FadingParams, GeometryConfig, IosState, PgdSettings,
+                   RunConfig, Scheme, SchemeSpec, build_layout, quantize_phases,
+                   run_algorithm2, sample_channels)
+from iosfd.errors import ConvergenceError
 
 from conftest import reference_geometry, random_ios
 
@@ -209,3 +211,33 @@ def test_scheme_spec_validation():
         SchemeSpec(Scheme.DS_IOS, quantization_bits=17)
     assert SchemeSpec("SS_IOS").kind is Scheme.SS_IOS
     assert SchemeSpec(Scheme.DS_IOS, quantization_bits=4).label == "DS_IOS_q4"
+
+
+def test_rerun_gives_identical_output():
+    """Two runs on the same channels agree bit for bit: trace, rates,
+    precoders, surface and multipliers."""
+    ch = channels_for(integrated_geometry(L=8), 2)
+    a, b = (run_algorithm2(ch, desk_config(K=2), SchemeSpec(Scheme.DS_IOS)) for _ in range(2))
+    assert a.trace.rates == b.trace.rates
+    assert a.trace.step_surrogates == b.trace.step_surrogates
+    for x, y in ((a.beamformers.v_d, b.beamformers.v_d), (a.beamformers.v_u, b.beamformers.v_u),
+                 (a.ios.theta_t, b.ios.theta_t), (a.ios.phi_t, b.ios.phi_t),
+                 (a.ios.theta_u, b.ios.theta_u), (a.ios.phi_u, b.ios.phi_u),
+                 (a.report.r_down, b.report.r_down), (a.report.r_up, b.report.r_up),
+                 (a.duals.lambda_u, b.duals.lambda_u)):
+        assert np.array_equal(x, y)
+    assert a.duals.mu_d == b.duals.mu_d
+
+
+def test_guard_trips_on_corrupted_precoder_update(monkeypatch):
+    """A precoder block that returns sign-flipped precoders lowers the
+    surrogate; the guard must stop the run and name the block."""
+    update = iosfd.algorithm.update_beamformers
+
+    def flipped(*args, **kwargs):
+        bf, duals = update(*args, **kwargs)
+        return BeamformerSet(-bf.v_d, -bf.v_u), duals
+    monkeypatch.setattr(iosfd.algorithm, "update_beamformers", flipped)
+    ch = channels_for(integrated_geometry(L=8), 0)
+    with pytest.raises(ConvergenceError, match="precoder update"):
+        run_algorithm2(ch, desk_config(), SchemeSpec(Scheme.DS_IOS))

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from iosfd import bisect_multiplier, update_beamformers
-from iosfd.beamformers import xi_down, xi_up
 from iosfd.errors import NumericalError
 from iosfd.wmmse import surrogate_objective
 
 from conftest import fd_gradient, random_instance
-from oracles import min_eigval, update_v_down, update_v_up
+from oracles import (bisect_multiplier_plain, min_eigval, update_v_down, update_v_up,
+                     xi_down, xi_up)
 
 
 def test_xi_hermitian_pd(rng):
@@ -161,3 +161,83 @@ def test_frozen_downlink_is_kept(rng):
     for k in range(2):
         assert np.array_equal(new.v_d[k], bf.v_d[k])
     assert duals.mu_d == 0.0
+
+
+def _power_map(weights, eigvals):
+    """The precoders' consumed-power map sum_i w_i / (lambda_i + mu)^2 and its
+    derivative; a zero eigenvalue with weight makes p(0) infinite."""
+    def power(mu):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.sum(np.where(weights > 0, weights / (eigvals + mu) ** 2, 0.0)))
+
+    def slope(mu):
+        return float(np.sum(-2.0 * weights / (eigvals + mu) ** 3))
+    return power, slope
+
+
+def _random_power_maps(rng, count):
+    """(power, slope, budget) at unit scale and at the physical scale of the
+    precoder quadratics (eigenvalues around 1e-8), plus one map whose zero
+    eigenvalue carries weight and one whose budget is met at mu = 0."""
+    maps = []
+    for i in range(count):
+        scale = 1.0 if i % 2 == 0 else 1e-8
+        n = int(rng.integers(1, 9))
+        eigvals = scale * 10.0 ** rng.uniform(-3.0, 1.0, n)
+        weights = scale ** 2 * 10.0 ** rng.uniform(-2.0, 2.0, n) * rng.uniform(0.0, 1.0, n)
+        if i % 7 == 0:
+            eigvals[0] = 0.0
+        if i % 11 == 0:
+            weights[-1] = 0.0
+        power, slope = _power_map(weights, eigvals)
+        maps.append((power, slope, power(scale * 10.0 ** rng.uniform(-2.0, 2.0))))
+    power, slope = _power_map(np.array([1.0, 2.0]), np.array([0.0, 0.5]))
+    maps.append((power, slope, 3.0))
+    assert power(0.0) == np.inf
+    power, slope = _power_map(np.array([1.0, 2.0]), np.array([1.0, 0.5]))
+    maps.append((power, slope, 1.001 * power(0.0)))
+    return maps
+
+
+def _exact_root(power, budget):
+    """Smallest float multiplier whose power meets the budget: bisection run
+    down to adjacent floats, with no power tolerance."""
+    if power(0.0) <= budget * (1.0 + 1e-12):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while power(hi) > budget:
+        lo, hi = hi, 2.0 * hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if power(mid) > budget else (lo, mid)
+    return hi
+
+
+def test_secant_multiplier_matches_plain_bisection():
+    """The secant search returns the plain bisection's multiplier, feasibly, in
+    few probes.  Both stop once the power is within 1e-12 relative of the
+    budget or the bracket is 1e-15 max(1, hi) wide, which fixes mu only to
+    `resolution`; beyond that, mu must lie within 1e-10 relative of the exact
+    root and of the oracle.  The oracle returns the previous feasible end of
+    its bracket when it stops on an infeasible probe, so its own distance
+    from the exact root is allowed as well."""
+    rng = np.random.default_rng(31)
+    probes = []
+    for power, slope, budget in _random_power_maps(rng, 200):
+        calls = []
+
+        def counted(mu):
+            calls.append(mu)
+            return power(mu)
+        mu = bisect_multiplier(counted, budget)
+        oracle = bisect_multiplier_plain(power, budget)
+        exact = _exact_root(power, budget)
+        probes.append(len(calls))
+        assert power(mu) <= budget * (1.0 + 1e-12)
+        if oracle == 0.0:
+            assert mu == exact == 0.0
+            continue
+        resolution = 2e-12 * budget / abs(slope(exact)) + 2e-15 * max(1.0, exact)
+        assert abs(mu - exact) <= 1e-10 * exact + resolution, (mu, exact)
+        assert abs(mu - oracle) <= 1e-10 * oracle + resolution + abs(oracle - exact)
+    assert np.mean(probes) <= 12.0

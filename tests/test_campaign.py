@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import iosfd.campaign
+import iosfd.cli
 from iosfd.campaign import (AggregateRow, ResultRow, aggregates_to_csv, apply_overrides,
                             config_from_dict, dbm_to_mw, emit_figure_data,
                             read_results_csv, rows_to_csv, run_campaign,
@@ -293,4 +294,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text("[1, 2]")
     assert main(["simulate", "--config", str(bad), "--name", "x"]) == 2
     assert main(["aggregate", "--in", str(tmp_path / "nope.csv")]) == 2
+    capsys.readouterr()
+
+
+def test_cli_threads_default_to_affinity_mask(tmp_path, monkeypatch, capsys):
+    """Without --threads, simulate starts one worker per CPU the process may
+    run on, not one per core of the machine."""
+    seen = {}
+
+    def fake_write(cfg, out, threads=1):
+        seen["threads"] = threads
+        return tmp_path
+    monkeypatch.setattr(iosfd.cli, "write_campaign", fake_write)
+    monkeypatch.setattr(iosfd.cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config()))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert seen["threads"] == 1
     capsys.readouterr()

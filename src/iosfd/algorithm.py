@@ -1,11 +1,11 @@
 """Outer alternating loop and the benchmark schemes.
 
-One iteration refreshes, in order: decoders/weights, precoders (dual
-multipliers by safeguarded secant search), surface coefficients
-(projected-gradient QCQP).  Each block maximizes the shared surrogate with
-the others fixed, so the true weighted sum rate never decreases between
-iterations; a guard aborts if numerics break that promise.  Termination is
-by relative change of the weighted sum rate.
+One iteration (`outer_step`) refreshes, in order: decoders/weights,
+precoders (dual multipliers by safeguarded secant search), surface
+coefficients (projected-gradient QCQP).  Each block maximizes the shared
+surrogate with the others fixed, so the true weighted sum rate never
+decreases between iterations; a guard aborts if numerics break that
+promise.  Termination is by relative change of the weighted sum rate.
 """
 from __future__ import annotations
 
@@ -48,6 +48,12 @@ class SchemeSpec:
     @property
     def uses_surface(self) -> bool:
         return self.kind is not Scheme.WO_IOS
+
+    @property
+    def quantizes_each_iter(self) -> bool:
+        """Phases snapped after every outer iteration, off the ascent path."""
+        return (self.quantization_bits is not None and not self.quantize_at_end
+                and self.uses_surface)
 
     @property
     def optimizes_downlink(self) -> bool:
@@ -162,12 +168,56 @@ def apply_scheme(scheme: SchemeSpec, ch: ChannelSet, cfg: RunConfig
     return bf, ios, _compose(ch, ios, scheme)
 
 
+def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, bf: BeamformerSet,
+               ios: IosState, eff: EffectiveChannels, prev_s4: float | None = None,
+               counts: PgdCounts | None = None):
+    """One outer iteration: decoders/weights, then precoders, then the surface.
+
+    Unless the scheme quantizes every iteration, the surrogate after each block
+    must not fall below the one before it; the decoder/weight step is held to
+    `prev_s4`, the last surrogate of the previous iteration, when given.
+    `counts` accumulates the surface solver's work.  Returns the new
+    (bf, ios, eff), the decoder/weight state, the dual multipliers and the
+    surrogates (s2, s3, s4) after the three blocks.
+    """
+    monotone = not scheme.quantizes_each_iter
+
+    def surr(e, b, s):
+        return surrogate_objective(e, b, s, cfg.gamma_down, cfg.gamma_up,
+                                   cfg.noise_users, cfg.noise_rx)
+
+    def check(stage: str, new: float, old: float) -> None:
+        if monotone and new < old - max(_STEP_TOL, cfg.divergence_rel_tol * abs(old)):
+            raise ConvergenceError(f"surrogate decreased during {stage}: {old} -> {new}")
+
+    st = update_state(eff, bf, cfg.noise_users, cfg.noise_rx)
+    s2 = surr(eff, bf, st)
+    if prev_s4 is not None:
+        check("decoder/weight update", s2, prev_s4)
+
+    bf, duals = update_beamformers(eff, st, cfg.gamma_down, cfg.gamma_up,
+                                   cfg.p_b, cfg.p_u, cfg.eps_b,
+                                   update_downlink=scheme.optimizes_downlink, current=bf)
+    s3 = surr(eff, bf, st)
+    check("precoder update", s3, s2)
+
+    if scheme.phase_sides:
+        qf = build_quadratic_forms(ch, bf, st, cfg.gamma_down, cfg.gamma_up,
+                                   cfg.noise_users, cfg.noise_rx)
+        ios, _ = solve_qcqp(vectorize(qf), ios, cfg.pgd, sides=scheme.phase_sides,
+                            tie_sides=scheme.tie_sides, counts=counts)
+        eff = _compose(ch, ios, scheme)
+        s4 = surr(eff, bf, st)
+        check("surface update", s4, s3)
+    else:
+        s4 = s3
+    return bf, ios, eff, st, duals, (s2, s3, s4)
+
+
 def run_algorithm2(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec) -> RunResult:
     """Alternate decoder/weight, precoder, and surface updates to a fixed point."""
     bf, ios, eff = apply_scheme(scheme, ch, cfg)
-    quantize_each_iter = (scheme.quantization_bits is not None
-                          and not scheme.quantize_at_end and scheme.uses_surface)
-    monotone = not quantize_each_iter
+    monotone = not scheme.quantizes_each_iter
 
     report = weighted_sum_rate(eff, bf, cfg.gamma_down, cfg.gamma_up,
                                cfg.noise_users, cfg.noise_rx)
@@ -178,42 +228,14 @@ def run_algorithm2(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec) -> RunRes
     iterations = 0
     pgd = PgdCounts()
 
-    def surr(e, b, s):
-        return surrogate_objective(e, b, s, cfg.gamma_down, cfg.gamma_up,
-                                   cfg.noise_users, cfg.noise_rx)
-
-    def check(stage: str, new: float, old: float) -> None:
-        if monotone and new < old - max(_STEP_TOL, cfg.divergence_rel_tol * abs(old)):
-            raise ConvergenceError(f"surrogate decreased during {stage}: {old} -> {new}")
-
     prev_s4 = None
     for it in range(cfg.max_outer_iters):
-        st = update_state(eff, bf, cfg.noise_users, cfg.noise_rx)
-        s2 = surr(eff, bf, st)
-        if prev_s4 is not None:
-            check("decoder/weight update", s2, prev_s4)
+        bf, ios, eff, _, duals, surrogates = outer_step(ch, cfg, scheme, bf, ios, eff,
+                                                        prev_s4, pgd)
+        step_log.append(surrogates)
+        prev_s4 = surrogates[2]
 
-        bf, duals = update_beamformers(eff, st, cfg.gamma_down, cfg.gamma_up,
-                                       cfg.p_b, cfg.p_u, cfg.eps_b,
-                                       update_downlink=scheme.optimizes_downlink,
-                                       current=bf)
-        s3 = surr(eff, bf, st)
-        check("precoder update", s3, s2)
-
-        if scheme.phase_sides:
-            qf = build_quadratic_forms(ch, bf, st, cfg.gamma_down, cfg.gamma_up,
-                                       cfg.noise_users, cfg.noise_rx)
-            ios, _ = solve_qcqp(vectorize(qf), ios, cfg.pgd, sides=scheme.phase_sides,
-                                tie_sides=scheme.tie_sides, counts=pgd)
-            eff = _compose(ch, ios, scheme)
-            s4 = surr(eff, bf, st)
-            check("surface update", s4, s3)
-        else:
-            s4 = s3
-        step_log.append((s2, s3, s4))
-        prev_s4 = s4
-
-        if quantize_each_iter:
+        if scheme.quantizes_each_iter:
             ios = quantize_phases(ios, scheme.quantization_bits)
             eff = _compose(ch, ios, scheme)
             prev_s4 = None  # quantization may step off the ascent path

@@ -41,6 +41,8 @@ def _available_cpus() -> int:
 
 
 def _simulate(args, extras: list[str]) -> int:
+    if args.threads < 0:
+        raise ConfigError(f"--threads must be >= 0 (0: one per usable CPU), got {args.threads}")
     cfg = load_config(args.config, _parse_overrides(extras))
     threads = args.threads if args.threads else _available_cpus()
     base = write_campaign(cfg, args.out, threads=threads)
@@ -74,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a Monte-Carlo campaign")
     sim.add_argument("--config", required=True, help="campaign config (JSON)")
     sim.add_argument("--threads", type=int, default=0,
-                     help="worker processes (default: the CPUs this process may use)")
+                     help="worker processes, >= 0 (default 0: the CPUs this process may use)")
     sim.add_argument("--out", default="out", help="output directory")
 
     agg = sub.add_parser("aggregate", help="aggregate a results.csv into figure data")

@@ -25,6 +25,19 @@ from the extrapolated point that does not descend restarts the momentum
 (function-value restart, O'Donoghue & Candes 2015), so the accepted iterates
 never ascend.  The solve stops when a plain step decreases g' by at most
 tolerance * max(1, |g'|), or at max_iters.
+
+Each block is solved on its binary-scaled factor, F = 2^e F~ with the largest
+real or imaginary magnitude of F~ in [0.5, 1), and s = 2^(2e) multiplies only
+the value s ||F~^H v||^2, the Lipschitz constant and once per gradient the
+vector F~ (F~^H v).  A block can sit near the bottom of the double range: when
+the uplink of a close-mounted run switches off, its decoders decay towards
+1e-274 and the theta_t factor with them.  F (F^H v) then underflows inside the
+BLAS products, and every product that lands among the subnormals takes the
+processor's slow path (one 256 x 36 product with entries of F near 1e-160
+takes about 85 times as long as on O(1) data).  Scaling by a power of two
+commutes with every rounding in the normal range, so the solve returns the
+same bits as on F itself; where s underflows to 0 the block adds exactly
+nothing, as its underflowed products did.
 """
 from __future__ import annotations
 
@@ -138,9 +151,10 @@ def vectorize(qf: QuadraticFormSet) -> PhaseQuadratic:
     )
 
 
-def _value(p: np.ndarray, v: np.ndarray, c_conj: np.ndarray) -> float:
-    """||p||^2 - 2 Re{v^H conj(c)} for p = F^H v."""
-    return float(np.vdot(p, p).real - 2.0 * np.vdot(v, c_conj).real)
+def _value(p: np.ndarray, v: np.ndarray, c_conj: np.ndarray, scale: float = 1.0) -> float:
+    """scale ||p||^2 - 2 Re{v^H conj(c)} for p = F^H v, or p = F~^H v with
+    F = 2^e F~ and scale = 2^(2e)."""
+    return float(scale * np.vdot(p, p).real - 2.0 * np.vdot(v, c_conj).real)
 
 
 def _block_value(fq: np.ndarray, c: np.ndarray, v: np.ndarray) -> float:
@@ -187,6 +201,14 @@ class PgdSettings:
             raise ValueError("max_iters must be >= 1")
 
 
+def _binary_scale(f: np.ndarray) -> tuple[np.ndarray, int]:
+    """F~ and e with F = 2^e F~ exactly and the largest real or imaginary
+    magnitude of F~ in [0.5, 1); e = 0 when F = 0."""
+    parts = np.ascontiguousarray(f).view(np.float64)
+    e = int(np.frexp(np.max(np.abs(parts), initial=0.0))[1])
+    return np.ldexp(parts, -e).view(f.dtype), e
+
+
 def _pgd_side(f1, c1, f2, c2, v1, v2, settings: PgdSettings):
     """Minimize the two coupled-constraint blocks of one side.
 
@@ -195,34 +217,38 @@ def _pgd_side(f1, c1, f2, c2, v1, v2, settings: PgdSettings):
     combination of the stored ones, so an iteration costs one F p and one
     F^H w per block.  A trial from y that does not descend restarts the
     momentum and steps from v instead; only that plain step is halved, and
-    only a plain step may end the solve on the tolerance.  Returns the two
+    only a plain step may end the solve on the tolerance.  Each block runs on
+    its binary-scaled factor F~ = 2^-e F, and s = 2^(2e) enters only the
+    values, the Lipschitz constant and once per gradient.  Returns the two
     vectors, the iteration count and whether the solve stopped at `max_iters`.
     """
+    (f1, e1), (f2, e2) = _binary_scale(f1), _binary_scale(f2)
+    s1, s2 = float(np.ldexp(1.0, 2 * e1)), float(np.ldexp(1.0, 2 * e2))
     f1h, f2h = f1.conj().T, f2.conj().T
-    lam = max(max_eigval(f1h @ f1), max_eigval(f2h @ f2), 1e-30)
+    lam = max(s1 * max_eigval(f1h @ f1), s2 * max_eigval(f2h @ f2), 1e-30)
     step = 1.0 / (2.0 * lam)
     c1, c2 = c1.conj(), c2.conj()
 
     v1, v2 = project_feasible(v1.copy(), v2.copy())
     p1, p2 = f1h @ v1, f2h @ v2
-    f_cur = _value(p1, v1, c1) + _value(p2, v2, c2)
+    f_cur = _value(p1, v1, c1, s1) + _value(p2, v2, c2, s2)
     y1, y2, r1, r2 = v1, v2, p1, p2
     t, beta = 1.0, 0.0
     for it in range(1, settings.max_iters + 1):
-        g1 = 2.0 * (f1 @ r1 - c1)
-        g2 = 2.0 * (f2 @ r2 - c2)
+        g1 = 2.0 * (s1 * (f1 @ r1) - c1)
+        g2 = 2.0 * (s2 * (f2 @ r2) - c2)
         trial, rejected = step, 0
         while True:
             w1, w2 = project_feasible(y1 - trial * g1, y2 - trial * g2)
             q1, q2 = f1h @ w1, f2h @ w2
-            f_new = _value(q1, w1, c1) + _value(q2, w2, c2)
+            f_new = _value(q1, w1, c1, s1) + _value(q2, w2, c2, s2)
             if f_new <= f_cur + 1e-15:
                 break
             if beta > 0.0:      # function-value restart
                 y1, y2, r1, r2 = v1, v2, p1, p2
                 t, beta = 1.0, 0.0
-                g1 = 2.0 * (f1 @ p1 - c1)
-                g2 = 2.0 * (f2 @ p2 - c2)
+                g1 = 2.0 * (s1 * (f1 @ p1) - c1)
+                g2 = 2.0 * (s2 * (f2 @ p2) - c2)
                 continue
             rejected += 1
             if rejected == 60:

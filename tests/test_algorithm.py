@@ -241,3 +241,28 @@ def test_guard_trips_on_corrupted_precoder_update(monkeypatch):
     ch = channels_for(integrated_geometry(L=8), 0)
     with pytest.raises(ConvergenceError, match="precoder update"):
         run_algorithm2(ch, desk_config(), SchemeSpec(Scheme.DS_IOS))
+
+
+def test_outer_step_is_one_iteration_of_the_loop():
+    """Steps taken by hand from the initial state reproduce the run's
+    surrogates, precoders, surface and multipliers bit for bit, for the
+    dual-side, single-side and no-surface schemes."""
+    cfg = desk_config(max_outer=3)
+    for kind in (Scheme.DS_IOS, Scheme.SS_IOS, Scheme.WO_IOS):
+        scheme = SchemeSpec(kind)
+        ch = channels_for(integrated_geometry(L=8), 1, direct=kind is Scheme.WO_IOS)
+        res = run_algorithm2(ch, cfg, scheme)
+        bf, ios, eff = iosfd.algorithm.apply_scheme(scheme, ch, cfg)
+        prev_s4, surrogates = None, []
+        for _ in range(res.trace.iterations):
+            bf, ios, eff, _, duals, s = iosfd.algorithm.outer_step(ch, cfg, scheme, bf, ios,
+                                                                   eff, prev_s4)
+            surrogates.append(s)
+            prev_s4 = s[2]
+        assert surrogates == res.trace.step_surrogates
+        for x, y in ((bf.v_d, res.beamformers.v_d), (bf.v_u, res.beamformers.v_u),
+                     (ios.theta_t, res.ios.theta_t), (ios.phi_t, res.ios.phi_t),
+                     (ios.theta_u, res.ios.theta_u), (ios.phi_u, res.ios.phi_u),
+                     (duals.lambda_u, res.duals.lambda_u)):
+            assert np.array_equal(x, y)
+        assert duals.mu_d == res.duals.mu_d

@@ -312,3 +312,27 @@ def test_cli_threads_default_to_affinity_mask(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
     assert seen["threads"] == 1
     capsys.readouterr()
+
+
+def test_cli_rejects_negative_threads(tmp_path, monkeypatch, capsys):
+    """--threads below 0 is a config error naming the flag, not a serial run;
+    --threads 0 keeps the affinity-mask default."""
+    seen = []
+
+    def fake_write(cfg, out, threads=1):
+        seen.append(threads)
+        return tmp_path
+    monkeypatch.setattr(iosfd.cli, "write_campaign", fake_write)
+    monkeypatch.setattr(iosfd.cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config()))
+    for bad in ("-1", "-2"):
+        assert main(["simulate", "--config", str(cfg_path), "--threads", bad,
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--threads" in err
+    assert seen == []
+    assert main(["simulate", "--config", str(cfg_path), "--threads", "0",
+                 "--out", str(tmp_path)]) == 0
+    assert seen == [2]
+    capsys.readouterr()

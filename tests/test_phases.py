@@ -7,14 +7,14 @@ from iosfd import (FadingParams, IosState, PgdSettings, RunConfig, Scheme, Schem
                    vectorize)
 from iosfd.errors import NumericalError
 from iosfd.linalg import cn_sample
-from iosfd.phases import (PhaseQuadratic, _block_value, _pgd_side, gprime_value,
-                          side_blocks)
+from iosfd.phases import (PhaseQuadratic, _binary_scale, _block_value, _pgd_side,
+                          gprime_value, side_blocks)
 from iosfd.wmmse import constant_term, surrogate_objective, update_state
 
 from conftest import (integrated_run_geometry, random_beamformers, random_instance,
                       random_ios, reference_geometry)
 from dense_forms import build_dense_forms, dense_blocks, g_value, hadamard_quadratic
-from oracles import min_eigval, pgd_side_plain
+from oracles import min_eigval, pgd_side_plain, pgd_side_unscaled
 
 
 def build_from_instance(inst):
@@ -409,6 +409,65 @@ def test_accelerated_pgd_converges_where_plain_hits_the_cap():
     assert plain_capped
     *_, iters, capped = _pgd_side(*blocks, init.phi_t, init.theta_t, settings)
     assert not capped and iters < settings.max_iters
+
+
+def test_binary_scale_is_exact(rng):
+    """F = 2^e F~ bit for bit, with the largest real or imaginary magnitude of
+    F~ in [0.5, 1): unit-scale, 1e-300-scale, subnormal-containing, strided,
+    real and all-zero factors."""
+    base = cn_sample(rng, (40, 12))
+    with_subnormals = 1e-300 * base
+    with_subnormals[::3] *= 1e-15
+    with_subnormals[1, 1] = -0.0
+    cases = [base, 1e-300 * base, with_subnormals, base[:, ::2], 2.0 ** 600 * base,
+             base.real.copy(), np.full((1, 1), 5e-324 + 0j), np.zeros((7, 4), complex)]
+    assert np.any((np.abs(with_subnormals.real) < 2.2e-308) & (with_subnormals.real != 0))
+    for f in cases:
+        ft, e = _binary_scale(f)
+        assert ft.dtype == f.dtype and ft.shape == f.shape
+        back = np.ldexp(ft.view(np.float64), e).view(f.dtype)
+        assert back.tobytes() == np.ascontiguousarray(f).tobytes()
+        top = np.max(np.abs(ft.view(np.float64)))
+        if np.any(f):
+            assert 0.5 <= top < 1.0
+        else:
+            assert e == 0 and top == 0.0
+
+
+def test_scaled_pgd_matches_unscaled_oracle_bit_for_bit(rng):
+    """Binary block scaling changes no bit of the side solve: unit-scale
+    instances, close-mounted mid-run QCQPs, instances whose theta factor is
+    scaled by 2^-800 (a dead block, as when the uplink switches off), whole
+    sides scaled to a Gram below the 1e-30 step floor (factors 2^-k, linear
+    terms 2^-2k, k = 75 and 450) and tied sides; at the default settings and
+    at a 3-iteration cap."""
+    cases = []
+    for _ in range(6):
+        L = int(rng.integers(1, 9))
+        inst = random_instance(rng, K=int(rng.integers(1, 4)), L=L)
+        pq, init = vectorize(build_from_instance(inst)), random_ios(rng, L)
+        for side in ("t", "u"):
+            f_phi, c_phi, f_theta, c_theta = blocks = side_blocks(pq, side)
+            v = (getattr(init, "phi_" + side), getattr(init, "theta_" + side))
+            cases.append((blocks, *v))
+            cases.append(((f_phi, c_phi, f_theta * 2.0 ** -800, c_theta), *v))
+            cases.append(((f_phi, c_phi, f_theta * 2.0 ** -800, 0.0 * c_theta), *v))
+            for k in (75, 450):     # Gram below and far below the 1e-30 floor
+                tiny = (f_phi * 2.0 ** -k, c_phi * 2.0 ** (-2 * k),
+                        f_theta * 2.0 ** -k, c_theta * 2.0 ** (-2 * k))
+                cases.append((tiny, *v))
+        cases.append((side_blocks(pq, "tied"), init.phi_t, init.theta_t))
+    for seed in (2, 3):
+        for pq, init in close_mounted_qcqps(64, seed, 3):
+            for side in ("t", "u"):
+                cases.append((side_blocks(pq, side), getattr(init, "phi_" + side),
+                              getattr(init, "theta_" + side)))
+    for settings in (PgdSettings(), PgdSettings(max_iters=3)):
+        for blocks, phi, theta in cases:
+            got = _pgd_side(*blocks, phi, theta, settings)
+            want = pgd_side_unscaled(*blocks, phi, theta, settings)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert got[2:] == want[2:]
 
 
 def test_pgd_improves_surrogate_cross_module(rng):

@@ -114,8 +114,8 @@ def initial_beamformers(ch: ChannelSet, p_b: float, p_u: float) -> BeamformerSet
     K = ch.n_users
     n_t = ch.h_ti.shape[1]
     n_r = ch.h_tr.shape[0]
-    n_ur = ch.h_iu[0].shape[1]
-    n_ut = ch.h_uu[0][0].shape[1]
+    n_ur = ch.h_iu.shape[-1]
+    n_ut = ch.h_uu.shape[-1]
     s_d, s_u = stream_counts(n_t, n_r, n_ut, n_ur)
     v_d = np.sqrt(p_b / (K * s_d)) * np.eye(n_t, s_d, dtype=complex)
     v_u = np.sqrt(p_u / s_u) * np.eye(n_ut, s_u, dtype=complex)
@@ -169,16 +169,15 @@ def apply_scheme(scheme: SchemeSpec, ch: ChannelSet, cfg: RunConfig
 
 
 def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, bf: BeamformerSet,
-               ios: IosState, eff: EffectiveChannels, prev_s4: float | None = None,
-               counts: PgdCounts | None = None):
+               ios: IosState, eff: EffectiveChannels, prev_s4: float | None = None):
     """One outer iteration: decoders/weights, then precoders, then the surface.
 
     Unless the scheme quantizes every iteration, the surrogate after each block
     must not fall below the one before it; the decoder/weight step is held to
     `prev_s4`, the last surrogate of the previous iteration, when given.
-    `counts` accumulates the surface solver's work.  Returns the new
-    (bf, ios, eff), the decoder/weight state, the dual multipliers and the
-    surrogates (s2, s3, s4) after the three blocks.
+    Returns the new (bf, ios, eff), the surface solver's `PgdCounts` (zero
+    without a surface solve), the dual multipliers and the surrogates
+    (s2, s3, s4) after the three blocks.
     """
     monotone = not scheme.quantizes_each_iter
 
@@ -195,23 +194,23 @@ def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, bf: Beamforme
     if prev_s4 is not None:
         check("decoder/weight update", s2, prev_s4)
 
+    frozen_v_d = None if scheme.optimizes_downlink else bf.v_d
     bf, duals = update_beamformers(eff, st, cfg.gamma_down, cfg.gamma_up,
-                                   cfg.p_b, cfg.p_u, cfg.eps_b,
-                                   update_downlink=scheme.optimizes_downlink, current=bf)
+                                   cfg.p_b, cfg.p_u, cfg.eps_b, frozen_v_d)
     s3 = surr(eff, bf, st)
     check("precoder update", s3, s2)
 
+    counts = PgdCounts()
     if scheme.phase_sides:
-        qf = build_quadratic_forms(ch, bf, st, cfg.gamma_down, cfg.gamma_up,
-                                   cfg.noise_users, cfg.noise_rx)
-        ios, _ = solve_qcqp(vectorize(qf), ios, cfg.pgd, sides=scheme.phase_sides,
-                            tie_sides=scheme.tie_sides, counts=counts)
+        qf = build_quadratic_forms(ch, bf, st, cfg.gamma_down, cfg.gamma_up)
+        ios, counts = solve_qcqp(vectorize(qf), ios, cfg.pgd, sides=scheme.phase_sides,
+                                 tie_sides=scheme.tie_sides)
         eff = _compose(ch, ios, scheme)
         s4 = surr(eff, bf, st)
         check("surface update", s4, s3)
     else:
         s4 = s3
-    return bf, ios, eff, st, duals, (s2, s3, s4)
+    return bf, ios, eff, counts, duals, (s2, s3, s4)
 
 
 def run_algorithm2(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec) -> RunResult:
@@ -225,13 +224,14 @@ def run_algorithm2(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec) -> RunRes
     step_log: list[tuple[float, float, float]] = []
     duals: DualState | None = None
     terminated_by = "max_iters"
-    iterations = 0
-    pgd = PgdCounts()
+    iterations = pgd_iters = pgd_cap_exits = 0
 
     prev_s4 = None
     for it in range(cfg.max_outer_iters):
-        bf, ios, eff, _, duals, surrogates = outer_step(ch, cfg, scheme, bf, ios, eff,
-                                                        prev_s4, pgd)
+        bf, ios, eff, pgd, duals, surrogates = outer_step(ch, cfg, scheme, bf, ios, eff,
+                                                          prev_s4)
+        pgd_iters += pgd.iters
+        pgd_cap_exits += pgd.cap_exits
         step_log.append(surrogates)
         prev_s4 = surrogates[2]
 
@@ -260,5 +260,5 @@ def run_algorithm2(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec) -> RunRes
                                    cfg.noise_users, cfg.noise_rx)
 
     trace = ConvergenceTrace(rates, iterations, terminated_by, step_log,
-                             pgd.cap_exits, pgd.iters)
+                             pgd_cap_exits, pgd_iters)
     return RunResult(bf, ios, trace, report, duals)

@@ -167,29 +167,27 @@ class _RegularizedSolve:
 def update_beamformers(eff: EffectiveChannels, st: WmmseState,
                        gamma_down: np.ndarray, gamma_up: np.ndarray,
                        p_b: float, p_u: float, eps_b: float = 1e-4,
-                       update_downlink: bool = True,
-                       current: BeamformerSet | None = None) -> tuple[BeamformerSet, DualState]:
+                       frozen_v_d: np.ndarray | None = None
+                       ) -> tuple[BeamformerSet, DualState]:
     """Refresh every precoder from the current decoders/weights.
 
     The downlink multiplier couples all K precoders through the sum-power
-    budget; uplink multipliers are solved per user.  With `update_downlink`
-    off the existing downlink precoders are kept (single-side baseline).
+    budget; uplink multipliers are solved per user.  Given `frozen_v_d`, the
+    downlink precoders are kept as they are (single-side baseline).
     """
     K = eff.n_users
     core = uplink_weight_core(st, gamma_up)
     gd = np.asarray(gamma_down, dtype=float)[:, None, None]
     gu = np.asarray(gamma_up, dtype=float)[:, None, None]
 
-    if update_downlink:
+    if frozen_v_d is None:
         down = _RegularizedSolve(xi_down(eff, st, gamma_down, core),
                                  gd * (adj(eff.h_kd) @ st.u_d @ st.w_d))
         mu = bisect_multiplier(down.power, p_b, eps_b)
         v_d = down.solution(mu)
     else:
-        if current is None:
-            raise ValueError("need current beamformers when downlink is frozen")
         mu = 0.0
-        v_d = current.v_d.copy()
+        v_d = frozen_v_d.copy()
 
     up = _RegularizedSolve(xi_up(eff, st, gamma_down, core),
                            gu * (adj(eff.h_ku) @ st.u_u @ st.w_u))

@@ -201,12 +201,30 @@ def config_from_dict(data: dict) -> CampaignConfig:
     return cfg
 
 
+def _is_point(value: Any) -> bool:
+    """A list of 3 finite numbers (a position in metres)."""
+    return (isinstance(value, list) and len(value) == 3
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    and np.isfinite(x) for x in value))
+
+
 def validate_config(cfg: CampaignConfig) -> None:
     sc = cfg.scenario
     if sc.k_users < 1:
         raise ConfigError("scenario.k_users: must be >= 1")
     if len(sc.user_anchors) != sc.k_users:
         raise ConfigError("scenario.user_anchors: need one anchor per user")
+    anchors = [("tx_anchor", sc.tx_anchor), ("rx_anchor", sc.rx_anchor),
+               ("ios_anchor", sc.ios_anchor)]
+    anchors += [(f"user_anchors[{i}]", a) for i, a in enumerate(sc.user_anchors)]
+    for name, point in anchors:
+        if not _is_point(point):
+            raise ConfigError(f"scenario.{name}: expected a list of 3 finite numbers, "
+                              f"got {point!r}")
+    for name in ("gain_exponent_tx", "gain_exponent_rx"):
+        value = getattr(cfg.physics, name)
+        if not (np.isfinite(value) and value >= 0):
+            raise ConfigError(f"physics.{name}: must be a finite number >= 0, got {value!r}")
     if cfg.sweep.axis not in SWEEP_AXES:
         raise ConfigError(f"sweep.axis: must be one of {SWEEP_AXES}")
     if cfg.sweep.axis != "none" and not cfg.sweep.values:
@@ -224,6 +242,12 @@ def validate_config(cfg: CampaignConfig) -> None:
                       ("pgd_tolerance", cfg.solver.pgd_tolerance)):
         if tol <= 0:
             raise ConfigError(f"solver.{name}: must be positive")
+    for name in ("max_outer_iters", "pgd_max_iters"):
+        if getattr(cfg.solver, name) < 1:
+            raise ConfigError(f"solver.{name}: must be >= 1, got {getattr(cfg.solver, name)}")
+    if not (np.isfinite(cfg.solver.divergence_rel_tol) and cfg.solver.divergence_rel_tol >= 0):
+        raise ConfigError("solver.divergence_rel_tol: must be a finite number >= 0, "
+                          f"got {cfg.solver.divergence_rel_tol!r}")
     if not (0.0 < cfg.weights.downlink < 1.0 and 0.0 < cfg.weights.uplink < 1.0):
         raise ConfigError("weights: rate weights must lie strictly inside (0, 1)")
 

@@ -15,6 +15,8 @@ Five links are modeled per realization:
 NLoS parts are unit-variance circular Gaussians consumed in a fixed order
 (transceiver coupling, then each user's surface link, then the user-user
 grid row-major, then optional direct links), so a seed pins the realization.
+The per-user links are drawn one matrix at a time in that order and held
+stacked over users.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import GeometryError
 from .geometry import (SpatialLayout, antenna_gain, elevations_from_axis,
                        elevations_from_normal, pairwise_distances)
-from .linalg import cn_sample
+from .linalg import Stacked, cn_sample
 
 logger = logging.getLogger(__name__)
 
@@ -51,19 +53,23 @@ class FadingParams:
 
 
 @dataclass
-class ChannelSet:
-    """One realization of all link matrices.
+class ChannelSet(Stacked):
+    """One realization of all link matrices; the per-user links are stacked
+    over users (lists of per-user matrices are stacked on assignment).
 
-    `h_iu[k]` has shape (L, N_u) and is the single stored surface-user matrix;
+    `h_iu[k]` has shape (L, N_ur) and is the single stored surface-user matrix;
     both link directions are built from it, never from an independent draw.
+    `h_uu[j][k]` (equally `h_uu[j, k]`) is the link from user j's transmit
+    array to user k's receive array.
     """
     h_ti: np.ndarray                    # (L, N_t)
     h_tr: np.ndarray                    # (N_r, N_t)
-    h_iu: list[np.ndarray]              # K x (L, N_ur)
+    h_iu: np.ndarray                    # (K, L, N_ur)
     h_ir: np.ndarray                    # (L, N_r)
-    h_uu: list[list[np.ndarray]]        # [j][k] -> (N_ur, N_ut), user j tx -> user k rx
-    h_direct_tu: list[np.ndarray] | None = None  # K x (N_ur, N_t)
-    h_direct_ur: list[np.ndarray] | None = None  # K x (N_r, N_ut)
+    h_uu: np.ndarray                    # (K, K, N_ur, N_ut), [j, k]: user j tx -> user k rx
+    h_direct_tu: np.ndarray | None = None  # (K, N_ur, N_t)
+    h_direct_ur: np.ndarray | None = None  # (K, N_r, N_ut)
+    _STACKED = ("h_iu", "h_uu", "h_direct_tu", "h_direct_ur")
 
     @property
     def n_users(self) -> int:
@@ -135,10 +141,8 @@ def require_reciprocal_user_arrays(ch: ChannelSet) -> None:
     """The surface-user link reuses one matrix for both directions, which only
     typechecks when each user transmits and receives with the same antenna
     count."""
-    for j, row in enumerate(ch.h_uu):
-        n_ut = row[0].shape[1]
-        n_ur = ch.h_iu[j].shape[1]
-        if n_ut != n_ur:
-            raise GeometryError(
-                "surface-assisted schemes need n_user_tx == n_user_rx "
-                f"(reciprocal surface link); got {n_ut} != {n_ur}")
+    n_ut, n_ur = ch.h_uu.shape[-1], ch.h_iu.shape[-1]
+    if n_ut != n_ur:
+        raise GeometryError(
+            "surface-assisted schemes need n_user_tx == n_user_rx "
+            f"(reciprocal surface link); got {n_ut} != {n_ur}")

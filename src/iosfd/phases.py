@@ -47,9 +47,9 @@ import numpy as np
 
 from .channels import ChannelSet
 from .errors import NumericalError
-from .linalg import adj, assert_finite, chol_pd, max_eigval
+from .linalg import assert_finite, chol_pd, max_eigval
 from .system import BeamformerSet, IosState
-from .wmmse import WmmseState, constant_term
+from .wmmse import WmmseState
 
 
 @dataclass
@@ -58,8 +58,8 @@ class QuadraticFormSet:
 
     Each coupling matrix is M[k] M[k]^H for the (L, s) factor M[k] stored here:
     a, x from the decoders and weights, b, d from the precoders.  c, f, z, y
-    are the linear vectors of phi_t, theta_t, phi_u, theta_u (signs included);
-    r_cg collects every term no coefficient can reach.
+    are the linear vectors of phi_t, theta_t, phi_u, theta_u (signs included).
+    The terms no coefficient can reach are not built: the solve never reads them.
     """
     a: np.ndarray          # (K, L, s_d) sqrt(gamma_d) h_iu U_d chol(W_d)
     b: np.ndarray          # (K, L, s_d) h_ti V_d: downlink illumination of the surface
@@ -69,7 +69,6 @@ class QuadraticFormSet:
     f: np.ndarray          # (L,) reflection t-side linear vector
     z: np.ndarray          # (L,) refraction u-side linear vector
     y: np.ndarray          # (L,) reflection u-side linear vector
-    r_cg: float
 
 
 def _diag_outer(gamma: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -78,11 +77,10 @@ def _diag_outer(gamma: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def build_quadratic_forms(ch: ChannelSet, bf: BeamformerSet, st: WmmseState,
-                          gamma_down: np.ndarray, gamma_up: np.ndarray,
-                          noise_users: np.ndarray, noise_rx: float) -> QuadraticFormSet:
+                          gamma_down: np.ndarray, gamma_up: np.ndarray) -> QuadraticFormSet:
     gamma_down = np.asarray(gamma_down, dtype=float)
     gamma_up = np.asarray(gamma_up, dtype=float)
-    g = np.stack(ch.h_iu)                                      # (K, L, N_u)
+    g = ch.h_iu                                                # (K, L, N_u)
     hu = g @ st.u_d                                            # (K, L, s_d)
     hr = ch.h_ir @ st.u_u                                      # (K, L, s_u)
     a = np.sqrt(gamma_down)[:, None, None] * (hu @ chol_pd(st.w_d))
@@ -93,9 +91,9 @@ def build_quadratic_forms(ch: ChannelSet, bf: BeamformerSet, st: WmmseState,
     uw_u = st.u_u @ st.w_u
 
     # Linear terms: the refracted signal (c, z) and the cross terms between the
-    # reflected and the direct paths (f, y), whose coefficient-free part is in r_cg.
+    # reflected and the direct paths (f, y).
     # m[j, k] = h_uu[j][k] V_ju reaches user k directly; md[j] = h_tr V_jd the receiver.
-    m = np.array(ch.h_uu) @ bf.v_u[:, None]                    # (K, K, N_ur, s_u)
+    m = ch.h_uu @ bf.v_u[:, None]                              # (K, K, N_ur, s_u)
     md = ch.h_tr @ bf.v_d                                      # (K, N_r, s_d)
     y_left = np.einsum("jls,jkas->kla", d, m.conj()) @ uw_d      # sum_j d_j m_jk^H U W
     f_left = np.einsum("jls,jas->la", b, md.conj()) @ uw_u       # sum_j b_j md_j^H U W
@@ -103,14 +101,8 @@ def build_quadratic_forms(ch: ChannelSet, bf: BeamformerSet, st: WmmseState,
     z = _diag_outer(gamma_up, d @ st.w_u, hr)
     y = -_diag_outer(gamma_down, y_left, hu)
     f = -_diag_outer(gamma_up, f_left, hr)
-    leak_d = (m @ adj(m)).sum(axis=0)                           # (K, N_ur, N_ur)
-    leak_u = (md @ adj(md)).sum(axis=0)                         # (N_r, N_r)
-    r_cg = -float(np.dot(gamma_down, np.einsum("kab,kba->k", uw_d @ adj(st.u_d), leak_d).real))
-    r_cg -= float(np.dot(gamma_up, np.einsum("kab,ba->k", uw_u @ adj(st.u_u), leak_u).real))
-
     assert_finite(a, b, x, d, c, f, z, y)
-    r_cg += constant_term(st, gamma_down, gamma_up, noise_users, noise_rx)
-    return QuadraticFormSet(a, b, x, d, c, f, z, y, r_cg)
+    return QuadraticFormSet(a, b, x, d, c, f, z, y)
 
 
 @dataclass
@@ -127,12 +119,12 @@ class PhaseQuadratic:
     f: np.ndarray          # theta_t linear vector
     z: np.ndarray          # phi_u linear vector
     y: np.ndarray          # theta_u linear vector
-    r_cg: float
 
 
 def _hadamard_factor(p: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """F with F F^H = (P P^H) o (R R^H)^T: column (i, j) is p_i o conj(r_j)."""
-    return (p[:, :, None] * r.conj()[:, None, :]).reshape(p.shape[0], -1)
+    """F with F F^H = (P P^H) o (R R^H)^T: column (i, j) is p_i o conj(r_j);
+    one F per matrix pair of a stack."""
+    return (p[..., :, None] * r.conj()[..., None, :]).reshape(*p.shape[:-1], -1)
 
 
 def _side_by_side(m: np.ndarray) -> np.ndarray:
@@ -143,11 +135,11 @@ def _side_by_side(m: np.ndarray) -> np.ndarray:
 def vectorize(qf: QuadraticFormSet) -> PhaseQuadratic:
     a, b, x, d = (_side_by_side(m) for m in (qf.a, qf.b, qf.x, qf.d))
     return PhaseQuadratic(
-        q_phi_t=np.hstack([_hadamard_factor(qf.a[k], qf.b[k]) for k in range(qf.a.shape[0])]),
+        q_phi_t=_side_by_side(_hadamard_factor(qf.a, qf.b)),
         q_theta_t=_hadamard_factor(x, b),
         q_phi_u=_hadamard_factor(x, d),
         q_theta_u=_hadamard_factor(a, d),
-        c=qf.c, f=qf.f, z=qf.z, y=qf.y, r_cg=qf.r_cg,
+        c=qf.c, f=qf.f, z=qf.z, y=qf.y,
     )
 
 
@@ -162,7 +154,8 @@ def _block_value(fq: np.ndarray, c: np.ndarray, v: np.ndarray) -> float:
 
 
 def gprime_value(pq: PhaseQuadratic, ios: IosState) -> float:
-    """Minimization objective; relates to the matrix form by g = -g' + r_cg."""
+    """Minimization objective; the matrix form is g = -g' plus the terms no
+    coefficient can reach, which the solve does not need."""
     return (_block_value(pq.q_phi_t, pq.c, ios.phi_t)
             + _block_value(pq.q_theta_t, pq.f, ios.theta_t)
             + _block_value(pq.q_phi_u, pq.z, ios.phi_u)
@@ -274,38 +267,28 @@ class PgdCounts:
 
 
 def solve_qcqp(pq: PhaseQuadratic, init: IosState, settings: PgdSettings,
-               sides: tuple[str, ...] = ("t", "u"), tie_sides: bool = False,
-               counts: PgdCounts | None = None) -> tuple[IosState, int]:
+               sides: tuple[str, ...] = ("t", "u"), tie_sides: bool = False
+               ) -> tuple[IosState, PgdCounts]:
     """Accelerated projected-gradient solve; the two sides separate unless tied.
 
-    Returns the new state and the number of side solves that stopped at
-    `settings.max_iters` rather than on the tolerance; `counts`, if given,
-    also accumulates the iterations and cap exits of every side solve.
+    Each group of sides is one `_pgd_side` solve: 't' and 'u' each write their
+    own side, 'tied' writes its one set of coefficients to both.  Returns the
+    new state and the iterations and cap exits of this call's side solves.
     """
+    groups = {"tied": "tu"} if tie_sides else {side: side for side in "tu" if side in sides}
     out = init.copy()
-    cap_exits = iters = 0
-    if tie_sides:
-        phi, theta, n, capped = _pgd_side(*side_blocks(pq, "tied"),
-                                          init.phi_t, init.theta_t, settings)
-        out.phi_t = out.phi_u = phi
-        out.theta_t = out.theta_u = theta
-        cap_exits += capped
-        iters += n
-    else:
-        for side in ("t", "u"):
-            if side in sides:
-                phi, theta, n, capped = _pgd_side(*side_blocks(pq, side),
-                                                  getattr(init, "phi_" + side),
-                                                  getattr(init, "theta_" + side), settings)
-                setattr(out, "phi_" + side, phi)
-                setattr(out, "theta_" + side, theta)
-                cap_exits += capped
-                iters += n
+    counts = PgdCounts()
+    for group, written in groups.items():
+        phi, theta, n, capped = _pgd_side(*side_blocks(pq, group),
+                                          getattr(init, "phi_" + written[0]),
+                                          getattr(init, "theta_" + written[0]), settings)
+        for side in written:
+            setattr(out, "phi_" + side, phi)
+            setattr(out, "theta_" + side, theta)
+        counts.iters += n
+        counts.cap_exits += capped
 
     out.validate()
     if gprime_value(pq, out) > gprime_value(pq, init) + 1e-12:
         raise NumericalError("projected gradient failed to descend")
-    if counts is not None:
-        counts.iters += iters
-        counts.cap_exits += cap_exits
-    return out, cap_exits
+    return out, counts

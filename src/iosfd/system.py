@@ -13,7 +13,7 @@ import numpy as np
 
 from .channels import ChannelSet, require_reciprocal_user_arrays
 from .errors import NumericalError
-from .linalg import adj, hermitize, logdet_pd
+from .linalg import Stacked, adj, hermitize, logdet_pd
 
 COUPLING_TOL = 1e-9
 NEGATIVE_RATE_TOL = 1e-9   # bits; smallest negative rate taken for a defect, not roundoff
@@ -76,20 +76,8 @@ class IosState:
                         self.theta_u.copy(), self.phi_u.copy())
 
 
-class _Stacked:
-    """Dataclass mixin: every field named in _STACKED is held as one complex
-    ndarray with a leading user axis, however it is assigned (a list of
-    per-user matrices is stacked)."""
-    _STACKED: tuple[str, ...] = ()
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in self._STACKED:
-            value = np.asarray(value, dtype=complex)
-        super().__setattr__(name, value)
-
-
 @dataclass
-class BeamformerSet(_Stacked):
+class BeamformerSet(Stacked):
     """Downlink precoders v_d (K, N_t, s_d) and uplink precoders v_u (K, N_ut, s_u)."""
     v_d: np.ndarray
     v_u: np.ndarray
@@ -105,13 +93,6 @@ class BeamformerSet(_Stacked):
     def uplink_power(self, k: int) -> float:
         return float(np.sum(np.abs(self.v_u[k]) ** 2))
 
-    def validate_power(self, p_b: float, p_u: float, rel_tol: float = 1e-6) -> None:
-        if self.downlink_power() > p_b * (1.0 + rel_tol) + 1e-15:
-            raise ValueError("downlink power budget exceeded")
-        for k in range(self.n_users):
-            if self.uplink_power(k) > p_u * (1.0 + rel_tol) + 1e-15:
-                raise ValueError(f"uplink power budget exceeded for user {k}")
-
 
 def stream_counts(n_t: int, n_r: int, n_ut: int, n_ur: int) -> tuple[int, int]:
     """Downlink and uplink stream counts: s_d = min(N_t, N_ur), s_u = min(N_r, N_ut)."""
@@ -119,7 +100,7 @@ def stream_counts(n_t: int, n_r: int, n_ut: int, n_ur: int) -> tuple[int, int]:
 
 
 @dataclass
-class EffectiveChannels(_Stacked):
+class EffectiveChannels(Stacked):
     """Composite links as seen by the decoders, stacked over users.
 
     h_kd (K, N_ur, N_t)        : transmitter -> user k, through the refracting t-side
@@ -145,11 +126,11 @@ def compose_effective(ch: ChannelSet, ios: IosState) -> EffectiveChannels:
     L = ios.n_elements
     if ch.h_ti.shape[0] != L:
         raise ValueError(f"surface state has {L} elements, channels have {ch.h_ti.shape[0]}")
-    g = np.stack(ch.h_iu)                                          # (K, L, N_u)
+    g = ch.h_iu                                                    # (K, L, N_u)
     g_h = adj(g)
     h_kd = g_h @ (ios.phi_t[:, None] * ch.h_ti)
     h_ku = ch.h_ir.conj().T @ (ios.phi_u[:, None] * g)
-    h_jk = np.array(ch.h_uu) + g_h[None] @ (ios.theta_u[:, None] * g)[:, None]
+    h_jk = ch.h_uu + g_h[None] @ (ios.theta_u[:, None] * g)[:, None]
     h_t = ch.h_tr + ch.h_ir.conj().T @ (ios.theta_t[:, None] * ch.h_ti)
     return EffectiveChannels(h_kd, h_jk, h_ku, h_t)
 
@@ -158,8 +139,8 @@ def compose_direct(ch: ChannelSet) -> EffectiveChannels:
     """Surface absent: direct links only (requires sampled direct channels)."""
     if ch.h_direct_tu is None or ch.h_direct_ur is None:
         raise ValueError("channel set was sampled without direct links")
-    return EffectiveChannels(np.stack(ch.h_direct_tu), np.array(ch.h_uu),
-                             np.stack(ch.h_direct_ur), ch.h_tr.copy())
+    return EffectiveChannels(ch.h_direct_tu.copy(), ch.h_uu.copy(),
+                             ch.h_direct_ur.copy(), ch.h_tr.copy())
 
 
 @dataclass

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import adj, hermitize, inv_pd, logdet_pd, solve_pd
-from .system import BeamformerSet, EffectiveChannels, _Stacked, link_covariances
+from .linalg import Stacked, adj, hermitize, inv_pd, logdet_pd, solve_pd
+from .system import BeamformerSet, EffectiveChannels, link_covariances
 
 
 @dataclass
-class WmmseState(_Stacked):
+class WmmseState(Stacked):
     u_d: np.ndarray   # (K, N_ur, s_d)
     w_d: np.ndarray   # (K, s_d, s_d) Hermitian PD
     u_u: np.ndarray   # (K, N_r, s_u)
@@ -53,18 +53,6 @@ def update_state(eff: EffectiveChannels, bf: BeamformerSet,
 def _trace_prod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re Tr(A_k B_k) for each k of two (K, n, n) stacks."""
     return np.einsum("kij,kji->k", a, b).real
-
-
-def constant_term(st: WmmseState, gamma_down: np.ndarray, gamma_up: np.ndarray,
-                  noise_users: np.ndarray, noise_rx: float) -> float:
-    """Beamformer-independent part: log|W| - Tr(W) - sigma^2 Tr(W U^H U) + s per link."""
-    total = 0.0
-    for gamma, noise, w, u in ((gamma_down, noise_users, st.w_d, st.u_d),
-                               (gamma_up, noise_rx, st.w_u, st.u_u)):
-        per_link = (logdet_pd(w) - np.trace(w, axis1=1, axis2=2).real
-                    - noise * _trace_prod(w, adj(u) @ u) + w.shape[-1])
-        total += float(np.dot(gamma, per_link))
-    return total
 
 
 def surrogate_objective(eff: EffectiveChannels, bf: BeamformerSet, st: WmmseState,

@@ -10,7 +10,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from iosfd.wmmse import constant_term
+from iosfd.linalg import adj, logdet_pd
+
+
+def constant_term(st, gamma_down, gamma_up, noise_users, noise_rx) -> float:
+    """Beamformer-independent part: log|W| - Tr(W) - sigma^2 Tr(W U^H U) + s per link."""
+    total = 0.0
+    for gamma, noise, w, u in ((gamma_down, noise_users, st.w_d, st.u_d),
+                               (gamma_up, noise_rx, st.w_u, st.u_u)):
+        per_link = (logdet_pd(w) - np.trace(w, axis1=1, axis2=2).real
+                    - noise * np.einsum("kij,kji->k", w, adj(u) @ u).real + w.shape[-1])
+        total += float(np.dot(gamma, per_link))
+    return total
 
 
 @dataclass

@@ -167,8 +167,7 @@ def test_qcqp_grid_oracle():
         pq = PhaseQuadratic(q_phi_t=a / np.sqrt(tr1), q_theta_t=b / np.sqrt(tr2),
                             q_phi_u=np.zeros((2, 2), complex),
                             q_theta_u=np.zeros((2, 2), complex),
-                            c=c1, f=c2, z=np.zeros(2, complex), y=np.zeros(2, complex),
-                            r_cg=0.0)
+                            c=c1, f=c2, z=np.zeros(2, complex), y=np.zeros(2, complex))
         out, _ = solve_qcqp(pq, IosState.zeros(2), PgdSettings(max_iters=3000,
                                                                tolerance=1e-12))
         gap = gprime_value(pq, out) - _grid_minimum(q1, c1, q2, c2)
@@ -195,7 +194,7 @@ def test_gradient_checks():
     for _ in range(20):
         inst = random_instance(rng, K=2, L=4)
         ch, _, eff, bf, st, gd, gu, nu, nr = inst
-        pq = vectorize(build_quadratic_forms(ch, bf, st, gd, gu, nu, nr))
+        pq = vectorize(build_quadratic_forms(ch, bf, st, gd, gu))
         state = random_ios(rng, 4)
         for attr, q, c in (("phi_t", pq.q_phi_t @ pq.q_phi_t.conj().T, pq.c),
                            ("theta_u", pq.q_theta_u @ pq.q_theta_u.conj().T, pq.y)):

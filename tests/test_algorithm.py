@@ -90,7 +90,9 @@ def test_power_constraints_hold_after_run():
     ch = channels_for(integrated_geometry(L=8), 1)
     cfg = desk_config()
     res = run_algorithm2(ch, cfg, SchemeSpec(Scheme.DS_IOS))
-    res.beamformers.validate_power(cfg.p_b, cfg.p_u, rel_tol=1e-4)
+    bf = res.beamformers
+    assert bf.downlink_power() <= cfg.p_b * (1.0 + 1e-4)
+    assert all(bf.uplink_power(k) <= cfg.p_u * (1.0 + 1e-4) for k in range(bf.n_users))
     assert res.ios.is_feasible()
 
 

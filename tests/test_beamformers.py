@@ -156,8 +156,7 @@ def test_update_never_decreases_surrogate(rng):
 
 def test_frozen_downlink_is_kept(rng):
     _, _, eff, bf, st, gd, gu, nu, nr = random_instance(rng)
-    new, duals = update_beamformers(eff, st, gd, gu, 4.0, 2.0,
-                                    update_downlink=False, current=bf)
+    new, duals = update_beamformers(eff, st, gd, gu, 4.0, 2.0, frozen_v_d=bf.v_d)
     for k in range(2):
         assert np.array_equal(new.v_d[k], bf.v_d[k])
     assert duals.mu_d == 0.0

@@ -235,6 +235,31 @@ def test_config_errors_carry_field_paths():
         config_from_dict(tiny_config(powers={"p_b_dbm": "10"}))
     with pytest.raises(ConfigError, match="scenario.l_elements"):
         config_from_dict(tiny_config(scenario={"l_elements": "5"}))
+    for name, bad in (("max_outer_iters", 0), ("pgd_max_iters", 0), ("pgd_max_iters", -3)):
+        with pytest.raises(ConfigError, match=f"solver.{name}"):
+            config_from_dict(tiny_config(solver={name: bad}))
+    for bad in (-1.0, -1e-9, float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="solver.divergence_rel_tol"):
+            config_from_dict(tiny_config(solver={"divergence_rel_tol": bad}))
+    for name in ("gain_exponent_tx", "gain_exponent_rx"):
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ConfigError, match=f"physics.{name}"):
+                config_from_dict(tiny_config(physics={name: bad}))
+    anchors = [[20.0, 20.0, 1.5], [25.0, -35.0, 1.5]]
+    for bad in ([0.0, 0.0], [0.0, 0.0, 5.0, 1.0], [0.0, True, 5.0], [0.0, "1", 5.0],
+                [0.0, float("inf"), 5.0], [0.0, float("nan"), 5.0]):
+        for name in ("tx_anchor", "rx_anchor", "ios_anchor"):
+            with pytest.raises(ConfigError, match=f"scenario.{name}"):
+                config_from_dict(tiny_config(scenario={name: bad, "k_users": 2,
+                                                       "user_anchors": anchors}))
+        with pytest.raises(ConfigError, match=r"scenario.user_anchors\[1\]"):
+            config_from_dict(tiny_config(scenario={"k_users": 2,
+                                                   "user_anchors": [anchors[0], bad]}))
+    ok = config_from_dict(tiny_config(solver={"divergence_rel_tol": 0.0},
+                                      physics={"gain_exponent_tx": 0.0},
+                                      scenario={"tx_anchor": [0, 0, 5], "k_users": 2,
+                                                "user_anchors": anchors}))
+    assert ok.solver.divergence_rel_tol == 0.0 and ok.scenario.tx_anchor == [0, 0, 5]
 
 
 def test_overrides_must_be_json_numbers_for_numeric_fields(tmp_path, capsys):
@@ -294,6 +319,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text("[1, 2]")
     assert main(["simulate", "--config", str(bad), "--name", "x"]) == 2
     assert main(["aggregate", "--in", str(tmp_path / "nope.csv")]) == 2
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(tiny_config()))
+    for flag, value, field in (("--solver.pgd-max-iters", "0", "solver.pgd_max_iters"),
+                               ("--scenario.tx-anchor", "[0,0]", "scenario.tx_anchor")):
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(good), "--threads", "1",
+                     "--out", str(tmp_path / "out"), flag, value]) == 2
+        assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     capsys.readouterr()
 
 

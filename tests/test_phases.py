@@ -9,7 +9,7 @@ from iosfd.errors import NumericalError
 from iosfd.linalg import cn_sample
 from iosfd.phases import (PhaseQuadratic, _binary_scale, _block_value, _pgd_side,
                           gprime_value, side_blocks)
-from iosfd.wmmse import constant_term, surrogate_objective, update_state
+from iosfd.wmmse import surrogate_objective, update_state
 
 from conftest import (integrated_run_geometry, random_beamformers, random_instance,
                       random_ios, reference_geometry)
@@ -19,7 +19,7 @@ from oracles import min_eigval, pgd_side_plain, pgd_side_unscaled
 
 def build_from_instance(inst):
     ch, ios, eff, bf, st, gd, gu, nu, nr = inst
-    return build_quadratic_forms(ch, bf, st, gd, gu, nu, nr)
+    return build_quadratic_forms(ch, bf, st, gd, gu)
 
 
 def dense_from_instance(inst):
@@ -57,11 +57,10 @@ def test_zero_beamformers_leave_only_constant(rng):
     ch, ios, eff, bf, st, gd, gu, nu, nr = inst
     bf.v_d = [np.zeros_like(v) for v in bf.v_d]
     bf.v_u = [np.zeros_like(v) for v in bf.v_u]
-    qf = build_quadratic_forms(ch, bf, st, gd, gu, nu, nr)
+    qf = build_quadratic_forms(ch, bf, st, gd, gu)
     assert np.allclose(qf.b, 0) and np.allclose(qf.d, 0)
     assert np.allclose(qf.c, 0) and np.allclose(qf.z, 0)
     assert np.allclose(qf.f, 0) and np.allclose(qf.y, 0)
-    assert qf.r_cg == pytest.approx(constant_term(st, gd, gu, nu, nr))
 
 
 def test_scalar_quadratic_factor(rng):
@@ -104,9 +103,10 @@ def test_vectorized_objective_matches_matrix_objective(rng):
         inst = random_instance(rng, K=2, L=4)
         pq = vectorize(build_from_instance(inst))
         state = random_ios(rng, 4)
-        g = g_value(dense_from_instance(inst), state)
+        dense = dense_from_instance(inst)
+        g = g_value(dense, state)
         gp = gprime_value(pq, state)
-        assert g == pytest.approx(-gp + pq.r_cg, rel=1e-10, abs=1e-10)
+        assert g == pytest.approx(-gp + dense.r_cg, rel=1e-10, abs=1e-10)
 
 
 def drawn_instance(rng, geometry, seed):
@@ -137,8 +137,8 @@ def _rel_err(got, want):
 
 
 def test_factors_match_dense_oracle(rng):
-    """F F^H, the linear vectors and r_cg equal the dense build, per side and
-    with both sides tied, at unit scale and at physical channel scale."""
+    """F F^H and the linear vectors equal the dense build, per side and with
+    both sides tied, at unit scale and at physical channel scale."""
     for inst in oracle_instances(rng):
         pq = vectorize(build_from_instance(inst))
         dense = dense_from_instance(inst)
@@ -156,18 +156,19 @@ def test_factors_match_dense_oracle(rng):
             assert _rel_err(f_theta @ f_theta.conj().T, q_theta) <= 1e-12, side
             assert _rel_err(lin_phi, c_phi) <= 1e-12, side
             assert _rel_err(lin_theta, c_theta) <= 1e-12, side
-        assert abs(pq.r_cg - dense.r_cg) <= 1e-12 * abs(dense.r_cg)
 
 
 def test_factored_objective_matches_surrogate(rng):
-    """-g' + r_cg is the surrogate at the composed channels of any surface state."""
+    """-g' plus the dense oracle's coefficient-free rest r_cg is the surrogate
+    at the composed channels of any surface state."""
     for inst in oracle_instances(rng):
         ch, ios, eff, bf, st, gd, gu, nu, nr = inst
         pq = vectorize(build_from_instance(inst))
+        r_cg = dense_from_instance(inst).r_cg
         for _ in range(2):
             state = random_ios(rng, ch.h_ti.shape[0])
             ref = surrogate_objective(compose_effective(ch, state), bf, st, gd, gu, nu, nr)
-            assert -gprime_value(pq, state) + pq.r_cg == pytest.approx(
+            assert -gprime_value(pq, state) + r_cg == pytest.approx(
                 ref, rel=1e-8, abs=1e-8)
 
 
@@ -252,7 +253,7 @@ def _single_block_pq(L, q, c):
     zero_c = np.zeros(L, dtype=complex)
     return PhaseQuadratic(q_phi_t=q, q_theta_t=zero_q.copy(), q_phi_u=zero_q.copy(),
                           q_theta_u=zero_q.copy(), c=c, f=zero_c.copy(),
-                          z=zero_c.copy(), y=zero_c.copy(), r_cg=0.0)
+                          z=zero_c.copy(), y=zero_c.copy())
 
 
 def test_pgd_interior_optimum():
@@ -260,17 +261,17 @@ def test_pgd_interior_optimum():
     c = np.zeros(L, dtype=complex)
     c[0] = 0.3
     pq = _single_block_pq(L, np.eye(L, dtype=complex), c)
-    out, capped = solve_qcqp(pq, IosState.zeros(L),
+    out, counts = solve_qcqp(pq, IosState.zeros(L),
                              PgdSettings(max_iters=2000, tolerance=1e-14))
     assert np.allclose(out.phi_t, np.conj(c), atol=1e-6)
-    assert capped == 0
+    assert counts.cap_exits == 0
 
 
 def test_pgd_reports_cap_exits(rng):
     """A side solve cut off by max_iters is counted."""
     pq = vectorize(build_from_instance(random_instance(rng, K=2, L=6)))
-    _, capped = solve_qcqp(pq, random_ios(rng, 6), PgdSettings(max_iters=1))
-    assert capped > 0
+    _, counts = solve_qcqp(pq, random_ios(rng, 6), PgdSettings(max_iters=1))
+    assert counts.cap_exits > 0
 
 
 def test_pgd_boundary_optimum_takes_linear_phase():
@@ -309,9 +310,8 @@ def close_mounted_qcqps(L, seed, n_outer):
     for _ in range(n_outer):
         st = update_state(eff, bf, cfg.noise_users, cfg.noise_rx)
         bf, _ = update_beamformers(eff, st, cfg.gamma_down, cfg.gamma_up, cfg.p_b, cfg.p_u,
-                                   cfg.eps_b, update_downlink=True, current=bf)
-        pq = vectorize(build_quadratic_forms(ch, bf, st, cfg.gamma_down, cfg.gamma_up,
-                                             cfg.noise_users, cfg.noise_rx))
+                                   cfg.eps_b)
+        pq = vectorize(build_quadratic_forms(ch, bf, st, cfg.gamma_down, cfg.gamma_up))
         yield pq, ios
         ios = plain_solve(pq, ios, PgdSettings())
         eff = compose_effective(ch, ios)
@@ -372,7 +372,7 @@ def test_accelerated_pgd_restarts_on_ill_conditioned_block(monkeypatch):
     c_theta = np.array([0.2, -0.1j])
     pq = PhaseQuadratic(q_phi_t=f_phi, q_theta_t=f_theta, q_phi_u=np.zeros((2, 2), complex),
                         q_theta_u=np.zeros((2, 2), complex), c=c_phi, f=c_theta,
-                        z=np.zeros(2, complex), y=np.zeros(2, complex), r_cg=0.0)
+                        z=np.zeros(2, complex), y=np.zeros(2, complex))
     trials = []
     monkeypatch.setattr("iosfd.phases.project_feasible",
                         lambda *args: trials.append(1) or project_feasible(*args))
@@ -474,7 +474,7 @@ def test_pgd_improves_surrogate_cross_module(rng):
     for _ in range(5):
         inst = random_instance(rng, K=2, L=5)
         ch, ios, eff, bf, st, gd, gu, nu, nr = inst
-        pq = vectorize(build_quadratic_forms(ch, bf, st, gd, gu, nu, nr))
+        pq = vectorize(build_quadratic_forms(ch, bf, st, gd, gu))
         out, _ = solve_qcqp(pq, ios, PgdSettings())
         before = surrogate_objective(eff, bf, st, gd, gu, nu, nr)
         after = surrogate_objective(compose_effective(ch, out), bf, st, gd, gu, nu, nr)
@@ -547,8 +547,7 @@ def test_pgd_matches_grid_search_within_tolerance(rng):
         pq = PhaseQuadratic(q_phi_t=a / np.sqrt(tr1), q_theta_t=b / np.sqrt(tr2),
                             q_phi_u=np.zeros((2, 2), complex),
                             q_theta_u=np.zeros((2, 2), complex),
-                            c=c1, f=c2, z=np.zeros(2, complex), y=np.zeros(2, complex),
-                            r_cg=0.0)
+                            c=c1, f=c2, z=np.zeros(2, complex), y=np.zeros(2, complex))
         out, _ = solve_qcqp(pq, IosState.zeros(2), PgdSettings(max_iters=3000, tolerance=1e-12))
         pgd_obj = gprime_value(pq, out)
         grid_obj = _grid_minimum(q1, c1, q2, c2)

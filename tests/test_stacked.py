@@ -9,7 +9,8 @@ the same as at unit scale).
 import numpy as np
 import pytest
 
-from iosfd import BeamformerSet, EffectiveChannels, update_state, weighted_sum_rate
+from iosfd import (BeamformerSet, ChannelSet, EffectiveChannels, update_state,
+                   weighted_sum_rate)
 from iosfd.beamformers import uplink_weight_core, xi_down, xi_up
 from iosfd.linalg import cn_sample
 from iosfd.system import link_covariances
@@ -109,3 +110,9 @@ def test_lists_of_per_user_matrices_are_stacked():
     eff = EffectiveChannels(v, rows, v, v[0])
     assert eff.h_jk.shape == (3, 3, 2, 2) and np.array_equal(eff.h_jk[2][1], rows[2][1])
     assert eff.n_users == len(bf.v_d) == 3
+    g = [cn_sample(rng, (4, 2)) for _ in range(3)]
+    ch = ChannelSet(cn_sample(rng, (4, 2)), v[0], g, cn_sample(rng, (4, 2)), rows)
+    assert isinstance(ch.h_iu, np.ndarray) and ch.h_iu.shape == (3, 4, 2)
+    assert ch.h_uu.shape == (3, 3, 2, 2) and np.array_equal(ch.h_uu[0][2], rows[0][2])
+    assert np.array_equal(ch.h_iu[1], g[1]) and ch.n_users == 3
+    assert ch.h_direct_tu is None and ch.h_direct_ur is None

@@ -82,7 +82,7 @@ def test_compose_is_linear_in_each_vector(rng):
 
 def test_compose_rejects_asymmetric_user_arrays(rng):
     ch = random_channels(rng, K=1, L=4, n_u=2)
-    ch.h_uu[0][0] = np.zeros((2, 3), dtype=complex)  # claims 3 transmit antennas
+    ch.h_uu = np.zeros((1, 1, 2, 3), dtype=complex)  # claims 3 transmit antennas
     with pytest.raises(GeometryError):
         compose_effective(ch, IosState.zeros(4))
 

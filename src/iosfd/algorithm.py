@@ -42,8 +42,12 @@ class SchemeSpec:
 
     def __post_init__(self) -> None:
         self.kind = Scheme(self.kind)
-        if self.quantization_bits is not None and not (1 <= self.quantization_bits <= 16):
-            raise ValueError("quantization_bits must be in [1, 16]")
+        bits = self.quantization_bits
+        if bits is not None and (isinstance(bits, bool) or not isinstance(bits, int)
+                                 or not 1 <= bits <= 16):
+            raise ValueError(f"quantization_bits must be an integer in [1, 16], got {bits!r}")
+        if self.tie_sides and self.kind is not Scheme.DS_IOS:
+            raise ValueError(f"tie_sides needs DS_IOS, not {self.kind.value}")
 
     @property
     def uses_surface(self) -> bool:
@@ -69,9 +73,14 @@ class SchemeSpec:
 
     @property
     def label(self) -> str:
+        """Kind plus every option set, e.g. DS_IOS_tied_q3_end."""
         base = self.kind.value
+        if self.tie_sides:
+            base += "_tied"
         if self.quantization_bits is not None:
             base += f"_q{self.quantization_bits}"
+        if self.quantize_at_end:
+            base += "_end"
         return base
 
 
@@ -129,10 +138,8 @@ def initial_ios(L: int, scheme: SchemeSpec) -> IosState:
         return IosState.zeros(L)
     ios = IosState.balanced(L)
     if scheme.kind is Scheme.SS_IOS:
-        zero = np.zeros(L, dtype=complex)
-        ios.theta_t = zero.copy()
-        ios.phi_t = zero.copy()
-        ios.theta_u = zero.copy()
+        ios.coef[0] = 0.0       # t side
+        ios.coef[1, 0] = 0.0    # u-side reflection
     return ios
 
 
@@ -141,15 +148,10 @@ def quantize_phases(ios: IosState, bits: int) -> IosState:
     if not (1 <= bits <= 16):
         raise ValueError("bits must be in [1, 16]")
     delta = 2.0 * np.pi / (2 ** bits)
-
-    def snap(vec: np.ndarray) -> np.ndarray:
-        amp = np.abs(vec)
-        ph = np.round(IosState.phases(vec) / delta) * delta
-        return amp * np.exp(1j * ph)
-
-    theta_t, phi_t = project_feasible(snap(ios.theta_t), snap(ios.phi_t))
-    theta_u, phi_u = project_feasible(snap(ios.theta_u), snap(ios.phi_u))
-    return IosState(theta_t, phi_t, theta_u, phi_u)
+    amp = np.abs(ios.coef)
+    snapped = amp * np.exp(1j * (np.round(IosState.phases(ios.coef) / delta) * delta))
+    theta, phi = project_feasible(snapped[:, 0], snapped[:, 1])
+    return IosState(np.stack([theta, phi], axis=1))
 
 
 def _compose(ch: ChannelSet, ios: IosState, scheme: SchemeSpec) -> EffectiveChannels:
@@ -172,21 +174,19 @@ def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, bf: Beamforme
                ios: IosState, eff: EffectiveChannels, prev_s4: float | None = None):
     """One outer iteration: decoders/weights, then precoders, then the surface.
 
-    Unless the scheme quantizes every iteration, the surrogate after each block
-    must not fall below the one before it; the decoder/weight step is held to
+    The surrogate after each block must not fall below the one before it (any
+    quantization comes after the step); the decoder/weight step is held to
     `prev_s4`, the last surrogate of the previous iteration, when given.
     Returns the new (bf, ios, eff), the surface solver's `PgdCounts` (zero
     without a surface solve), the dual multipliers and the surrogates
     (s2, s3, s4) after the three blocks.
     """
-    monotone = not scheme.quantizes_each_iter
-
     def surr(e, b, s):
         return surrogate_objective(e, b, s, cfg.gamma_down, cfg.gamma_up,
                                    cfg.noise_users, cfg.noise_rx)
 
     def check(stage: str, new: float, old: float) -> None:
-        if monotone and new < old - max(_STEP_TOL, cfg.divergence_rel_tol * abs(old)):
+        if new < old - max(_STEP_TOL, cfg.divergence_rel_tol * abs(old)):
             raise ConvergenceError(f"surrogate decreased during {stage}: {old} -> {new}")
 
     st = update_state(eff, bf, cfg.noise_users, cfg.noise_rx)

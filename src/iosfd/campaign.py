@@ -117,6 +117,8 @@ def _coerce(value: Any, template: Any, path: str) -> Any:
                 raise TypeError
             return int(value)
         if isinstance(template, float):
+            if not np.isfinite(float(value)):
+                raise ValueError
             return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path}: expected {type(template).__name__}, got {value!r}") from None
@@ -150,10 +152,11 @@ def _parse_scheme(entry: Any, path: str) -> SchemeSpec:
             extra = set(entry) - known
             if extra:
                 raise ValueError(f"unknown fields {sorted(extra)}")
-            return SchemeSpec(Scheme(kind),
-                              quantization_bits=entry.get("quantization_bits"),
-                              tie_sides=bool(entry.get("tie_sides", False)),
-                              quantize_at_end=bool(entry.get("quantize_at_end", False)))
+            flags = {name: entry.get(name, False) for name in ("tie_sides", "quantize_at_end")}
+            for name, flag in flags.items():
+                if not isinstance(flag, bool):
+                    raise ValueError(f"{name} must be true or false, got {flag!r}")
+            return SchemeSpec(Scheme(kind), entry.get("quantization_bits"), **flags)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     raise ConfigError(f"{path}: expected scheme name or object")
@@ -161,8 +164,8 @@ def _parse_scheme(entry: Any, path: str) -> SchemeSpec:
 
 def _parse_seeds(data: Any, path: str) -> list[int]:
     if isinstance(data, list):
-        if not data or not all(_is_int(s) for s in data):
-            raise ConfigError(f"{path}: expected a nonempty list of integers")
+        if not data or not all(_is_int(s) and s >= 0 for s in data):
+            raise ConfigError(f"{path}: expected a nonempty list of integers >= 0")
         return list(data)
     if isinstance(data, dict):
         extra = set(data) - {"base", "count"}
@@ -170,8 +173,8 @@ def _parse_seeds(data: Any, path: str) -> list[int]:
             raise ConfigError(f"{path}.{sorted(extra)[0]}: unknown field")
         base = data.get("base", 0)
         count = data.get("count", 1)
-        if not _is_int(base):
-            raise ConfigError(f"{path}.base: expected an integer, got {base!r}")
+        if not _is_int(base) or base < 0:
+            raise ConfigError(f"{path}.base: expected an integer >= 0, got {base!r}")
         if not _is_int(count) or count < 1:
             raise ConfigError(f"{path}.count: expected an integer >= 1, got {count!r}")
         return [base + i for i in range(count)]
@@ -230,14 +233,19 @@ def validate_config(cfg: CampaignConfig) -> None:
     if cfg.sweep.axis != "none" and not cfg.sweep.values:
         raise ConfigError("sweep.values: must be nonempty for a sweep")
     for i, value in enumerate(cfg.sweep.values):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"sweep.values[{i}]: expected a number, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not np.isfinite(value):
+            raise ConfigError(f"sweep.values[{i}]: expected a finite number, got {value!r}")
         if cfg.sweep.axis == "L" and not (float(value).is_integer() and value >= 1):
             raise ConfigError(f"sweep.values[{i}]: element count must be an integer >= 1, "
                               f"got {value!r}")
-        if cfg.sweep.axis == "tx_ios_distance" and not (np.isfinite(value) and value > 0):
-            raise ConfigError(f"sweep.values[{i}]: distance must be a finite number > 0, "
-                              f"got {value!r}")
+        if cfg.sweep.axis == "tx_ios_distance" and not value > 0:
+            raise ConfigError(f"sweep.values[{i}]: distance must be > 0, got {value!r}")
+    labels = [scheme.label for scheme in cfg.schemes]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ConfigError(f"schemes[{i}]: label {label} repeats "
+                              f"schemes[{labels.index(label)}]")
     for name, tol in (("eps_w", cfg.solver.eps_w), ("eps_b", cfg.solver.eps_b),
                       ("pgd_tolerance", cfg.solver.pgd_tolerance)):
         if tol <= 0:

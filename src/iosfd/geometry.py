@@ -83,8 +83,8 @@ class SpatialLayout:
     tx_positions: np.ndarray            # (N_t, 3)
     rx_positions: np.ndarray            # (N_r, 3)
     ios_positions: np.ndarray           # (L, 3)
-    user_rx_positions: list[np.ndarray]  # K arrays (N_ur, 3)
-    user_tx_positions: list[np.ndarray]  # K arrays (N_ut, 3)
+    user_rx_positions: np.ndarray       # (K, N_ur, 3)
+    user_tx_positions: np.ndarray       # (K, N_ut, 3)
     wavelength: float
     ios_axis: np.ndarray
     tx_normal: np.ndarray
@@ -129,11 +129,8 @@ def build_layout(cfg: GeometryConfig) -> SpatialLayout:
 
     xhat = np.array([1.0, 0.0, 0.0])
     yhat = np.array([0.0, 1.0, 0.0])
-    user_tx, user_rx = [], []
-    for anchor in users:
-        user_tx.append(anchor + spacing * np.arange(cfg.n_user_tx)[:, None] * xhat)
-        user_rx.append(anchor + spacing * yhat
-                       + spacing * np.arange(cfg.n_user_rx)[:, None] * xhat)
+    user_tx = users[:, None] + spacing * np.arange(cfg.n_user_tx)[:, None] * xhat
+    user_rx = users[:, None] + spacing * yhat + spacing * np.arange(cfg.n_user_rx)[:, None] * xhat
 
     return SpatialLayout(tx_positions, rx_positions, ios_positions, user_rx, user_tx,
                          cfg.wavelength, ios_axis, tx_normal, rx_normal)

@@ -156,10 +156,11 @@ def _block_value(fq: np.ndarray, c: np.ndarray, v: np.ndarray) -> float:
 def gprime_value(pq: PhaseQuadratic, ios: IosState) -> float:
     """Minimization objective; the matrix form is g = -g' plus the terms no
     coefficient can reach, which the solve does not need."""
-    return (_block_value(pq.q_phi_t, pq.c, ios.phi_t)
-            + _block_value(pq.q_theta_t, pq.f, ios.theta_t)
-            + _block_value(pq.q_phi_u, pq.z, ios.phi_u)
-            + _block_value(pq.q_theta_u, pq.y, ios.theta_u))
+    total = 0.0
+    for side, (theta, phi) in zip("tu", ios.coef):
+        f_phi, c_phi, f_theta, c_theta = side_blocks(pq, side)
+        total = total + _block_value(f_phi, c_phi, phi) + _block_value(f_theta, c_theta, theta)
+    return total
 
 
 def side_blocks(pq: PhaseQuadratic, side: str):
@@ -272,19 +273,18 @@ def solve_qcqp(pq: PhaseQuadratic, init: IosState, settings: PgdSettings,
     """Accelerated projected-gradient solve; the two sides separate unless tied.
 
     Each group of sides is one `_pgd_side` solve: 't' and 'u' each write their
-    own side, 'tied' writes its one set of coefficients to both.  Returns the
-    new state and the iterations and cap exits of this call's side solves.
+    own side of `coef` (index 0 and 1), 'tied' writes its one set of
+    coefficients to both.  Returns the new state and the iterations and cap
+    exits of this call's side solves.
     """
-    groups = {"tied": "tu"} if tie_sides else {side: side for side in "tu" if side in sides}
+    groups = ({"tied": [0, 1]} if tie_sides
+              else {side: [s] for s, side in enumerate("tu") if side in sides})
     out = init.copy()
     counts = PgdCounts()
     for group, written in groups.items():
-        phi, theta, n, capped = _pgd_side(*side_blocks(pq, group),
-                                          getattr(init, "phi_" + written[0]),
-                                          getattr(init, "theta_" + written[0]), settings)
-        for side in written:
-            setattr(out, "phi_" + side, phi)
-            setattr(out, "theta_" + side, theta)
+        theta, phi = init.coef[written[0]]
+        phi, theta, n, capped = _pgd_side(*side_blocks(pq, group), phi, theta, settings)
+        out.coef[written] = theta, phi
         counts.iters += n
         counts.cap_exits += capped
 

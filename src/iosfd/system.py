@@ -1,9 +1,10 @@
 """Optimization state, effective channels, and exact rate evaluation.
 
-The four surface coefficient vectors obey the per-element coupling
-|theta_l|^2 + |phi_l|^2 <= 1 on each side (reflected plus refracted power
-cannot exceed the incident power).  Rates are log-det expressions evaluated
-through Cholesky factorizations of the interference-plus-noise pencil.
+The surface coefficients, reflection theta and refraction phi on each of the
+two sides, obey the per-element coupling |theta_l|^2 + |phi_l|^2 <= 1 on each
+side (reflected plus refracted power cannot exceed the incident power).
+Rates are log-det expressions evaluated through Cholesky factorizations of the
+interference-plus-noise pencil.
 """
 from __future__ import annotations
 
@@ -22,38 +23,37 @@ LN2 = float(np.log(2.0))
 
 @dataclass
 class IosState:
-    """Per-element reflection (theta) and refraction (phi) coefficients, both sides."""
-    theta_t: np.ndarray
-    phi_t: np.ndarray
-    theta_u: np.ndarray
-    phi_u: np.ndarray
+    """Surface coefficients of both sides as one array `coef` (2, 2, L):
+    `coef[s, 0]` is the reflection theta and `coef[s, 1]` the refraction phi
+    of side s, where side 0 faces the transmitter (t) and side 1 the users (u).
+    `theta_t`, `phi_t`, `theta_u` and `phi_u` are views into `coef`."""
+    coef: np.ndarray
 
     def __post_init__(self) -> None:
-        L = len(self.theta_t)
-        for name in ("phi_t", "theta_u", "phi_u"):
-            if len(getattr(self, name)) != L:
-                raise ValueError("all coefficient vectors must share length L")
+        self.coef = np.asarray(self.coef, dtype=complex)
+        if self.coef.ndim != 3 or self.coef.shape[:2] != (2, 2):
+            raise ValueError(f"coefficients must have shape (2, 2, L), got {self.coef.shape}")
+
+    theta_t = property(lambda self: self.coef[0, 0])
+    phi_t = property(lambda self: self.coef[0, 1])
+    theta_u = property(lambda self: self.coef[1, 0])
+    phi_u = property(lambda self: self.coef[1, 1])
 
     @property
     def n_elements(self) -> int:
-        return len(self.theta_t)
+        return self.coef.shape[-1]
 
-    def coupling(self, side: str) -> np.ndarray:
-        """|theta_l|^2 + |phi_l|^2 for side 't' or 'u'."""
-        if side == "t":
-            return np.abs(self.theta_t) ** 2 + np.abs(self.phi_t) ** 2
-        if side == "u":
-            return np.abs(self.theta_u) ** 2 + np.abs(self.phi_u) ** 2
-        raise ValueError(f"side must be 't' or 'u', got {side!r}")
+    def coupling(self) -> np.ndarray:
+        """|theta_l|^2 + |phi_l|^2 of both sides, (2, L)."""
+        return np.sum(np.abs(self.coef) ** 2, axis=1)
 
     def is_feasible(self) -> bool:
-        return bool(np.all(self.coupling("t") <= 1.0 + COUPLING_TOL)
-                    and np.all(self.coupling("u") <= 1.0 + COUPLING_TOL))
+        return bool(np.all(self.coupling() <= 1.0 + COUPLING_TOL))
 
     def validate(self) -> None:
         if not self.is_feasible():
-            worst = max(self.coupling("t").max(), self.coupling("u").max())
-            raise ValueError(f"coupling constraint violated: max |t|^2+|p|^2 = {worst}")
+            raise ValueError("coupling constraint violated: max |t|^2+|p|^2 = "
+                             f"{self.coupling().max()}")
 
     @staticmethod
     def phases(vec: np.ndarray) -> np.ndarray:
@@ -63,17 +63,14 @@ class IosState:
     @classmethod
     def balanced(cls, L: int) -> "IosState":
         """Default start: equal split between reflection and refraction, zero phase."""
-        a = np.full(L, 1.0 / np.sqrt(2.0), dtype=complex)
-        return cls(a.copy(), a.copy(), a.copy(), a.copy())
+        return cls(np.full((2, 2, L), 1.0 / np.sqrt(2.0), dtype=complex))
 
     @classmethod
     def zeros(cls, L: int) -> "IosState":
-        z = np.zeros(L, dtype=complex)
-        return cls(z.copy(), z.copy(), z.copy(), z.copy())
+        return cls(np.zeros((2, 2, L), dtype=complex))
 
     def copy(self) -> "IosState":
-        return IosState(self.theta_t.copy(), self.phi_t.copy(),
-                        self.theta_u.copy(), self.phi_u.copy())
+        return IosState(self.coef.copy())
 
 
 @dataclass

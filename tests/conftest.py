@@ -58,7 +58,7 @@ def random_ios(rng, L):
                 b * np.exp(2j * np.pi * rng.uniform(size=L)))
     theta_t, phi_t = pair()
     theta_u, phi_u = pair()
-    return IosState(theta_t, phi_t, theta_u, phi_u)
+    return IosState(np.array([[theta_t, phi_t], [theta_u, phi_u]]))
 
 
 def random_beamformers(rng, K=2, n_tx=2, n_rx=2, n_u=2, p_b=4.0, p_u=2.0):

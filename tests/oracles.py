@@ -21,6 +21,8 @@ one user (and one interferer) at a time on single matrices:
 `pgd_side_plain` is the plain projected gradient that `phases._pgd_side`
 accelerates, and `pgd_side_unscaled` is `_pgd_side` run on the factors as
 given, without the binary block scaling; the two must agree bit for bit.
+`quantize_phases_per_vector` snaps and projects the four surface vectors one
+at a time, where `algorithm.quantize_phases` does it on the stacked array.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ import numpy as np
 from iosfd.errors import NumericalError
 from iosfd.linalg import hermitize, inv_pd, logdet_pd, max_eigval, solve_pd
 from iosfd.phases import PgdSettings, _value, project_feasible
-from iosfd.system import BeamformerSet, EffectiveChannels, rate_bits
+from iosfd.system import BeamformerSet, EffectiveChannels, IosState, rate_bits
 from iosfd.wmmse import WmmseState
 
 
@@ -386,3 +388,20 @@ def pgd_side_unscaled(f1, c1, f2, c2, v1, v2, settings: PgdSettings):
         r1, r2 = q1 + beta * (q1 - p1), q2 + beta * (q2 - p2)
         v1, v2, p1, p2, f_cur, t = w1, w2, q1, q2, f_new, t_next
     return v1, v2, settings.max_iters, True
+
+
+# -- surface ----------------------------------------------------------------
+
+def quantize_phases_per_vector(ios: IosState, bits: int):
+    """(theta_t, phi_t, theta_u, phi_u): each vector's phases snapped to the
+    nearest of 2^bits levels, then each side's pair projected onto its disks."""
+    delta = 2.0 * np.pi / (2 ** bits)
+
+    def snap(vec: np.ndarray) -> np.ndarray:
+        amp = np.abs(vec)
+        ph = np.round(IosState.phases(vec) / delta) * delta
+        return amp * np.exp(1j * ph)
+
+    theta_t, phi_t = project_feasible(snap(ios.theta_t), snap(ios.phi_t))
+    theta_u, phi_u = project_feasible(snap(ios.theta_u), snap(ios.phi_u))
+    return theta_t, phi_t, theta_u, phi_u

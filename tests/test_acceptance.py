@@ -200,7 +200,7 @@ def test_gradient_checks():
                            ("theta_u", pq.q_theta_u @ pq.q_theta_u.conj().T, pq.y)):
             def f(vec, attr=attr):
                 s = state.copy()
-                setattr(s, attr, vec)
+                getattr(s, attr)[:] = vec
                 return gprime_value(pq, s)
             vec = getattr(state, attr)
             grad_fd = fd_gradient(f, vec, h=1e-6)

@@ -8,6 +8,7 @@ from iosfd import (BeamformerSet, FadingParams, GeometryConfig, IosState, PgdSet
 from iosfd.errors import ConvergenceError
 
 from conftest import reference_geometry, random_ios
+from oracles import quantize_phases_per_vector
 
 
 def integrated_geometry(L=16, K=2, n=2):
@@ -143,7 +144,7 @@ def test_no_surface_ignores_surface_state():
 
 def test_quantize_snaps_to_nearest_level():
     ios = IosState.zeros(1)
-    ios.theta_t = np.array([0.5 * np.exp(1j * 0.4 * np.pi)])
+    ios.theta_t[:] = 0.5 * np.exp(1j * 0.4 * np.pi)
     out = quantize_phases(ios, 1)
     # one bit: levels {0, pi}; 0.4*pi rounds to 0
     assert out.theta_t[0] == pytest.approx(0.5)
@@ -159,6 +160,26 @@ def test_quantize_preserves_amplitude_and_feasibility(rng):
     assert out.is_feasible()
     with pytest.raises(ValueError):
         quantize_phases(ios, 0)
+
+
+def test_quantize_matches_per_vector_oracle(rng):
+    """One snap of the stacked array and one projection of both sides give the
+    same bits as snapping and projecting the four vectors one by one, also for
+    states outside the coupling disks and for tied sides."""
+    states = [random_ios(rng, 16), random_ios(rng, 1), IosState.zeros(3),
+              IosState.balanced(4)]
+    outside = random_ios(rng, 32)
+    outside.coef[:, :, ::2] *= 1.7
+    tied = random_ios(rng, 8)
+    tied.coef[1] = tied.coef[0]
+    states += [outside, tied]
+    for ios in states:
+        for bits in (1, 2, 3, 4, 8, 16):
+            out = quantize_phases(ios, bits)
+            want = quantize_phases_per_vector(ios, bits)
+            got = (out.theta_t, out.phi_t, out.theta_u, out.phi_u)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert out.is_feasible() and not np.shares_memory(out.coef, ios.coef)
 
 
 def test_fine_quantization_matches_continuous():
@@ -213,6 +234,17 @@ def test_scheme_spec_validation():
         SchemeSpec(Scheme.DS_IOS, quantization_bits=17)
     assert SchemeSpec("SS_IOS").kind is Scheme.SS_IOS
     assert SchemeSpec(Scheme.DS_IOS, quantization_bits=4).label == "DS_IOS_q4"
+    for bad in (4.5, 4.0, True, "4"):
+        with pytest.raises(ValueError, match="quantization_bits"):
+            SchemeSpec(Scheme.DS_IOS, quantization_bits=bad)
+    for kind in (Scheme.SS_IOS, Scheme.WO_IOS):
+        with pytest.raises(ValueError, match="tie_sides"):
+            SchemeSpec(kind, tie_sides=True)
+    labels = [SchemeSpec(Scheme.DS_IOS).label, SchemeSpec(Scheme.SS_IOS).label,
+              SchemeSpec(Scheme.WO_IOS).label,
+              SchemeSpec(Scheme.DS_IOS, tie_sides=True).label,
+              SchemeSpec(Scheme.DS_IOS, quantization_bits=3, quantize_at_end=True).label]
+    assert labels == ["DS_IOS", "SS_IOS", "WO_IOS", "DS_IOS_tied", "DS_IOS_q3_end"]
 
 
 def test_rerun_gives_identical_output():
@@ -233,7 +265,8 @@ def test_rerun_gives_identical_output():
 
 def test_guard_trips_on_corrupted_precoder_update(monkeypatch):
     """A precoder block that returns sign-flipped precoders lowers the
-    surrogate; the guard must stop the run and name the block."""
+    surrogate; the guard must stop the run and name the block, also for a
+    scheme that quantizes every iteration (quantization comes after the step)."""
     update = iosfd.algorithm.update_beamformers
 
     def flipped(*args, **kwargs):
@@ -241,8 +274,9 @@ def test_guard_trips_on_corrupted_precoder_update(monkeypatch):
         return BeamformerSet(-bf.v_d, -bf.v_u), duals
     monkeypatch.setattr(iosfd.algorithm, "update_beamformers", flipped)
     ch = channels_for(integrated_geometry(L=8), 0)
-    with pytest.raises(ConvergenceError, match="precoder update"):
-        run_algorithm2(ch, desk_config(), SchemeSpec(Scheme.DS_IOS))
+    for scheme in (SchemeSpec(Scheme.DS_IOS), SchemeSpec(Scheme.DS_IOS, quantization_bits=4)):
+        with pytest.raises(ConvergenceError, match="precoder update"):
+            run_algorithm2(ch, desk_config(), scheme)
 
 
 def test_outer_step_is_one_iteration_of_the_loop():

@@ -137,6 +137,25 @@ def test_trace_files_written(tmp_path):
     assert echoed["scenario"]["l_elements"] == 2
 
 
+def test_scheme_options_get_their_own_rows_and_traces(tmp_path):
+    """Every option is in the label, so each scheme of the list keeps its own
+    rows and one trace file per row."""
+    schemes = ["DS_IOS", {"kind": "DS_IOS", "tie_sides": True},
+               {"kind": "DS_IOS", "quantization_bits": 3},
+               {"kind": "DS_IOS", "quantization_bits": 3, "quantize_at_end": True}]
+    cfg = config_from_dict(tiny_config(schemes=schemes, seeds=[0, 1],
+                                       scenario={"l_elements": 8, "k_users": 2,
+                                                 "user_anchors": [[20.0, 20.0, 1.5],
+                                                                  [25.0, -35.0, 1.5]]}))
+    base = write_campaign(cfg, tmp_path)
+    rows = read_results_csv((base / "results.csv").read_text())
+    assert sorted({r.scheme for r in rows}) == ["DS_IOS", "DS_IOS_q3", "DS_IOS_q3_end",
+                                                "DS_IOS_tied"]
+    assert len(rows) == 8
+    assert sorted(f.name for f in (base / "traces").iterdir()) == sorted(
+        f"{r.scheme}_none_{r.seed}.csv" for r in rows)
+
+
 def test_aggregate_trivial_and_hand_values():
     rows = read_results_csv(
         "scheme,sweep_value,seed,weighted_sum_rate,iterations,terminated_by,"
@@ -255,6 +274,32 @@ def test_config_errors_carry_field_paths():
         with pytest.raises(ConfigError, match=r"scenario.user_anchors\[1\]"):
             config_from_dict(tiny_config(scenario={"k_users": 2,
                                                    "user_anchors": [anchors[0], bad]}))
+    for bad in (4.5, True, "4"):
+        with pytest.raises(ConfigError, match=r"schemes\[0\]: quantization_bits"):
+            config_from_dict(tiny_config(schemes=[{"kind": "DS_IOS", "quantization_bits": bad}]))
+    for name in ("tie_sides", "quantize_at_end"):
+        for bad in ("no", 1, None):
+            with pytest.raises(ConfigError, match=rf"schemes\[0\]: {name}"):
+                config_from_dict(tiny_config(schemes=[{"kind": "DS_IOS", name: bad}]))
+    for kind in ("SS_IOS", "WO_IOS"):
+        with pytest.raises(ConfigError, match=r"schemes\[0\]: tie_sides"):
+            config_from_dict(tiny_config(schemes=[{"kind": kind, "tie_sides": True}]))
+    for schemes in (["DS_IOS", "DS_IOS"], ["DS_IOS", {"kind": "DS_IOS", "tie_sides": False}]):
+        with pytest.raises(ConfigError, match=r"schemes\[1\]: label DS_IOS repeats schemes\[0\]"):
+            config_from_dict(tiny_config(schemes=schemes))
+    for section, name in (("powers", "p_b_dbm"), ("physics", "noise_dbm"),
+                          ("physics", "wavelength_m"), ("physics", "pathloss_exponent"),
+                          ("solver", "eps_w"), ("scenario", "l_elements")):
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ConfigError, match=f"{section}.{name}"):
+                config_from_dict(tiny_config(**{section: {name: bad}}))
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match=r"sweep.values\[1\]"):
+            config_from_dict(tiny_config(sweep={"axis": "P_B", "values": [0.0, bad]}))
+    with pytest.raises(ConfigError, match="seeds"):
+        config_from_dict(tiny_config(seeds=[0, -1]))
+    with pytest.raises(ConfigError, match="seeds.base"):
+        config_from_dict(tiny_config(seeds={"base": -1, "count": 2}))
     ok = config_from_dict(tiny_config(solver={"divergence_rel_tol": 0.0},
                                       physics={"gain_exponent_tx": 0.0},
                                       scenario={"tx_anchor": [0, 0, 5], "k_users": 2,
@@ -322,7 +367,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(tiny_config()))
     for flag, value, field in (("--solver.pgd-max-iters", "0", "solver.pgd_max_iters"),
-                               ("--scenario.tx-anchor", "[0,0]", "scenario.tx_anchor")):
+                               ("--scenario.tx-anchor", "[0,0]", "scenario.tx_anchor"),
+                               ("--powers.p-b-dbm", "Infinity", "powers.p_b_dbm"),
+                               ("--solver.eps-w", "NaN", "solver.eps_w"),
+                               ("--seeds", "[-1]", "seeds")):
         capsys.readouterr()
         assert main(["simulate", "--config", str(good), "--threads", "1",
                      "--out", str(tmp_path / "out"), flag, value]) == 2

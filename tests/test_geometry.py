@@ -87,3 +87,21 @@ def test_user_tx_rx_rows_never_collide():
     for txp, rxp in zip(lay.user_tx_positions, lay.user_rx_positions):
         d = np.linalg.norm(txp[:, None, :] - rxp[None, :, :], axis=-1)
         assert d.min() >= 0.025 - 1e-12
+
+
+def test_user_positions_are_stacked_per_user_rows():
+    """(K, N_ut, 3) and (K, N_ur, 3) arrays with the bits of the per-user rows:
+    a transmit row from the anchor along x, a receive row half a wavelength
+    along y from it."""
+    cfg = reference_geometry(K=3, n_user=2)
+    cfg.n_user_tx = 3
+    lay = build_layout(cfg)
+    assert lay.user_tx_positions.shape == (3, 3, 3)
+    assert lay.user_rx_positions.shape == (3, 2, 3)
+    spacing = cfg.wavelength / 2.0
+    xhat, yhat = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    for k, anchor in enumerate(np.asarray(cfg.user_anchors, dtype=float)):
+        tx = anchor + spacing * np.arange(3)[:, None] * xhat
+        rx = anchor + spacing * yhat + spacing * np.arange(2)[:, None] * xhat
+        assert np.array_equal(lay.user_tx_positions[k], tx)
+        assert np.array_equal(lay.user_rx_positions[k], rx)

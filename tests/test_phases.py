@@ -320,11 +320,10 @@ def close_mounted_qcqps(L, seed, n_outer):
 def plain_solve(pq, init, settings):
     """Both sides of `solve_qcqp` solved by the plain projected-gradient oracle."""
     out = init.copy()
-    for side in ("t", "u"):
-        phi, theta, _ = pgd_side_plain(*side_blocks(pq, side), getattr(init, "phi_" + side),
-                                       getattr(init, "theta_" + side), settings)
-        setattr(out, "phi_" + side, phi)
-        setattr(out, "theta_" + side, theta)
+    for s, side in enumerate("tu"):
+        phi, theta, _ = pgd_side_plain(*side_blocks(pq, side), init.coef[s, 1],
+                                       init.coef[s, 0], settings)
+        out.coef[s] = theta, phi
     return out
 
 
@@ -385,7 +384,7 @@ def test_accelerated_pgd_restarts_on_ill_conditioned_block(monkeypatch):
     # every trial beyond the first projection and one per iteration is a restart.
     assert not capped and len(trials) > iters + 1
     out = init.copy()
-    out.phi_t, out.theta_t = phi, theta
+    out.phi_t[:], out.theta_t[:] = phi, theta
     g_out = gprime_value(pq, out)
     assert g_out <= gprime_value(pq, init)
     ref_phi, ref_theta, ref_capped = pgd_side_plain(
@@ -393,7 +392,7 @@ def test_accelerated_pgd_restarts_on_ill_conditioned_block(monkeypatch):
         PgdSettings(max_iters=200000, tolerance=1e-15))
     assert not ref_capped
     ref = init.copy()
-    ref.phi_t, ref.theta_t = ref_phi, ref_theta
+    ref.phi_t[:], ref.theta_t[:] = ref_phi, ref_theta
     assert g_out == pytest.approx(gprime_value(pq, ref), rel=1e-12, abs=1e-12)
     assert np.allclose(phi, ref_phi, atol=1e-5) and np.allclose(theta, ref_theta, atol=1e-5)
 
@@ -490,7 +489,7 @@ def test_gprime_gradient_matches_finite_differences(rng):
 
         def f(phi):
             s = state.copy()
-            s.phi_t = phi
+            s.phi_t[:] = phi
             return gprime_value(pq, s)
 
         grad = fd_gradient(f, state.phi_t, h=1e-6)

@@ -21,10 +21,45 @@ def test_ios_state_feasibility():
     good = IosState.balanced(4)
     assert good.is_feasible()
     bad = IosState.balanced(4)
-    bad.theta_t = np.full(4, 0.9 + 0j)
+    bad.theta_t[:] = 0.9
     assert not bad.is_feasible()
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def test_ios_state_is_one_side_by_kind_array(rng):
+    """coef[s, 0] is theta and coef[s, 1] phi of side s (0: t, 1: u); the
+    named vectors are views that write through and cannot be rebound."""
+    ios = random_ios(rng, 5)
+    assert ios.coef.shape == (2, 2, 5) and ios.n_elements == 5
+    named = (("theta_t", 0, 0), ("phi_t", 0, 1), ("theta_u", 1, 0), ("phi_u", 1, 1))
+    for i, (name, side, kind) in enumerate(named):
+        view = getattr(ios, name)
+        assert np.shares_memory(view, ios.coef)
+        view[2] = 0.1 * (i + 1)
+        assert ios.coef[side, kind, 2] == 0.1 * (i + 1)
+        with pytest.raises(AttributeError):
+            setattr(ios, name, np.zeros(5, complex))
+    copy = ios.copy()
+    assert np.array_equal(copy.coef, ios.coef) and not np.shares_memory(copy.coef, ios.coef)
+
+
+def test_ios_state_rejects_wrong_shape():
+    for shape in ((4, 8), (2, 8), (1, 2, 8), (2, 3, 8), (2, 2, 2, 8), (2, 2)):
+        with pytest.raises(ValueError, match=r"\(2, 2, L\)"):
+            IosState(np.zeros(shape, complex))
+    assert IosState(np.zeros((2, 2, 3))).coef.dtype == complex
+
+
+def test_coupling_is_per_side(rng):
+    ios = random_ios(rng, 6)
+    got = ios.coupling()
+    assert got.shape == (2, 6)
+    for s, (theta, phi) in enumerate(((ios.theta_t, ios.phi_t), (ios.theta_u, ios.phi_u))):
+        assert np.array_equal(got[s], np.abs(theta) ** 2 + np.abs(phi) ** 2)
+    ios.phi_u[4] = 1.0
+    assert ios.coupling()[1, 4] > 1.0 and ios.coupling()[0, 4] <= 1.0
+    assert not ios.is_feasible()
 
 
 def test_phases_canonical_range(rng):
@@ -47,7 +82,7 @@ def test_surface_off_reduces_to_direct_terms(rng):
 def test_scalar_refraction_product():
     ch = scalar_channels(h_ti=2.0, h_iu=1.0)
     ios = IosState.zeros(1)
-    ios.phi_t = np.array([0.5 * np.exp(1j * np.pi)])
+    ios.phi_t[:] = 0.5 * np.exp(1j * np.pi)
     eff = compose_effective(ch, ios)
     # conj(1) * 0.5 e^{j pi} * 2 = -1
     assert eff.h_kd[0][0, 0] == pytest.approx(-1.0)
@@ -56,7 +91,7 @@ def test_scalar_refraction_product():
 def test_scalar_reflection_self_coupling():
     ch = scalar_channels(h_ti=1.0, h_ir=1.0, h_tr=0.0)
     ios = IosState.zeros(1)
-    ios.theta_t = np.array([1.0 + 0j])
+    ios.theta_t[:] = 1.0
     eff = compose_effective(ch, ios)
     assert eff.h_t[0, 0] == pytest.approx(1.0)
 
@@ -66,8 +101,7 @@ def test_compose_is_linear_in_each_vector(rng):
     a, b = random_ios(rng, 4), random_ios(rng, 4)
     eff_a = compose_effective(ch, a)
     eff_b = compose_effective(ch, b)
-    summed = IosState(a.theta_t + b.theta_t, a.phi_t + b.phi_t,
-                      a.theta_u + b.theta_u, a.phi_u + b.phi_u)
+    summed = IosState(a.coef + b.coef)
     eff_s = compose_effective(ch, summed)
     for k in range(2):
         assert np.allclose(eff_s.h_kd[k], eff_a.h_kd[k] + eff_b.h_kd[k])
@@ -111,7 +145,7 @@ def test_zero_beamformer_zero_rate(rng):
 def test_scalar_snr_one_gives_one_bit():
     ch = scalar_channels(h_ti=1.0, h_iu=1.0)
     ios = IosState.zeros(1)
-    ios.phi_t = np.array([1.0 + 0j])
+    ios.phi_t[:] = 1.0
     eff = compose_effective(ch, ios)
     # |h|^2 p / sigma^2 = 1 with h = conj(1)*1*1, p = 1, sigma^2 = 1
     bf = BeamformerSet([np.array([[1.0 + 0j]])], [np.array([[0.0 + 0j]])])
@@ -121,7 +155,7 @@ def test_scalar_snr_one_gives_one_bit():
 def test_scalar_uplink_snr_three_gives_two_bits():
     ch = scalar_channels(h_ti=0.0, h_ir=1.0, h_iu=1.0, h_tr=0.0)
     ios = IosState.zeros(1)
-    ios.phi_u = np.array([1.0 + 0j])
+    ios.phi_u[:] = 1.0
     eff = compose_effective(ch, ios)
     bf = BeamformerSet([np.array([[0.0 + 0j]])], [np.array([[np.sqrt(3.0) + 0j]])])
     assert uplink_rate(eff, bf, 0, 1.0) == pytest.approx(2.0)

@@ -19,7 +19,7 @@ def scalar_setup():
     ch = ChannelSet(h_ti=one(1.0), h_tr=one(0.0), h_iu=[one(1.0)],
                     h_ir=one(0.0), h_uu=[[one(0.0)]])
     ios = IosState.zeros(1)
-    ios.phi_t = np.array([1.0 + 0j])
+    ios.phi_t[:] = 1.0
     eff = compose_effective(ch, ios)
     bf = BeamformerSet([one(1.0)], [one(0.0)])
     return eff, bf

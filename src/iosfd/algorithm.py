@@ -5,7 +5,9 @@ precoders (dual multipliers by safeguarded secant search), surface
 coefficients (projected-gradient QCQP).  Each block maximizes the shared
 surrogate with the others fixed, so the true weighted sum rate never
 decreases between iterations; a guard aborts if numerics break that
-promise.  Termination is by relative change of the weighted sum rate.
+promise.  `run_algorithm2` speeds the iteration up with safeguarded SQUAREM
+extrapolation, which keeps an extrapolated iterate only if it does not lower
+the rate.  Termination is by relative change of the weighted sum rate.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from .system import (BeamformerSet, EffectiveChannels, IosState, RateReport,
 from .wmmse import surrogate_objective, update_state
 
 _STEP_TOL = 1e-9
+_MAX_TRIALS = 3     # extrapolated map evaluations per SQUAREM cycle
 
 
 class Scheme(str, enum.Enum):
@@ -48,6 +51,10 @@ class SchemeSpec:
             raise ValueError(f"quantization_bits must be an integer in [1, 16], got {bits!r}")
         if self.tie_sides and self.kind is not Scheme.DS_IOS:
             raise ValueError(f"tie_sides needs DS_IOS, not {self.kind.value}")
+        if bits is not None and not self.uses_surface:
+            raise ValueError(f"quantization_bits needs a surface, not {self.kind.value}")
+        if self.quantize_at_end and bits is None:
+            raise ValueError("quantize_at_end needs quantization_bits")
 
     @property
     def uses_surface(self) -> bool:
@@ -56,8 +63,7 @@ class SchemeSpec:
     @property
     def quantizes_each_iter(self) -> bool:
         """Phases snapped after every outer iteration, off the ascent path."""
-        return (self.quantization_bits is not None and not self.quantize_at_end
-                and self.uses_surface)
+        return self.quantization_bits is not None and not self.quantize_at_end
 
     @property
     def optimizes_downlink(self) -> bool:
@@ -107,6 +113,8 @@ class ConvergenceTrace:
     step_surrogates: list[tuple[float, float, float]] = field(default_factory=list)
     pgd_cap_exits: int = 0                 # surface side solves stopped at the PGD cap
     pgd_iters: int = 0                     # PGD iterations over all surface side solves
+    extrapolations_accepted: int = 0       # SQUAREM trials kept
+    extrapolations_rejected: int = 0       # SQUAREM trials that fell below the plain step
 
 
 @dataclass
@@ -213,52 +221,148 @@ def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, bf: Beamforme
     return bf, ios, eff, counts, duals, (s2, s3, s4)
 
 
-def run_algorithm2(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec) -> RunResult:
-    """Alternate decoder/weight, precoder, and surface updates to a fixed point."""
-    bf, ios, eff = apply_scheme(scheme, ch, cfg)
-    monotone = not scheme.quantizes_each_iter
+def _rate(eff: EffectiveChannels, bf: BeamformerSet, cfg: RunConfig) -> RateReport:
+    return weighted_sum_rate(eff, bf, cfg.gamma_down, cfg.gamma_up,
+                             cfg.noise_users, cfg.noise_rx)
 
-    report = weighted_sum_rate(eff, bf, cfg.gamma_down, cfg.gamma_up,
-                               cfg.noise_users, cfg.noise_rx)
-    rates = [report.weighted_sum]
-    step_log: list[tuple[float, float, float]] = []
+
+def _settled(new: float, old: float, eps_w: float) -> bool:
+    """The stop test: relative change of the weighted sum rate within eps_w."""
+    diff = abs(new - old)
+    return diff == 0.0 or diff / max(abs(new), 1e-300) <= eps_w
+
+
+@dataclass
+class _Iterate:
+    """One point of the outer loop with everything a run returns from it."""
+    bf: BeamformerSet
+    ios: IosState
+    eff: EffectiveChannels
+    report: RateReport
     duals: DualState | None = None
-    terminated_by = "max_iters"
-    iterations = pgd_iters = pgd_cap_exits = 0
+    s4: float | None = None     # last surrogate of the step that produced it
 
-    prev_s4 = None
-    for it in range(cfg.max_outer_iters):
-        bf, ios, eff, pgd, duals, surrogates = outer_step(ch, cfg, scheme, bf, ios, eff,
-                                                          prev_s4)
-        pgd_iters += pgd.iters
-        pgd_cap_exits += pgd.cap_exits
-        step_log.append(surrogates)
-        prev_s4 = surrogates[2]
+    @property
+    def rate(self) -> float:
+        return self.report.weighted_sum
 
-        if scheme.quantizes_each_iter:
-            ios = quantize_phases(ios, scheme.quantization_bits)
-            eff = _compose(ch, ios, scheme)
-            prev_s4 = None  # quantization may step off the ascent path
 
-        report = weighted_sum_rate(eff, bf, cfg.gamma_down, cfg.gamma_up,
-                                   cfg.noise_users, cfg.noise_rx)
-        new, old = report.weighted_sum, rates[-1]
-        rates.append(new)
-        iterations = it + 1
-        if monotone and (old - new) > cfg.divergence_rel_tol * max(abs(new), 1e-12):
-            raise ConvergenceError(
-                f"weighted sum rate decreased at iteration {iterations}: {old} -> {new}")
-        diff = abs(new - old)
-        if diff == 0.0 or diff / max(abs(new), 1e-300) <= cfg.eps_w:
-            terminated_by = "tolerance"
+class _Steps:
+    """The `outer_step` calls of one run and the trace they leave."""
+
+    def __init__(self, ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, start: _Iterate):
+        self.ch, self.cfg, self.scheme = ch, cfg, scheme
+        self.trace = ConvergenceTrace([start.rate], 0, "max_iters")
+
+    @property
+    def exhausted(self) -> bool:
+        return self.trace.iterations >= self.cfg.max_outer_iters
+
+    def take(self, bf: BeamformerSet, ios: IosState, eff: EffectiveChannels,
+             prev_s4: float | None) -> _Iterate:
+        """One counted map evaluation, with the phases snapped after it for
+        schemes that quantize every iteration.  The image carries its rate."""
+        bf, ios, eff, pgd, duals, surrogates = outer_step(self.ch, self.cfg, self.scheme,
+                                                          bf, ios, eff, prev_s4)
+        t = self.trace
+        t.iterations += 1
+        t.pgd_iters += pgd.iters
+        t.pgd_cap_exits += pgd.cap_exits
+        t.step_surrogates.append(surrogates)
+        if self.scheme.quantizes_each_iter:
+            ios = quantize_phases(ios, self.scheme.quantization_bits)
+            eff = _compose(self.ch, ios, self.scheme)
+        return _Iterate(bf, ios, eff, _rate(eff, bf, self.cfg), duals, surrogates[2])
+
+    def plain(self, x: _Iterate) -> tuple[_Iterate, bool]:
+        """A plain step from x, then the stop test (True when it holds).
+        Monotone schemes are held to ascent; quantized ones step off the
+        ascent path and start each step without a guard surrogate."""
+        monotone = not self.scheme.quantizes_each_iter
+        y = self.take(x.bf, x.ios, x.eff, x.s4 if monotone else None)
+        self.trace.rates.append(y.rate)
+        if monotone and (x.rate - y.rate) > self.cfg.divergence_rel_tol * max(abs(y.rate),
+                                                                              1e-12):
+            raise ConvergenceError(f"weighted sum rate decreased at iteration "
+                                   f"{self.trace.iterations}: {x.rate} -> {y.rate}")
+        if _settled(y.rate, x.rate, self.cfg.eps_w):
+            self.trace.terminated_by = "tolerance"
+            return y, True
+        return y, False
+
+
+def _project_budgets(bf: BeamformerSet, p_b: float, p_u: float) -> BeamformerSet:
+    """Scale the downlink to at most P_B in total and each uplink user to at most P_U."""
+    v_d, v_u = bf.v_d, bf.v_u
+    p_d = float(np.sum(np.abs(v_d) ** 2))
+    if p_d > p_b:
+        v_d = v_d * np.sqrt(p_b / p_d)
+    p_k = np.sum(np.abs(v_u) ** 2, axis=(1, 2))
+    over = p_k > p_u
+    if np.any(over):
+        v_u = v_u * np.where(over, np.sqrt(p_u / np.where(over, p_k, 1.0)), 1.0)[:, None, None]
+    return BeamformerSet(v_d, v_u)
+
+
+def _extrapolate(steps: _Steps, x0: _Iterate, x1: _Iterate, x2: _Iterate) -> _Iterate:
+    """The SQUAREM step from x0 over x1 = F(x0) and x2 = F(x1).
+
+    With r = x1 - x0, v = x2 - x1 - r and alpha = min(-|r|/|v|, -1), the
+    point x0 - 2 alpha r + alpha^2 v is projected onto the budgets and the
+    coupling disks and mapped once more; no rate is evaluated at the point
+    itself.  The image is kept if its weighted sum rate is no lower than x2's.
+    Otherwise alpha moves halfway to -1, where the point is x2 itself, for at
+    most `_MAX_TRIALS` trials, and x2 is kept.  Each trial is one counted
+    iteration and logs the rate of the iterate kept after it.
+    """
+    a0, a1, a2 = ((x.bf.v_d, x.bf.v_u, x.ios.coef) for x in (x0, x1, x2))
+    r = [b - a for a, b in zip(a0, a1)]
+    v = [c - b - d for b, c, d in zip(a1, a2, r)]
+    norm_r = np.sqrt(sum(np.vdot(d, d).real for d in r))
+    norm_v = np.sqrt(sum(np.vdot(d, d).real for d in v))
+    alpha = -norm_r / norm_v if norm_v > 0.0 else -1.0
+    trace, cfg = steps.trace, steps.cfg
+    for _ in range(_MAX_TRIALS):
+        if alpha >= -1.0 or steps.exhausted:
             break
+        v_d, v_u, coef = (a - 2.0 * alpha * d + alpha ** 2 * e for a, d, e in zip(a0, r, v))
+        bf = _project_budgets(BeamformerSet(v_d, v_u), cfg.p_b, cfg.p_u)
+        ios = IosState(np.stack(project_feasible(coef[:, 0], coef[:, 1]), axis=1))
+        x3 = steps.take(bf, ios, _compose(steps.ch, ios, steps.scheme), None)
+        if x3.rate >= x2.rate:
+            trace.extrapolations_accepted += 1
+            trace.rates.append(x3.rate)
+            return x3
+        trace.extrapolations_rejected += 1
+        trace.rates.append(x2.rate)
+        alpha = 0.5 * (alpha - 1.0)
+    return x2
 
-    if scheme.quantization_bits is not None and scheme.quantize_at_end and scheme.uses_surface:
-        ios = quantize_phases(ios, scheme.quantization_bits)
+
+def run_algorithm2(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec) -> RunResult:
+    """Alternate decoder/weight, precoder, and surface updates to a fixed point.
+
+    Monotone schemes run SQUAREM cycles (Varadhan & Roland, Scand. J. Statist.
+    2008) over x = (V_d, V_u, coef) with `outer_step` as the map: two plain
+    steps, then one safeguarded extrapolation (`_extrapolate`).  The stop test
+    runs after plain steps only, so a run ends on a plain step or at the
+    iteration cap.  Schemes that quantize every iteration take plain steps
+    alone.
+    """
+    bf, ios, eff = apply_scheme(scheme, ch, cfg)
+    x = _Iterate(bf, ios, eff, _rate(eff, bf, cfg))
+    steps = _Steps(ch, cfg, scheme, x)
+    done = False
+    while not (done or steps.exhausted):
+        x1, done = steps.plain(x)
+        if done or steps.exhausted or scheme.quantizes_each_iter:
+            x = x1
+            continue
+        x2, done = steps.plain(x1)
+        x = x2 if done else _extrapolate(steps, x, x1, x2)
+
+    if scheme.quantize_at_end:
+        ios = quantize_phases(x.ios, scheme.quantization_bits)
         eff = _compose(ch, ios, scheme)
-        report = weighted_sum_rate(eff, bf, cfg.gamma_down, cfg.gamma_up,
-                                   cfg.noise_users, cfg.noise_rx)
-
-    trace = ConvergenceTrace(rates, iterations, terminated_by, step_log,
-                             pgd_cap_exits, pgd_iters)
-    return RunResult(bf, ios, trace, report, duals)
+        x = _Iterate(x.bf, ios, eff, _rate(eff, x.bf, cfg), x.duals)
+    return RunResult(x.bf, x.ios, steps.trace, x.report, x.duals)

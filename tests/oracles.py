@@ -23,12 +23,18 @@ accelerates, and `pgd_side_unscaled` is `_pgd_side` run on the factors as
 given, without the binary block scaling; the two must agree bit for bit.
 `quantize_phases_per_vector` snaps and projects the four surface vectors one
 at a time, where `algorithm.quantize_phases` does it on the stacked array.
+
+`run_plain` is the outer loop without extrapolation: one `outer_step` per
+iteration, the stop test after each.  `algorithm.run_algorithm2` runs it as
+is for schemes that quantize every iteration and adds SQUAREM cycles for the
+others.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from iosfd.errors import NumericalError
+import iosfd.algorithm
+from iosfd.errors import ConvergenceError, NumericalError
 from iosfd.linalg import hermitize, inv_pd, logdet_pd, max_eigval, solve_pd
 from iosfd.phases import PgdSettings, _value, project_feasible
 from iosfd.system import BeamformerSet, EffectiveChannels, IosState, rate_bits
@@ -405,3 +411,60 @@ def quantize_phases_per_vector(ios: IosState, bits: int):
     theta_t, phi_t = project_feasible(snap(ios.theta_t), snap(ios.phi_t))
     theta_u, phi_u = project_feasible(snap(ios.theta_u), snap(ios.phi_u))
     return theta_t, phi_t, theta_u, phi_u
+
+
+# -- outer loop -----------------------------------------------------------------
+
+def run_plain(ch, cfg, scheme):
+    """Plain alternating loop: `outer_step` until the relative change of the
+    weighted sum rate is within eps_w; monotone schemes are held to ascent.
+    Blocks are looked up in `iosfd.algorithm`, as the package does."""
+    alg = iosfd.algorithm
+    bf, ios, eff = alg.apply_scheme(scheme, ch, cfg)
+    monotone = not scheme.quantizes_each_iter
+
+    def rate(eff, bf):
+        return alg.weighted_sum_rate(eff, bf, cfg.gamma_down, cfg.gamma_up,
+                                     cfg.noise_users, cfg.noise_rx)
+
+    report = rate(eff, bf)
+    rates = [report.weighted_sum]
+    step_log = []
+    duals = None
+    terminated_by = "max_iters"
+    iterations = pgd_iters = pgd_cap_exits = 0
+
+    prev_s4 = None
+    for it in range(cfg.max_outer_iters):
+        bf, ios, eff, pgd, duals, surrogates = alg.outer_step(ch, cfg, scheme, bf, ios, eff,
+                                                              prev_s4)
+        pgd_iters += pgd.iters
+        pgd_cap_exits += pgd.cap_exits
+        step_log.append(surrogates)
+        prev_s4 = surrogates[2]
+
+        if scheme.quantizes_each_iter:
+            ios = alg.quantize_phases(ios, scheme.quantization_bits)
+            eff = alg._compose(ch, ios, scheme)
+            prev_s4 = None  # quantization may step off the ascent path
+
+        report = rate(eff, bf)
+        new, old = report.weighted_sum, rates[-1]
+        rates.append(new)
+        iterations = it + 1
+        if monotone and (old - new) > cfg.divergence_rel_tol * max(abs(new), 1e-12):
+            raise ConvergenceError(
+                f"weighted sum rate decreased at iteration {iterations}: {old} -> {new}")
+        diff = abs(new - old)
+        if diff == 0.0 or diff / max(abs(new), 1e-300) <= cfg.eps_w:
+            terminated_by = "tolerance"
+            break
+
+    if scheme.quantize_at_end:
+        ios = alg.quantize_phases(ios, scheme.quantization_bits)
+        eff = alg._compose(ch, ios, scheme)
+        report = rate(eff, bf)
+
+    trace = alg.ConvergenceTrace(rates, iterations, terminated_by, step_log,
+                                 pgd_cap_exits, pgd_iters)
+    return alg.RunResult(bf, ios, trace, report, duals)

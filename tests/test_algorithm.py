@@ -8,7 +8,7 @@ from iosfd import (BeamformerSet, FadingParams, GeometryConfig, IosState, PgdSet
 from iosfd.errors import ConvergenceError
 
 from conftest import reference_geometry, random_ios
-from oracles import quantize_phases_per_vector
+from oracles import quantize_phases_per_vector, run_plain
 
 
 def integrated_geometry(L=16, K=2, n=2):
@@ -212,6 +212,10 @@ def test_tied_sides_share_coefficients():
     assert np.array_equal(res.ios.theta_t, res.ios.theta_u)
     assert np.array_equal(res.ios.phi_t, res.ios.phi_u)
     assert res.ios.is_feasible()
+    ch, cfg = _physical_run(1, SchemeSpec(Scheme.DS_IOS))
+    res = run_algorithm2(ch, cfg, SchemeSpec(Scheme.DS_IOS, tie_sides=True))
+    assert res.trace.extrapolations_accepted > 0
+    assert np.array_equal(res.ios.coef[0], res.ios.coef[1])
 
 
 def test_rate_increases_with_elements_in_the_mean():
@@ -240,6 +244,12 @@ def test_scheme_spec_validation():
     for kind in (Scheme.SS_IOS, Scheme.WO_IOS):
         with pytest.raises(ValueError, match="tie_sides"):
             SchemeSpec(kind, tie_sides=True)
+    with pytest.raises(ValueError, match="quantization_bits needs a surface"):
+        SchemeSpec(Scheme.WO_IOS, quantization_bits=4)
+    for kind in (Scheme.DS_IOS, Scheme.SS_IOS, Scheme.WO_IOS):
+        with pytest.raises(ValueError, match="quantize_at_end needs quantization_bits"):
+            SchemeSpec(kind, quantize_at_end=True)
+    assert SchemeSpec(Scheme.SS_IOS, quantization_bits=2).quantizes_each_iter
     labels = [SchemeSpec(Scheme.DS_IOS).label, SchemeSpec(Scheme.SS_IOS).label,
               SchemeSpec(Scheme.WO_IOS).label,
               SchemeSpec(Scheme.DS_IOS, tie_sides=True).label,
@@ -252,15 +262,13 @@ def test_rerun_gives_identical_output():
     precoders, surface and multipliers."""
     ch = channels_for(integrated_geometry(L=8), 2)
     a, b = (run_algorithm2(ch, desk_config(K=2), SchemeSpec(Scheme.DS_IOS)) for _ in range(2))
-    assert a.trace.rates == b.trace.rates
-    assert a.trace.step_surrogates == b.trace.step_surrogates
-    for x, y in ((a.beamformers.v_d, b.beamformers.v_d), (a.beamformers.v_u, b.beamformers.v_u),
-                 (a.ios.theta_t, b.ios.theta_t), (a.ios.phi_t, b.ios.phi_t),
-                 (a.ios.theta_u, b.ios.theta_u), (a.ios.phi_u, b.ios.phi_u),
-                 (a.report.r_down, b.report.r_down), (a.report.r_up, b.report.r_up),
-                 (a.duals.lambda_u, b.duals.lambda_u)):
-        assert np.array_equal(x, y)
-    assert a.duals.mu_d == b.duals.mu_d
+    _same_run(a, b)
+    ch, cfg = _physical_run(0, SchemeSpec(Scheme.DS_IOS))
+    a, b = (run_algorithm2(ch, cfg, SchemeSpec(Scheme.DS_IOS)) for _ in range(2))
+    _same_run(a, b)
+    assert a.trace.extrapolations_accepted > 0
+    assert (a.trace.extrapolations_accepted, a.trace.extrapolations_rejected) == \
+        (b.trace.extrapolations_accepted, b.trace.extrapolations_rejected)
 
 
 def test_guard_trips_on_corrupted_precoder_update(monkeypatch):
@@ -279,15 +287,29 @@ def test_guard_trips_on_corrupted_precoder_update(monkeypatch):
             run_algorithm2(ch, desk_config(), scheme)
 
 
+def _same_run(a, b):
+    """Trace, precoders, surface, rates and multipliers agree bit for bit."""
+    assert a.trace.rates == b.trace.rates
+    assert a.trace.step_surrogates == b.trace.step_surrogates
+    assert (a.trace.iterations, a.trace.terminated_by) == (b.trace.iterations,
+                                                          b.trace.terminated_by)
+    for x, y in ((a.beamformers.v_d, b.beamformers.v_d), (a.beamformers.v_u, b.beamformers.v_u),
+                 (a.ios.coef, b.ios.coef), (a.report.r_down, b.report.r_down),
+                 (a.report.r_up, b.report.r_up), (a.duals.lambda_u, b.duals.lambda_u)):
+        assert np.array_equal(x, y)
+    assert a.duals.mu_d == b.duals.mu_d
+    assert a.report.weighted_sum == b.report.weighted_sum
+
+
 def test_outer_step_is_one_iteration_of_the_loop():
-    """Steps taken by hand from the initial state reproduce the run's
+    """Steps taken by hand from the initial state reproduce the plain loop's
     surrogates, precoders, surface and multipliers bit for bit, for the
     dual-side, single-side and no-surface schemes."""
     cfg = desk_config(max_outer=3)
     for kind in (Scheme.DS_IOS, Scheme.SS_IOS, Scheme.WO_IOS):
         scheme = SchemeSpec(kind)
         ch = channels_for(integrated_geometry(L=8), 1, direct=kind is Scheme.WO_IOS)
-        res = run_algorithm2(ch, cfg, scheme)
+        res = run_plain(ch, cfg, scheme)
         bf, ios, eff = iosfd.algorithm.apply_scheme(scheme, ch, cfg)
         prev_s4, surrogates = None, []
         for _ in range(res.trace.iterations):
@@ -302,3 +324,185 @@ def test_outer_step_is_one_iteration_of_the_loop():
                      (duals.lambda_u, res.duals.lambda_u)):
             assert np.array_equal(x, y)
         assert duals.mu_d == res.duals.mu_d
+
+
+def test_quantized_each_iteration_runs_the_plain_loop():
+    """Schemes that quantize every iteration take plain steps only: the run
+    equals the plain loop bit for bit and tries no extrapolation."""
+    for seed in range(3):
+        ch = channels_for(integrated_geometry(L=8), seed)
+        for scheme in (SchemeSpec(Scheme.DS_IOS, quantization_bits=4),
+                       SchemeSpec(Scheme.SS_IOS, quantization_bits=2),
+                       SchemeSpec(Scheme.DS_IOS, quantization_bits=3, tie_sides=True)):
+            res = run_algorithm2(ch, desk_config(), scheme)
+            _same_run(res, run_plain(ch, desk_config(), scheme))
+            assert res.trace.extrapolations_accepted == res.trace.extrapolations_rejected == 0
+
+
+def _acceptance_config(K=3, max_outer=500):
+    """10 dBm / 5 dBm budgets at -80 dBm noise, in mW."""
+    return RunConfig(gamma_down=np.full(K, 0.5), gamma_up=np.full(K, 0.5),
+                     noise_users=np.full(K, 1e-8), noise_rx=1e-8,
+                     p_b=10.0, p_u=10 ** 0.5, max_outer_iters=max_outer)
+
+
+def _physical_run(seed, scheme, L=16):
+    """A crawling run on a physical-scale draw (reference geometry, entries
+    around 1e-4), so the extrapolation has work to do."""
+    ch = channels_for(reference_geometry(L=L, K=3), seed, direct=scheme.kind is Scheme.WO_IOS)
+    assert 1e-6 < np.max(np.abs(ch.h_ti)) < 1e-2
+    return ch, _acceptance_config()
+
+
+def _record_trials(monkeypatch):
+    """Record (prev_s4, bf, ios) at the start of every map evaluation; after
+    the first, only extrapolated trials start without a guard surrogate."""
+    step = iosfd.algorithm.outer_step
+    starts = []
+
+    def recording(ch, cfg, scheme, bf, ios, eff, prev_s4=None):
+        starts.append((prev_s4, bf, ios))
+        return step(ch, cfg, scheme, bf, ios, eff, prev_s4)
+    monkeypatch.setattr(iosfd.algorithm, "outer_step", recording)
+    return starts
+
+
+def test_extrapolated_trace_accounting(monkeypatch):
+    """Every map evaluation is one iteration with one surrogate triple and one
+    trace entry; the trace never falls and ends at the reported rate; each
+    kept extrapolation follows two plain steps; the stop test fires on a
+    plain step only."""
+    rejected = 0
+    for seed, scheme in ((0, SchemeSpec(Scheme.DS_IOS)), (0, SchemeSpec(Scheme.WO_IOS)),
+                         (2, SchemeSpec(Scheme.SS_IOS)),
+                         (3, SchemeSpec(Scheme.DS_IOS, quantization_bits=4,
+                                        quantize_at_end=True))):
+        ch, cfg = _physical_run(seed, scheme)
+        starts = _record_trials(monkeypatch)
+        res = run_algorithm2(ch, cfg, scheme)
+        monkeypatch.undo()
+        t = res.trace
+        rates = np.asarray(t.rates)
+        assert len(starts) == t.iterations == len(t.step_surrogates) == len(rates) - 1
+        assert np.all(np.diff(rates) >= 0.0)
+        assert t.extrapolations_accepted > 0
+        assert 3 * t.extrapolations_accepted + t.extrapolations_rejected <= t.iterations
+        assert np.count_nonzero(np.diff(rates) == 0.0) >= t.extrapolations_rejected
+        rejected += t.extrapolations_rejected
+        assert t.terminated_by == "tolerance" and t.iterations < cfg.max_outer_iters
+        assert starts[-1][0] is not None    # the last map evaluation was a plain step
+        if not scheme.quantize_at_end:
+            assert rates[-1] == res.report.weighted_sum
+    assert rejected > 0
+
+
+def test_extrapolation_cuts_iterations_without_losing_rate():
+    """On crawling physical-scale runs SQUAREM needs fewer map evaluations
+    than the plain loop and ends no lower than it to within the stop test."""
+    ch, cfg = _physical_run(0, SchemeSpec(Scheme.DS_IOS), L=32)
+    fast = run_algorithm2(ch, cfg, SchemeSpec(Scheme.DS_IOS))
+    slow = run_plain(ch, cfg, SchemeSpec(Scheme.DS_IOS))
+    assert fast.trace.extrapolations_accepted > 0
+    assert fast.trace.iterations < slow.trace.iterations
+    assert fast.report.weighted_sum >= slow.report.weighted_sum * (1.0 - 10 * cfg.eps_w)
+
+
+def test_extrapolated_points_are_projected(monkeypatch):
+    """Each extrapolated start point meets the power budgets and the coupling
+    disks before it is mapped, and so does the returned state, on
+    physical-scale channels."""
+    for seed, scheme in ((0, SchemeSpec(Scheme.DS_IOS)), (1, SchemeSpec(Scheme.WO_IOS)),
+                         (1, SchemeSpec(Scheme.DS_IOS, tie_sides=True))):
+        ch, cfg = _physical_run(seed, scheme)
+        starts = _record_trials(monkeypatch)
+        res = run_algorithm2(ch, cfg, scheme)
+        trials = [(bf, ios) for prev_s4, bf, ios in starts[1:] if prev_s4 is None]
+        assert len(trials) == (res.trace.extrapolations_accepted
+                               + res.trace.extrapolations_rejected) > 0
+        for bf, ios in trials + [(res.beamformers, res.ios)]:
+            assert bf.downlink_power() <= cfg.p_b * (1.0 + 1e-6)
+            assert all(bf.uplink_power(k) <= cfg.p_u * (1.0 + 1e-6) for k in range(3))
+            assert ios.is_feasible()
+            if scheme.tie_sides:
+                assert np.array_equal(ios.coef[0], ios.coef[1])
+        monkeypatch.undo()
+
+
+def test_project_budgets_scales_only_what_is_over():
+    bf = BeamformerSet(np.full((2, 2, 1), 2.0 + 0j), np.full((2, 2, 1), [[[1.0]], [[3.0]]]))
+    out = iosfd.algorithm._project_budgets(bf, 4.0, 5.0)
+    assert out.downlink_power() == pytest.approx(4.0)
+    assert out.uplink_power(0) == 2.0 and out.uplink_power(1) == pytest.approx(5.0)
+    assert np.array_equal(out.v_u[0], bf.v_u[0])
+    inside = iosfd.algorithm._project_budgets(bf, 100.0, 100.0)
+    assert np.array_equal(inside.v_d, bf.v_d) and np.array_equal(inside.v_u, bf.v_u)
+
+
+def test_single_side_extrapolation_keeps_downlink_and_t_side_silent(monkeypatch):
+    """The single-side scheme keeps v_d = 0 and the transmitter-side
+    coefficients at 0 exactly, at every extrapolated point and at the end."""
+    ch, cfg = _physical_run(2, SchemeSpec(Scheme.SS_IOS))
+    starts = _record_trials(monkeypatch)
+    res = run_algorithm2(ch, cfg, SchemeSpec(Scheme.SS_IOS))
+    assert res.trace.extrapolations_accepted > 0
+    for bf, ios in [(bf, ios) for _, bf, ios in starts] + [(res.beamformers, res.ios)]:
+        assert not np.any(bf.v_d) and not np.any(ios.coef[0])
+
+
+def test_duals_belong_to_the_returned_precoders():
+    """The multipliers come from the step that produced the returned
+    precoders: nonnegative, and positive only on a tight budget."""
+    for seed, scheme in ((0, SchemeSpec(Scheme.DS_IOS)), (1, SchemeSpec(Scheme.WO_IOS)),
+                         (2, SchemeSpec(Scheme.SS_IOS))):
+        ch, cfg = _physical_run(seed, scheme)
+        res = run_algorithm2(ch, cfg, scheme)
+        bf, duals = res.beamformers, res.duals
+        pairs = [(duals.mu_d, cfg.p_b, bf.downlink_power())]
+        pairs += [(lam, cfg.p_u, bf.uplink_power(k)) for k, lam in enumerate(duals.lambda_u)]
+        for mult, budget, used in pairs:
+            assert mult >= 0.0
+            assert abs(mult * (budget - used)) <= cfg.eps_b * budget * max(mult, 1.0)
+
+
+def test_iteration_cap_counts_every_map_evaluation(monkeypatch):
+    """Under any cap the run makes at most `max_outer_iters` map evaluations
+    and returns the precoders, surface and multipliers of one of them, also
+    when the cap falls on an extrapolated trial, kept or rejected."""
+    step = iosfd.algorithm.outer_step
+    for seed, scheme in ((0, SchemeSpec(Scheme.WO_IOS)), (0, SchemeSpec(Scheme.DS_IOS))):
+        ch, cfg = _physical_run(seed, scheme)
+        full = run_algorithm2(ch, cfg, scheme).trace
+        assert full.extrapolations_accepted > 0
+        for cap in range(1, full.iterations + 1):
+            images = []
+
+            def recording(*args, **kwargs):
+                images.append(step(*args, **kwargs))
+                return images[-1]
+            monkeypatch.setattr(iosfd.algorithm, "outer_step", recording)
+            cfg.max_outer_iters = cap
+            res = run_algorithm2(ch, cfg, scheme)
+            monkeypatch.undo()
+            t = res.trace
+            assert len(images) == t.iterations <= cap and len(t.rates) == t.iterations + 1
+            assert (t.terminated_by == "max_iters") == (t.iterations == cap < full.iterations)
+            bf, ios, _, _, duals, _ = next(im for im in images if im[0] is res.beamformers)
+            assert ios is res.ios and duals is res.duals
+        assert t.rates == full.rates
+
+
+def test_convergence_error_in_extrapolated_step_propagates(monkeypatch):
+    """A guard that trips while mapping an extrapolated point ends the run."""
+    step = iosfd.algorithm.outer_step
+    calls = []
+
+    def failing(ch, cfg, scheme, bf, ios, eff, prev_s4=None):
+        calls.append(prev_s4)
+        if prev_s4 is None and len(calls) > 1:
+            raise ConvergenceError("surrogate decreased during surface update: trial")
+        return step(ch, cfg, scheme, bf, ios, eff, prev_s4)
+    monkeypatch.setattr(iosfd.algorithm, "outer_step", failing)
+    ch, cfg = _physical_run(0, SchemeSpec(Scheme.DS_IOS))
+    with pytest.raises(ConvergenceError, match="trial"):
+        run_algorithm2(ch, cfg, SchemeSpec(Scheme.DS_IOS))
+    assert len(calls) == 3

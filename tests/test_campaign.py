@@ -284,6 +284,15 @@ def test_config_errors_carry_field_paths():
     for kind in ("SS_IOS", "WO_IOS"):
         with pytest.raises(ConfigError, match=r"schemes\[0\]: tie_sides"):
             config_from_dict(tiny_config(schemes=[{"kind": kind, "tie_sides": True}]))
+    # options that would do nothing are refused rather than given a label of their own
+    with pytest.raises(ConfigError, match=r"schemes\[1\]: quantization_bits needs a surface"):
+        config_from_dict(tiny_config(schemes=["DS_IOS",
+                                              {"kind": "WO_IOS", "quantization_bits": 4}]))
+    for kind in ("DS_IOS", "SS_IOS", "WO_IOS"):
+        with pytest.raises(ConfigError,
+                           match=r"schemes\[1\]: quantize_at_end needs quantization_bits"):
+            config_from_dict(tiny_config(schemes=["SS_IOS",
+                                                  {"kind": kind, "quantize_at_end": True}]))
     for schemes in (["DS_IOS", "DS_IOS"], ["DS_IOS", {"kind": "DS_IOS", "tie_sides": False}]):
         with pytest.raises(ConfigError, match=r"schemes\[1\]: label DS_IOS repeats schemes\[0\]"):
             config_from_dict(tiny_config(schemes=schemes))
@@ -370,7 +379,9 @@ def test_cli_exit_codes(tmp_path, capsys):
                                ("--scenario.tx-anchor", "[0,0]", "scenario.tx_anchor"),
                                ("--powers.p-b-dbm", "Infinity", "powers.p_b_dbm"),
                                ("--solver.eps-w", "NaN", "solver.eps_w"),
-                               ("--seeds", "[-1]", "seeds")):
+                               ("--seeds", "[-1]", "seeds"),
+                               ("--schemes", '[{"kind": "DS_IOS", "quantize_at_end": true}]',
+                                "schemes[0]")):
         capsys.readouterr()
         assert main(["simulate", "--config", str(good), "--threads", "1",
                      "--out", str(tmp_path / "out"), flag, value]) == 2

@@ -44,6 +44,10 @@ class SchemeSpec:
     quantize_at_end: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("tie_sides", "quantize_at_end"):
+            flag = getattr(self, name)
+            if not isinstance(flag, bool):
+                raise ValueError(f"{name} must be true or false, got {flag!r}")
         self.kind = Scheme(self.kind)
         bits = self.quantization_bits
         if bits is not None and (isinstance(bits, bool) or not isinstance(bits, int)
@@ -70,12 +74,13 @@ class SchemeSpec:
         return self.kind is not Scheme.SS_IOS
 
     @property
-    def phase_sides(self) -> tuple[str, ...]:
-        if self.kind is Scheme.DS_IOS:
-            return ("t", "u")
+    def surface_groups(self) -> tuple[tuple[int, ...], ...]:
+        """Side indices of `IosState.coef` solved together, one solve per group."""
         if self.kind is Scheme.SS_IOS:
-            return ("u",)
-        return ()
+            return ((1,),)
+        if self.kind is Scheme.WO_IOS:
+            return ()
+        return ((0, 1),) if self.tie_sides else ((0,), (1,))
 
     @property
     def label(self) -> str:
@@ -158,8 +163,7 @@ def quantize_phases(ios: IosState, bits: int) -> IosState:
     delta = 2.0 * np.pi / (2 ** bits)
     amp = np.abs(ios.coef)
     snapped = amp * np.exp(1j * (np.round(IosState.phases(ios.coef) / delta) * delta))
-    theta, phi = project_feasible(snapped[:, 0], snapped[:, 1])
-    return IosState(np.stack([theta, phi], axis=1))
+    return IosState(project_feasible(snapped))
 
 
 def _compose(ch: ChannelSet, ios: IosState, scheme: SchemeSpec) -> EffectiveChannels:
@@ -209,10 +213,9 @@ def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, bf: Beamforme
     check("precoder update", s3, s2)
 
     counts = PgdCounts()
-    if scheme.phase_sides:
+    if scheme.surface_groups:
         qf = build_quadratic_forms(ch, bf, st, cfg.gamma_down, cfg.gamma_up)
-        ios, counts = solve_qcqp(vectorize(qf), ios, cfg.pgd, sides=scheme.phase_sides,
-                                 tie_sides=scheme.tie_sides)
+        ios, counts = solve_qcqp(vectorize(qf), ios, cfg.pgd, scheme.surface_groups)
         eff = _compose(ch, ios, scheme)
         s4 = surr(eff, bf, st)
         check("surface update", s4, s3)
@@ -327,7 +330,7 @@ def _extrapolate(steps: _Steps, x0: _Iterate, x1: _Iterate, x2: _Iterate) -> _It
             break
         v_d, v_u, coef = (a - 2.0 * alpha * d + alpha ** 2 * e for a, d, e in zip(a0, r, v))
         bf = _project_budgets(BeamformerSet(v_d, v_u), cfg.p_b, cfg.p_u)
-        ios = IosState(np.stack(project_feasible(coef[:, 0], coef[:, 1]), axis=1))
+        ios = IosState(project_feasible(coef))
         x3 = steps.take(bf, ios, _compose(steps.ch, ios, steps.scheme), None)
         if x3.rate >= x2.rate:
             trace.extrapolations_accepted += 1

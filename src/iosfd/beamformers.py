@@ -55,20 +55,21 @@ def uplink_weight_core(st: WmmseState, gamma_up: np.ndarray) -> np.ndarray:
     return hermitize(np.tensordot(np.asarray(gamma_up, dtype=float), uw, axes=1))
 
 
-def xi_down(eff: EffectiveChannels, st: WmmseState, gamma_down: np.ndarray,
-            core: np.ndarray) -> np.ndarray:
-    """(K, N_t, N_t) downlink quadratics at zero multiplier: own-link term plus
-    the self-coupling penalty h_t^H core h_t."""
-    uw = np.asarray(gamma_down, dtype=float)[:, None, None] * (st.u_d @ st.w_d @ adj(st.u_d))
+def downlink_weight_core(st: WmmseState, gamma_down: np.ndarray) -> np.ndarray:
+    """(K, N_ur, N_ur) gamma_kd U_kd W_kd U_kd^H, read by both directions' quadratics."""
+    return np.asarray(gamma_down, dtype=float)[:, None, None] * (st.u_d @ st.w_d @ adj(st.u_d))
+
+
+def xi_down(eff: EffectiveChannels, uw: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """(K, N_t, N_t) downlink quadratics at zero multiplier: own-link term with
+    the downlink weight core `uw` plus the self-coupling penalty h_t^H core h_t."""
     return hermitize(adj(eff.h_kd) @ uw @ eff.h_kd + eff.h_t.conj().T @ core @ eff.h_t)
 
 
-def xi_up(eff: EffectiveChannels, st: WmmseState, gamma_down: np.ndarray,
-          core: np.ndarray) -> np.ndarray:
+def xi_up(eff: EffectiveChannels, uw: np.ndarray, core: np.ndarray) -> np.ndarray:
     """(K, N_ut, N_ut) uplink quadratics at zero multiplier: user k's leakage
-    into every downlink receiver j through h_jk[k, j], plus the receive-side
-    coupling h_ku^H core h_ku."""
-    uw = np.asarray(gamma_down, dtype=float)[:, None, None] * (st.u_d @ st.w_d @ adj(st.u_d))
+    into every downlink receiver j through h_jk[k, j], weighted by the downlink
+    weight core `uw`, plus the receive-side coupling h_ku^H core h_ku."""
     leak = (adj(eff.h_jk) @ uw[None] @ eff.h_jk).sum(axis=1)
     return hermitize(leak + adj(eff.h_ku) @ core @ eff.h_ku)
 
@@ -176,12 +177,12 @@ def update_beamformers(eff: EffectiveChannels, st: WmmseState,
     downlink precoders are kept as they are (single-side baseline).
     """
     K = eff.n_users
-    core = uplink_weight_core(st, gamma_up)
+    uw, core = downlink_weight_core(st, gamma_down), uplink_weight_core(st, gamma_up)
     gd = np.asarray(gamma_down, dtype=float)[:, None, None]
     gu = np.asarray(gamma_up, dtype=float)[:, None, None]
 
     if frozen_v_d is None:
-        down = _RegularizedSolve(xi_down(eff, st, gamma_down, core),
+        down = _RegularizedSolve(xi_down(eff, uw, core),
                                  gd * (adj(eff.h_kd) @ st.u_d @ st.w_d))
         mu = bisect_multiplier(down.power, p_b, eps_b)
         v_d = down.solution(mu)
@@ -189,7 +190,7 @@ def update_beamformers(eff: EffectiveChannels, st: WmmseState,
         mu = 0.0
         v_d = frozen_v_d.copy()
 
-    up = _RegularizedSolve(xi_up(eff, st, gamma_down, core),
+    up = _RegularizedSolve(xi_up(eff, uw, core),
                            gu * (adj(eff.h_ku) @ st.u_u @ st.w_u))
     lams = np.array([bisect_multiplier(lambda m, k=k: up.power(m, k), p_u, eps_b)
                      for k in range(K)])

@@ -143,20 +143,15 @@ def _fill_dataclass(obj: Any, data: Any, path: str) -> Any:
 def _parse_scheme(entry: Any, path: str) -> SchemeSpec:
     try:
         if isinstance(entry, str):
-            return SchemeSpec(Scheme(entry))
+            return SchemeSpec(entry)
         if isinstance(entry, dict):
-            kind = entry.get("kind")
-            if kind is None:
+            if entry.get("kind") is None:
                 raise ValueError("missing 'kind'")
             known = {"kind", "quantization_bits", "tie_sides", "quantize_at_end"}
             extra = set(entry) - known
             if extra:
                 raise ValueError(f"unknown fields {sorted(extra)}")
-            flags = {name: entry.get(name, False) for name in ("tie_sides", "quantize_at_end")}
-            for name, flag in flags.items():
-                if not isinstance(flag, bool):
-                    raise ValueError(f"{name} must be true or false, got {flag!r}")
-            return SchemeSpec(Scheme(kind), entry.get("quantization_bits"), **flags)
+            return SchemeSpec(**entry)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     raise ConfigError(f"{path}: expected scheme name or object")

@@ -10,6 +10,11 @@ product; the transpose convention is pinned by tests) gives, per side,
 
 over the per-element disks |theta_l|^2 + |phi_l|^2 <= 1.
 
+The data follow the (side, kind) layout of `IosState.coef`: the block of
+coef[s, j] has the factor `PhaseQuadratic.factors[s][j]` and the linear vector
+`lin[s, j]`.  Each group of side indices is one `_pgd_side` solve on a (2, L)
+array of (theta, phi); the tied group (0, 1) solves the sum of both sides' blocks.
+
 No L-by-L matrix is ever formed.  Every coupling matrix is a low-rank Gram
 matrix, A = P P^H and B = R R^H with P, R of size L x s (s = stream count),
 and then A o B^T = F F^H where column (i, j) of F is p_i o conj(r_j).  By
@@ -57,18 +62,15 @@ class QuadraticFormSet:
     """Per-user factors of the coupling matrices plus the aggregated linear terms.
 
     Each coupling matrix is M[k] M[k]^H for the (L, s) factor M[k] stored here:
-    a, x from the decoders and weights, b, d from the precoders.  c, f, z, y
-    are the linear vectors of phi_t, theta_t, phi_u, theta_u (signs included).
-    The terms no coefficient can reach are not built: the solve never reads them.
+    a, x from the decoders and weights, b, d from the precoders.  lin[s, j] is
+    the linear vector of coefficient coef[s, j] (signs included).  The terms no
+    coefficient can reach are not built: the solve never reads them.
     """
     a: np.ndarray          # (K, L, s_d) sqrt(gamma_d) h_iu U_d chol(W_d)
     b: np.ndarray          # (K, L, s_d) h_ti V_d: downlink illumination of the surface
     x: np.ndarray          # (K, L, s_u) sqrt(gamma_u) h_ir U_u chol(W_u)
     d: np.ndarray          # (K, L, s_u) h_iu V_u: uplink illumination of the surface
-    c: np.ndarray          # (L,) refraction t-side linear vector
-    f: np.ndarray          # (L,) reflection t-side linear vector
-    z: np.ndarray          # (L,) refraction u-side linear vector
-    y: np.ndarray          # (L,) reflection u-side linear vector
+    lin: np.ndarray        # (2, 2, L) linear vectors, indexed as IosState.coef
 
 
 def _diag_outer(gamma: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -90,35 +92,30 @@ def build_quadratic_forms(ch: ChannelSet, bf: BeamformerSet, st: WmmseState,
     uw_d = st.u_d @ st.w_d
     uw_u = st.u_u @ st.w_u
 
-    # Linear terms: the refracted signal (c, z) and the cross terms between the
-    # reflected and the direct paths (f, y).
+    # Linear terms: the refracted signal (phi) and the cross terms between the
+    # reflected and the direct paths (theta).
     # m[j, k] = h_uu[j][k] V_ju reaches user k directly; md[j] = h_tr V_jd the receiver.
     m = ch.h_uu @ bf.v_u[:, None]                              # (K, K, N_ur, s_u)
     md = ch.h_tr @ bf.v_d                                      # (K, N_r, s_d)
-    y_left = np.einsum("jls,jkas->kla", d, m.conj()) @ uw_d      # sum_j d_j m_jk^H U W
-    f_left = np.einsum("jls,jas->la", b, md.conj()) @ uw_u       # sum_j b_j md_j^H U W
-    c = _diag_outer(gamma_down, b @ st.w_d, hu)
-    z = _diag_outer(gamma_up, d @ st.w_u, hr)
-    y = -_diag_outer(gamma_down, y_left, hu)
-    f = -_diag_outer(gamma_up, f_left, hr)
-    assert_finite(a, b, x, d, c, f, z, y)
-    return QuadraticFormSet(a, b, x, d, c, f, z, y)
+    u_left = np.einsum("jls,jkas->kla", d, m.conj()) @ uw_d      # sum_j d_j m_jk^H U W
+    t_left = np.einsum("jls,jas->la", b, md.conj()) @ uw_u       # sum_j b_j md_j^H U W
+    lin = np.array([[-_diag_outer(gamma_up, t_left, hr),          # theta_t
+                     _diag_outer(gamma_down, b @ st.w_d, hu)],    # phi_t
+                    [-_diag_outer(gamma_down, u_left, hu),        # theta_u
+                     _diag_outer(gamma_up, d @ st.w_u, hr)]])     # phi_u
+    assert_finite(a, b, x, d, lin)
+    return QuadraticFormSet(a, b, x, d, lin)
 
 
 @dataclass
 class PhaseQuadratic:
     """Vectorized problem data: g' = sum over blocks of v^H Q v - 2 Re{v^H conj(c)}.
 
-    Each q_* holds the (L, r) factor F of its block, Q = F F^H.
+    factors[s][j] is the (L, r) factor F of the block of coef[s, j], Q = F F^H,
+    and lin[s, j] its linear vector c.
     """
-    q_phi_t: np.ndarray
-    q_theta_t: np.ndarray
-    q_phi_u: np.ndarray
-    q_theta_u: np.ndarray
-    c: np.ndarray          # phi_t linear vector
-    f: np.ndarray          # theta_t linear vector
-    z: np.ndarray          # phi_u linear vector
-    y: np.ndarray          # theta_u linear vector
+    factors: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    lin: np.ndarray        # (2, 2, L)
 
 
 def _hadamard_factor(p: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -134,13 +131,9 @@ def _side_by_side(m: np.ndarray) -> np.ndarray:
 
 def vectorize(qf: QuadraticFormSet) -> PhaseQuadratic:
     a, b, x, d = (_side_by_side(m) for m in (qf.a, qf.b, qf.x, qf.d))
-    return PhaseQuadratic(
-        q_phi_t=_side_by_side(_hadamard_factor(qf.a, qf.b)),
-        q_theta_t=_hadamard_factor(x, b),
-        q_phi_u=_hadamard_factor(x, d),
-        q_theta_u=_hadamard_factor(a, d),
-        c=qf.c, f=qf.f, z=qf.z, y=qf.y,
-    )
+    phi_t = _side_by_side(_hadamard_factor(qf.a, qf.b))
+    return PhaseQuadratic(((_hadamard_factor(x, b), phi_t),
+                           (_hadamard_factor(a, d), _hadamard_factor(x, d))), qf.lin)
 
 
 def _value(p: np.ndarray, v: np.ndarray, c_conj: np.ndarray, scale: float = 1.0) -> float:
@@ -156,31 +149,25 @@ def _block_value(fq: np.ndarray, c: np.ndarray, v: np.ndarray) -> float:
 def gprime_value(pq: PhaseQuadratic, ios: IosState) -> float:
     """Minimization objective; the matrix form is g = -g' plus the terms no
     coefficient can reach, which the solve does not need."""
-    total = 0.0
-    for side, (theta, phi) in zip("tu", ios.coef):
-        f_phi, c_phi, f_theta, c_theta = side_blocks(pq, side)
-        total = total + _block_value(f_phi, c_phi, phi) + _block_value(f_theta, c_theta, theta)
-    return total
+    return sum(_block_value(f[0], c[0], v[0]) + _block_value(f[1], c[1], v[1])
+               for f, c, v in zip(pq.factors, pq.lin, ios.coef))
 
 
-def side_blocks(pq: PhaseQuadratic, side: str):
-    """(F_phi, c_phi, F_theta, c_theta) of side 't' or 'u', or of both sides
-    sharing one set of coefficients ('tied'): Q_t + Q_u = [F_t F_u][F_t F_u]^H."""
-    if side == "t":
-        return pq.q_phi_t, pq.c, pq.q_theta_t, pq.f
-    if side == "u":
-        return pq.q_phi_u, pq.z, pq.q_theta_u, pq.y
-    if side == "tied":
-        return (np.hstack([pq.q_phi_t, pq.q_phi_u]), pq.c + pq.z,
-                np.hstack([pq.q_theta_t, pq.q_theta_u]), pq.f + pq.y)
-    raise ValueError(f"side must be 't', 'u' or 'tied', got {side!r}")
+def group_blocks(pq: PhaseQuadratic, group: tuple[int, ...]):
+    """(factors, lin) of one solve, indexed by kind j: those of the side in
+    `group`, or for both sides sharing one set of coefficients the blocks of
+    Q_t + Q_u = [F_t F_u][F_t F_u]^H and lin[0] + lin[1]."""
+    if len(group) == 1:
+        return pq.factors[group[0]], pq.lin[group[0]]
+    return tuple(map(np.hstack, zip(*pq.factors))), pq.lin[0] + pq.lin[1]
 
 
-def project_feasible(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Radial projection of each (theta_l, phi_l) pair onto its unit disk."""
-    norm2 = np.abs(theta) ** 2 + np.abs(phi) ** 2
-    scale = 1.0 / np.sqrt(np.maximum(norm2, 1.0))
-    return theta * scale, phi * scale
+def project_feasible(coef: np.ndarray) -> np.ndarray:
+    """Radial projection of each (theta_l, phi_l) pair onto its unit disk; the
+    pairs run along axis -2, so one call projects a side or the whole state."""
+    # np.add.reduce, not np.sum: the wrapper would add microseconds to every PGD trial
+    norm2 = np.add.reduce(np.abs(coef) ** 2, axis=-2, keepdims=True)
+    return coef * (1.0 / np.sqrt(np.maximum(norm2, 1.0)))
 
 
 @dataclass
@@ -203,61 +190,70 @@ def _binary_scale(f: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(parts, -e).view(f.dtype), e
 
 
-def _pgd_side(f1, c1, f2, c2, v1, v2, settings: PgdSettings):
+def _pgd_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings):
     """Minimize the two coupled-constraint blocks of one side.
 
-    Accelerated projected gradient (FISTA) from the extrapolated point
-    y = w + beta (w - v); its F^H products are carried as the same
-    combination of the stored ones, so an iteration costs one F p and one
-    F^H w per block.  A trial from y that does not descend restarts the
-    momentum and steps from v instead; only that plain step is halved, and
-    only a plain step may end the solve on the tolerance.  Each block runs on
-    its binary-scaled factor F~ = 2^-e F, and s = 2^(2e) enters only the
-    values, the Lipschitz constant and once per gradient.  Returns the two
-    vectors, the iteration count and whether the solve stopped at `max_iters`.
+    `factors` holds F of the theta and the phi block, `lin` and `v` are (2, L)
+    in the same (theta, phi) order.  Accelerated projected gradient (FISTA)
+    from the extrapolated point y = w + beta (w - v); its F^H products are
+    carried as the same combination of the stored ones, so an iteration costs
+    one F p and one F^H w per block.  A trial from y that does not descend
+    restarts the momentum and steps from v instead; only that plain step is
+    halved, and only a plain step may end the solve on the tolerance.  Each
+    block runs on its binary-scaled factor F~ = 2^-e F, and s = 2^(2e) enters
+    only the values, the Lipschitz constant and once per gradient.  Returns
+    the (2, L) solution, the iteration count and whether the solve stopped at
+    `max_iters`.
     """
-    (f1, e1), (f2, e2) = _binary_scale(f1), _binary_scale(f2)
-    s1, s2 = float(np.ldexp(1.0, 2 * e1)), float(np.ldexp(1.0, 2 * e2))
-    f1h, f2h = f1.conj().T, f2.conj().T
-    lam = max(s1 * max_eigval(f1h @ f1), s2 * max_eigval(f2h @ f2), 1e-30)
+    f, e = zip(*map(_binary_scale, factors))
+    s = [float(np.ldexp(1.0, 2 * ej)) for ej in e]
+    fh = [fj.conj().T for fj in f]
+    lam = max(s[0] * max_eigval(fh[0] @ f[0]), s[1] * max_eigval(fh[1] @ f[1]), 1e-30)
     step = 1.0 / (2.0 * lam)
-    c1, c2 = c1.conj(), c2.conj()
+    c = lin.conj()
 
-    v1, v2 = project_feasible(v1.copy(), v2.copy())
-    p1, p2 = f1h @ v1, f2h @ v2
-    f_cur = _value(p1, v1, c1, s1) + _value(p2, v2, c2, s2)
-    y1, y2, r1, r2 = v1, v2, p1, p2
+    def products(w):
+        return fh[0] @ w[0], fh[1] @ w[1]
+
+    def value(p, w):
+        return _value(p[0], w[0], c[0], s[0]) + _value(p[1], w[1], c[1], s[1])
+
+    def gradient(r):
+        return 2.0 * (np.array([s[0] * (f[0] @ r[0]), s[1] * (f[1] @ r[1])]) - c)
+
+    v = project_feasible(v)
+    p = products(v)
+    f_cur = value(p, v)
+    y, r = v, p
     t, beta = 1.0, 0.0
     for it in range(1, settings.max_iters + 1):
-        g1 = 2.0 * (s1 * (f1 @ r1) - c1)
-        g2 = 2.0 * (s2 * (f2 @ r2) - c2)
+        g = gradient(r)
         trial, rejected = step, 0
         while True:
-            w1, w2 = project_feasible(y1 - trial * g1, y2 - trial * g2)
-            q1, q2 = f1h @ w1, f2h @ w2
-            f_new = _value(q1, w1, c1, s1) + _value(q2, w2, c2, s2)
+            w = project_feasible(y - trial * g)
+            q = products(w)
+            f_new = value(q, w)
             if f_new <= f_cur + 1e-15:
                 break
             if beta > 0.0:      # function-value restart
-                y1, y2, r1, r2 = v1, v2, p1, p2
+                y, r = v, p
                 t, beta = 1.0, 0.0
-                g1 = 2.0 * (s1 * (f1 @ p1) - c1)
-                g2 = 2.0 * (s2 * (f2 @ p2) - c2)
+                g = gradient(p)
                 continue
             rejected += 1
             if rejected == 60:
-                return v1, v2, it, False
+                return v, it, False
             trial *= 0.5
         if f_cur - f_new <= settings.tolerance * max(1.0, abs(f_new)):
             if beta == 0.0:
-                return w1, w2, it, False
+                return w, it, False
             t = 1.0     # a short step from y proves nothing: take a plain one from w
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
-        y1, y2 = w1 + beta * (w1 - v1), w2 + beta * (w2 - v2)
-        r1, r2 = q1 + beta * (q1 - p1), q2 + beta * (q2 - p2)
-        v1, v2, p1, p2, f_cur, t = w1, w2, q1, q2, f_new, t_next
-    return v1, v2, settings.max_iters, True
+        y = w + beta * (w - v)
+        r = [qj + beta * (qj - pj) for qj, pj in zip(q, p)]
+        v, p, f_cur, t = w, q, f_new, t_next
+    return v, settings.max_iters, True
 
 
 @dataclass
@@ -268,23 +264,18 @@ class PgdCounts:
 
 
 def solve_qcqp(pq: PhaseQuadratic, init: IosState, settings: PgdSettings,
-               sides: tuple[str, ...] = ("t", "u"), tie_sides: bool = False
+               groups: tuple[tuple[int, ...], ...] = ((0,), (1,))
                ) -> tuple[IosState, PgdCounts]:
-    """Accelerated projected-gradient solve; the two sides separate unless tied.
-
-    Each group of sides is one `_pgd_side` solve: 't' and 'u' each write their
-    own side of `coef` (index 0 and 1), 'tied' writes its one set of
-    coefficients to both.  Returns the new state and the iterations and cap
-    exits of this call's side solves.
+    """Accelerated projected-gradient solve, one `_pgd_side` solve per group of
+    side indices; a group writes its one set of coefficients to each of its
+    sides of `coef`.  Returns the new state and the iterations and cap exits of
+    this call's side solves.
     """
-    groups = ({"tied": [0, 1]} if tie_sides
-              else {side: [s] for s, side in enumerate("tu") if side in sides})
     out = init.copy()
     counts = PgdCounts()
-    for group, written in groups.items():
-        theta, phi = init.coef[written[0]]
-        phi, theta, n, capped = _pgd_side(*side_blocks(pq, group), phi, theta, settings)
-        out.coef[written] = theta, phi
+    for group in groups:
+        v, n, capped = _pgd_side(*group_blocks(pq, group), init.coef[group[0]], settings)
+        out.coef[list(group)] = v
         counts.iters += n
         counts.cap_exits += capped
 

@@ -5,6 +5,7 @@ from iosfd import (BeamformerSet, ChannelSet, FadingParams, GeometryConfig,
                    IosState, RunConfig, build_layout, compose_effective,
                    sample_channels, update_state)
 from iosfd.linalg import cn_sample
+from iosfd.phases import PhaseQuadratic
 from iosfd.system import stream_counts
 
 
@@ -104,3 +105,12 @@ def fd_gradient(f, x0, h=1e-6):
             d = (f(xp.reshape(x0.shape)) - f(xm.reshape(x0.shape))) / (2 * h)
             g[i] += mul * d
     return grad
+
+
+def t_side_quadratic(factors, lin):
+    """PhaseQuadratic whose t side has the given (theta, phi) factors and
+    (2, L) linear vectors and whose u side is zero."""
+    L = len(lin[0])
+    zero = np.zeros((L, L), dtype=complex)
+    return PhaseQuadratic((tuple(factors), (zero, zero)),
+                          np.stack([np.asarray(lin, dtype=complex), np.zeros((2, L), complex)]))

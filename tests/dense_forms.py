@@ -121,19 +121,16 @@ def hadamard_quadratic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b.T
 
 
-def dense_blocks(qf: DenseForms) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """(Q, linear vector) per coefficient block, aggregated over the users."""
+def dense_blocks(qf: DenseForms) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """(Q, linear vector) per coefficient block, aggregated over the users and
+    indexed as `IosState.coef`: blocks[s][j], theta (j = 0) before phi."""
     a_sum = qf.a.sum(axis=0)
     b_sum = qf.b.sum(axis=0)
     x_sum = qf.x.sum(axis=0)
     d_sum = qf.d.sum(axis=0)
-    return {
-        "phi_t": (sum(hadamard_quadratic(qf.a[k], qf.b[k]) for k in range(qf.a.shape[0])),
-                  np.diagonal(qf.c_lin.sum(axis=0)).copy()),
-        "theta_t": (hadamard_quadratic(x_sum, b_sum),
-                    np.diagonal(qf.f_lin.sum(axis=(0, 1))).copy()),
-        "phi_u": (hadamard_quadratic(x_sum, d_sum),
-                  np.diagonal(qf.z_lin.sum(axis=0)).copy()),
-        "theta_u": (hadamard_quadratic(a_sum, d_sum),
-                    np.diagonal(qf.y_lin.sum(axis=(0, 1))).copy()),
-    }
+    theta_t = (hadamard_quadratic(x_sum, b_sum), np.diagonal(qf.f_lin.sum(axis=(0, 1))).copy())
+    phi_t = (sum(hadamard_quadratic(qf.a[k], qf.b[k]) for k in range(qf.a.shape[0])),
+             np.diagonal(qf.c_lin.sum(axis=0)).copy())
+    theta_u = (hadamard_quadratic(a_sum, d_sum), np.diagonal(qf.y_lin.sum(axis=(0, 1))).copy())
+    phi_u = (hadamard_quadratic(x_sum, d_sum), np.diagonal(qf.z_lin.sum(axis=0)).copy())
+    return [[theta_t, phi_t], [theta_u, phi_u]]

@@ -21,8 +21,11 @@ one user (and one interferer) at a time on single matrices:
 `pgd_side_plain` is the plain projected gradient that `phases._pgd_side`
 accelerates, and `pgd_side_unscaled` is `_pgd_side` run on the factors as
 given, without the binary block scaling; the two must agree bit for bit.
-`quantize_phases_per_vector` snaps and projects the four surface vectors one
-at a time, where `algorithm.quantize_phases` does it on the stacked array.
+Both take `_pgd_side`'s stacked (theta, phi) arguments through a thin adapter
+and run the loop one block at a time on (phi, theta) pairs, with the pairwise
+radial projection `project_pair`.  `quantize_phases_per_vector` snaps and
+projects the four surface vectors one at a time, where
+`algorithm.quantize_phases` does it on the stacked array.
 
 `run_plain` is the outer loop without extrapolation: one `outer_step` per
 iteration, the stop test after each.  `algorithm.run_algorithm2` runs it as
@@ -36,7 +39,7 @@ import numpy as np
 import iosfd.algorithm
 from iosfd.errors import ConvergenceError, NumericalError
 from iosfd.linalg import hermitize, inv_pd, logdet_pd, max_eigval, solve_pd
-from iosfd.phases import PgdSettings, _value, project_feasible
+from iosfd.phases import PgdSettings, _value
 from iosfd.system import BeamformerSet, EffectiveChannels, IosState, rate_bits
 from iosfd.wmmse import WmmseState
 
@@ -319,16 +322,36 @@ def update_v_up(eff: EffectiveChannels, st: WmmseState, gamma_down: np.ndarray,
     return _solve_stationary(xi, rhs, lam)
 
 
+def project_pair(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radial projection of each (v1_l, v2_l) pair onto the unit disk, two
+    vectors in and two out (`phases.project_feasible` on unstacked vectors)."""
+    norm2 = np.abs(v1) ** 2 + np.abs(v2) ** 2
+    scale = 1.0 / np.sqrt(np.maximum(norm2, 1.0))
+    return v1 * scale, v2 * scale
+
+
+def _pairwise(loop):
+    """`loop` over (F_phi, c_phi, F_theta, c_theta, phi, theta) called with
+    `_pgd_side`'s (factors, lin, v) in (theta, phi) order; the two returned
+    vectors come back stacked as (theta, phi)."""
+    def adapted(factors, lin, v, settings: PgdSettings):
+        phi, theta, *rest = loop(factors[1], lin[1], factors[0], lin[0], v[1], v[0], settings)
+        return (np.stack([theta, phi]), *rest)
+    adapted.__doc__ = loop.__doc__
+    return adapted
+
+
+@_pairwise
 def pgd_side_plain(f1, c1, f2, c2, v1, v2, settings: PgdSettings):
     """Plain projected gradient on one side, with the step and stop rule of
-    `phases._pgd_side`.  Returns the two vectors and whether the solve stopped
-    at `max_iters`."""
+    `phases._pgd_side`.  Returns the (theta, phi) solution and whether the
+    solve stopped at `max_iters`."""
     f1h, f2h = f1.conj().T, f2.conj().T
     lam = max(max_eigval(f1h @ f1), max_eigval(f2h @ f2), 1e-30)
     step = 1.0 / (2.0 * lam)
     c1, c2 = c1.conj(), c2.conj()
 
-    v1, v2 = project_feasible(v1.copy(), v2.copy())
+    v1, v2 = project_pair(v1.copy(), v2.copy())
     p1, p2 = f1h @ v1, f2h @ v2
     f_cur = _value(p1, v1, c1) + _value(p2, v2, c2)
     for _ in range(settings.max_iters):
@@ -336,7 +359,7 @@ def pgd_side_plain(f1, c1, f2, c2, v1, v2, settings: PgdSettings):
         g2 = 2.0 * (f2 @ p2 - c2)
         trial = step
         for _ in range(60):
-            w1, w2 = project_feasible(v1 - trial * g1, v2 - trial * g2)
+            w1, w2 = project_pair(v1 - trial * g1, v2 - trial * g2)
             q1, q2 = f1h @ w1, f2h @ w2
             f_new = _value(q1, w1, c1) + _value(q2, w2, c2)
             if f_new <= f_cur + 1e-15:
@@ -351,15 +374,18 @@ def pgd_side_plain(f1, c1, f2, c2, v1, v2, settings: PgdSettings):
     return v1, v2, True
 
 
+@_pairwise
 def pgd_side_unscaled(f1, c1, f2, c2, v1, v2, settings: PgdSettings):
     """`phases._pgd_side` on the unscaled factors: the same FISTA loop, step,
-    restart and stop rule, with every product taken on F itself."""
+    restart and stop rule, with every product taken on F itself.  Returns the
+    (theta, phi) solution, the iteration count and whether the solve stopped
+    at `max_iters`."""
     f1h, f2h = f1.conj().T, f2.conj().T
     lam = max(max_eigval(f1h @ f1), max_eigval(f2h @ f2), 1e-30)
     step = 1.0 / (2.0 * lam)
     c1, c2 = c1.conj(), c2.conj()
 
-    v1, v2 = project_feasible(v1.copy(), v2.copy())
+    v1, v2 = project_pair(v1.copy(), v2.copy())
     p1, p2 = f1h @ v1, f2h @ v2
     f_cur = _value(p1, v1, c1) + _value(p2, v2, c2)
     y1, y2, r1, r2 = v1, v2, p1, p2
@@ -369,7 +395,7 @@ def pgd_side_unscaled(f1, c1, f2, c2, v1, v2, settings: PgdSettings):
         g2 = 2.0 * (f2 @ r2 - c2)
         trial, rejected = step, 0
         while True:
-            w1, w2 = project_feasible(y1 - trial * g1, y2 - trial * g2)
+            w1, w2 = project_pair(y1 - trial * g1, y2 - trial * g2)
             q1, q2 = f1h @ w1, f2h @ w2
             f_new = _value(q1, w1, c1) + _value(q2, w2, c2)
             if f_new <= f_cur + 1e-15:
@@ -408,8 +434,8 @@ def quantize_phases_per_vector(ios: IosState, bits: int):
         ph = np.round(IosState.phases(vec) / delta) * delta
         return amp * np.exp(1j * ph)
 
-    theta_t, phi_t = project_feasible(snap(ios.theta_t), snap(ios.phi_t))
-    theta_u, phi_u = project_feasible(snap(ios.theta_u), snap(ios.phi_u))
+    theta_t, phi_t = project_pair(snap(ios.theta_t), snap(ios.phi_t))
+    theta_u, phi_u = project_pair(snap(ios.theta_u), snap(ios.phi_u))
     return theta_t, phi_t, theta_u, phi_u
 
 

@@ -15,11 +15,11 @@ from iosfd import (FadingParams, GeometryConfig, IosState, PgdSettings, RunConfi
                    weighted_sum_rate)
 from iosfd.campaign import config_from_dict, run_campaign, rows_to_csv, write_campaign
 from iosfd.linalg import cn_sample
-from iosfd.phases import PhaseQuadratic, gprime_value
+from iosfd.phases import gprime_value
 from iosfd.system import LN2
 from iosfd.wmmse import surrogate_objective
 
-from conftest import fd_gradient, integrated_run_geometry, random_instance
+from conftest import fd_gradient, integrated_run_geometry, random_instance, t_side_quadratic
 from dense_forms import hadamard_quadratic
 from test_beamformers import _lagrangian_down
 from test_phases import _grid_minimum, _single_block_pq
@@ -164,10 +164,7 @@ def test_qcqp_grid_oracle():
         q2 /= tr2
         c1 = 0.7 * cn_sample(rng, (2,))
         c2 = 0.7 * cn_sample(rng, (2,))
-        pq = PhaseQuadratic(q_phi_t=a / np.sqrt(tr1), q_theta_t=b / np.sqrt(tr2),
-                            q_phi_u=np.zeros((2, 2), complex),
-                            q_theta_u=np.zeros((2, 2), complex),
-                            c=c1, f=c2, z=np.zeros(2, complex), y=np.zeros(2, complex))
+        pq = t_side_quadratic((b / np.sqrt(tr2), a / np.sqrt(tr1)), [c2, c1])
         out, _ = solve_qcqp(pq, IosState.zeros(2), PgdSettings(max_iters=3000,
                                                                tolerance=1e-12))
         gap = gprime_value(pq, out) - _grid_minimum(q1, c1, q2, c2)
@@ -196,13 +193,15 @@ def test_gradient_checks():
         ch, _, eff, bf, st, gd, gu, nu, nr = inst
         pq = vectorize(build_quadratic_forms(ch, bf, st, gd, gu))
         state = random_ios(rng, 4)
-        for attr, q, c in (("phi_t", pq.q_phi_t @ pq.q_phi_t.conj().T, pq.c),
-                           ("theta_u", pq.q_theta_u @ pq.q_theta_u.conj().T, pq.y)):
-            def f(vec, attr=attr):
+        for side, kind in ((0, 1), (1, 0)):     # phi_t, theta_u
+            fq, c = pq.factors[side][kind], pq.lin[side, kind]
+            q = fq @ fq.conj().T
+
+            def f(vec, side=side, kind=kind):
                 s = state.copy()
-                getattr(s, attr)[:] = vec
+                s.coef[side, kind] = vec
                 return gprime_value(pq, s)
-            vec = getattr(state, attr)
+            vec = state.coef[side, kind]
             grad_fd = fd_gradient(f, vec, h=1e-6)
             analytic = 2.0 * (q @ vec - np.conj(c))
             scale = max(np.max(np.abs(analytic)), 1e-12)

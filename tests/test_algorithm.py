@@ -250,6 +250,14 @@ def test_scheme_spec_validation():
         with pytest.raises(ValueError, match="quantize_at_end needs quantization_bits"):
             SchemeSpec(kind, quantize_at_end=True)
     assert SchemeSpec(Scheme.SS_IOS, quantization_bits=2).quantizes_each_iter
+    for name in ("tie_sides", "quantize_at_end"):
+        for bad in ("no", "false", 1, 0, None):
+            with pytest.raises(ValueError, match=f"{name} must be true or false, got {bad!r}"):
+                SchemeSpec(Scheme.DS_IOS, quantization_bits=3, **{name: bad})
+    groups = [SchemeSpec(Scheme.DS_IOS).surface_groups,
+              SchemeSpec(Scheme.DS_IOS, tie_sides=True).surface_groups,
+              SchemeSpec(Scheme.SS_IOS).surface_groups, SchemeSpec(Scheme.WO_IOS).surface_groups]
+    assert groups == [((0,), (1,)), ((0, 1),), ((1,),), ()]
     labels = [SchemeSpec(Scheme.DS_IOS).label, SchemeSpec(Scheme.SS_IOS).label,
               SchemeSpec(Scheme.WO_IOS).label,
               SchemeSpec(Scheme.DS_IOS, tie_sides=True).label,

@@ -1,0 +1,83 @@
+"""Property tests of the surface projection and the surface solve.
+
+Hypothesis runs derandomized and without an example database, so every run
+draws the same examples.
+"""
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from iosfd import (PgdSettings, Scheme, SchemeSpec, build_quadratic_forms, project_feasible,
+                   solve_qcqp, vectorize)
+from iosfd.phases import gprime_value
+
+from conftest import random_instance, random_ios
+
+fixed = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+# Magnitudes from 1e-150 to 1e3, with the channel scale 1e-4, the unit circle
+# and exact zeros drawn often.
+magnitudes = st.one_of(st.floats(-150.0, 3.0).map(lambda e: 10.0 ** e),
+                       st.sampled_from([0.0, 1e-4, 1.0]))
+entries = st.tuples(magnitudes, st.floats(0.0, 2.0 * np.pi)).map(
+    lambda mp: mp[0] * np.exp(1j * mp[1]))
+
+
+@st.composite
+def coefficient_arrays(draw):
+    """(2, L) or (2, 2, L) complex arrays: pairs run along axis -2."""
+    shape = draw(st.sampled_from([(2,), (2, 2)])) + (draw(st.integers(1, 6)),)
+    values = draw(st.lists(entries, min_size=int(np.prod(shape)),
+                           max_size=int(np.prod(shape))))
+    return np.array(values, dtype=complex).reshape(shape)
+
+
+@fixed
+@given(coefficient_arrays())
+def test_projection_properties(coef):
+    """Feasible output; feasible pairs come back unchanged; every pair is
+    scaled by one factor in (0, 1]."""
+    out = project_feasible(coef)
+    assert out.shape == coef.shape
+    norm_in = np.sum(np.abs(coef) ** 2, axis=-2)
+    assert np.all(np.sum(np.abs(out) ** 2, axis=-2) <= 1.0 + 1e-12)
+    inside = np.broadcast_to((norm_in <= 1.0)[..., None, :], coef.shape)
+    # Bit for bit up to the sign of a zero part: complex times real scale
+    # computes b*s + a*0 for the imaginary part, which turns -0.0 into +0.0.
+    assert (out[inside] + 0.0).tobytes() == (coef[inside] + 0.0).tobytes()
+    nonzero = coef != 0
+    assert np.all(out[~nonzero] == 0)
+    ratio = np.where(nonzero, out / np.where(nonzero, coef, 1.0), np.nan)
+    assert np.all(np.abs(ratio.imag[nonzero]) <= 1e-14)
+    assert np.all((ratio.real[nonzero] > 0.0) & (ratio.real[nonzero] <= 1.0))
+    both = nonzero.all(axis=-2)
+    r0, r1 = ratio.real[..., 0, :][both], ratio.real[..., 1, :][both]
+    assert np.all(np.abs(r0 - r1) <= 1e-14 * r0)
+
+
+SCHEMES = (SchemeSpec(Scheme.DS_IOS), SchemeSpec(Scheme.DS_IOS, tie_sides=True),
+           SchemeSpec(Scheme.SS_IOS), SchemeSpec(Scheme.WO_IOS))
+
+
+@fixed
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 6),
+       st.sampled_from([1.0, 1e-2, 1e-4]), st.sampled_from(SCHEMES))
+def test_solve_properties(seed, K, L, scale, scheme):
+    """Over every scheme's surface groups: the solve stays feasible, does not
+    raise g', leaves sides outside every group as they were, and a tied group
+    writes one set of coefficients to both sides."""
+    rng = np.random.default_rng(seed)
+    ch, _, _, bf, wm, gd, gu, _, _ = random_instance(rng, K=K, L=L, scale=scale)
+    pq = vectorize(build_quadratic_forms(ch, bf, wm, gd, gu))
+    init = random_ios(rng, L)
+    groups = scheme.surface_groups
+    out, counts = solve_qcqp(pq, init, PgdSettings(), groups)
+    assert out.is_feasible()
+    assert gprime_value(pq, out) <= gprime_value(pq, init) + 1e-12
+    solved = {s for group in groups for s in group}
+    for s in set(range(2)) - solved:
+        assert out.coef[s].tobytes() == init.coef[s].tobytes()
+    for group in groups:
+        if len(group) == 2:
+            assert np.array_equal(out.coef[0], out.coef[1])
+    assert counts.iters >= len(groups)
+

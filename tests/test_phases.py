@@ -7,12 +7,11 @@ from iosfd import (FadingParams, IosState, PgdSettings, RunConfig, Scheme, Schem
                    vectorize)
 from iosfd.errors import NumericalError
 from iosfd.linalg import cn_sample
-from iosfd.phases import (PhaseQuadratic, _binary_scale, _block_value, _pgd_side,
-                          gprime_value, side_blocks)
+from iosfd.phases import _binary_scale, _block_value, _pgd_side, gprime_value, group_blocks
 from iosfd.wmmse import surrogate_objective, update_state
 
 from conftest import (integrated_run_geometry, random_beamformers, random_instance,
-                      random_ios, reference_geometry)
+                      random_ios, reference_geometry, t_side_quadratic)
 from dense_forms import build_dense_forms, dense_blocks, g_value, hadamard_quadratic
 from oracles import min_eigval, pgd_side_plain, pgd_side_unscaled
 
@@ -59,8 +58,7 @@ def test_zero_beamformers_leave_only_constant(rng):
     bf.v_u = [np.zeros_like(v) for v in bf.v_u]
     qf = build_quadratic_forms(ch, bf, st, gd, gu)
     assert np.allclose(qf.b, 0) and np.allclose(qf.d, 0)
-    assert np.allclose(qf.c, 0) and np.allclose(qf.z, 0)
-    assert np.allclose(qf.f, 0) and np.allclose(qf.y, 0)
+    assert np.allclose(qf.lin, 0)
 
 
 def test_scalar_quadratic_factor(rng):
@@ -141,21 +139,13 @@ def test_factors_match_dense_oracle(rng):
     both sides tied, at unit scale and at physical channel scale."""
     for inst in oracle_instances(rng):
         pq = vectorize(build_from_instance(inst))
-        dense = dense_from_instance(inst)
-        blocks = dense_blocks(dense)
-        expected = {
-            "t": (blocks["phi_t"], blocks["theta_t"]),
-            "u": (blocks["phi_u"], blocks["theta_u"]),
-            "tied": tuple((blocks[p + "_t"][0] + blocks[p + "_u"][0],
-                           blocks[p + "_t"][1] + blocks[p + "_u"][1])
-                          for p in ("phi", "theta")),
-        }
-        for side, ((q_phi, c_phi), (q_theta, c_theta)) in expected.items():
-            f_phi, lin_phi, f_theta, lin_theta = side_blocks(pq, side)
-            assert _rel_err(f_phi @ f_phi.conj().T, q_phi) <= 1e-12, side
-            assert _rel_err(f_theta @ f_theta.conj().T, q_theta) <= 1e-12, side
-            assert _rel_err(lin_phi, c_phi) <= 1e-12, side
-            assert _rel_err(lin_theta, c_theta) <= 1e-12, side
+        blocks = dense_blocks(dense_from_instance(inst))
+        tied = [tuple(t + u for t, u in zip(*pair)) for pair in zip(*blocks)]
+        for group, expected in (((0,), blocks[0]), ((1,), blocks[1]), ((0, 1), tied)):
+            factors, lin = group_blocks(pq, group)
+            for j, (q, c) in enumerate(expected):
+                assert _rel_err(factors[j] @ factors[j].conj().T, q) <= 1e-12, (group, j)
+                assert _rel_err(lin[j], c) <= 1e-12, (group, j)
 
 
 def test_factored_objective_matches_surrogate(rng):
@@ -176,8 +166,7 @@ def test_factored_forms_stay_small(rng):
     """At L = 256 the build and its vectorized form hold O(L) arrays, not O(L^2)."""
     qf = build_from_instance(random_instance(rng, L=256))
     pq = vectorize(qf)
-    held = sum(v.nbytes for obj in (qf, pq) for v in vars(obj).values()
-               if isinstance(v, np.ndarray))
+    held = sum(v.nbytes for v in (*vars(qf).values(), *pq.factors[0], *pq.factors[1], pq.lin))
     assert held < 2 * 2 ** 20
 
 
@@ -192,19 +181,18 @@ def test_nonfinite_build_raises(rng):
 def test_aggregated_quadratics_psd(rng):
     qf = build_from_instance(random_instance(rng, K=3, L=6))
     pq = vectorize(qf)
-    for fq in (pq.q_phi_t, pq.q_theta_t, pq.q_phi_u, pq.q_theta_u):
+    for fq in (*pq.factors[0], *pq.factors[1]):
         q = fq @ fq.conj().T
         assert min_eigval(q) >= -1e-9 * max(1.0, np.trace(q).real)
 
 
 def test_projection_cases():
-    th, ph = project_feasible(np.array([0.0 + 0j]), np.array([0.0 + 0j]))
-    assert th[0] == 0 and ph[0] == 0
-    th, ph = project_feasible(np.array([np.sqrt(2) + 0j]), np.array([np.sqrt(2) + 0j]))
-    assert abs(th[0]) ** 2 + abs(ph[0]) ** 2 == pytest.approx(1.0)
-    assert th[0] == pytest.approx(np.sqrt(2) / 2)
-    inside = project_feasible(np.array([0.3 + 0.1j]), np.array([0.2 - 0.4j]))
-    assert inside[0][0] == 0.3 + 0.1j and inside[1][0] == 0.2 - 0.4j
+    assert not np.any(project_feasible(np.zeros((2, 1), complex)))
+    th, ph = project_feasible(np.full((2, 1), np.sqrt(2) + 0j))[:, 0]
+    assert abs(th) ** 2 + abs(ph) ** 2 == pytest.approx(1.0)
+    assert th == pytest.approx(np.sqrt(2) / 2)
+    inside = np.array([[0.3 + 0.1j], [0.2 - 0.4j]])
+    assert np.array_equal(project_feasible(inside), inside)
 
 
 def test_projection_matches_where_form(rng):
@@ -221,7 +209,7 @@ def test_projection_matches_where_form(rng):
     assert np.sum(norm2 == 1.0) >= 5 and np.sum(norm2 > 1.0) >= 100
     assert np.sum((norm2 > 0.0) & (norm2 < 1.0)) >= 50 and np.sum(norm2 == 0.0) >= 4
     scale = np.where(norm2 > 1.0, 1.0 / np.sqrt(np.maximum(norm2, 1e-300)), 1.0)
-    got_theta, got_phi = project_feasible(theta, phi)
+    got_theta, got_phi = project_feasible(np.stack([theta, phi]))
     assert np.array_equal(got_theta, theta * scale)
     assert np.array_equal(got_phi, phi * scale)
 
@@ -231,7 +219,7 @@ def test_projection_is_nearest_point_on_grid(rng):
     for _ in range(5):
         t = 2.0 * cn_sample(rng, (1,))
         p = 2.0 * cn_sample(rng, (1,))
-        pt, pp = project_feasible(t, p)
+        pt, pp = project_feasible(np.stack([t, p]))
         best = np.inf
         radii = np.linspace(0, 1, 25)
         angles = np.linspace(0, 2 * np.pi, 41, endpoint=False)
@@ -249,11 +237,8 @@ def test_projection_is_nearest_point_on_grid(rng):
 
 
 def _single_block_pq(L, q, c):
-    zero_q = np.zeros((L, L), dtype=complex)
-    zero_c = np.zeros(L, dtype=complex)
-    return PhaseQuadratic(q_phi_t=q, q_theta_t=zero_q.copy(), q_phi_u=zero_q.copy(),
-                          q_theta_u=zero_q.copy(), c=c, f=zero_c.copy(),
-                          z=zero_c.copy(), y=zero_c.copy())
+    """Only the phi_t block is nonzero."""
+    return t_side_quadratic((np.zeros((L, L), complex), q), [np.zeros(L, complex), c])
 
 
 def test_pgd_interior_optimum():
@@ -320,17 +305,15 @@ def close_mounted_qcqps(L, seed, n_outer):
 def plain_solve(pq, init, settings):
     """Both sides of `solve_qcqp` solved by the plain projected-gradient oracle."""
     out = init.copy()
-    for s, side in enumerate("tu"):
-        phi, theta, _ = pgd_side_plain(*side_blocks(pq, side), init.coef[s, 1],
-                                       init.coef[s, 0], settings)
-        out.coef[s] = theta, phi
+    for s in range(2):
+        out.coef[s], _ = pgd_side_plain(*group_blocks(pq, (s,)), init.coef[s], settings)
     return out
 
 
-def side_value(blocks, phi, theta):
+def side_value(blocks, v):
     """The part of g' that one side solve minimizes."""
-    f_phi, c_phi, f_theta, c_theta = blocks
-    return _block_value(f_phi, c_phi, phi) + _block_value(f_theta, c_theta, theta)
+    factors, lin = blocks
+    return _block_value(factors[0], lin[0], v[0]) + _block_value(factors[1], lin[1], v[1])
 
 
 def test_accelerated_pgd_ends_no_higher_than_plain(rng):
@@ -353,12 +336,11 @@ def test_accelerated_pgd_ends_no_higher_than_plain(rng):
         out, _ = solve_qcqp(pq, init, PgdSettings())
         assert out.is_feasible()
         assert gprime_value(pq, out) <= gprime_value(pq, init) + 1e-12
-        for side in ("t", "u"):
-            blocks = side_blocks(pq, side)
-            got = side_value(blocks, getattr(out, "phi_" + side), getattr(out, "theta_" + side))
-            phi, theta, _ = pgd_side_plain(*blocks, getattr(init, "phi_" + side),
-                                           getattr(init, "theta_" + side), PgdSettings())
-            assert got <= side_value(blocks, phi, theta) + 1e-9 * max(1.0, abs(got)), side
+        for s in range(2):
+            blocks = group_blocks(pq, (s,))
+            got = side_value(blocks, out.coef[s])
+            plain, _ = pgd_side_plain(*blocks, init.coef[s], PgdSettings())
+            assert got <= side_value(blocks, plain) + 1e-9 * max(1.0, abs(got)), s
 
 
 def test_accelerated_pgd_restarts_on_ill_conditioned_block(monkeypatch):
@@ -369,32 +351,28 @@ def test_accelerated_pgd_restarts_on_ill_conditioned_block(monkeypatch):
     f_theta = np.eye(2, dtype=complex)
     c_phi = np.conj(f_phi @ f_phi.conj().T @ np.array([1.5, 0.3j]))
     c_theta = np.array([0.2, -0.1j])
-    pq = PhaseQuadratic(q_phi_t=f_phi, q_theta_t=f_theta, q_phi_u=np.zeros((2, 2), complex),
-                        q_theta_u=np.zeros((2, 2), complex), c=c_phi, f=c_theta,
-                        z=np.zeros(2, complex), y=np.zeros(2, complex))
+    pq = t_side_quadratic((f_theta, f_phi), [c_theta, c_phi])
     trials = []
     monkeypatch.setattr("iosfd.phases.project_feasible",
                         lambda *args: trials.append(1) or project_feasible(*args))
     init = IosState.zeros(2)
     settings = PgdSettings(max_iters=5000, tolerance=1e-14)
-    phi, theta, iters, capped = _pgd_side(*side_blocks(pq, "t"), init.phi_t, init.theta_t,
-                                          settings)
+    v, iters, capped = _pgd_side(*group_blocks(pq, (0,)), init.coef[0], settings)
     monkeypatch.undo()
     # With the exact Lipschitz step a plain step from v always descends, so
     # every trial beyond the first projection and one per iteration is a restart.
     assert not capped and len(trials) > iters + 1
     out = init.copy()
-    out.phi_t[:], out.theta_t[:] = phi, theta
+    out.coef[0] = v
     g_out = gprime_value(pq, out)
     assert g_out <= gprime_value(pq, init)
-    ref_phi, ref_theta, ref_capped = pgd_side_plain(
-        *side_blocks(pq, "t"), init.phi_t, init.theta_t,
-        PgdSettings(max_iters=200000, tolerance=1e-15))
+    ref_v, ref_capped = pgd_side_plain(*group_blocks(pq, (0,)), init.coef[0],
+                                       PgdSettings(max_iters=200000, tolerance=1e-15))
     assert not ref_capped
     ref = init.copy()
-    ref.phi_t[:], ref.theta_t[:] = ref_phi, ref_theta
+    ref.coef[0] = ref_v
     assert g_out == pytest.approx(gprime_value(pq, ref), rel=1e-12, abs=1e-12)
-    assert np.allclose(phi, ref_phi, atol=1e-5) and np.allclose(theta, ref_theta, atol=1e-5)
+    assert np.allclose(v, ref_v, atol=1e-5)
 
 
 def test_accelerated_pgd_converges_where_plain_hits_the_cap():
@@ -402,11 +380,11 @@ def test_accelerated_pgd_converges_where_plain_hits_the_cap():
     plain oracle stops at the 500-iteration cap, the accelerated solve on the
     tolerance."""
     pq, init = list(close_mounted_qcqps(128, 1, 2))[-1]
-    blocks = side_blocks(pq, "t")
+    blocks = group_blocks(pq, (0,))
     settings = PgdSettings()
-    *_, plain_capped = pgd_side_plain(*blocks, init.phi_t, init.theta_t, settings)
+    _, plain_capped = pgd_side_plain(*blocks, init.coef[0], settings)
     assert plain_capped
-    *_, iters, capped = _pgd_side(*blocks, init.phi_t, init.theta_t, settings)
+    _, iters, capped = _pgd_side(*blocks, init.coef[0], settings)
     assert not capped and iters < settings.max_iters
 
 
@@ -445,28 +423,26 @@ def test_scaled_pgd_matches_unscaled_oracle_bit_for_bit(rng):
         L = int(rng.integers(1, 9))
         inst = random_instance(rng, K=int(rng.integers(1, 4)), L=L)
         pq, init = vectorize(build_from_instance(inst)), random_ios(rng, L)
-        for side in ("t", "u"):
-            f_phi, c_phi, f_theta, c_theta = blocks = side_blocks(pq, side)
-            v = (getattr(init, "phi_" + side), getattr(init, "theta_" + side))
-            cases.append((blocks, *v))
-            cases.append(((f_phi, c_phi, f_theta * 2.0 ** -800, c_theta), *v))
-            cases.append(((f_phi, c_phi, f_theta * 2.0 ** -800, 0.0 * c_theta), *v))
+        for s in range(2):
+            (f_theta, f_phi), lin = group_blocks(pq, (s,))
+            dead = (f_theta * 2.0 ** -800, f_phi)
+            cases.append(((f_theta, f_phi), lin, init.coef[s]))
+            cases.append((dead, lin, init.coef[s]))
+            cases.append((dead, np.stack([0.0 * lin[0], lin[1]]), init.coef[s]))
             for k in (75, 450):     # Gram below and far below the 1e-30 floor
-                tiny = (f_phi * 2.0 ** -k, c_phi * 2.0 ** (-2 * k),
-                        f_theta * 2.0 ** -k, c_theta * 2.0 ** (-2 * k))
-                cases.append((tiny, *v))
-        cases.append((side_blocks(pq, "tied"), init.phi_t, init.theta_t))
+                tiny = (f_theta * 2.0 ** -k, f_phi * 2.0 ** -k)
+                cases.append((tiny, lin * 2.0 ** (-2 * k), init.coef[s]))
+        cases.append((*group_blocks(pq, (0, 1)), init.coef[0]))
     for seed in (2, 3):
         for pq, init in close_mounted_qcqps(64, seed, 3):
-            for side in ("t", "u"):
-                cases.append((side_blocks(pq, side), getattr(init, "phi_" + side),
-                              getattr(init, "theta_" + side)))
+            for s in range(2):
+                cases.append((*group_blocks(pq, (s,)), init.coef[s]))
     for settings in (PgdSettings(), PgdSettings(max_iters=3)):
-        for blocks, phi, theta in cases:
-            got = _pgd_side(*blocks, phi, theta, settings)
-            want = pgd_side_unscaled(*blocks, phi, theta, settings)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-            assert got[2:] == want[2:]
+        for factors, lin, v in cases:
+            got = _pgd_side(factors, lin, v, settings)
+            want = pgd_side_unscaled(factors, lin, v, settings)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1:] == want[1:]
 
 
 def test_pgd_improves_surrogate_cross_module(rng):
@@ -489,11 +465,12 @@ def test_gprime_gradient_matches_finite_differences(rng):
 
         def f(phi):
             s = state.copy()
-            s.phi_t[:] = phi
+            s.coef[0, 1] = phi
             return gprime_value(pq, s)
 
-        grad = fd_gradient(f, state.phi_t, h=1e-6)
-        analytic = 2.0 * (pq.q_phi_t @ pq.q_phi_t.conj().T @ state.phi_t - np.conj(pq.c))
+        grad = fd_gradient(f, state.coef[0, 1], h=1e-6)
+        f_phi = pq.factors[0][1]
+        analytic = 2.0 * (f_phi @ f_phi.conj().T @ state.coef[0, 1] - np.conj(pq.lin[0, 1]))
         scale = max(np.max(np.abs(analytic)), 1e-12)
         assert np.max(np.abs(grad - analytic)) <= 1e-5 * scale
 
@@ -543,10 +520,7 @@ def test_pgd_matches_grid_search_within_tolerance(rng):
         q2 /= tr2
         c1 = 0.7 * cn_sample(rng, (2,))
         c2 = 0.7 * cn_sample(rng, (2,))
-        pq = PhaseQuadratic(q_phi_t=a / np.sqrt(tr1), q_theta_t=b / np.sqrt(tr2),
-                            q_phi_u=np.zeros((2, 2), complex),
-                            q_theta_u=np.zeros((2, 2), complex),
-                            c=c1, f=c2, z=np.zeros(2, complex), y=np.zeros(2, complex))
+        pq = t_side_quadratic((b / np.sqrt(tr2), a / np.sqrt(tr1)), [c2, c1])
         out, _ = solve_qcqp(pq, IosState.zeros(2), PgdSettings(max_iters=3000, tolerance=1e-12))
         pgd_obj = gprime_value(pq, out)
         grid_obj = _grid_minimum(q1, c1, q2, c2)

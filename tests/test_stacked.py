@@ -11,7 +11,7 @@ import pytest
 
 from iosfd import (BeamformerSet, ChannelSet, EffectiveChannels, update_state,
                    weighted_sum_rate)
-from iosfd.beamformers import uplink_weight_core, xi_down, xi_up
+from iosfd.beamformers import downlink_weight_core, uplink_weight_core, xi_down, xi_up
 from iosfd.linalg import cn_sample
 from iosfd.system import link_covariances
 from iosfd.wmmse import WmmseState, surrogate_objective
@@ -81,7 +81,8 @@ def test_precoder_quadratics_match_loop(K, scale):
     eff, bf, st, gd, gu, nu, nr = instance(K, scale)
     core = uplink_weight_core(st, gu)
     assert close(core, oracles.uplink_weight_core(st, gu))
-    down, up = xi_down(eff, st, gd, core), xi_up(eff, st, gd, core)
+    uw = downlink_weight_core(st, gd)
+    down, up = xi_down(eff, uw, core), xi_up(eff, uw, core)
     for k in range(K):
         assert close(down[k], oracles.xi_down(eff, st, gd, gu, 0.0, k))
         assert close(up[k], oracles.xi_up(eff, st, gd, gu, 0.0, k))

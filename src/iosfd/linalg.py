@@ -89,10 +89,6 @@ def solve_pd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(adj(c), y)
 
 
-def inv_pd(a: np.ndarray) -> np.ndarray:
-    return solve_pd(a, np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape))
-
-
 def max_eigval(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitize(a))[-1])
 

@@ -3,8 +3,12 @@
 The surface coefficients, reflection theta and refraction phi on each of the
 two sides, obey the per-element coupling |theta_l|^2 + |phi_l|^2 <= 1 on each
 side (reflected plus refracted power cannot exceed the incident power).
-Rates are log-det expressions evaluated through Cholesky factorizations of the
-interference-plus-noise pencil.
+Every link is evaluated in whitened form: with C = chol(B) the Cholesky factor
+of its interference-plus-noise covariance B and G = C^{-1} H V its whitened
+received signal, W = I + G^H G.  Its rate is log2|W| (Sylvester's identity:
+|I + H V V^H H^H B^{-1}| = |I + G^H G|), so it never forms the difference of
+two log-dets and W >= I keeps it nonnegative up to roundoff.  The same (C, G, W)
+give the MMSE decoder and weight in `wmmse`.
 """
 from __future__ import annotations
 
@@ -14,10 +18,9 @@ import numpy as np
 
 from .channels import ChannelSet, require_reciprocal_user_arrays
 from .errors import NumericalError
-from .linalg import Stacked, adj, hermitize, logdet_pd
+from .linalg import Stacked, adj, chol_pd, hermitize, logdet_pd
 
 COUPLING_TOL = 1e-9
-NEGATIVE_RATE_TOL = 1e-9   # bits; smallest negative rate taken for a defect, not roundoff
 LN2 = float(np.log(2.0))
 
 
@@ -147,35 +150,23 @@ class RateReport:
     weighted_sum: float
 
 
-def rate_bits(signal_cov: np.ndarray, denom_cov: np.ndarray):
-    """log2|I + S B^{-1}| evaluated as logdet(B + S) - logdet(B), B Hermitian PD;
-    one rate per matrix pair of a stack.
-
-    With S PSD the rate cannot be negative, but the two log-dets can round
-    apart: by about 1e-6 bit for a 4 x 4 B at condition number 1e10, against
-    a first-order bound of 2 n (n + 1) eps cond(B) nats.  A negative value
-    within that bound, or within NEGATIVE_RATE_TOL, is roundoff and reads 0;
-    one beyond both raises.
-    """
-    b = hermitize(denom_cov)
-    s = hermitize(signal_cov)
+def whiten_links(hv: np.ndarray, den: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(C, G, W) of every link of a stack: C = chol(B) for the
+    interference-plus-noise covariance B = `den`, the whitened signal
+    G = C^{-1} H V from the received signal H V = `hv`, and W = I + G^H G."""
     try:
-        logdets = logdet_pd(np.stack([b + s, b]))
+        c = chol_pd(den)
     except NumericalError as exc:
         raise NumericalError("singular interference-plus-noise matrix") from exc
-    bits = np.asarray((logdets[0] - logdets[1]) / LN2)
-    neg = bits < 0.0
-    if np.any(neg):
-        vals = np.linalg.eigvalsh(b[neg])
-        n = b.shape[-1]
-        cond = vals[:, -1] / np.maximum(vals[:, 0], np.finfo(float).tiny)
-        roundoff = 2.0 * n * (n + 1) * np.finfo(float).eps * cond / LN2
-        worst = bits[neg] + np.maximum(NEGATIVE_RATE_TOL, roundoff)
-        if np.any(worst < 0.0):
-            raise NumericalError(f"negative rate {bits[neg].min():.3e} bit/s/Hz: "
-                                 "signal covariance not PSD")
-        bits = np.where(neg, 0.0, bits)
-    return bits[()]
+    g = np.linalg.solve(c, hv)
+    return c, g, hermitize(adj(g) @ g + np.eye(g.shape[-1]))
+
+
+def rate_bits(hv: np.ndarray, den: np.ndarray):
+    """log2|I + H V V^H H^H B^{-1}| = log2|W| of each link of a stack, from the
+    received signal H V and the interference-plus-noise covariance B."""
+    return np.asarray(logdet_pd(whiten_links(hv, den)[2]) / LN2)[()]
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
@@ -212,7 +203,7 @@ def weighted_sum_rate(eff: EffectiveChannels, bf: BeamformerSet,
             or np.any(gamma_up <= 0) or np.any(gamma_up >= 1):
         raise ValueError("rate weights must lie strictly inside (0, 1)")
     hv_d, den_d, hv_u, den_u = link_covariances(eff, bf, noise_users, noise_rx)
-    r_down = rate_bits(_gram(hv_d), den_d)
-    r_up = rate_bits(_gram(hv_u), den_u)
+    r_down = rate_bits(hv_d, den_d)
+    r_up = rate_bits(hv_u, den_u)
     total = float(np.dot(gamma_down, r_down) + np.dot(gamma_up, r_up))
     return RateReport(r_down, r_up, total)

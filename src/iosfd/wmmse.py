@@ -2,7 +2,11 @@
 
 For each link the MMSE decoder U* and weight W* = E(U*)^{-1} turn the log-det
 rate into the concave surrogate  log|W| - Tr(W E) + s,  tight at (U*, W*)
-where log|W*| equals the rate in nats.  The weighted surrogate over all links
+where log|W*| equals the rate in nats.  Both come from the link's whitened
+form (C, G, W) of `system.whiten_links`, the one the rate is read from:
+W* = I + G^H G (Woodbury: E(U*) = (I + V^H H^H B^{-1} H V)^{-1}) and
+U* = C^{-H} G W*^{-1} (push-through identity), so neither H V V^H H^H + B
+nor the MSE matrix is inverted.  The weighted surrogate over all links
 is what the beamformer and phase blocks ascend.  Every quantity is stacked
 over the K users and computed for all links at once.
 """
@@ -12,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Stacked, adj, hermitize, inv_pd, logdet_pd, solve_pd
-from .system import BeamformerSet, EffectiveChannels, link_covariances
+from .linalg import Stacked, adj, hermitize, logdet_pd, solve_pd
+from .system import BeamformerSet, EffectiveChannels, link_covariances, whiten_links
 
 
 @dataclass
@@ -36,9 +40,9 @@ def _mse(hv: np.ndarray, u: np.ndarray, denom: np.ndarray) -> np.ndarray:
 
 
 def _decoder_and_weight(hv: np.ndarray, denom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """U* = (H V V^H H^H + denom)^{-1} H V via a Hermitian solve, and W* = E(U*)^{-1}."""
-    u = solve_pd(hermitize(hv @ adj(hv) + denom), hv)
-    return u, hermitize(inv_pd(_mse(hv, u, denom)))
+    """U* = C^{-H} G W^{-1} and W* = W from the links' whitened form."""
+    c, g, w = whiten_links(hv, denom)
+    return np.linalg.solve(adj(c), adj(solve_pd(w, adj(g)))), w
 
 
 def update_state(eff: EffectiveChannels, bf: BeamformerSet,

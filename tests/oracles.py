@@ -4,8 +4,10 @@ The package computes every per-user quantity for all K users at once on
 stacked arrays.  The oracles here are the per-user loop forms it replaced,
 one user (and one interferer) at a time on single matrices:
 
-* `downlink_interference` / `uplink_interference` and the `rate_bits`-based
-  `downlink_rate` / `uplink_rate` / `rates_loop` (`system.weighted_sum_rate`);
+* `downlink_interference` / `uplink_interference` and `downlink_rate` /
+  `uplink_rate` / `rates_loop` (`system.weighted_sum_rate`), each rate the
+  `numpy.linalg.slogdet` difference log|B + S| - log|B|, independent of the
+  package's whitened evaluation;
 * `mse_matrix_*`, `optimal_decoder_*`, `optimal_weight_*` and
   `update_state_loop` (`wmmse.update_state`);
 * `surrogate_terms`, the surrogate summed term by term, and
@@ -38,9 +40,9 @@ import numpy as np
 
 import iosfd.algorithm
 from iosfd.errors import ConvergenceError, NumericalError
-from iosfd.linalg import hermitize, inv_pd, logdet_pd, max_eigval, solve_pd
+from iosfd.linalg import hermitize, logdet_pd, max_eigval, solve_pd
 from iosfd.phases import PgdSettings, _value
-from iosfd.system import BeamformerSet, EffectiveChannels, IosState, rate_bits
+from iosfd.system import LN2, BeamformerSet, EffectiveChannels, IosState
 from iosfd.wmmse import WmmseState
 
 
@@ -49,6 +51,13 @@ def _tr(m: np.ndarray) -> float:
 
 
 # -- rates ------------------------------------------------------------------
+
+def _rate_slogdet(sig: np.ndarray, denom: np.ndarray) -> float:
+    """log2|I + S B^{-1}| as (log|B + S| - log|B|) / ln 2, with S = sig sig^H."""
+    _, with_signal = np.linalg.slogdet(denom + sig @ sig.conj().T)
+    _, without = np.linalg.slogdet(denom)
+    return float(with_signal - without) / LN2
+
 
 def downlink_interference(eff: EffectiveChannels, bf: BeamformerSet, k: int) -> np.ndarray:
     """Sum over all uplink transmissions leaking into user k's receiver."""
@@ -78,7 +87,7 @@ def downlink_rate(eff: EffectiveChannels, bf: BeamformerSet, k: int,
     sig = eff.h_kd[k] @ bf.v_d[k]
     n = sig.shape[0]
     denom = downlink_interference(eff, bf, k) + noise_var * np.eye(n)
-    return rate_bits(sig @ sig.conj().T, denom)
+    return _rate_slogdet(sig, denom)
 
 
 def uplink_rate(eff: EffectiveChannels, bf: BeamformerSet, k: int,
@@ -86,7 +95,7 @@ def uplink_rate(eff: EffectiveChannels, bf: BeamformerSet, k: int,
     sig = eff.h_ku[k] @ bf.v_u[k]
     n = sig.shape[0]
     denom = uplink_interference(eff, bf, k) + noise_var * np.eye(n)
-    return rate_bits(sig @ sig.conj().T, denom)
+    return _rate_slogdet(sig, denom)
 
 
 def rates_loop(eff, bf, gamma_down, gamma_up, noise_users, noise_rx):
@@ -142,12 +151,12 @@ def optimal_decoder_up(eff: EffectiveChannels, bf: BeamformerSet, k: int,
 
 def optimal_weight_down(eff: EffectiveChannels, bf: BeamformerSet, u_star: np.ndarray,
                         k: int, noise_var: float) -> np.ndarray:
-    return hermitize(inv_pd(mse_matrix_down(eff, bf, u_star, k, noise_var)))
+    return hermitize(np.linalg.inv(mse_matrix_down(eff, bf, u_star, k, noise_var)))
 
 
 def optimal_weight_up(eff: EffectiveChannels, bf: BeamformerSet, u_star: np.ndarray,
                       k: int, noise_var: float) -> np.ndarray:
-    return hermitize(inv_pd(mse_matrix_up(eff, bf, u_star, k, noise_var)))
+    return hermitize(np.linalg.inv(mse_matrix_up(eff, bf, u_star, k, noise_var)))
 
 
 def update_state_loop(eff: EffectiveChannels, bf: BeamformerSet,

@@ -116,7 +116,7 @@ def bisect_multiplier(power_of: Callable[[float], float], budget: float,
     x = hi
     a, g_a, b, g_b = lo, g_lo, hi, g(p)      # the last two probes, for the secant
     for step in range(1, _MAX_STEPS + 1):
-        if 0.0 <= budget - p <= tol or (hi - lo) <= 1e-15 * max(1.0, hi):
+        if 0.0 <= budget - p <= tol or (hi - lo) <= 1e-15 * hi:
             break
         x = b - g_b * (b - a) / (g_b - g_a) if g_b != g_a else lo
         if step % _BISECT_EVERY == 0 or not lo < x < hi:

@@ -292,7 +292,7 @@ def bisect_multiplier_plain(power_of, budget: float, eps_b: float = 1e-4) -> flo
             lo = mid
         else:
             hi = mid
-        if abs(p - budget) <= tol or (hi - lo) <= 1e-15 * max(1.0, hi):
+        if abs(p - budget) <= tol or (hi - lo) <= 1e-15 * hi:
             break
     return hi if power_of(mid) > budget else mid
 

@@ -215,7 +215,7 @@ def _exact_root(power, budget):
 def test_secant_multiplier_matches_plain_bisection():
     """The secant search returns the plain bisection's multiplier, feasibly, in
     few probes.  Both stop once the power is within 1e-12 relative of the
-    budget or the bracket is 1e-15 max(1, hi) wide, which fixes mu only to
+    budget or the bracket is 1e-15 hi wide, which fixes mu only to
     `resolution`; beyond that, mu must lie within 1e-10 relative of the exact
     root and of the oracle.  The oracle returns the previous feasible end of
     its bracket when it stops on an infeasible probe, so its own distance
@@ -236,7 +236,27 @@ def test_secant_multiplier_matches_plain_bisection():
         if oracle == 0.0:
             assert mu == exact == 0.0
             continue
-        resolution = 2e-12 * budget / abs(slope(exact)) + 2e-15 * max(1.0, exact)
+        resolution = 2e-12 * budget / abs(slope(exact)) + 2e-15 * exact
         assert abs(mu - exact) <= 1e-10 * exact + resolution, (mu, exact)
         assert abs(mu - oracle) <= 1e-10 * oracle + resolution + abs(oracle - exact)
     assert np.mean(probes) <= 12.0
+
+
+def test_multiplier_bracket_is_relative_at_physical_scale():
+    """With eigenvalues around 1e-8 the multipliers lie far below 1, and the
+    bracket stop must fix them relative to their size, not to 1e-15 absolute.
+    Budgets from just below p(0) to far below it put the root anywhere from
+    about 1e-16 to 1e-6, and mu must land within 1e-10 relative of the exact
+    root or within the width the 1e-12 power tolerance leaves."""
+    rng = np.random.default_rng(47)
+    for _ in range(100):
+        n = int(rng.integers(1, 9))
+        eigvals = 1e-8 * 10.0 ** rng.uniform(-1.0, 1.0, n)
+        weights = 1e-16 * 10.0 ** rng.uniform(-2.0, 2.0, n)
+        power, slope = _power_map(weights, eigvals)
+        budget = power(0.0) * (1.0 - 10.0 ** rng.uniform(-7.0, -0.5))
+        exact = _exact_root(power, budget)
+        mu = bisect_multiplier(power, budget)
+        assert power(mu) <= budget
+        resolution = 2e-12 * budget / abs(slope(exact)) + 2e-15 * exact
+        assert abs(mu - exact) <= 1e-10 * exact + resolution, (mu, exact)

@@ -206,6 +206,12 @@ def _is_point(value: Any) -> bool:
                     and np.isfinite(x) for x in value))
 
 
+def _reject_repeats(path: str, what: str, items: list) -> None:
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ConfigError(f"{path}[{i}]: {what} {item} repeats {path}[{items.index(item)}]")
+
+
 def validate_config(cfg: CampaignConfig) -> None:
     sc = cfg.scenario
     if sc.k_users < 1:
@@ -236,11 +242,21 @@ def validate_config(cfg: CampaignConfig) -> None:
                               f"got {value!r}")
         if cfg.sweep.axis == "tx_ios_distance" and not value > 0:
             raise ConfigError(f"sweep.values[{i}]: distance must be > 0, got {value!r}")
-    labels = [scheme.label for scheme in cfg.schemes]
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise ConfigError(f"schemes[{i}]: label {label} repeats "
-                              f"schemes[{labels.index(label)}]")
+    _reject_repeats("schemes", "label", [scheme.label for scheme in cfg.schemes])
+    _reject_repeats("seeds", "seed", cfg.seeds)
+    _reject_repeats("sweep.values", "value", [float(v) for v in cfg.sweep.values])
+    decibels = [("powers.p_b_dbm", cfg.powers.p_b_dbm), ("powers.p_u_dbm", cfg.powers.p_u_dbm),
+                ("physics.noise_dbm", cfg.physics.noise_dbm),
+                ("physics.rician_factor_db", cfg.physics.rician_factor_db)]
+    if cfg.sweep.axis in ("P_B", "P_U"):
+        decibels += [(f"sweep.values[{i}]", v) for i, v in enumerate(cfg.sweep.values)]
+    for path, db in decibels:   # a zero power is a budget; a zero Rician factor is not
+        try:
+            out_of_range = dbm_to_mw(db) == 0.0 and path.endswith("_db")
+        except OverflowError:
+            out_of_range = True
+        if out_of_range:
+            raise ConfigError(f"{path}: {db!r} dB is outside the floating-point range")
     for name, tol in (("eps_w", cfg.solver.eps_w), ("eps_b", cfg.solver.eps_b),
                       ("pgd_tolerance", cfg.solver.pgd_tolerance)):
         if tol <= 0:

@@ -309,6 +309,27 @@ def test_config_errors_carry_field_paths():
         config_from_dict(tiny_config(seeds=[0, -1]))
     with pytest.raises(ConfigError, match="seeds.base"):
         config_from_dict(tiny_config(seeds={"base": -1, "count": 2}))
+    # dB values whose linear value overflows, or a Rician factor that underflows to 0
+    for section, name, bad in (("powers", "p_b_dbm", 1e5), ("powers", "p_u_dbm", 1e5),
+                               ("physics", "noise_dbm", 1e5),
+                               ("physics", "rician_factor_db", 1e5),
+                               ("physics", "rician_factor_db", -5000.0)):
+        with pytest.raises(ConfigError, match=f"{section}.{name}: "):
+            config_from_dict(tiny_config(**{section: {name: bad}}))
+    for axis in ("P_B", "P_U"):
+        with pytest.raises(ConfigError, match=r"sweep.values\[1\]: 100000 dB"):
+            config_from_dict(tiny_config(sweep={"axis": axis, "values": [0.0, 100000]}))
+    zero_budgets = config_from_dict(tiny_config(powers={"p_b_dbm": -5000.0, "p_u_dbm": -5000.0},
+                                                sweep={"axis": "P_B", "values": [-5000.0]}))
+    assert dbm_to_mw(zero_budgets.powers.p_b_dbm) == 0.0
+    assert config_from_dict(tiny_config(sweep={"axis": "L", "values": [1e5]})).sweep.values
+    # a repeated seed or sweep value would write the same cell twice
+    with pytest.raises(ConfigError, match=r"seeds\[2\]: seed 1 repeats seeds\[0\]"):
+        config_from_dict(tiny_config(seeds=[1, 2, 1]))
+    for values in ([10.0, 10], [5, 5]):
+        with pytest.raises(ConfigError, match=r"sweep.values\[1\]: value .* repeats "
+                                              r"sweep.values\[0\]"):
+            config_from_dict(tiny_config(sweep={"axis": "P_B", "values": values}))
     ok = config_from_dict(tiny_config(solver={"divergence_rel_tol": 0.0},
                                       physics={"gain_exponent_tx": 0.0},
                                       scenario={"tx_anchor": [0, 0, 5], "k_users": 2,
@@ -380,6 +401,12 @@ def test_cli_exit_codes(tmp_path, capsys):
                                ("--powers.p-b-dbm", "Infinity", "powers.p_b_dbm"),
                                ("--solver.eps-w", "NaN", "solver.eps_w"),
                                ("--seeds", "[-1]", "seeds"),
+                               ("--powers.p-b-dbm", "1e5", "powers.p_b_dbm"),
+                               ("--physics.rician-factor-db", "-5000",
+                                "physics.rician_factor_db"),
+                               ("--seeds", "[1, 1]", "seeds[1]"),
+                               ("--sweep", '{"axis": "P_B", "values": [10.0, 10]}',
+                                "sweep.values[1]"),
                                ("--schemes", '[{"kind": "DS_IOS", "quantize_at_end": true}]',
                                 "schemes[0]")):
         capsys.readouterr()

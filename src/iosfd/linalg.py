@@ -52,12 +52,6 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + adj(m))
 
 
-def _ridge_for(a: np.ndarray) -> float:
-    n = a.shape[0]
-    tr = float(np.trace(a).real)
-    return _RIDGE_SCALE * max(tr, 1.0) / n
-
-
 def chol_pd(a: np.ndarray) -> np.ndarray:
     """Cholesky factor of a Hermitian PD matrix (or stack), with a logged
     tiny-ridge retry for each matrix that fails."""
@@ -67,7 +61,7 @@ def chol_pd(a: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         if a.ndim > 2:
             return np.stack([chol_pd(m) for m in a])
-        ridge = _ridge_for(a)
+        ridge = _RIDGE_SCALE * max(float(np.trace(a).real), 1.0) / a.shape[0]
         logger.warning("cholesky failed; retrying with ridge %.3e", ridge)
         try:
             return np.linalg.cholesky(a + ridge * np.eye(a.shape[0]))

@@ -3,12 +3,12 @@
 The surface coefficients, reflection theta and refraction phi on each of the
 two sides, obey the per-element coupling |theta_l|^2 + |phi_l|^2 <= 1 on each
 side (reflected plus refracted power cannot exceed the incident power).
-Every link is evaluated in whitened form: with C = chol(B) the Cholesky factor
-of its interference-plus-noise covariance B and G = C^{-1} H V its whitened
-received signal, W = I + G^H G.  Its rate is log2|W| (Sylvester's identity:
-|I + H V V^H H^H B^{-1}| = |I + G^H G|), so it never forms the difference of
-two log-dets and W >= I keeps it nonnegative up to roundoff.  The same (C, G, W)
-give the MMSE decoder and weight in `wmmse`.
+Every link is evaluated in whitened form: C = chol(B) factors its
+interference-plus-noise covariance B, G = C^{-1} H V is its whitened received
+signal and W = I + G^H G.  Its rate is log2|W| (Sylvester's identity), summed
+from log1p of W's Cholesky pivots less one: nonnegative up to roundoff since
+W >= I, and accurate relative to its size.  The same (C, G, W) give the MMSE
+decoder and weight in `wmmse`.
 """
 from __future__ import annotations
 
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSet, require_reciprocal_user_arrays
-from .errors import NumericalError
-from .linalg import Stacked, adj, chol_pd, hermitize, logdet_pd
+from .linalg import Stacked, adj, chol_pd, hermitize
 
 COUPLING_TOL = 1e-9
 LN2 = float(np.log(2.0))
@@ -150,23 +149,22 @@ class RateReport:
     weighted_sum: float
 
 
-def whiten_links(hv: np.ndarray, den: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def whiten_links(hv: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(C, G, W) of every link of a stack: C = chol(B) for the
     interference-plus-noise covariance B = `den`, the whitened signal
     G = C^{-1} H V from the received signal H V = `hv`, and W = I + G^H G."""
-    try:
-        c = chol_pd(den)
-    except NumericalError as exc:
-        raise NumericalError("singular interference-plus-noise matrix") from exc
+    c = chol_pd(den)
     g = np.linalg.solve(c, hv)
     return c, g, hermitize(adj(g) @ g + np.eye(g.shape[-1]))
 
 
 def rate_bits(hv: np.ndarray, den: np.ndarray):
-    """log2|I + H V V^H H^H B^{-1}| = log2|W| of each link of a stack, from the
-    received signal H V and the interference-plus-noise covariance B."""
-    return np.asarray(logdet_pd(whiten_links(hv, den)[2]) / LN2)[()]
+    """log2|I + H V V^H H^H B^{-1}| = log2|W| per link, from H V and B.  W's Cholesky
+    pivots are 1 + q_j, q_j = (G^H G)_jj minus row j's squares left of the diagonal,
+    and summing log1p(q_j) keeps even a rate far below eps accurate to its size."""
+    _, g, w = whiten_links(hv, den)
+    q = np.sum(np.abs(g) ** 2, axis=-2) - np.sum(np.abs(np.tril(chol_pd(w), -1)) ** 2, axis=-1)
+    return np.asarray(np.sum(np.log1p(q), axis=-1) / LN2)[()]
 
 
 def _gram(m: np.ndarray) -> np.ndarray:

@@ -165,14 +165,17 @@ def test_rate_bits_accurate_at_ill_conditioned_interference(rng):
     """B at condition number 1e10 and a tiny signal along B's strongest
     direction: the exact rate is log2(1 + 1e-16), about 1.4e-16 bit.  A
     difference of two log-dets rounds off by up to about 1e-6 bit here; the
-    whitened evaluation must stay within 1e-15 bit."""
+    whitened evaluation must stay within 1e-15 bit, and its log1p pivots keep
+    the rate accurate relative to its size."""
     hv, b = [], []
     for _ in range(50):
         u, _ = np.linalg.qr(cn_sample(rng, (4, 4)))
         b.append((u * np.array([1.0, 1e-3, 1e-7, 1e-10])) @ u.conj().T)
         hv.append(1e-8 * u[:, :1])
     exact = np.log1p(1e-16) / LN2
-    assert np.max(np.abs(rate_bits(np.array(hv), np.array(b)) - exact)) <= 1e-15
+    rates = rate_bits(np.array(hv), np.array(b))
+    assert np.max(np.abs(rates - exact)) <= 1e-15
+    assert np.max(np.abs(rates - exact)) <= 1e-9 * exact
 
 
 def test_rate_matches_eigenvalue_oracle(rng):

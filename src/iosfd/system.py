@@ -150,9 +150,8 @@ class RateReport:
 
 
 def whiten_links(hv: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(C, G, W) of every link of a stack: C = chol(B) for the
-    interference-plus-noise covariance B = `den`, the whitened signal
-    G = C^{-1} H V from the received signal H V = `hv`, and W = I + G^H G."""
+    """(C, G, W) per link of a stack: C = chol(B) of the interference-plus-noise
+    covariance B = `den`, G = C^{-1} H V with H V = `hv`, and W = I + G^H G."""
     c = chol_pd(den)
     g = np.linalg.solve(c, hv)
     return c, g, hermitize(adj(g) @ g + np.eye(g.shape[-1]))
@@ -163,7 +162,8 @@ def rate_bits(hv: np.ndarray, den: np.ndarray):
     pivots are 1 + q_j, q_j = (G^H G)_jj minus row j's squares left of the diagonal,
     and summing log1p(q_j) keeps even a rate far below eps accurate to its size."""
     _, g, w = whiten_links(hv, den)
-    q = np.sum(np.abs(g) ** 2, axis=-2) - np.sum(np.abs(np.tril(chol_pd(w), -1)) ** 2, axis=-1)
+    lower = np.tril(np.linalg.cholesky(w), -1)          # W >= I is Hermitian PD as built
+    q = np.sum(np.abs(g) ** 2, axis=-2) - np.sum(np.abs(lower) ** 2, axis=-1)
     return np.asarray(np.sum(np.log1p(q), axis=-1) / LN2)[()]
 
 

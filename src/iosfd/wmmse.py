@@ -5,10 +5,9 @@ rate into the concave surrogate  log|W| - Tr(W E) + s,  tight at (U*, W*)
 where log|W*| equals the rate in nats.  Both come from the link's whitened
 form (C, G, W) of `system.whiten_links`, the one the rate is read from:
 W* = I + G^H G (Woodbury: E(U*) = (I + V^H H^H B^{-1} H V)^{-1}) and
-U* = C^{-H} G W*^{-1} (push-through identity), so neither H V V^H H^H + B
-nor the MSE matrix is inverted.  The weighted surrogate over all links
-is what the beamformer and phase blocks ascend.  Every quantity is stacked
-over the K users and computed for all links at once.
+U* = C^{-H} G W*^{-1} (push-through identity).  The weighted surrogate over
+all links is what the beamformer and phase blocks ascend.  Every quantity is
+stacked over the K users and computed for all links at once.
 """
 from __future__ import annotations
 

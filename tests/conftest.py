@@ -34,16 +34,19 @@ def integrated_run_geometry(L: int, K: int = 2, n: int = 2) -> GeometryConfig:
     )
 
 
-def random_channels(rng, K=2, n_tx=2, n_rx=2, n_u=2, L=4, scale=1.0, direct=False):
-    """Unstructured random link matrices for unit-level oracles."""
+def random_channels(rng, K=2, n_tx=2, n_rx=2, n_u=2, L=4, scale=1.0, direct=False, n_ut=None):
+    """Unstructured random link matrices for unit-level oracles.  User arrays
+    receive on n_u antennas and transmit on n_ut (n_u unless given); only the
+    no-surface links allow the two to differ."""
+    n_ut = n_u if n_ut is None else n_ut
     ch = ChannelSet(
         h_ti=scale * cn_sample(rng, (L, n_tx)),
         h_tr=scale * cn_sample(rng, (n_rx, n_tx)),
         h_iu=[scale * cn_sample(rng, (L, n_u)) for _ in range(K)],
         h_ir=scale * cn_sample(rng, (L, n_rx)),
-        h_uu=[[scale * cn_sample(rng, (n_u, n_u)) for _ in range(K)] for _ in range(K)],
+        h_uu=[[scale * cn_sample(rng, (n_u, n_ut)) for _ in range(K)] for _ in range(K)],
         h_direct_tu=[scale * cn_sample(rng, (n_u, n_tx)) for _ in range(K)] if direct else None,
-        h_direct_ur=[scale * cn_sample(rng, (n_rx, n_u)) for _ in range(K)] if direct else None,
+        h_direct_ur=[scale * cn_sample(rng, (n_rx, n_ut)) for _ in range(K)] if direct else None,
     )
     return ch
 

@@ -25,11 +25,12 @@ BUDGET_TOL = 1e-12
 SURROGATE_ROUNDOFF = 1e-14
 
 
-def build_run(rng, K, L, n, scale, p_b, p_u) -> tuple:
+def build_run(rng, K, L, n, scale, p_b, p_u, n_ut=None) -> tuple:
     """Random channels with entries of size `scale`, noise 0.1 scale^2 and
-    random rate weights."""
+    random rate weights; users transmit on n_ut antennas (n unless given)."""
     noise = 0.1 * scale ** 2
-    ch = random_channels(rng, K=K, n_tx=n, n_rx=n, n_u=n, L=L, scale=scale, direct=True)
+    ch = random_channels(rng, K=K, n_tx=n, n_rx=n, n_u=n, L=L, scale=scale, direct=True,
+                         n_ut=n_ut)
     cfg = RunConfig(gamma_down=rng.uniform(0.2, 0.8, K), gamma_up=rng.uniform(0.2, 0.8, K),
                     noise_users=np.full(K, noise), noise_rx=noise, p_b=p_b, p_u=p_u,
                     max_outer_iters=40)
@@ -38,13 +39,16 @@ def build_run(rng, K, L, n, scale, p_b, p_u) -> tuple:
 
 @st.composite
 def runs(draw):
-    """(channels, run config, scheme) of one run."""
+    """(channels, run config, scheme) of one run.  Without a surface the users'
+    transmit and receive arrays may differ in size."""
+    scheme = draw(st.sampled_from(SCHEMES))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     budgets = st.sampled_from([0.0, 1e-12, 1e-3, 1.0])
-    ch, cfg = build_run(rng, draw(st.integers(1, 3)), draw(st.integers(1, 6)),
-                        draw(st.integers(1, 2)), draw(st.sampled_from([1.0, 1e-4])),
-                        draw(budgets), draw(budgets))
-    return ch, cfg, draw(st.sampled_from(SCHEMES))
+    K, L, n = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 2))
+    n_ut = draw(st.integers(1, 3)) if scheme.kind is Scheme.WO_IOS else n
+    ch, cfg = build_run(rng, K, L, n, draw(st.sampled_from([1.0, 1e-4])),
+                        draw(budgets), draw(budgets), n_ut)
+    return ch, cfg, scheme
 
 
 def _fingerprint(res) -> tuple:

@@ -97,9 +97,10 @@ def test_run_properties(run):
     ids=lambda v: v.label if isinstance(v, SchemeSpec) else str(v))
 def test_tiny_budget_runs(seed, scheme):
     """Runs with a budget of 1e-12 or 0 on one side, where rates of 1e-13 to
-    1e-9 bit are compared across iterations: a rate read from log|W| with W
-    rounded to I + G^H G loses its low digits, and the rounding made these
-    runs trip the 1e-6 relative rate guard."""
+    1e-9 bit are compared across iterations.  A rate read from a log-det
+    difference, or from log|W| with W rounded to I + G^H G, keeps only its
+    leading digits there, and that roundoff tripped the loop's 1e-6 relative
+    rate guard in these runs."""
     rng = np.random.default_rng(seed)
     K, L, n = rng.integers(1, 4), rng.integers(1, 7), rng.integers(1, 3)
     p_b, p_u = rng.choice([0.0, 1e-12, 1e-3, 1.0], 2)

@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -199,11 +200,20 @@ def config_from_dict(data: dict) -> CampaignConfig:
     return cfg
 
 
+def _is_finite_number(x: Any) -> bool:
+    """An int or float, not a bool, whose float value is finite; a JSON
+    integer too large for a float is not."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _is_point(value: Any) -> bool:
     """A list of 3 finite numbers (a position in metres)."""
-    return (isinstance(value, list) and len(value) == 3
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    and np.isfinite(x) for x in value))
+    return isinstance(value, list) and len(value) == 3 and all(map(_is_finite_number, value))
 
 
 def _reject_repeats(path: str, what: str, items: list) -> None:
@@ -234,8 +244,7 @@ def validate_config(cfg: CampaignConfig) -> None:
     if cfg.sweep.axis != "none" and not cfg.sweep.values:
         raise ConfigError("sweep.values: must be nonempty for a sweep")
     for i, value in enumerate(cfg.sweep.values):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not np.isfinite(value):
+        if not _is_finite_number(value):
             raise ConfigError(f"sweep.values[{i}]: expected a finite number, got {value!r}")
         if cfg.sweep.axis == "L" and not (float(value).is_integer() and value >= 1):
             raise ConfigError(f"sweep.values[{i}]: element count must be an integer >= 1, "

@@ -417,6 +417,27 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_integer_beyond_float_range_is_a_config_error(tmp_path, capsys):
+    """JSON integers too large for int64 (10**30) or for a float (10**400) as
+    sweep values on a power axis, and an anchor coordinate beyond the float
+    range, are config errors naming the field; `simulate` exits with code 2."""
+    anchors = [[20.0, 20.0, 1.5], [25.0, 10 ** 400, 1.5]]
+    with pytest.raises(ConfigError, match=r"scenario.user_anchors\[1\]"):
+        config_from_dict(tiny_config(scenario=dict(tiny_config()["scenario"],
+                                                   user_anchors=anchors)))
+    for huge in (10 ** 30, 10 ** 400):
+        for axis in ("P_B", "P_U"):
+            with pytest.raises(ConfigError, match=r"sweep.values\[1\]"):
+                config_from_dict(tiny_config(sweep={"axis": axis, "values": [10, huge]}))
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(tiny_config(sweep={"axis": "P_B", "values": [huge]})))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(path), "--threads", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "sweep.values[0]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_threads_default_to_affinity_mask(tmp_path, monkeypatch, capsys):
     """Without --threads, simulate starts one worker per CPU the process may
     run on, not one per core of the machine."""

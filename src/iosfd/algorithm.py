@@ -116,8 +116,8 @@ class ConvergenceTrace:
     iterations: int
     terminated_by: str                     # "tolerance" | "max_iters"
     step_surrogates: list[tuple[float, float, float]] = field(default_factory=list)
-    pgd_cap_exits: int = 0                 # surface side solves stopped at the PGD cap
-    pgd_iters: int = 0                     # PGD iterations over all surface side solves
+    pgd_cap_exits: int = 0                 # surface side solves ended without their gap
+    pgd_iters: int = 0                     # Newton steps over all surface side solves
     extrapolations_accepted: int = 0       # SQUAREM trials kept
     extrapolations_rejected: int = 0       # SQUAREM trials that fell below the plain step
 

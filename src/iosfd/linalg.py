@@ -83,10 +83,6 @@ def solve_pd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(adj(c), y)
 
 
-def max_eigval(a: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(hermitize(a))[-1])
-
-
 def assert_finite(*arrays: np.ndarray) -> None:
     for arr in arrays:
         if not np.all(np.isfinite(arr.view(float) if np.iscomplexobj(arr) else arr)):

@@ -1,5 +1,4 @@
-"""Surface-coefficient optimization as a convex QCQP solved by accelerated
-projected gradient.
+"""Surface-coefficient optimization as a convex QCQP, solved through its dual.
 
 With precoders, decoders and weights frozen, the surrogate is a quadratic in
 each of the four coefficient vectors.  Collecting the couplings into L-by-L
@@ -12,37 +11,48 @@ over the per-element disks |theta_l|^2 + |phi_l|^2 <= 1.
 
 The data follow the (side, kind) layout of `IosState.coef`: the block of
 coef[s, j] has the factor `PhaseQuadratic.factors[s][j]` and the linear vector
-`lin[s, j]`.  Each group of side indices is one `_pgd_side` solve on a (2, L)
-array of (theta, phi); the tied group (0, 1) solves the sum of both sides' blocks.
+`lin[s, j]`.  Each group of side indices is one `_newton_side` solve on a
+(2, L) array of (theta, phi); the tied group (0, 1) solves the sum of both
+sides' blocks.
 
 No L-by-L matrix is ever formed.  Every coupling matrix is a low-rank Gram
 matrix, A = P P^H and B = R R^H with P, R of size L x s (s = stream count),
 and then A o B^T = F F^H where column (i, j) of F is p_i o conj(r_j).  By
 Schur's product theorem each Q is PSD by construction, and it is carried as
 its L x r factor F (r <= (K s)^2, independent of L).  A product Q v costs
-O(L r) as F (F^H v), the value is ||F^H v||^2 - 2 Re{v^H conj(c)}, and the
-Lipschitz step comes from the largest eigenvalue of the r x r Gram F^H F,
-which equals that of F F^H.
+O(L r) as F (F^H v), and the value is ||F^H v||^2 - 2 Re{v^H conj(c)}.
 
-Each side is solved by accelerated projected gradient (FISTA, Beck &
-Teboulle 2009) with that step and per-element radial projection.  A trial
-from the extrapolated point that does not descend restarts the momentum
-(function-value restart, O'Donoghue & Candes 2015), so the accepted iterates
-never ascend.  The solve stops when a plain step decreases g' by at most
-tolerance * max(1, |g'|), or at max_iters.
+Each side is solved through its dual.  With b_j = conj(c_j) a side minimizes
+P(v) = sum_j ||F_j^H v_j||^2 - 2 Re{v_j^H b_j}.  Writing ||F^H v||^2 as
+max over nu of 2 Re{nu^H F^H v} - ||nu||^2 and minimizing over the disks
+gives the concave dual
 
-Each block is solved on its binary-scaled factor, F = 2^e F~ with the largest
-real or imaginary magnitude of F~ in [0.5, 1), and s = 2^(2e) multiplies only
-the value s ||F~^H v||^2, the Lipschitz constant and once per gradient the
-vector F~ (F~^H v).  A block can sit near the bottom of the double range: when
-the uplink of a close-mounted run switches off, its decoders decay towards
-1e-274 and the theta_t factor with them.  F (F^H v) then underflows inside the
-BLAS products, and every product that lands among the subnormals takes the
-processor's slow path (one 256 x 36 product with entries of F near 1e-160
-takes about 85 times as long as on O(1) data).  Scaling by a power of two
-commutes with every rounding in the normal range, so the solve returns the
-same bits as on F itself; where s underflows to 0 the block adds exactly
-nothing, as its underflowed products did.
+    D(nu) = -||nu||^2 - 2 sum_l ||g_l||,    g_j = F_j nu_j - b_j,
+
+in r complex unknowns instead of 2L, where g_l is the (theta, phi) pair of
+element l and v_l = -g_l / ||g_l|| the primal point it recovers.  Every
+feasible v bounds the minimum from above and every nu from below, so the
+duality gap P(v) - D(nu) certifies a solve at any data scale.  The solve is
+damped Newton ascent on D with ||g_l|| smoothed to sqrt(||g_l||^2 + delta^2),
+delta following the gap down; each step solves one real system of size 2r
+and offers further primal and dual points besides.  It stops when the gap is
+at most `PgdSettings.tolerance` times |D|; from the previous surface that
+takes one or two steps at L = 256.
+
+Each block runs on its binary-scaled factor, F = 2^e F~ with the largest
+real or imaginary magnitude of F~ in [0.5, 1), and each side on the problem
+normalized by its largest block's power of two (F by 2^e, b by 4^e).  A
+block can sit near the bottom of the double range: when the uplink of a
+close-mounted run switches off, its decoders decay towards 1e-274 and the
+theta_t factor with them.  Products of such numbers underflow, and every
+BLAS product that lands among the subnormals takes the processor's slow path
+(one 256 x 36 product with entries of F near 1e-160 takes about 85 times as
+long as on O(1) data).  Scaling by a power of two commutes with every
+rounding in the normal range, so a rescaled problem takes the same steps to
+the same bits.  A block whose scale underflows next to the other adds
+nothing and is dropped, and a block whose Hessian term is below 1e-16 of the
+identity steps to its fixed point nu_j = F_j^H v_j instead of entering the
+Newton system.
 """
 from __future__ import annotations
 
@@ -52,7 +62,7 @@ import numpy as np
 
 from .channels import ChannelSet
 from .errors import NumericalError
-from .linalg import assert_finite, chol_pd, max_eigval
+from .linalg import assert_finite, chol_pd
 from .system import BeamformerSet, IosState
 from .wmmse import WmmseState
 
@@ -136,10 +146,9 @@ def vectorize(qf: QuadraticFormSet) -> PhaseQuadratic:
                            (_hadamard_factor(a, d), _hadamard_factor(x, d))), qf.lin)
 
 
-def _value(p: np.ndarray, v: np.ndarray, c_conj: np.ndarray, scale: float = 1.0) -> float:
-    """scale ||p||^2 - 2 Re{v^H conj(c)} for p = F^H v, or p = F~^H v with
-    F = 2^e F~ and scale = 2^(2e)."""
-    return float(scale * np.vdot(p, p).real - 2.0 * np.vdot(v, c_conj).real)
+def _value(p: np.ndarray, v: np.ndarray, c_conj: np.ndarray) -> float:
+    """||p||^2 - 2 Re{v^H conj(c)} for p = F^H v."""
+    return float(np.vdot(p, p).real - 2.0 * np.vdot(v, c_conj).real)
 
 
 def _block_value(fq: np.ndarray, c: np.ndarray, v: np.ndarray) -> float:
@@ -165,13 +174,15 @@ def group_blocks(pq: PhaseQuadratic, group: tuple[int, ...]):
 def project_feasible(coef: np.ndarray) -> np.ndarray:
     """Radial projection of each (theta_l, phi_l) pair onto its unit disk; the
     pairs run along axis -2, so one call projects a side or the whole state."""
-    # np.add.reduce, not np.sum: the wrapper would add microseconds to every PGD trial
+    # np.add.reduce, not np.sum: the wrapper would add microseconds to every call
     norm2 = np.add.reduce(np.abs(coef) ** 2, axis=-2, keepdims=True)
     return coef * (1.0 / np.sqrt(np.maximum(norm2, 1.0)))
 
 
 @dataclass
 class PgdSettings:
+    """Side-solve settings: at most `max_iters` Newton steps, and the relative
+    duality gap (P - D) / |D| at which a side solve counts as converged."""
     max_iters: int = 500
     tolerance: float = 1e-8
 
@@ -190,75 +201,208 @@ def _binary_scale(f: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(parts, -e).view(f.dtype), e
 
 
-def _pgd_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings):
-    """Minimize the two coupled-constraint blocks of one side.
+_SMOOTHING = 0.05       # delta = 0.05 gap / L: smoothing costs at most a tenth of the gap
+_FIXED_POINT = 1e-16    # a block whose Hessian term is below this times I takes nu_j <- F_j^H v_j
+_ARMIJO = 1e-4          # sufficient ascent of the smoothed dual, as a fraction of the slope
+_HALVINGS = 60          # a step that cannot ascend after this many halvings ends the solve
+_INNER = 1e-3           # ||v_l||^2 < 1 - _INNER: element l counts as inside its disk
+
+
+def _pair_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the (theta, phi) pair of each element."""
+    return np.add.reduce(x, axis=0)
+
+
+def _line_max(g, dg, delta, nu, dnu) -> float:
+    """argmax over t in [0, 1] of the smoothed dual along a step,
+    -||nu + t dnu||^2 - 2 sum_l sqrt(||g_l + t dg_l||^2 + delta^2), by Newton's
+    method on its derivative, safeguarded by bisection."""
+    c = _pair_sum(np.abs(g) ** 2) + delta * delta
+    b = _pair_sum((g.conj() * dg).real)
+    a = _pair_sum(np.abs(dg) ** 2)
+    xb = sum(np.vdot(x, dx).real for x, dx in zip(nu, dnu))
+    xa = sum(np.vdot(dx, dx).real for dx in dnu)
+    lo, hi, t = 0.0, 1.0, 1.0
+    for _ in range(40):
+        rho = np.sqrt(c + t * (2.0 * b + t * a))
+        slope = -2.0 * (xb + t * xa) - 2.0 * float(np.sum((b + t * a) / rho))
+        if slope >= 0.0:
+            if t == 1.0:
+                return t
+            lo = t
+        else:
+            hi = t
+        curv = -2.0 * xa - 2.0 * float(np.sum((a * rho * rho - (b + t * a) ** 2) / rho ** 3))
+        nxt = t - slope / curv if curv < 0.0 else 0.5 * (lo + hi)
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - t) <= 1e-3 * t:
+            return nxt
+        t = nxt
+    return t
+
+
+def _newton_system(f, fh, s, d, g, inv, grad):
+    """Newton step (I + M) dnu = grad on the blocks listed, M the Hessian of
+    sum_l rho_l in nu: complex Grams F^H diag(1/rho) F per block, embedded
+    as real matrices, minus one real correction U^T U, row l of U the
+    embedding of conj(F_l) g_l / rho_l^1.5."""
+    sizes = [fk.shape[1] for fk in f]
+    n = sum(sizes)
+    w = inv * np.sqrt(inv)
+    u = np.empty((len(inv), 2 * n))
+    at = 0
+    for fhk, dk, gk, m in zip(fh, d, g, sizes):
+        c = (dk * gk * w)[:, None] * fhk.T
+        u[:, at:at + m], u[:, n + at:n + at + m] = c.real, c.imag
+        at += m
+    system = -(u.T @ u)
+    at = 0
+    for fk, fhk, sk, m in zip(f, fh, s, sizes):
+        gram = sk * (fhk @ (inv[:, None] * fk))
+        re, im = slice(at, at + m), slice(n + at, n + at + m)
+        system[re, re] += gram.real
+        system[im, im] += gram.real
+        system[re, im] -= gram.imag
+        system[im, re] += gram.imag
+        at += m
+    system[np.diag_indices(2 * n)] += 1.0
+    rhs = np.concatenate(grad)
+    x = np.linalg.solve(system, np.concatenate([rhs.real, rhs.imag]))
+    return np.split(x[:n] + 1j * x[n:], np.cumsum(sizes)[:-1])
+
+
+def _newton_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings):
+    """Minimize the two coupled-constraint blocks of one side through their dual.
 
     `factors` holds F of the theta and the phi block, `lin` and `v` are (2, L)
-    in the same (theta, phi) order.  Accelerated projected gradient (FISTA)
-    from the extrapolated point y = w + beta (w - v); its F^H products are
-    carried as the same combination of the stored ones, so an iteration costs
-    one F p and one F^H w per block.  A trial from y that does not descend
-    restarts the momentum and steps from v instead; only that plain step is
-    halved, and only a plain step may end the solve on the tolerance.  Each
-    block runs on its binary-scaled factor F~ = 2^-e F, and s = 2^(2e) enters
-    only the values, the Lipschitz constant and once per gradient.  Returns
-    the (2, L) solution, the iteration count and whether the solve stopped at
-    `max_iters`.
+    in the same (theta, phi) order.  With b_j = conj(lin_j) the side minimizes
+    P(v) = sum_j ||F_j^H v_j||^2 - 2 Re{v_j^H b_j}; its dual is D(nu) =
+    -||nu||^2 - 2 sum_l ||g_l||, g_j = F_j nu_j - b_j, and P(v) - D(nu) >= 0
+    for every feasible v.  Damped Newton ascent on D with ||g_l|| smoothed to
+    rho_l = sqrt(||g_l||^2 + delta^2), delta = 0.05 gap / L, starting from
+    nu = F^H v of the given point.  Each step offers up to three primal
+    points (the recovered -g_l / rho_l, the one the step's linearization
+    predicts, and that one with its elements inside their disks corrected to
+    F^H v = nu) and one dual point besides the step, nu = F^H v of the
+    linearized one.  The solve keeps the best of each and stops when
+    P - D <= tolerance |D|, when the line search cannot ascend and the gap is
+    at roundoff, or after `max_iters` steps.  Returns the (2, L) best primal
+    point, the best dual value D (a lower bound on the side's minimum), the
+    step count and whether the solve ended without its certificate.
     """
+    L = v.shape[-1]
     f, e = zip(*map(_binary_scale, factors))
-    s = [float(np.ldexp(1.0, 2 * ej)) for ej in e]
-    fh = [fj.conj().T for fj in f]
-    lam = max(s[0] * max_eigval(fh[0] @ f[0]), s[1] * max_eigval(fh[1] @ f[1]), 1e-30)
-    step = 1.0 / (2.0 * lam)
-    c = lin.conj()
+    top = max((e[j] for j in range(2) if np.any(f[j])), default=0)
+    # The side runs normalized by 2^top (F) and 4^top (b), so a rescaled
+    # problem (F 2^k, lin 4^k) takes the same steps to the same bits.
+    b = np.ldexp(lin.conj().view(np.float64), -2 * top).view(complex)
+    if not np.any(b):
+        return np.zeros_like(v), 0.0, 0, False      # v = 0 minimizes ||F^H v||^2
+    # A block whose scale s_j underflows adds nothing, as its products would.
+    live = [j for j in range(2)
+            if np.any(f[j]) and np.ldexp(1.0, 2 * (e[j] - top)) >= np.finfo(float).tiny]
+    s = [float(np.ldexp(1.0, 2 * (e[j] - top))) for j in live]    # F_j = sqrt(s_j) F~_j
+    d = [float(np.ldexp(1.0, e[j] - top)) for j in live]          # nu_j = d_j mu_j
+    f = [f[j] for j in live]
+    fh = [fk.conj().T for fk in f]
+    rows = [np.einsum("lr,lr->l", fk.view(np.float64), fk.view(np.float64)) for fk in f]
+    blocks = range(len(live))
 
-    def products(w):
-        return fh[0] @ w[0], fh[1] @ w[1]
+    def image(mu):
+        """F nu (= s_j F~_j mu_j in the rows of each live block j)."""
+        out = np.zeros_like(b)
+        for k, j in enumerate(live):
+            out[j] = s[k] * (f[k] @ mu[k])
+        return out
 
-    def value(p, w):
-        return _value(p[0], w[0], c[0], s[0]) + _value(p[1], w[1], c[1], s[1])
+    def dual(mu, rho):
+        return -sum(s[k] * np.vdot(mu[k], mu[k]).real for k in blocks) - 2.0 * float(np.sum(rho))
 
-    def gradient(r):
-        return 2.0 * (np.array([s[0] * (f[0] @ r[0]), s[1] * (f[1] @ r[1])]) - c)
+    def candidate(w):
+        """The projected point, its F~^H products and P."""
+        w = project_feasible(w)
+        p = [fh[k] @ w[j] for k, j in enumerate(live)]
+        return w, p, sum(s[k] * np.vdot(p[k], p[k]).real for k in blocks) - 2.0 * np.vdot(w, b).real
 
-    v = project_feasible(v)
-    p = products(v)
-    f_cur = value(p, v)
-    y, r = v, p
-    t, beta = 1.0, 0.0
-    for it in range(1, settings.max_iters + 1):
-        g = gradient(r)
-        trial, rejected = step, 0
-        while True:
-            w = project_feasible(y - trial * g)
-            q = products(w)
-            f_new = value(q, w)
-            if f_new <= f_cur + 1e-15:
+    def dual_at(mu):
+        return dual(mu, np.sqrt(_pair_sum(np.abs(image(mu) - b) ** 2)))
+
+    def ended(capped):
+        return best_v, float(np.ldexp(d_best, 2 * top)), it, capped
+
+    best_v, mu, p_best = candidate(v)
+    g = image(mu) - b
+    d_best = dual_at(mu)
+    it = 0
+    while True:
+        if p_best - d_best <= settings.tolerance * abs(d_best):
+            return ended(False)
+        delta = _SMOOTHING * (p_best - d_best) / L
+        rho = np.sqrt(_pair_sum(np.abs(g) ** 2) + delta * delta)
+        inv = np.divide(1.0, rho, out=np.zeros_like(rho), where=rho > 0)
+        w, p, value = candidate(-g * inv)
+        if value < p_best:
+            best_v, p_best = w, value
+        if p_best - d_best <= settings.tolerance * abs(d_best):
+            return ended(False)
+        if it == settings.max_iters:
+            return ended(True)
+        it += 1
+
+        # The gradient in nu is 2 (F^H v - nu); blocks with a negligible
+        # Hessian term step to the fixed point nu_j = F_j^H v_j.
+        grad = [d[k] * (p[k] - mu[k]) for k in blocks]
+        dnu = list(grad)
+        newton = [k for k in blocks if s[k] * float(inv @ rows[k]) >= _FIXED_POINT]
+        if newton:
+            steps = _newton_system(*([x[k] for k in newton] for x in (f, fh, s, d)),
+                                   [g[live[k]] for k in newton], inv,
+                                   [grad[k] for k in newton])
+            for k, x in zip(newton, steps):
+                dnu[k] = x
+        slope = 2.0 * sum(np.vdot(grad[k], dnu[k]).real for k in blocks)
+        step = [dnu[k] / d[k] for k in blocks]
+        dg = image(step)
+
+        base = dual(mu, rho)
+        t = _line_max(g, dg, delta, [d[k] * mu[k] for k in blocks], dnu)
+        for _ in range(_HALVINGS):
+            trial = [mu[k] + t * step[k] for k in blocks]
+            if dual(trial, np.sqrt(_pair_sum(np.abs(g + t * dg) ** 2) + delta * delta)) \
+                    >= base + _ARMIJO * t * slope:
                 break
-            if beta > 0.0:      # function-value restart
-                y, r = v, p
-                t, beta = 1.0, 0.0
-                g = gradient(p)
-                continue
-            rejected += 1
-            if rejected == 60:
-                return v, it, False
-            trial *= 0.5
-        if f_cur - f_new <= settings.tolerance * max(1.0, abs(f_new)):
-            if beta == 0.0:
-                return w, it, False
-            t = 1.0     # a short step from y proves nothing: take a plain one from w
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_next
-        y = w + beta * (w - v)
-        r = [qj + beta * (qj - pj) for qj, pj in zip(q, p)]
-        v, p, f_cur, t = w, q, f_new, t_next
-    return v, settings.max_iters, True
+            t *= 0.5
+        else:
+            roundoff = 8.0 * (L + sum(map(len, mu))) * np.finfo(float).eps
+            return ended(p_best - d_best > roundoff * (abs(p_best) + abs(d_best)))
+        # The primal point the linearized step predicts, v + t dv with
+        # dv = -dg / rho + g Re{g^H dg} / rho^3, and its nu = F^H v.
+        w, q, value = candidate(-(g + t * dg) * inv
+                                + g * (t * _pair_sum((g.conj() * dg).real) * inv ** 3))
+        if value < p_best:
+            best_v, p_best = w, value
+        # At an optimum F^H v = nu, and elements inside their disks carry no
+        # multiplier: correct those of this point by least squares to meet
+        # the new nu, where the division by rho ~ delta has lost them.
+        inner = _pair_sum(np.abs(w) ** 2) < 1.0 - _INNER
+        if np.any(inner):
+            w = w.copy()
+            for k, j in enumerate(live):
+                w[j, inner] += np.linalg.lstsq(fh[k][:, inner], trial[k] - q[k], rcond=None)[0]
+            w, _, value = candidate(w)
+            if value < p_best:
+                best_v, p_best = w, value
+        mu = trial
+        g = image(mu) - b
+        d_best = max(d_best, dual(mu, np.sqrt(_pair_sum(np.abs(g) ** 2))), dual_at(q))
 
 
 @dataclass
 class PgdCounts:
-    """PGD work summed over side solves: iterations, and solves stopped at the cap."""
+    """Surface side-solve work: Newton steps summed over side solves, and the
+    solves that ended without their duality-gap certificate (at the step cap,
+    or stalled above roundoff)."""
     iters: int = 0
     cap_exits: int = 0
 
@@ -266,20 +410,20 @@ class PgdCounts:
 def solve_qcqp(pq: PhaseQuadratic, init: IosState, settings: PgdSettings,
                groups: tuple[tuple[int, ...], ...] = ((0,), (1,))
                ) -> tuple[IosState, PgdCounts]:
-    """Accelerated projected-gradient solve, one `_pgd_side` solve per group of
-    side indices; a group writes its one set of coefficients to each of its
-    sides of `coef`.  Returns the new state and the iterations and cap exits of
+    """Dual Newton solve, one `_newton_side` solve per group of side indices;
+    a group writes its one set of coefficients to each of its sides of
+    `coef`.  Returns the new state and the Newton steps and cap exits of
     this call's side solves.
     """
     out = init.copy()
     counts = PgdCounts()
     for group in groups:
-        v, n, capped = _pgd_side(*group_blocks(pq, group), init.coef[group[0]], settings)
+        v, _, n, capped = _newton_side(*group_blocks(pq, group), init.coef[group[0]], settings)
         out.coef[list(group)] = v
         counts.iters += n
         counts.cap_exits += capped
 
     out.validate()
     if gprime_value(pq, out) > gprime_value(pq, init) + 1e-12:
-        raise NumericalError("projected gradient failed to descend")
+        raise NumericalError("surface solve failed to descend")
     return out, counts

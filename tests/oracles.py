@@ -20,11 +20,10 @@ one user (and one interferer) at a time on single matrices:
 * `bisect_multiplier_plain`, the plain bisection that
   `beamformers.bisect_multiplier` replaced by a safeguarded secant search.
 
-`pgd_side_plain` is the plain projected gradient that `phases._pgd_side`
-accelerates, and `pgd_side_unscaled` is `_pgd_side` run on the factors as
-given, without the binary block scaling; the two must agree bit for bit.
-Both take `_pgd_side`'s stacked (theta, phi) arguments through a thin adapter
-and run the loop one block at a time on (phi, theta) pairs, with the pairwise
+`pgd_side_plain` is plain projected gradient on one side of the surface
+QCQP, the reference that `phases._newton_side` is checked against.  It takes
+`_newton_side`'s stacked (theta, phi) arguments through a thin adapter and
+runs the loop one block at a time on (phi, theta) pairs, with the pairwise
 radial projection `project_pair`.  `quantize_phases_per_vector` snaps and
 projects the four surface vectors one at a time, where
 `algorithm.quantize_phases` does it on the stacked array.
@@ -40,7 +39,7 @@ import numpy as np
 
 import iosfd.algorithm
 from iosfd.errors import ConvergenceError, NumericalError
-from iosfd.linalg import hermitize, logdet_pd, max_eigval, solve_pd
+from iosfd.linalg import hermitize, logdet_pd, solve_pd
 from iosfd.phases import PgdSettings, _value
 from iosfd.system import LN2, BeamformerSet, EffectiveChannels, IosState
 from iosfd.wmmse import WmmseState
@@ -307,6 +306,10 @@ def min_eigval(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitize(a))[0])
 
 
+def max_eigval(a: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(hermitize(a))[-1])
+
+
 def _solve_stationary(xi: np.ndarray, rhs: np.ndarray, mu: float) -> np.ndarray:
     if mu > 0.0:
         return solve_pd(xi, rhs)
@@ -341,7 +344,7 @@ def project_pair(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _pairwise(loop):
     """`loop` over (F_phi, c_phi, F_theta, c_theta, phi, theta) called with
-    `_pgd_side`'s (factors, lin, v) in (theta, phi) order; the two returned
+    `_newton_side`'s (factors, lin, v) in (theta, phi) order; the two returned
     vectors come back stacked as (theta, phi)."""
     def adapted(factors, lin, v, settings: PgdSettings):
         phi, theta, *rest = loop(factors[1], lin[1], factors[0], lin[0], v[1], v[0], settings)
@@ -352,9 +355,10 @@ def _pairwise(loop):
 
 @_pairwise
 def pgd_side_plain(f1, c1, f2, c2, v1, v2, settings: PgdSettings):
-    """Plain projected gradient on one side, with the step and stop rule of
-    `phases._pgd_side`.  Returns the (theta, phi) solution and whether the
-    solve stopped at `max_iters`."""
+    """Plain projected gradient on one side: step 1 / (2 max eig F^H F), up
+    to 60 halvings, stop when a step decreases the value by at most
+    tolerance * max(1, |value|).  Returns the (theta, phi) solution and
+    whether the solve stopped at `max_iters`."""
     f1h, f2h = f1.conj().T, f2.conj().T
     lam = max(max_eigval(f1h @ f1), max_eigval(f2h @ f2), 1e-30)
     step = 1.0 / (2.0 * lam)
@@ -381,54 +385,6 @@ def pgd_side_plain(f1, c1, f2, c2, v1, v2, settings: PgdSettings):
         if moved <= settings.tolerance * max(1.0, abs(f_cur)):
             return v1, v2, False
     return v1, v2, True
-
-
-@_pairwise
-def pgd_side_unscaled(f1, c1, f2, c2, v1, v2, settings: PgdSettings):
-    """`phases._pgd_side` on the unscaled factors: the same FISTA loop, step,
-    restart and stop rule, with every product taken on F itself.  Returns the
-    (theta, phi) solution, the iteration count and whether the solve stopped
-    at `max_iters`."""
-    f1h, f2h = f1.conj().T, f2.conj().T
-    lam = max(max_eigval(f1h @ f1), max_eigval(f2h @ f2), 1e-30)
-    step = 1.0 / (2.0 * lam)
-    c1, c2 = c1.conj(), c2.conj()
-
-    v1, v2 = project_pair(v1.copy(), v2.copy())
-    p1, p2 = f1h @ v1, f2h @ v2
-    f_cur = _value(p1, v1, c1) + _value(p2, v2, c2)
-    y1, y2, r1, r2 = v1, v2, p1, p2
-    t, beta = 1.0, 0.0
-    for it in range(1, settings.max_iters + 1):
-        g1 = 2.0 * (f1 @ r1 - c1)
-        g2 = 2.0 * (f2 @ r2 - c2)
-        trial, rejected = step, 0
-        while True:
-            w1, w2 = project_pair(y1 - trial * g1, y2 - trial * g2)
-            q1, q2 = f1h @ w1, f2h @ w2
-            f_new = _value(q1, w1, c1) + _value(q2, w2, c2)
-            if f_new <= f_cur + 1e-15:
-                break
-            if beta > 0.0:      # function-value restart
-                y1, y2, r1, r2 = v1, v2, p1, p2
-                t, beta = 1.0, 0.0
-                g1 = 2.0 * (f1 @ p1 - c1)
-                g2 = 2.0 * (f2 @ p2 - c2)
-                continue
-            rejected += 1
-            if rejected == 60:
-                return v1, v2, it, False
-            trial *= 0.5
-        if f_cur - f_new <= settings.tolerance * max(1.0, abs(f_new)):
-            if beta == 0.0:
-                return w1, w2, it, False
-            t = 1.0
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_next
-        y1, y2 = w1 + beta * (w1 - v1), w2 + beta * (w2 - v2)
-        r1, r2 = q1 + beta * (q1 - p1), q2 + beta * (q2 - p2)
-        v1, v2, p1, p2, f_cur, t = w1, w2, q1, q2, f_new, t_next
-    return v1, v2, settings.max_iters, True
 
 
 # -- surface ----------------------------------------------------------------

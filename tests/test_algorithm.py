@@ -49,13 +49,24 @@ def test_trace_counts_pgd_cap_exits():
     assert 0 < res.trace.pgd_cap_exits <= 2 * res.trace.iterations
 
 
-def test_trace_counts_pgd_iterations():
-    """Every surface side solve adds its PGD iterations; a run without the
+def test_trace_counts_pgd_iterations(monkeypatch):
+    """Every surface side solve adds its Newton steps; a run without the
     surface solves none."""
     ch = channels_for(integrated_geometry(L=8), 0)
     cfg = desk_config()
+    solve = iosfd.algorithm.solve_qcqp
+    counts = []
+
+    def recording(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        counts.append(out[1])
+        return out
+    monkeypatch.setattr(iosfd.algorithm, "solve_qcqp", recording)
     res = run_algorithm2(ch, cfg, SchemeSpec(Scheme.DS_IOS))
-    assert res.trace.pgd_iters >= 2 * res.trace.iterations
+    monkeypatch.undo()
+    assert len(counts) == res.trace.iterations
+    assert res.trace.pgd_iters == sum(c.iters for c in counts) > 0
+    assert res.trace.pgd_cap_exits == sum(c.cap_exits for c in counts)
     assert res.trace.pgd_iters >= res.trace.pgd_cap_exits * cfg.pgd.max_iters
     cfg.pgd = PgdSettings(max_iters=1)
     capped = run_algorithm2(ch, cfg, SchemeSpec(Scheme.DS_IOS)).trace
@@ -500,7 +511,9 @@ def test_iteration_cap_counts_every_map_evaluation(monkeypatch):
 
 
 def test_convergence_error_in_extrapolated_step_propagates(monkeypatch):
-    """A guard that trips while mapping an extrapolated point ends the run."""
+    """A guard that trips while mapping an extrapolated point ends the run:
+    the last map evaluation is the first extrapolated trial, after a plain
+    step."""
     step = iosfd.algorithm.outer_step
     calls = []
 
@@ -513,4 +526,5 @@ def test_convergence_error_in_extrapolated_step_propagates(monkeypatch):
     ch, cfg = _physical_run(0, SchemeSpec(Scheme.DS_IOS))
     with pytest.raises(ConvergenceError, match="trial"):
         run_algorithm2(ch, cfg, SchemeSpec(Scheme.DS_IOS))
-    assert len(calls) == 3
+    assert len(calls) >= 3 and calls[-1] is None
+    assert all(prev is not None for prev in calls[1:-1])

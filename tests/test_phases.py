@@ -7,13 +7,13 @@ from iosfd import (FadingParams, IosState, PgdSettings, RunConfig, Scheme, Schem
                    vectorize)
 from iosfd.errors import NumericalError
 from iosfd.linalg import cn_sample
-from iosfd.phases import _binary_scale, _block_value, _pgd_side, gprime_value, group_blocks
+from iosfd.phases import _binary_scale, _block_value, _newton_side, gprime_value, group_blocks
 from iosfd.wmmse import surrogate_objective, update_state
 
 from conftest import (integrated_run_geometry, random_beamformers, random_instance,
                       random_ios, reference_geometry, t_side_quadratic)
 from dense_forms import build_dense_forms, dense_blocks, g_value, hadamard_quadratic
-from oracles import min_eigval, pgd_side_plain, pgd_side_unscaled
+from oracles import min_eigval, pgd_side_plain
 
 
 def build_from_instance(inst):
@@ -280,33 +280,34 @@ def test_pgd_descends_and_stays_feasible(rng):
         assert gprime_value(pq, out) <= gprime_value(pq, init) + 1e-12
 
 
-def close_mounted_qcqps(L, seed, n_outer):
-    """(PhaseQuadratic, surface state) of outer iterations 1..n_outer of a DS_IOS
-    run in the close-mounted geometry at P_B = 10 dBm, P_U = 5 dBm and -80 dBm
-    noise.  The surface steps come from the plain oracle, so the instances do
-    not depend on the solver under test."""
+def close_mounted_qcqps(L, seed, n_outer, scheme=SchemeSpec(Scheme.DS_IOS)):
+    """(PhaseQuadratic, surface state) of outer iterations 1..n_outer of a run
+    (DS_IOS unless given) in the close-mounted geometry at P_B = 10 dBm,
+    P_U = 5 dBm and -80 dBm noise.  The surface steps come from the plain
+    oracle, so the instances do not depend on the solver under test."""
     K = 3
     ch = sample_channels(build_layout(integrated_run_geometry(L, K=K)),
                          FadingParams.from_db(3.0), seed)
     cfg = RunConfig(gamma_down=np.full(K, 0.5), gamma_up=np.full(K, 0.5),
                     noise_users=np.full(K, 1e-11), noise_rx=1e-11,
                     p_b=10.0, p_u=10.0 ** 0.5)
-    bf, ios, eff = apply_scheme(SchemeSpec(Scheme.DS_IOS), ch, cfg)
+    bf, ios, eff = apply_scheme(scheme, ch, cfg)
     for _ in range(n_outer):
         st = update_state(eff, bf, cfg.noise_users, cfg.noise_rx)
         bf, _ = update_beamformers(eff, st, cfg.gamma_down, cfg.gamma_up, cfg.p_b, cfg.p_u,
                                    cfg.eps_b)
         pq = vectorize(build_quadratic_forms(ch, bf, st, cfg.gamma_down, cfg.gamma_up))
         yield pq, ios
-        ios = plain_solve(pq, ios, PgdSettings())
+        ios = plain_solve(pq, ios, PgdSettings(), scheme.surface_groups)
         eff = compose_effective(ch, ios)
 
 
-def plain_solve(pq, init, settings):
-    """Both sides of `solve_qcqp` solved by the plain projected-gradient oracle."""
+def plain_solve(pq, init, settings, groups=((0,), (1,))):
+    """`solve_qcqp` with each group solved by the plain projected-gradient oracle."""
     out = init.copy()
-    for s in range(2):
-        out.coef[s], _ = pgd_side_plain(*group_blocks(pq, (s,)), init.coef[s], settings)
+    for group in groups:
+        out.coef[list(group)], _ = pgd_side_plain(*group_blocks(pq, group),
+                                                  init.coef[group[0]], settings)
     return out
 
 
@@ -319,9 +320,8 @@ def side_value(blocks, v):
 def test_accelerated_pgd_ends_no_higher_than_plain(rng):
     """Unit-scale instances, fresh draws in the reference and close-mounted
     geometries, and the QCQPs of the first outer iterations of close-mounted
-    runs: the accelerated solve stays feasible, does not ascend, and each side
-    ends no higher than the plain projected gradient with the same step and
-    stop rule."""
+    runs: the surface solve stays feasible, does not ascend, and each side
+    ends no higher than the plain projected gradient at the default settings."""
     cases = []
     for _ in range(5):
         inst = random_instance(rng, K=2, L=6)
@@ -343,9 +343,11 @@ def test_accelerated_pgd_ends_no_higher_than_plain(rng):
             assert got <= side_value(blocks, plain) + 1e-9 * max(1.0, abs(got)), s
 
 
-def test_accelerated_pgd_restarts_on_ill_conditioned_block(monkeypatch):
-    """Two elements, phi curvature 1 and 1e-2 along rotated axes, optimum on
-    the disk boundary: momentum overshoots and the restart branch runs."""
+def test_side_solve_certifies_ill_conditioned_block(monkeypatch):
+    """Two elements, phi curvature 1 and 1e-2 along rotated axes, one element
+    on its disk boundary and one inside it: the solve certifies the relative
+    gap 1e-14 in a few steps, with no cap exit, projecting at most three
+    points per step, and its bound lies below a 200000-iteration plain solve."""
     rot = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     f_phi = (rot @ np.diag([1.0, 0.1])).astype(complex)
     f_theta = np.eye(2, dtype=complex)
@@ -357,34 +359,65 @@ def test_accelerated_pgd_restarts_on_ill_conditioned_block(monkeypatch):
                         lambda *args: trials.append(1) or project_feasible(*args))
     init = IosState.zeros(2)
     settings = PgdSettings(max_iters=5000, tolerance=1e-14)
-    v, iters, capped = _pgd_side(*group_blocks(pq, (0,)), init.coef[0], settings)
+    v, lower, iters, capped = _newton_side(*group_blocks(pq, (0,)), init.coef[0], settings)
     monkeypatch.undo()
-    # With the exact Lipschitz step a plain step from v always descends, so
-    # every trial beyond the first projection and one per iteration is a restart.
-    assert not capped and len(trials) > iters + 1
+    assert not capped and iters <= 50 and len(trials) <= 3 * iters + 2
     out = init.copy()
     out.coef[0] = v
     g_out = gprime_value(pq, out)
     assert g_out <= gprime_value(pq, init)
+    assert g_out - lower <= 1e-14 * abs(lower)
     ref_v, ref_capped = pgd_side_plain(*group_blocks(pq, (0,)), init.coef[0],
                                        PgdSettings(max_iters=200000, tolerance=1e-15))
     assert not ref_capped
     ref = init.copy()
     ref.coef[0] = ref_v
-    assert g_out == pytest.approx(gprime_value(pq, ref), rel=1e-12, abs=1e-12)
+    g_ref = gprime_value(pq, ref)
+    assert lower <= g_ref
+    assert g_out == pytest.approx(g_ref, rel=1e-12, abs=1e-12)
     assert np.allclose(v, ref_v, atol=1e-5)
+
+
+def test_side_solve_certifies_gap_on_mid_run_qcqps():
+    """The QCQPs of outer iterations 1-5 of close-mounted runs at L = 64,
+    seeds 0-2: DS_IOS solved per side (t, u), and on iterations 1 and 5
+    with both sides tied and SS_IOS on its one side.  Each solve certifies
+    the requested relative gap, its dual bound lies below a 20000-iteration
+    plain projected-gradient solve, and its value is no higher than that
+    solve plus the gap."""
+    settings = PgdSettings()
+    oracle = PgdSettings(max_iters=20000, tolerance=1e-15)
+    solves = []
+    for seed in range(3):
+        for i, (pq, init) in enumerate(close_mounted_qcqps(64, seed, 5)):
+            groups = ((0,), (1,), (0, 1)) if i in (0, 4) else ((0,), (1,))
+            solves += [(pq, init, group) for group in groups]
+        ss = close_mounted_qcqps(64, seed, 5, SchemeSpec(Scheme.SS_IOS))
+        solves += [(pq, init, (1,)) for i, (pq, init) in enumerate(ss) if i in (0, 4)]
+    assert len(solves) == 42
+    for pq, init, group in solves:
+        blocks = group_blocks(pq, group)
+        v, lower, _, capped = _newton_side(*blocks, init.coef[group[0]], settings)
+        got = side_value(blocks, v)
+        plain, _ = pgd_side_plain(*blocks, init.coef[group[0]], oracle)
+        ref = side_value(blocks, plain)
+        gap = settings.tolerance * abs(lower)
+        assert not capped and np.all(np.sum(np.abs(v) ** 2, axis=0) <= 1.0 + 1e-12), group
+        assert got - lower <= gap, group
+        assert lower <= ref + 1e-15 * abs(ref), group
+        assert got <= ref + gap, group
 
 
 def test_accelerated_pgd_converges_where_plain_hits_the_cap():
     """Close-mounted L = 128, the t side of the second outer iteration: the
-    plain oracle stops at the 500-iteration cap, the accelerated solve on the
-    tolerance."""
+    plain oracle stops at the 500-iteration cap, the Newton solve on its
+    certified gap."""
     pq, init = list(close_mounted_qcqps(128, 1, 2))[-1]
     blocks = group_blocks(pq, (0,))
     settings = PgdSettings()
     _, plain_capped = pgd_side_plain(*blocks, init.coef[0], settings)
     assert plain_capped
-    _, iters, capped = _pgd_side(*blocks, init.coef[0], settings)
+    _, _, iters, capped = _newton_side(*blocks, init.coef[0], settings)
     assert not capped and iters < settings.max_iters
 
 
@@ -411,13 +444,14 @@ def test_binary_scale_is_exact(rng):
             assert e == 0 and top == 0.0
 
 
-def test_scaled_pgd_matches_unscaled_oracle_bit_for_bit(rng):
-    """Binary block scaling changes no bit of the side solve: unit-scale
-    instances, close-mounted mid-run QCQPs, instances whose theta factor is
-    scaled by 2^-800 (a dead block, as when the uplink switches off), whole
-    sides scaled to a Gram below the 1e-30 step floor (factors 2^-k, linear
-    terms 2^-2k, k = 75 and 450) and tied sides; at the default settings and
-    at a 3-iteration cap."""
+def test_side_solve_is_covariant_under_power_of_two_scaling(rng):
+    """The side solve runs on the problem normalized by a power of two, so
+    factors F 2^-k with linear terms lin 4^-k give the same bits, the same
+    steps and the same exit as (F, lin), and a bound scaled by 4^-k:
+    unit-scale instances, close-mounted mid-run QCQPs, instances whose theta
+    factor is scaled by 2^-800 (a dead block, as when the uplink switches
+    off), with and without its linear term, and tied sides; k = 75 and 450,
+    at the default settings and at a 3-step cap."""
     cases = []
     for _ in range(6):
         L = int(rng.integers(1, 9))
@@ -429,9 +463,6 @@ def test_scaled_pgd_matches_unscaled_oracle_bit_for_bit(rng):
             cases.append(((f_theta, f_phi), lin, init.coef[s]))
             cases.append((dead, lin, init.coef[s]))
             cases.append((dead, np.stack([0.0 * lin[0], lin[1]]), init.coef[s]))
-            for k in (75, 450):     # Gram below and far below the 1e-30 floor
-                tiny = (f_theta * 2.0 ** -k, f_phi * 2.0 ** -k)
-                cases.append((tiny, lin * 2.0 ** (-2 * k), init.coef[s]))
         cases.append((*group_blocks(pq, (0, 1)), init.coef[0]))
     for seed in (2, 3):
         for pq, init in close_mounted_qcqps(64, seed, 3):
@@ -439,10 +470,13 @@ def test_scaled_pgd_matches_unscaled_oracle_bit_for_bit(rng):
                 cases.append((*group_blocks(pq, (s,)), init.coef[s]))
     for settings in (PgdSettings(), PgdSettings(max_iters=3)):
         for factors, lin, v in cases:
-            got = _pgd_side(factors, lin, v, settings)
-            want = pgd_side_unscaled(factors, lin, v, settings)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1:] == want[1:]
+            want = _newton_side(factors, lin, v, settings)
+            for k in (75, 450):
+                got = _newton_side(tuple(f * 2.0 ** -k for f in factors),
+                                   lin * 2.0 ** (-2 * k), v, settings)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1] == want[1] * 2.0 ** (-2 * k)
+                assert got[2:] == want[2:]
 
 
 def test_pgd_improves_surrogate_cross_module(rng):

@@ -319,11 +319,16 @@ def _newton_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings)
     def dual(mu, rho):
         return -sum(s[k] * np.vdot(mu[k], mu[k]).real for k in blocks) - 2.0 * float(np.sum(rho))
 
-    def candidate(w):
-        """The projected point, its F~^H products and P."""
+    def offer(w):
+        """Project w and keep it if its P beats the best; the projected point
+        and its F~^H products."""
+        nonlocal best_v, p_best
         w = project_feasible(w)
         p = [fh[k] @ w[j] for k, j in enumerate(live)]
-        return w, p, sum(s[k] * np.vdot(p[k], p[k]).real for k in blocks) - 2.0 * np.vdot(w, b).real
+        value = sum(s[k] * np.vdot(p[k], p[k]).real for k in blocks) - 2.0 * np.vdot(w, b).real
+        if value < p_best:
+            best_v, p_best = w, value
+        return w, p
 
     def dual_at(mu):
         return dual(mu, np.sqrt(_pair_sum(np.abs(image(mu) - b) ** 2)))
@@ -331,7 +336,8 @@ def _newton_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings)
     def ended(capped):
         return best_v, float(np.ldexp(d_best, 2 * top)), it, capped
 
-    best_v, mu, p_best = candidate(v)
+    best_v, p_best = v, np.inf
+    _, mu = offer(v)
     g = image(mu) - b
     d_best = dual_at(mu)
     it = 0
@@ -341,9 +347,7 @@ def _newton_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings)
         delta = _SMOOTHING * (p_best - d_best) / L
         rho = np.sqrt(_pair_sum(np.abs(g) ** 2) + delta * delta)
         inv = np.divide(1.0, rho, out=np.zeros_like(rho), where=rho > 0)
-        w, p, value = candidate(-g * inv)
-        if value < p_best:
-            best_v, p_best = w, value
+        _, p = offer(-g * inv)
         if p_best - d_best <= settings.tolerance * abs(d_best):
             return ended(False)
         if it == settings.max_iters:
@@ -378,10 +382,7 @@ def _newton_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings)
             return ended(p_best - d_best > roundoff * (abs(p_best) + abs(d_best)))
         # The primal point the linearized step predicts, v + t dv with
         # dv = -dg / rho + g Re{g^H dg} / rho^3, and its nu = F^H v.
-        w, q, value = candidate(-(g + t * dg) * inv
-                                + g * (t * _pair_sum((g.conj() * dg).real) * inv ** 3))
-        if value < p_best:
-            best_v, p_best = w, value
+        w, q = offer(-(g + t * dg) * inv + g * (t * _pair_sum((g.conj() * dg).real) * inv ** 3))
         # At an optimum F^H v = nu, and elements inside their disks carry no
         # multiplier: correct those of this point by least squares to meet
         # the new nu, where the division by rho ~ delta has lost them.
@@ -390,9 +391,7 @@ def _newton_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings)
             w = w.copy()
             for k, j in enumerate(live):
                 w[j, inner] += np.linalg.lstsq(fh[k][:, inner], trial[k] - q[k], rcond=None)[0]
-            w, _, value = candidate(w)
-            if value < p_best:
-                best_v, p_best = w, value
+            offer(w)
         mu = trial
         g = image(mu) - b
         d_best = max(d_best, dual(mu, np.sqrt(_pair_sum(np.abs(g) ** 2))), dual_at(q))

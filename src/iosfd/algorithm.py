@@ -2,12 +2,13 @@
 
 One iteration (`outer_step`) refreshes, in order: decoders/weights,
 precoders (dual multipliers by safeguarded secant search), surface
-coefficients (projected-gradient QCQP).  Each block maximizes the shared
-surrogate with the others fixed, so the true weighted sum rate never
-decreases between iterations; a guard aborts if numerics break that
-promise.  `run_algorithm2` speeds the iteration up with safeguarded SQUAREM
-extrapolation, which keeps an extrapolated iterate only if it does not lower
-the rate.  Termination is by relative change of the weighted sum rate.
+coefficients (one convex QCQP per side, by damped Newton ascent on its dual
+to a certified duality gap).  Each block maximizes the shared surrogate with
+the others fixed, so the true weighted sum rate never decreases between
+iterations; a guard aborts if numerics break that promise.  `run_algorithm2`
+speeds the iteration up with safeguarded SQUAREM extrapolation, which keeps
+an extrapolated iterate only if it does not lower the rate.  Termination is
+by relative change of the weighted sum rate.
 """
 from __future__ import annotations
 
@@ -40,25 +41,15 @@ class Scheme(str, enum.Enum):
 class SchemeSpec:
     kind: Scheme
     quantization_bits: int | None = None
-    tie_sides: bool = False
-    quantize_at_end: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("tie_sides", "quantize_at_end"):
-            flag = getattr(self, name)
-            if not isinstance(flag, bool):
-                raise ValueError(f"{name} must be true or false, got {flag!r}")
         self.kind = Scheme(self.kind)
         bits = self.quantization_bits
         if bits is not None and (isinstance(bits, bool) or not isinstance(bits, int)
                                  or not 1 <= bits <= 16):
             raise ValueError(f"quantization_bits must be an integer in [1, 16], got {bits!r}")
-        if self.tie_sides and self.kind is not Scheme.DS_IOS:
-            raise ValueError(f"tie_sides needs DS_IOS, not {self.kind.value}")
         if bits is not None and not self.uses_surface:
             raise ValueError(f"quantization_bits needs a surface, not {self.kind.value}")
-        if self.quantize_at_end and bits is None:
-            raise ValueError("quantize_at_end needs quantization_bits")
 
     @property
     def uses_surface(self) -> bool:
@@ -67,32 +58,27 @@ class SchemeSpec:
     @property
     def quantizes_each_iter(self) -> bool:
         """Phases snapped after every outer iteration, off the ascent path."""
-        return self.quantization_bits is not None and not self.quantize_at_end
+        return self.quantization_bits is not None
 
     @property
     def optimizes_downlink(self) -> bool:
         return self.kind is not Scheme.SS_IOS
 
     @property
-    def surface_groups(self) -> tuple[tuple[int, ...], ...]:
-        """Side indices of `IosState.coef` solved together, one solve per group."""
+    def surface_sides(self) -> tuple[int, ...]:
+        """Side indices of `IosState.coef` the surface solve updates."""
         if self.kind is Scheme.SS_IOS:
-            return ((1,),)
+            return (1,)
         if self.kind is Scheme.WO_IOS:
             return ()
-        return ((0, 1),) if self.tie_sides else ((0,), (1,))
+        return (0, 1)
 
     @property
     def label(self) -> str:
-        """Kind plus every option set, e.g. DS_IOS_tied_q3_end."""
-        base = self.kind.value
-        if self.tie_sides:
-            base += "_tied"
-        if self.quantization_bits is not None:
-            base += f"_q{self.quantization_bits}"
-        if self.quantize_at_end:
-            base += "_end"
-        return base
+        """Kind plus the quantization, e.g. DS_IOS_q4."""
+        if self.quantization_bits is None:
+            return self.kind.value
+        return f"{self.kind.value}_q{self.quantization_bits}"
 
 
 @dataclass
@@ -213,9 +199,9 @@ def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, bf: Beamforme
     check("precoder update", s3, s2)
 
     counts = PgdCounts()
-    if scheme.surface_groups:
+    if scheme.surface_sides:
         qf = build_quadratic_forms(ch, bf, st, cfg.gamma_down, cfg.gamma_up)
-        ios, counts = solve_qcqp(vectorize(qf), ios, cfg.pgd, scheme.surface_groups)
+        ios, counts = solve_qcqp(vectorize(qf), ios, cfg.pgd, scheme.surface_sides)
         eff = _compose(ch, ios, scheme)
         s4 = surr(eff, bf, st)
         check("surface update", s4, s3)
@@ -363,9 +349,4 @@ def run_algorithm2(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec) -> RunRes
             continue
         x2, done = steps.plain(x1)
         x = x2 if done else _extrapolate(steps, x, x1, x2)
-
-    if scheme.quantize_at_end:
-        ios = quantize_phases(x.ios, scheme.quantization_bits)
-        eff = _compose(ch, ios, scheme)
-        x = _Iterate(x.bf, ios, eff, _rate(eff, x.bf, cfg), x.duals)
     return RunResult(x.bf, x.ios, steps.trace, x.report, x.duals)

@@ -27,6 +27,11 @@ from .geometry import GeometryConfig, build_layout
 from .phases import PgdSettings
 
 SWEEP_AXES = ("none", "L", "P_B", "P_U", "tx_ios_distance")
+# A run's arrays grow with these counts (channels as K x L x N, surface
+# factors as L x (K N)^2), so larger values would ask for more memory than a
+# run can get, or for arrays numpy cannot index.
+MAX_ANTENNAS = 64
+MAX_ELEMENTS = 2 ** 17
 
 
 def dbm_to_mw(dbm: float) -> float:
@@ -148,8 +153,7 @@ def _parse_scheme(entry: Any, path: str) -> SchemeSpec:
         if isinstance(entry, dict):
             if entry.get("kind") is None:
                 raise ValueError("missing 'kind'")
-            known = {"kind", "quantization_bits", "tie_sides", "quantize_at_end"}
-            extra = set(entry) - known
+            extra = set(entry) - {f.name for f in dataclasses.fields(SchemeSpec)}
             if extra:
                 raise ValueError(f"unknown fields {sorted(extra)}")
             return SchemeSpec(**entry)
@@ -222,10 +226,22 @@ def _reject_repeats(path: str, what: str, items: list) -> None:
             raise ConfigError(f"{path}[{i}]: {what} {item} repeats {path}[{items.index(item)}]")
 
 
+def _is_count(value: Any, cap: int) -> bool:
+    """An integer-valued int or float in [1, cap], not a bool."""
+    return (_is_finite_number(value) and float(value).is_integer()
+            and 1 <= value <= cap)
+
+
 def validate_config(cfg: CampaignConfig) -> None:
     sc = cfg.scenario
     if sc.k_users < 1:
         raise ConfigError("scenario.k_users: must be >= 1")
+    for name, cap in (("n_tx", MAX_ANTENNAS), ("n_rx", MAX_ANTENNAS),
+                      ("n_user_tx", MAX_ANTENNAS), ("n_user_rx", MAX_ANTENNAS),
+                      ("l_elements", MAX_ELEMENTS)):
+        if not _is_count(getattr(sc, name), cap):
+            raise ConfigError(f"scenario.{name}: must be an integer in [1, {cap}], "
+                              f"got {getattr(sc, name)!r}")
     if len(sc.user_anchors) != sc.k_users:
         raise ConfigError("scenario.user_anchors: need one anchor per user")
     anchors = [("tx_anchor", sc.tx_anchor), ("rx_anchor", sc.rx_anchor),
@@ -246,9 +262,9 @@ def validate_config(cfg: CampaignConfig) -> None:
     for i, value in enumerate(cfg.sweep.values):
         if not _is_finite_number(value):
             raise ConfigError(f"sweep.values[{i}]: expected a finite number, got {value!r}")
-        if cfg.sweep.axis == "L" and not (float(value).is_integer() and value >= 1):
-            raise ConfigError(f"sweep.values[{i}]: element count must be an integer >= 1, "
-                              f"got {value!r}")
+        if cfg.sweep.axis == "L" and not _is_count(value, MAX_ELEMENTS):
+            raise ConfigError(f"sweep.values[{i}]: element count must be an integer in "
+                              f"[1, {MAX_ELEMENTS}], got {value!r}")
         if cfg.sweep.axis == "tx_ios_distance" and not value > 0:
             raise ConfigError(f"sweep.values[{i}]: distance must be > 0, got {value!r}")
     _reject_repeats("schemes", "label", [scheme.label for scheme in cfg.schemes])
@@ -423,7 +439,8 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1
     jobs = [(cfg, scheme, value, seed)
             for scheme in cfg.schemes for value in values for seed in cfg.seeds]
     if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # every worker forks at the first submit, so start no more than there are cells
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             outcomes = list(pool.map(_worker, jobs))
     else:
         outcomes = [_worker(job) for job in jobs]

@@ -41,10 +41,12 @@ def _available_cpus() -> int:
 
 
 def _simulate(args, extras: list[str]) -> int:
-    if args.threads < 0:
-        raise ConfigError(f"--threads must be >= 0 (0: one per usable CPU), got {args.threads}")
+    cpus = _available_cpus()
+    if not 0 <= args.threads <= cpus:
+        raise ConfigError(f"--threads must be in [0, {cpus}], the CPUs this process may use "
+                          f"(0: one per CPU), got {args.threads}")
     cfg = load_config(args.config, _parse_overrides(extras))
-    threads = args.threads if args.threads else _available_cpus()
+    threads = args.threads if args.threads else cpus
     base = write_campaign(cfg, args.out, threads=threads)
     print(f"wrote {base / 'results.csv'}")
     return 0
@@ -76,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a Monte-Carlo campaign")
     sim.add_argument("--config", required=True, help="campaign config (JSON)")
     sim.add_argument("--threads", type=int, default=0,
-                     help="worker processes, >= 0 (default 0: the CPUs this process may use)")
+                     help="worker processes, at most the CPUs this process may use "
+                          "(default 0: one per such CPU)")
     sim.add_argument("--out", default="out", help="output directory")
 
     agg = sub.add_parser("aggregate", help="aggregate a results.csv into figure data")

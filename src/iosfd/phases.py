@@ -11,9 +11,8 @@ over the per-element disks |theta_l|^2 + |phi_l|^2 <= 1.
 
 The data follow the (side, kind) layout of `IosState.coef`: the block of
 coef[s, j] has the factor `PhaseQuadratic.factors[s][j]` and the linear vector
-`lin[s, j]`.  Each group of side indices is one `_newton_side` solve on a
-(2, L) array of (theta, phi); the tied group (0, 1) solves the sum of both
-sides' blocks.
+`lin[s, j]`.  Each side is one `_newton_side` solve on a (2, L) array of
+(theta, phi).
 
 No L-by-L matrix is ever formed.  Every coupling matrix is a low-rank Gram
 matrix, A = P P^H and B = R R^H with P, R of size L x s (s = stream count),
@@ -160,15 +159,6 @@ def gprime_value(pq: PhaseQuadratic, ios: IosState) -> float:
     coefficient can reach, which the solve does not need."""
     return sum(_block_value(f[0], c[0], v[0]) + _block_value(f[1], c[1], v[1])
                for f, c, v in zip(pq.factors, pq.lin, ios.coef))
-
-
-def group_blocks(pq: PhaseQuadratic, group: tuple[int, ...]):
-    """(factors, lin) of one solve, indexed by kind j: those of the side in
-    `group`, or for both sides sharing one set of coefficients the blocks of
-    Q_t + Q_u = [F_t F_u][F_t F_u]^H and lin[0] + lin[1]."""
-    if len(group) == 1:
-        return pq.factors[group[0]], pq.lin[group[0]]
-    return tuple(map(np.hstack, zip(*pq.factors))), pq.lin[0] + pq.lin[1]
 
 
 def project_feasible(coef: np.ndarray) -> np.ndarray:
@@ -407,18 +397,16 @@ class PgdCounts:
 
 
 def solve_qcqp(pq: PhaseQuadratic, init: IosState, settings: PgdSettings,
-               groups: tuple[tuple[int, ...], ...] = ((0,), (1,))
-               ) -> tuple[IosState, PgdCounts]:
-    """Dual Newton solve, one `_newton_side` solve per group of side indices;
-    a group writes its one set of coefficients to each of its sides of
-    `coef`.  Returns the new state and the Newton steps and cap exits of
-    this call's side solves.
+               sides: tuple[int, ...] = (0, 1)) -> tuple[IosState, PgdCounts]:
+    """Dual Newton solve, one `_newton_side` solve per side index in `sides`;
+    the other sides keep their coefficients.  Returns the new state and the
+    Newton steps and cap exits of this call's side solves.
     """
     out = init.copy()
     counts = PgdCounts()
-    for group in groups:
-        v, _, n, capped = _newton_side(*group_blocks(pq, group), init.coef[group[0]], settings)
-        out.coef[list(group)] = v
+    for s in sides:
+        v, _, n, capped = _newton_side(pq.factors[s], pq.lin[s], init.coef[s], settings)
+        out.coef[s] = v
         counts.iters += n
         counts.cap_exits += capped
 

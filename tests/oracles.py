@@ -451,11 +451,6 @@ def run_plain(ch, cfg, scheme):
             terminated_by = "tolerance"
             break
 
-    if scheme.quantize_at_end:
-        ios = alg.quantize_phases(ios, scheme.quantization_bits)
-        eff = alg._compose(ch, ios, scheme)
-        report = rate(eff, bf)
-
     trace = alg.ConvergenceTrace(rates, iterations, terminated_by, step_log,
                                  pgd_cap_exits, pgd_iters)
     return alg.RunResult(bf, ios, trace, report, duals)

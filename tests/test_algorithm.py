@@ -205,30 +205,6 @@ def test_fine_quantization_matches_continuous():
         assert rel < 1e-3
 
 
-def test_quantize_at_end_mode():
-    geo = integrated_geometry(L=8)
-    ch = channels_for(geo, 7)
-    res = run_algorithm2(ch, desk_config(),
-                         SchemeSpec(Scheme.DS_IOS, quantization_bits=4,
-                                    quantize_at_end=True))
-    levels = 2 * np.pi / 16
-    ph = IosState.phases(res.ios.phi_t)
-    snapped = np.round(ph / levels) * levels
-    assert np.allclose(np.mod(ph, 2 * np.pi), np.mod(snapped, 2 * np.pi), atol=1e-9)
-
-
-def test_tied_sides_share_coefficients():
-    ch = channels_for(integrated_geometry(L=8), 9)
-    res = run_algorithm2(ch, desk_config(), SchemeSpec(Scheme.DS_IOS, tie_sides=True))
-    assert np.array_equal(res.ios.theta_t, res.ios.theta_u)
-    assert np.array_equal(res.ios.phi_t, res.ios.phi_u)
-    assert res.ios.is_feasible()
-    ch, cfg = _physical_run(1, SchemeSpec(Scheme.DS_IOS))
-    res = run_algorithm2(ch, cfg, SchemeSpec(Scheme.DS_IOS, tie_sides=True))
-    assert res.trace.extrapolations_accepted > 0
-    assert np.array_equal(res.ios.coef[0], res.ios.coef[1])
-
-
 def test_rate_increases_with_elements_in_the_mean():
     cfg = desk_config()
     means = []
@@ -252,28 +228,17 @@ def test_scheme_spec_validation():
     for bad in (4.5, 4.0, True, "4"):
         with pytest.raises(ValueError, match="quantization_bits"):
             SchemeSpec(Scheme.DS_IOS, quantization_bits=bad)
-    for kind in (Scheme.SS_IOS, Scheme.WO_IOS):
-        with pytest.raises(ValueError, match="tie_sides"):
-            SchemeSpec(kind, tie_sides=True)
     with pytest.raises(ValueError, match="quantization_bits needs a surface"):
         SchemeSpec(Scheme.WO_IOS, quantization_bits=4)
-    for kind in (Scheme.DS_IOS, Scheme.SS_IOS, Scheme.WO_IOS):
-        with pytest.raises(ValueError, match="quantize_at_end needs quantization_bits"):
-            SchemeSpec(kind, quantize_at_end=True)
     assert SchemeSpec(Scheme.SS_IOS, quantization_bits=2).quantizes_each_iter
-    for name in ("tie_sides", "quantize_at_end"):
-        for bad in ("no", "false", 1, 0, None):
-            with pytest.raises(ValueError, match=f"{name} must be true or false, got {bad!r}"):
-                SchemeSpec(Scheme.DS_IOS, quantization_bits=3, **{name: bad})
-    groups = [SchemeSpec(Scheme.DS_IOS).surface_groups,
-              SchemeSpec(Scheme.DS_IOS, tie_sides=True).surface_groups,
-              SchemeSpec(Scheme.SS_IOS).surface_groups, SchemeSpec(Scheme.WO_IOS).surface_groups]
-    assert groups == [((0,), (1,)), ((0, 1),), ((1,),), ()]
+    assert not SchemeSpec(Scheme.DS_IOS).quantizes_each_iter
+    sides = [SchemeSpec(kind).surface_sides
+             for kind in (Scheme.DS_IOS, Scheme.SS_IOS, Scheme.WO_IOS)]
+    assert sides == [(0, 1), (1,), ()]
     labels = [SchemeSpec(Scheme.DS_IOS).label, SchemeSpec(Scheme.SS_IOS).label,
               SchemeSpec(Scheme.WO_IOS).label,
-              SchemeSpec(Scheme.DS_IOS, tie_sides=True).label,
-              SchemeSpec(Scheme.DS_IOS, quantization_bits=3, quantize_at_end=True).label]
-    assert labels == ["DS_IOS", "SS_IOS", "WO_IOS", "DS_IOS_tied", "DS_IOS_q3_end"]
+              SchemeSpec(Scheme.SS_IOS, quantization_bits=3).label]
+    assert labels == ["DS_IOS", "SS_IOS", "WO_IOS", "SS_IOS_q3"]
 
 
 def test_rerun_gives_identical_output():
@@ -351,8 +316,7 @@ def test_quantized_each_iteration_runs_the_plain_loop():
     for seed in range(3):
         ch = channels_for(integrated_geometry(L=8), seed)
         for scheme in (SchemeSpec(Scheme.DS_IOS, quantization_bits=4),
-                       SchemeSpec(Scheme.SS_IOS, quantization_bits=2),
-                       SchemeSpec(Scheme.DS_IOS, quantization_bits=3, tie_sides=True)):
+                       SchemeSpec(Scheme.SS_IOS, quantization_bits=2)):
             res = run_algorithm2(ch, desk_config(), scheme)
             _same_run(res, run_plain(ch, desk_config(), scheme))
             assert res.trace.extrapolations_accepted == res.trace.extrapolations_rejected == 0
@@ -393,9 +357,7 @@ def test_extrapolated_trace_accounting(monkeypatch):
     plain step only."""
     rejected = 0
     for seed, scheme in ((0, SchemeSpec(Scheme.DS_IOS)), (0, SchemeSpec(Scheme.WO_IOS)),
-                         (2, SchemeSpec(Scheme.SS_IOS)),
-                         (3, SchemeSpec(Scheme.DS_IOS, quantization_bits=4,
-                                        quantize_at_end=True))):
+                         (2, SchemeSpec(Scheme.SS_IOS)), (3, SchemeSpec(Scheme.DS_IOS))):
         ch, cfg = _physical_run(seed, scheme)
         starts = _record_trials(monkeypatch)
         res = run_algorithm2(ch, cfg, scheme)
@@ -410,8 +372,7 @@ def test_extrapolated_trace_accounting(monkeypatch):
         rejected += t.extrapolations_rejected
         assert t.terminated_by == "tolerance" and t.iterations < cfg.max_outer_iters
         assert starts[-1][0] is not None    # the last map evaluation was a plain step
-        if not scheme.quantize_at_end:
-            assert rates[-1] == res.report.weighted_sum
+        assert rates[-1] == res.report.weighted_sum
     assert rejected > 0
 
 
@@ -430,8 +391,7 @@ def test_extrapolated_points_are_projected(monkeypatch):
     """Each extrapolated start point meets the power budgets and the coupling
     disks before it is mapped, and so does the returned state, on
     physical-scale channels."""
-    for seed, scheme in ((0, SchemeSpec(Scheme.DS_IOS)), (1, SchemeSpec(Scheme.WO_IOS)),
-                         (1, SchemeSpec(Scheme.DS_IOS, tie_sides=True))):
+    for seed, scheme in ((0, SchemeSpec(Scheme.DS_IOS)), (1, SchemeSpec(Scheme.WO_IOS))):
         ch, cfg = _physical_run(seed, scheme)
         starts = _record_trials(monkeypatch)
         res = run_algorithm2(ch, cfg, scheme)
@@ -442,8 +402,6 @@ def test_extrapolated_points_are_projected(monkeypatch):
             assert bf.downlink_power() <= cfg.p_b * (1.0 + 1e-6)
             assert all(bf.uplink_power(k) <= cfg.p_u * (1.0 + 1e-6) for k in range(3))
             assert ios.is_feasible()
-            if scheme.tie_sides:
-                assert np.array_equal(ios.coef[0], ios.coef[1])
         monkeypatch.undo()
 
 

@@ -5,9 +5,9 @@ import pytest
 
 import iosfd.campaign
 import iosfd.cli
-from iosfd.campaign import (AggregateRow, ResultRow, aggregates_to_csv, apply_overrides,
-                            config_from_dict, dbm_to_mw, emit_figure_data,
-                            read_results_csv, rows_to_csv, run_campaign,
+from iosfd.campaign import (MAX_ANTENNAS, MAX_ELEMENTS, AggregateRow, ResultRow,
+                            aggregates_to_csv, apply_overrides, config_from_dict, dbm_to_mw,
+                            emit_figure_data, read_results_csv, rows_to_csv, run_campaign,
                             write_campaign)
 from iosfd.cli import main
 from iosfd.errors import ConfigError
@@ -140,18 +140,16 @@ def test_trace_files_written(tmp_path):
 def test_scheme_options_get_their_own_rows_and_traces(tmp_path):
     """Every option is in the label, so each scheme of the list keeps its own
     rows and one trace file per row."""
-    schemes = ["DS_IOS", {"kind": "DS_IOS", "tie_sides": True},
-               {"kind": "DS_IOS", "quantization_bits": 3},
-               {"kind": "DS_IOS", "quantization_bits": 3, "quantize_at_end": True}]
+    schemes = ["DS_IOS", {"kind": "DS_IOS", "quantization_bits": 3},
+               {"kind": "SS_IOS", "quantization_bits": 3}]
     cfg = config_from_dict(tiny_config(schemes=schemes, seeds=[0, 1],
                                        scenario={"l_elements": 8, "k_users": 2,
                                                  "user_anchors": [[20.0, 20.0, 1.5],
                                                                   [25.0, -35.0, 1.5]]}))
     base = write_campaign(cfg, tmp_path)
     rows = read_results_csv((base / "results.csv").read_text())
-    assert sorted({r.scheme for r in rows}) == ["DS_IOS", "DS_IOS_q3", "DS_IOS_q3_end",
-                                                "DS_IOS_tied"]
-    assert len(rows) == 8
+    assert sorted({r.scheme for r in rows}) == ["DS_IOS", "DS_IOS_q3", "SS_IOS_q3"]
+    assert len(rows) == 6
     assert sorted(f.name for f in (base / "traces").iterdir()) == sorted(
         f"{r.scheme}_none_{r.seed}.csv" for r in rows)
 
@@ -277,23 +275,18 @@ def test_config_errors_carry_field_paths():
     for bad in (4.5, True, "4"):
         with pytest.raises(ConfigError, match=r"schemes\[0\]: quantization_bits"):
             config_from_dict(tiny_config(schemes=[{"kind": "DS_IOS", "quantization_bits": bad}]))
+    # a scheme is a kind and an optional quantization_bits, nothing else
     for name in ("tie_sides", "quantize_at_end"):
-        for bad in ("no", 1, None):
-            with pytest.raises(ConfigError, match=rf"schemes\[0\]: {name}"):
-                config_from_dict(tiny_config(schemes=[{"kind": "DS_IOS", name: bad}]))
-    for kind in ("SS_IOS", "WO_IOS"):
-        with pytest.raises(ConfigError, match=r"schemes\[0\]: tie_sides"):
-            config_from_dict(tiny_config(schemes=[{"kind": kind, "tie_sides": True}]))
+        for value in (True, False):
+            scheme = {"kind": "DS_IOS", "quantization_bits": 3, name: value}
+            with pytest.raises(ConfigError, match=rf"schemes\[1\]: unknown fields \['{name}'\]"):
+                config_from_dict(tiny_config(schemes=["SS_IOS", scheme]))
     # options that would do nothing are refused rather than given a label of their own
     with pytest.raises(ConfigError, match=r"schemes\[1\]: quantization_bits needs a surface"):
         config_from_dict(tiny_config(schemes=["DS_IOS",
                                               {"kind": "WO_IOS", "quantization_bits": 4}]))
-    for kind in ("DS_IOS", "SS_IOS", "WO_IOS"):
-        with pytest.raises(ConfigError,
-                           match=r"schemes\[1\]: quantize_at_end needs quantization_bits"):
-            config_from_dict(tiny_config(schemes=["SS_IOS",
-                                                  {"kind": kind, "quantize_at_end": True}]))
-    for schemes in (["DS_IOS", "DS_IOS"], ["DS_IOS", {"kind": "DS_IOS", "tie_sides": False}]):
+    for schemes in (["DS_IOS", "DS_IOS"], ["DS_IOS", {"kind": "DS_IOS"}],
+                    ["DS_IOS", {"kind": "DS_IOS", "quantization_bits": None}]):
         with pytest.raises(ConfigError, match=r"schemes\[1\]: label DS_IOS repeats schemes\[0\]"):
             config_from_dict(tiny_config(schemes=schemes))
     for section, name in (("powers", "p_b_dbm"), ("physics", "noise_dbm"),
@@ -408,7 +401,14 @@ def test_cli_exit_codes(tmp_path, capsys):
                                ("--sweep", '{"axis": "P_B", "values": [10.0, 10]}',
                                 "sweep.values[1]"),
                                ("--schemes", '[{"kind": "DS_IOS", "quantize_at_end": true}]',
-                                "schemes[0]")):
+                                "schemes[0]: unknown fields ['quantize_at_end']"),
+                               ("--schemes", '["WO_IOS", {"kind": "DS_IOS", "tie_sides": true}]',
+                                "schemes[1]: unknown fields ['tie_sides']"),
+                               ("--scenario.l-elements", "0", "scenario.l_elements"),
+                               ("--scenario.l-elements", str(10 ** 30), "scenario.l_elements"),
+                               ("--scenario.n-tx", str(10 ** 30), "scenario.n_tx"),
+                               ("--sweep", '{"axis": "L", "values": [%d]}' % 10 ** 30,
+                                "sweep.values[0]")):
         capsys.readouterr()
         assert main(["simulate", "--config", str(good), "--threads", "1",
                      "--out", str(tmp_path / "out"), flag, value]) == 2
@@ -436,6 +436,69 @@ def test_integer_beyond_float_range_is_a_config_error(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == 2
         assert "sweep.values[0]" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_scenario_counts_are_capped():
+    """Antenna and element counts, and element-count sweep values, outside
+    [1, cap] are config errors naming the field, not a traceback from
+    np.arange or a MemoryError in the run.  L = 1024 stays valid."""
+    anchors = [[20.0, 20.0, 1.5], [25.0, -35.0, 1.5]]
+    for name, cap in (("n_tx", MAX_ANTENNAS), ("n_rx", MAX_ANTENNAS),
+                      ("n_user_tx", MAX_ANTENNAS), ("n_user_rx", MAX_ANTENNAS),
+                      ("l_elements", MAX_ELEMENTS)):
+        for bad in (0, -1, cap + 1, 10 ** 13, 10 ** 30, 10 ** 400):
+            with pytest.raises(ConfigError, match=rf"scenario.{name}: must be an integer in "
+                                                  rf"\[1, {cap}\]"):
+                config_from_dict(tiny_config(scenario={name: bad, "k_users": 2,
+                                                       "user_anchors": anchors}))
+        ok = config_from_dict(tiny_config(scenario={name: cap, "k_users": 2,
+                                                    "user_anchors": anchors}))
+        assert getattr(ok.scenario, name) == cap
+    for bad in (0, -1, MAX_ELEMENTS + 1, 10 ** 13, 10 ** 30):
+        with pytest.raises(ConfigError, match=r"sweep.values\[1\]: element count must be an "
+                                              r"integer in \[1, "):
+            config_from_dict(tiny_config(sweep={"axis": "L", "values": [16, bad]}))
+    assert config_from_dict(tiny_config(sweep={"axis": "L", "values": [1024]})).sweep.values
+
+
+def test_pool_starts_at_most_one_worker_per_cell_and_cpu(tmp_path, monkeypatch, capsys):
+    """run_campaign starts min(threads, cells) workers; simulate refuses
+    --threads above the CPUs of the affinity mask before any pool starts.
+    The pool is a stand-in that records max_workers and maps in this
+    process, so no worker is ever started."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+    monkeypatch.setattr(iosfd.campaign, "ProcessPoolExecutor", RecordingPool)
+    cfg = config_from_dict(tiny_config(seeds=[0, 1, 2, 3]))
+    rows, _ = run_campaign(cfg, threads=5000)
+    assert started == [4] and len(rows) == 4
+    run_campaign(cfg, threads=3)
+    assert started == [4, 3]
+    monkeypatch.setattr(iosfd.cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(seeds=[0, 1, 2, 3])))
+    for bad in ("3", "5000"):
+        assert main(["simulate", "--config", str(cfg_path), "--threads", bad,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--threads" in err and bad in err
+    assert started == [4, 3] and not (tmp_path / "out").exists()
+    assert main(["simulate", "--config", str(cfg_path), "--threads", "2",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert started == [4, 3, 2]
+    capsys.readouterr()
 
 
 def test_cli_threads_default_to_affinity_mask(tmp_path, monkeypatch, capsys):

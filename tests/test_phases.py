@@ -7,7 +7,7 @@ from iosfd import (FadingParams, IosState, PgdSettings, RunConfig, Scheme, Schem
                    vectorize)
 from iosfd.errors import NumericalError
 from iosfd.linalg import cn_sample
-from iosfd.phases import _binary_scale, _block_value, _newton_side, gprime_value, group_blocks
+from iosfd.phases import _binary_scale, _block_value, _newton_side, gprime_value
 from iosfd.wmmse import surrogate_objective, update_state
 
 from conftest import (integrated_run_geometry, random_beamformers, random_instance,
@@ -135,17 +135,15 @@ def _rel_err(got, want):
 
 
 def test_factors_match_dense_oracle(rng):
-    """F F^H and the linear vectors equal the dense build, per side and with
-    both sides tied, at unit scale and at physical channel scale."""
+    """F F^H and the linear vectors equal the dense build on each side, at
+    unit scale and at physical channel scale."""
     for inst in oracle_instances(rng):
         pq = vectorize(build_from_instance(inst))
-        blocks = dense_blocks(dense_from_instance(inst))
-        tied = [tuple(t + u for t, u in zip(*pair)) for pair in zip(*blocks)]
-        for group, expected in (((0,), blocks[0]), ((1,), blocks[1]), ((0, 1), tied)):
-            factors, lin = group_blocks(pq, group)
+        for s, expected in enumerate(dense_blocks(dense_from_instance(inst))):
+            factors, lin = side_blocks(pq, s)
             for j, (q, c) in enumerate(expected):
-                assert _rel_err(factors[j] @ factors[j].conj().T, q) <= 1e-12, (group, j)
-                assert _rel_err(lin[j], c) <= 1e-12, (group, j)
+                assert _rel_err(factors[j] @ factors[j].conj().T, q) <= 1e-12, (s, j)
+                assert _rel_err(lin[j], c) <= 1e-12, (s, j)
 
 
 def test_factored_objective_matches_surrogate(rng):
@@ -298,16 +296,20 @@ def close_mounted_qcqps(L, seed, n_outer, scheme=SchemeSpec(Scheme.DS_IOS)):
                                    cfg.eps_b)
         pq = vectorize(build_quadratic_forms(ch, bf, st, cfg.gamma_down, cfg.gamma_up))
         yield pq, ios
-        ios = plain_solve(pq, ios, PgdSettings(), scheme.surface_groups)
+        ios = plain_solve(pq, ios, PgdSettings(), scheme.surface_sides)
         eff = compose_effective(ch, ios)
 
 
-def plain_solve(pq, init, settings, groups=((0,), (1,))):
-    """`solve_qcqp` with each group solved by the plain projected-gradient oracle."""
+def side_blocks(pq, s):
+    """(factors, lin) of side s, indexed by kind j."""
+    return pq.factors[s], pq.lin[s]
+
+
+def plain_solve(pq, init, settings, sides=(0, 1)):
+    """`solve_qcqp` with each side solved by the plain projected-gradient oracle."""
     out = init.copy()
-    for group in groups:
-        out.coef[list(group)], _ = pgd_side_plain(*group_blocks(pq, group),
-                                                  init.coef[group[0]], settings)
+    for s in sides:
+        out.coef[s], _ = pgd_side_plain(*side_blocks(pq, s), init.coef[s], settings)
     return out
 
 
@@ -337,7 +339,7 @@ def test_accelerated_pgd_ends_no_higher_than_plain(rng):
         assert out.is_feasible()
         assert gprime_value(pq, out) <= gprime_value(pq, init) + 1e-12
         for s in range(2):
-            blocks = group_blocks(pq, (s,))
+            blocks = side_blocks(pq, s)
             got = side_value(blocks, out.coef[s])
             plain, _ = pgd_side_plain(*blocks, init.coef[s], PgdSettings())
             assert got <= side_value(blocks, plain) + 1e-9 * max(1.0, abs(got)), s
@@ -359,7 +361,7 @@ def test_side_solve_certifies_ill_conditioned_block(monkeypatch):
                         lambda *args: trials.append(1) or project_feasible(*args))
     init = IosState.zeros(2)
     settings = PgdSettings(max_iters=5000, tolerance=1e-14)
-    v, lower, iters, capped = _newton_side(*group_blocks(pq, (0,)), init.coef[0], settings)
+    v, lower, iters, capped = _newton_side(*side_blocks(pq, 0), init.coef[0], settings)
     monkeypatch.undo()
     assert not capped and iters <= 50 and len(trials) <= 3 * iters + 2
     out = init.copy()
@@ -367,7 +369,7 @@ def test_side_solve_certifies_ill_conditioned_block(monkeypatch):
     g_out = gprime_value(pq, out)
     assert g_out <= gprime_value(pq, init)
     assert g_out - lower <= 1e-14 * abs(lower)
-    ref_v, ref_capped = pgd_side_plain(*group_blocks(pq, (0,)), init.coef[0],
+    ref_v, ref_capped = pgd_side_plain(*side_blocks(pq, 0), init.coef[0],
                                        PgdSettings(max_iters=200000, tolerance=1e-15))
     assert not ref_capped
     ref = init.copy()
@@ -381,31 +383,29 @@ def test_side_solve_certifies_ill_conditioned_block(monkeypatch):
 def test_side_solve_certifies_gap_on_mid_run_qcqps():
     """The QCQPs of outer iterations 1-5 of close-mounted runs at L = 64,
     seeds 0-2: DS_IOS solved per side (t, u), and on iterations 1 and 5
-    with both sides tied and SS_IOS on its one side.  Each solve certifies
-    the requested relative gap, its dual bound lies below a 20000-iteration
-    plain projected-gradient solve, and its value is no higher than that
-    solve plus the gap."""
+    SS_IOS on its one side.  Each solve certifies the requested relative
+    gap, its dual bound lies below a 20000-iteration plain projected-gradient
+    solve, and its value is no higher than that solve plus the gap."""
     settings = PgdSettings()
     oracle = PgdSettings(max_iters=20000, tolerance=1e-15)
     solves = []
     for seed in range(3):
-        for i, (pq, init) in enumerate(close_mounted_qcqps(64, seed, 5)):
-            groups = ((0,), (1,), (0, 1)) if i in (0, 4) else ((0,), (1,))
-            solves += [(pq, init, group) for group in groups]
+        for pq, init in close_mounted_qcqps(64, seed, 5):
+            solves += [(pq, init, s) for s in (0, 1)]
         ss = close_mounted_qcqps(64, seed, 5, SchemeSpec(Scheme.SS_IOS))
-        solves += [(pq, init, (1,)) for i, (pq, init) in enumerate(ss) if i in (0, 4)]
-    assert len(solves) == 42
-    for pq, init, group in solves:
-        blocks = group_blocks(pq, group)
-        v, lower, _, capped = _newton_side(*blocks, init.coef[group[0]], settings)
+        solves += [(pq, init, 1) for i, (pq, init) in enumerate(ss) if i in (0, 4)]
+    assert len(solves) == 36
+    for pq, init, s in solves:
+        blocks = side_blocks(pq, s)
+        v, lower, _, capped = _newton_side(*blocks, init.coef[s], settings)
         got = side_value(blocks, v)
-        plain, _ = pgd_side_plain(*blocks, init.coef[group[0]], oracle)
+        plain, _ = pgd_side_plain(*blocks, init.coef[s], oracle)
         ref = side_value(blocks, plain)
         gap = settings.tolerance * abs(lower)
-        assert not capped and np.all(np.sum(np.abs(v) ** 2, axis=0) <= 1.0 + 1e-12), group
-        assert got - lower <= gap, group
-        assert lower <= ref + 1e-15 * abs(ref), group
-        assert got <= ref + gap, group
+        assert not capped and np.all(np.sum(np.abs(v) ** 2, axis=0) <= 1.0 + 1e-12), s
+        assert got - lower <= gap, s
+        assert lower <= ref + 1e-15 * abs(ref), s
+        assert got <= ref + gap, s
 
 
 def test_accelerated_pgd_converges_where_plain_hits_the_cap():
@@ -413,7 +413,7 @@ def test_accelerated_pgd_converges_where_plain_hits_the_cap():
     plain oracle stops at the 500-iteration cap, the Newton solve on its
     certified gap."""
     pq, init = list(close_mounted_qcqps(128, 1, 2))[-1]
-    blocks = group_blocks(pq, (0,))
+    blocks = side_blocks(pq, 0)
     settings = PgdSettings()
     _, plain_capped = pgd_side_plain(*blocks, init.coef[0], settings)
     assert plain_capped
@@ -450,24 +450,23 @@ def test_side_solve_is_covariant_under_power_of_two_scaling(rng):
     steps and the same exit as (F, lin), and a bound scaled by 4^-k:
     unit-scale instances, close-mounted mid-run QCQPs, instances whose theta
     factor is scaled by 2^-800 (a dead block, as when the uplink switches
-    off), with and without its linear term, and tied sides; k = 75 and 450,
-    at the default settings and at a 3-step cap."""
+    off), with and without its linear term; k = 75 and 450, at the default
+    settings and at a 3-step cap."""
     cases = []
     for _ in range(6):
         L = int(rng.integers(1, 9))
         inst = random_instance(rng, K=int(rng.integers(1, 4)), L=L)
         pq, init = vectorize(build_from_instance(inst)), random_ios(rng, L)
         for s in range(2):
-            (f_theta, f_phi), lin = group_blocks(pq, (s,))
+            (f_theta, f_phi), lin = side_blocks(pq, s)
             dead = (f_theta * 2.0 ** -800, f_phi)
             cases.append(((f_theta, f_phi), lin, init.coef[s]))
             cases.append((dead, lin, init.coef[s]))
             cases.append((dead, np.stack([0.0 * lin[0], lin[1]]), init.coef[s]))
-        cases.append((*group_blocks(pq, (0, 1)), init.coef[0]))
     for seed in (2, 3):
         for pq, init in close_mounted_qcqps(64, seed, 3):
             for s in range(2):
-                cases.append((*group_blocks(pq, (s,)), init.coef[s]))
+                cases.append((*side_blocks(pq, s), init.coef[s]))
     for settings in (PgdSettings(), PgdSettings(max_iters=3)):
         for factors, lin, v in cases:
             want = _newton_side(factors, lin, v, settings)

@@ -15,8 +15,8 @@ Five links are modeled per realization:
 NLoS parts are unit-variance circular Gaussians consumed in a fixed order
 (transceiver coupling, then each user's surface link, then the user-user
 grid row-major, then optional direct links), so a seed pins the realization.
-The per-user links are drawn one matrix at a time in that order and held
-stacked over users.
+The per-user links are drawn one matrix at a time in that order and stacked
+into arrays with leading user axes.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import GeometryError
 from .geometry import (SpatialLayout, antenna_gain, elevations_from_axis,
                        elevations_from_normal, pairwise_distances)
-from .linalg import Stacked, cn_sample
+from .linalg import cn_sample
 
 logger = logging.getLogger(__name__)
 
@@ -53,9 +53,9 @@ class FadingParams:
 
 
 @dataclass
-class ChannelSet(Stacked):
-    """One realization of all link matrices; the per-user links are stacked
-    over users (lists of per-user matrices are stacked on assignment).
+class ChannelSet:
+    """One realization of all link matrices; each per-user link is one complex
+    array with leading user axes, as the shapes below state.
 
     `h_iu[k]` has shape (L, N_ur) and is the single stored surface-user matrix;
     both link directions are built from it, never from an independent draw.
@@ -69,7 +69,6 @@ class ChannelSet(Stacked):
     h_uu: np.ndarray                    # (K, K, N_ur, N_ut), [j, k]: user j tx -> user k rx
     h_direct_tu: np.ndarray | None = None  # (K, N_ur, N_t)
     h_direct_ur: np.ndarray | None = None  # (K, N_r, N_ut)
-    _STACKED = ("h_iu", "h_uu", "h_direct_tu", "h_direct_ur")
 
     @property
     def n_users(self) -> int:
@@ -100,17 +99,16 @@ def sample_channels(layout: SpatialLayout, fading: FadingParams, seed: int,
         r = pairwise_distances(a, b)
         return _rician(lam / (4.0 * np.pi * r ** exponent), r, lam, chi, rng)
 
-    # Transmit array -> surface (LoS only).
-    r_ti = pairwise_distances(ios, tx)
-    th_ti = elevations_from_axis(ios, tx, layout.ios_axis)
-    h_ti = (lam * np.sqrt(antenna_gain(th_ti, fading.gain_exponent_tx))
-            / (4.0 * np.pi * r_ti)) * np.exp(-2j * np.pi * r_ti / lam)
+    def los_link(array: np.ndarray, gain_exponent: float):
+        """LoS link (L, len(array)) between the surface and a transceiver
+        array, element gain taken at the surface elevation; draws nothing."""
+        r = pairwise_distances(ios, array)
+        th = elevations_from_axis(ios, array, layout.ios_axis)
+        return (lam * np.sqrt(antenna_gain(th, gain_exponent))
+                / (4.0 * np.pi * r)) * np.exp(-2j * np.pi * r / lam)
 
-    # Surface -> receive array (LoS only).
-    r_ir = pairwise_distances(ios, rx)
-    th_ir = elevations_from_axis(ios, rx, layout.ios_axis)
-    h_ir = (lam * np.sqrt(antenna_gain(th_ir, fading.gain_exponent_rx))
-            / (4.0 * np.pi * r_ir)) * np.exp(-2j * np.pi * r_ir / lam)
+    h_ti = los_link(tx, fading.gain_exponent_tx)    # transmit array -> surface
+    h_ir = los_link(rx, fading.gain_exponent_rx)    # surface -> receive array
 
     # Transceiver self-coupling, Rician with both end gains.
     r_tr = pairwise_distances(rx, tx)                                   # (N_r, N_t)
@@ -122,17 +120,18 @@ def sample_channels(layout: SpatialLayout, fading: FadingParams, seed: int,
     h_tr = _rician(amp_tr, r_tr, lam, chi, rng)
 
     # Surface <-> users (no gain factor); one matrix per user, both directions.
-    h_iu = [gainless_link(ios, pos) for pos in layout.user_rx_positions]
+    h_iu = np.array([gainless_link(ios, pos) for pos in layout.user_rx_positions])
 
     # User-user grid (includes each user's own tx->rx coupling).
     uu_exp = 1.0 if fading.uu_free_space else kappa / 2.0
-    h_uu = [[gainless_link(rx_pos, tx_pos, uu_exp) for rx_pos in layout.user_rx_positions]
-            for tx_pos in layout.user_tx_positions]
+    h_uu = np.array([[gainless_link(rx_pos, tx_pos, uu_exp)
+                      for rx_pos in layout.user_rx_positions]
+                     for tx_pos in layout.user_tx_positions])
 
     h_direct_tu = h_direct_ur = None
     if include_direct:
-        h_direct_tu = [gainless_link(pos, tx) for pos in layout.user_rx_positions]
-        h_direct_ur = [gainless_link(rx, pos) for pos in layout.user_tx_positions]
+        h_direct_tu = np.array([gainless_link(pos, tx) for pos in layout.user_rx_positions])
+        h_direct_ur = np.array([gainless_link(rx, pos) for pos in layout.user_tx_positions])
 
     return ChannelSet(h_ti, h_tr, h_iu, h_ir, h_uu, h_direct_tu, h_direct_ur)
 

@@ -30,18 +30,6 @@ def cn_sample(rng: np.random.Generator, shape) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-class Stacked:
-    """Dataclass mixin: every field named in _STACKED is held as one complex
-    ndarray with a leading user axis, however it is assigned (a list of
-    per-user matrices is stacked); None stays None."""
-    _STACKED: tuple[str, ...] = ()
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in self._STACKED and value is not None:
-            value = np.asarray(value, dtype=complex)
-        super().__setattr__(name, value)
-
-
 def adj(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return m.conj().swapaxes(-1, -2)

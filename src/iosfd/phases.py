@@ -411,6 +411,7 @@ def solve_qcqp(pq: PhaseQuadratic, init: IosState, settings: PgdSettings,
         counts.cap_exits += capped
 
     out.validate()
-    if gprime_value(pq, out) > gprime_value(pq, init) + 1e-12:
+    before = gprime_value(pq, init)
+    if gprime_value(pq, out) > before + 1e-12 * max(1.0, abs(before)):
         raise NumericalError("surface solve failed to descend")
     return out, counts

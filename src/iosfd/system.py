@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSet, require_reciprocal_user_arrays
-from .linalg import Stacked, adj, chol_pd, hermitize
+from .linalg import adj, chol_pd, hermitize
 
 COUPLING_TOL = 1e-9
 LN2 = float(np.log(2.0))
@@ -76,11 +76,10 @@ class IosState:
 
 
 @dataclass
-class BeamformerSet(Stacked):
+class BeamformerSet:
     """Downlink precoders v_d (K, N_t, s_d) and uplink precoders v_u (K, N_ut, s_u)."""
     v_d: np.ndarray
     v_u: np.ndarray
-    _STACKED = ("v_d", "v_u")
 
     @property
     def n_users(self) -> int:
@@ -99,7 +98,7 @@ def stream_counts(n_t: int, n_r: int, n_ut: int, n_ur: int) -> tuple[int, int]:
 
 
 @dataclass
-class EffectiveChannels(Stacked):
+class EffectiveChannels:
     """Composite links as seen by the decoders, stacked over users.
 
     h_kd (K, N_ur, N_t)        : transmitter -> user k, through the refracting t-side
@@ -112,7 +111,6 @@ class EffectiveChannels(Stacked):
     h_jk: np.ndarray
     h_ku: np.ndarray
     h_t: np.ndarray
-    _STACKED = ("h_kd", "h_jk", "h_ku", "h_t")
 
     @property
     def n_users(self) -> int:

@@ -15,17 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Stacked, adj, hermitize, logdet_pd, solve_pd
+from .linalg import adj, hermitize, logdet_pd, solve_pd
 from .system import BeamformerSet, EffectiveChannels, link_covariances, whiten_links
 
 
 @dataclass
-class WmmseState(Stacked):
+class WmmseState:
     u_d: np.ndarray   # (K, N_ur, s_d)
     w_d: np.ndarray   # (K, s_d, s_d) Hermitian PD
     u_u: np.ndarray   # (K, N_r, s_u)
     w_u: np.ndarray   # (K, s_u, s_u) Hermitian PD
-    _STACKED = ("u_d", "w_d", "u_u", "w_u")
 
     @property
     def n_users(self) -> int:

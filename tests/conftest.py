@@ -42,11 +42,14 @@ def random_channels(rng, K=2, n_tx=2, n_rx=2, n_u=2, L=4, scale=1.0, direct=Fals
     ch = ChannelSet(
         h_ti=scale * cn_sample(rng, (L, n_tx)),
         h_tr=scale * cn_sample(rng, (n_rx, n_tx)),
-        h_iu=[scale * cn_sample(rng, (L, n_u)) for _ in range(K)],
+        h_iu=np.array([scale * cn_sample(rng, (L, n_u)) for _ in range(K)]),
         h_ir=scale * cn_sample(rng, (L, n_rx)),
-        h_uu=[[scale * cn_sample(rng, (n_u, n_ut)) for _ in range(K)] for _ in range(K)],
-        h_direct_tu=[scale * cn_sample(rng, (n_u, n_tx)) for _ in range(K)] if direct else None,
-        h_direct_ur=[scale * cn_sample(rng, (n_rx, n_ut)) for _ in range(K)] if direct else None,
+        h_uu=np.array([[scale * cn_sample(rng, (n_u, n_ut)) for _ in range(K)]
+                       for _ in range(K)]),
+        h_direct_tu=(np.array([scale * cn_sample(rng, (n_u, n_tx)) for _ in range(K)])
+                     if direct else None),
+        h_direct_ur=(np.array([scale * cn_sample(rng, (n_rx, n_ut)) for _ in range(K)])
+                     if direct else None),
     )
     return ch
 
@@ -67,14 +70,14 @@ def random_ios(rng, L):
 
 def random_beamformers(rng, K=2, n_tx=2, n_rx=2, n_u=2, p_b=4.0, p_u=2.0):
     s_d, s_u = stream_counts(n_tx, n_rx, n_u, n_u)
-    v_d = [cn_sample(rng, (n_tx, s_d)) for _ in range(K)]
+    v_d = np.array([cn_sample(rng, (n_tx, s_d)) for _ in range(K)])
     tot = sum(np.sum(np.abs(v) ** 2) for v in v_d)
-    v_d = [v * np.sqrt(p_b / tot) for v in v_d]
+    v_d = v_d * np.sqrt(p_b / tot)
     v_u = []
     for _ in range(K):
         v = cn_sample(rng, (n_u, s_u))
         v_u.append(v * np.sqrt(p_u / np.sum(np.abs(v) ** 2)))
-    return BeamformerSet(v_d, v_u)
+    return BeamformerSet(v_d, np.array(v_u))
 
 
 def random_instance(rng, K=2, n_tx=2, n_rx=2, n_u=2, L=4, scale=1.0,

@@ -169,7 +169,7 @@ def update_state_loop(eff: EffectiveChannels, bf: BeamformerSet,
         uu = optimal_decoder_up(eff, bf, k, noise_rx)
         u_u.append(uu)
         w_u.append(optimal_weight_up(eff, bf, uu, k, noise_rx))
-    return WmmseState(u_d, w_d, u_u, w_u)
+    return WmmseState(np.array(u_d), np.array(w_d), np.array(u_u), np.array(w_u))
 
 
 # -- surrogate --------------------------------------------------------------

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -38,6 +43,35 @@ def desk_config(K=2, p_b=10.0, p_u=10 ** 0.5, max_outer=200):
 def channels_for(geometry, seed, direct=False):
     return sample_channels(build_layout(geometry), FadingParams.from_db(3.0), seed,
                            include_direct=direct)
+
+
+HIGH_POWER_RUN = """
+import numpy as np
+from conftest import reference_geometry
+from iosfd import (FadingParams, RunConfig, Scheme, SchemeSpec, build_layout,
+                   run_algorithm2, sample_channels)
+ch = sample_channels(build_layout(reference_geometry(L=64, K=3)), FadingParams.from_db(3.0), 1)
+cfg = RunConfig(gamma_down=np.full(3, 0.5), gamma_up=np.full(3, 0.5),
+                noise_users=np.full(3, 1e-8), noise_rx=1e-8, p_b=10.0 ** 5, p_u=10.0 ** 4.5)
+print(run_algorithm2(ch, cfg, SchemeSpec(Scheme.DS_IOS)).trace.terminated_by)
+"""
+
+
+def test_high_power_run_passes_the_descent_check():
+    """DS_IOS at P_B = 50 dBm and P_U = 45 dBm in the reference geometry
+    (L = 64, K = 3, seed 1).  Its surface objective reaches about -2.3e5,
+    where a surface solve's output can exceed its start by two ulps, more
+    than an absolute 1e-12 slack.  The path is roundoff-sensitive (with two
+    BLAS threads it ends elsewhere without meeting that excess), so the run
+    is made in a child process pinned to one BLAS thread."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                                 str(root / "tests")]))
+    out = subprocess.run([sys.executable, "-c", HIGH_POWER_RUN], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.split() == ["tolerance"]
 
 
 def test_trace_counts_pgd_cap_exits():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,22 @@ def test_same_seed_bit_identical(layout):
     assert all(np.array_equal(x, y) for x, y in zip(a.h_direct_tu, b.h_direct_tu))
     c = sample_channels(layout, fad, 43)
     assert not np.array_equal(a.h_tr, c.h_tr)
+
+    # K = 3, L = 5, N_t = 4, N_r = 3, N_ur = 2, N_ut = 1: every per-user link
+    # is one complex ndarray with its leading user axes.  The direct links are
+    # drawn last, so leaving them out changes no other link.
+    geometry = dataclasses.replace(reference_geometry(L=5, K=3, n_tx=4, n_rx=3, n_user=2),
+                                   n_user_tx=1)
+    with_direct = sample_channels(build_layout(geometry), fad, 7, include_direct=True)
+    without = sample_channels(build_layout(geometry), fad, 7)
+    shapes = {"h_iu": (3, 5, 2), "h_uu": (3, 3, 2, 1),
+              "h_direct_tu": (3, 2, 4), "h_direct_ur": (3, 3, 1)}
+    for name, shape in shapes.items():
+        got = getattr(with_direct, name)
+        assert isinstance(got, np.ndarray) and got.dtype == complex and got.shape == shape, name
+    assert without.h_direct_tu is None and without.h_direct_ur is None
+    for name in ("h_ti", "h_tr", "h_iu", "h_ir", "h_uu"):
+        assert np.array_equal(getattr(without, name), getattr(with_direct, name)), name
 
 
 def test_tx_surface_magnitude_law(layout):

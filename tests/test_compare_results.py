@@ -1,0 +1,35 @@
+"""`tools/compare_results.py` on two small hand-written output directories."""
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_results.py"
+spec = importlib.util.spec_from_file_location("compare_results", TOOL)
+compare_results = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_results)
+
+
+def fake_output(root: Path, wall_ms: str) -> Path:
+    run = root / "sweep"
+    (run / "traces").mkdir(parents=True)
+    (run / "results.csv").write_text(
+        "scheme,seed,weighted_sum_rate,wall_ms\n"
+        f"DS_IOS,0,1.25,{wall_ms}\nWO_IOS,0,0.5,{wall_ms}\n")
+    (run / "traces" / "DS_IOS_none_0.csv").write_text("iteration,rate\n0,1.0\n1,1.25\n")
+    (run / "traces" / "WO_IOS_none_0.csv").write_text("iteration,rate\n0,0.5\n")
+    (run / "config.echo.json").write_text('{"name": "sweep"}\n')
+    return run
+
+
+def test_same_results_pass_and_one_changed_trace_byte_fails(tmp_path, capsys):
+    fake_output(tmp_path / "a", "12.5")
+    run_b = fake_output(tmp_path / "b", "99.0")
+    assert compare_results.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    out = capsys.readouterr().out
+    assert "sweep: same, 2 rows, 2 traces; results " in out
+
+    trace = run_b / "traces" / "WO_IOS_none_0.csv"
+    data = bytearray(trace.read_bytes())
+    data[-2] = ord("6")
+    trace.write_bytes(bytes(data))
+    assert compare_results.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert "1 trace files differ, first ['WO_IOS_none_0.csv']" in capsys.readouterr().out

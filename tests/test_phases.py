@@ -54,8 +54,8 @@ def test_linear_term_identity(rng):
 def test_zero_beamformers_leave_only_constant(rng):
     inst = random_instance(rng)
     ch, ios, eff, bf, st, gd, gu, nu, nr = inst
-    bf.v_d = [np.zeros_like(v) for v in bf.v_d]
-    bf.v_u = [np.zeros_like(v) for v in bf.v_u]
+    bf.v_d = np.zeros_like(bf.v_d)
+    bf.v_u = np.zeros_like(bf.v_u)
     qf = build_quadratic_forms(ch, bf, st, gd, gu)
     assert np.allclose(qf.b, 0) and np.allclose(qf.d, 0)
     assert np.allclose(qf.lin, 0)
@@ -276,6 +276,33 @@ def test_pgd_descends_and_stays_feasible(rng):
         out, _ = solve_qcqp(pq, init, PgdSettings())
         assert out.is_feasible()
         assert gprime_value(pq, out) <= gprime_value(pq, init) + 1e-12
+
+
+def test_descent_check_allows_roundoff_and_rejects_ascent(monkeypatch, rng):
+    """`solve_qcqp` checks that its output is no worse than its start.  At
+    |g'| near 1e5 a side solve that returns its start up to roundoff (scaled
+    by 1 -+ 1e-14, whichever raises g') passes, although g' rises by more
+    than 1e-12; one that returns the negated minimizer, which keeps the
+    quadratic part and flips the sign of the positive linear part, raises."""
+    L = 6
+    f_theta, f_phi = 300.0 * cn_sample(rng, (L, L)), 300.0 * cn_sample(rng, (L, L))
+    pq = t_side_quadratic((f_theta, f_phi), 3e4 * cn_sample(rng, (2, L)))
+    init, _ = solve_qcqp(pq, IosState.zeros(L), PgdSettings(), sides=(0,))
+    g_init = gprime_value(pq, init)
+    shrink = max((1.0 - 1e-14, 1.0 + 1e-14),
+                 key=lambda a: gprime_value(pq, IosState(a * init.coef)))
+    rise = gprime_value(pq, IosState(shrink * init.coef)) - g_init
+    assert abs(g_init) > 1e4 and 1e-12 < rise < 1e-13 * abs(g_init)
+    monkeypatch.setattr("iosfd.phases._newton_side",
+                        lambda factors, lin, v, settings: (shrink * v, 0.0, 0, False))
+    out, _ = solve_qcqp(pq, init, PgdSettings(), sides=(0,))
+    assert np.array_equal(out.coef, shrink * init.coef)
+
+    assert gprime_value(pq, IosState(-init.coef)) - g_init > 1e-3 * abs(g_init)
+    monkeypatch.setattr("iosfd.phases._newton_side",
+                        lambda factors, lin, v, settings: (-v, 0.0, 0, False))
+    with pytest.raises(NumericalError, match="failed to descend"):
+        solve_qcqp(pq, init, PgdSettings(), sides=(0,))
 
 
 def close_mounted_qcqps(L, seed, n_outer, scheme=SchemeSpec(Scheme.DS_IOS)):

@@ -9,8 +9,7 @@ the same as at unit scale).
 import numpy as np
 import pytest
 
-from iosfd import (BeamformerSet, ChannelSet, EffectiveChannels, update_state,
-                   weighted_sum_rate)
+from iosfd import EffectiveChannels, update_state, weighted_sum_rate
 from iosfd.beamformers import downlink_weight_core, uplink_weight_core, xi_down, xi_up
 from iosfd.linalg import cn_sample
 from iosfd.system import link_covariances
@@ -97,23 +96,3 @@ def test_surrogate_matches_term_by_term_and_compact_forms(K, scale):
     assert value == pytest.approx(oracles.surrogate_compact(eff, bf, st, gd, gu, nu, nr),
                                   rel=REL)
 
-
-def test_lists_of_per_user_matrices_are_stacked():
-    """Callers may still pass (or assign) lists; indexing keeps its meaning."""
-    rng = np.random.default_rng(3)
-    v = [cn_sample(rng, (2, 2)) for _ in range(3)]
-    bf = BeamformerSet(v, v)
-    assert isinstance(bf.v_d, np.ndarray) and bf.v_d.shape == (3, 2, 2)
-    bf.v_u = [2.0 * m for m in v]
-    assert isinstance(bf.v_u, np.ndarray)
-    assert all(np.array_equal(a, 2.0 * b) for a, b in zip(bf.v_u, v))
-    rows = [[cn_sample(rng, (2, 2)) for _ in range(3)] for _ in range(3)]
-    eff = EffectiveChannels(v, rows, v, v[0])
-    assert eff.h_jk.shape == (3, 3, 2, 2) and np.array_equal(eff.h_jk[2][1], rows[2][1])
-    assert eff.n_users == len(bf.v_d) == 3
-    g = [cn_sample(rng, (4, 2)) for _ in range(3)]
-    ch = ChannelSet(cn_sample(rng, (4, 2)), v[0], g, cn_sample(rng, (4, 2)), rows)
-    assert isinstance(ch.h_iu, np.ndarray) and ch.h_iu.shape == (3, 4, 2)
-    assert ch.h_uu.shape == (3, 3, 2, 2) and np.array_equal(ch.h_uu[0][2], rows[0][2])
-    assert np.array_equal(ch.h_iu[1], g[1]) and ch.n_users == 3
-    assert ch.h_direct_tu is None and ch.h_direct_ur is None

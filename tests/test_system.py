@@ -13,8 +13,8 @@ from oracles import downlink_rate, uplink_rate
 
 def scalar_channels(h_ti=2.0, h_iu=1.0, h_ir=1.0, h_tr=0.0, h_uu=0.0):
     one = lambda x: np.array([[complex(x)]])
-    return ChannelSet(h_ti=one(h_ti), h_tr=one(h_tr), h_iu=[one(h_iu)],
-                      h_ir=one(h_ir), h_uu=[[one(h_uu)]])
+    return ChannelSet(h_ti=one(h_ti), h_tr=one(h_tr), h_iu=one(h_iu)[None],
+                      h_ir=one(h_ir), h_uu=one(h_uu)[None, None])
 
 
 def test_ios_state_feasibility():
@@ -148,7 +148,7 @@ def test_scalar_snr_one_gives_one_bit():
     ios.phi_t[:] = 1.0
     eff = compose_effective(ch, ios)
     # |h|^2 p / sigma^2 = 1 with h = conj(1)*1*1, p = 1, sigma^2 = 1
-    bf = BeamformerSet([np.array([[1.0 + 0j]])], [np.array([[0.0 + 0j]])])
+    bf = BeamformerSet(np.array([[[1.0 + 0j]]]), np.array([[[0.0 + 0j]]]))
     assert downlink_rate(eff, bf, 0, 1.0) == pytest.approx(1.0)
 
 
@@ -157,7 +157,7 @@ def test_scalar_uplink_snr_three_gives_two_bits():
     ios = IosState.zeros(1)
     ios.phi_u[:] = 1.0
     eff = compose_effective(ch, ios)
-    bf = BeamformerSet([np.array([[0.0 + 0j]])], [np.array([[np.sqrt(3.0) + 0j]])])
+    bf = BeamformerSet(np.array([[[0.0 + 0j]]]), np.array([[[np.sqrt(3.0) + 0j]]]))
     assert uplink_rate(eff, bf, 0, 1.0) == pytest.approx(2.0)
 
 

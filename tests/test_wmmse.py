@@ -16,12 +16,12 @@ from oracles import (downlink_interference, min_eigval, mse_matrix_down, mse_mat
 def scalar_setup():
     """h = 1, p = 1, sigma^2 = 1, no interference anywhere."""
     one = lambda x: np.array([[complex(x)]])
-    ch = ChannelSet(h_ti=one(1.0), h_tr=one(0.0), h_iu=[one(1.0)],
-                    h_ir=one(0.0), h_uu=[[one(0.0)]])
+    ch = ChannelSet(h_ti=one(1.0), h_tr=one(0.0), h_iu=one(1.0)[None],
+                    h_ir=one(0.0), h_uu=one(0.0)[None, None])
     ios = IosState.zeros(1)
     ios.phi_t[:] = 1.0
     eff = compose_effective(ch, ios)
-    bf = BeamformerSet([one(1.0)], [one(0.0)])
+    bf = BeamformerSet(one(1.0)[None], one(0.0)[None])
     return eff, bf
 
 
@@ -140,12 +140,12 @@ def test_surrogate_trace_form_equals_compact_form(rng):
 
 def test_surrogate_zero_at_all_zero_point(rng):
     _, _, eff, bf, st, gd, gu, nu, nr = random_instance(rng)
-    bf.v_d = [np.zeros_like(v) for v in bf.v_d]
-    bf.v_u = [np.zeros_like(v) for v in bf.v_u]
-    st.u_d = [np.zeros_like(u) for u in st.u_d]
-    st.u_u = [np.zeros_like(u) for u in st.u_u]
-    st.w_d = [np.eye(w.shape[0], dtype=complex) for w in st.w_d]
-    st.w_u = [np.eye(w.shape[0], dtype=complex) for w in st.w_u]
+    bf.v_d = np.zeros_like(bf.v_d)
+    bf.v_u = np.zeros_like(bf.v_u)
+    st.u_d = np.zeros_like(st.u_d)
+    st.u_u = np.zeros_like(st.u_u)
+    st.w_d = np.broadcast_to(np.eye(st.w_d.shape[-1], dtype=complex), st.w_d.shape).copy()
+    st.w_u = np.broadcast_to(np.eye(st.w_u.shape[-1], dtype=complex), st.w_u.shape).copy()
     assert surrogate_objective(eff, bf, st, gd, gu, nu, nr) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -155,7 +155,8 @@ def test_perturbing_weight_decreases_surrogate(rng):
     base = surrogate_objective(eff, bf, st, gd, gu, nu, nr)
     for _ in range(10):
         pert = st.w_d[0] + 0.05 * np.eye(st.w_d[0].shape[0])
-        other = [pert] + [w.copy() for w in st.w_d[1:]]
+        other = st.w_d.copy()
+        other[0] = pert
         mutated = type(st)(st.u_d, other, st.u_u, st.w_u)
         assert surrogate_objective(eff, bf, mutated, gd, gu, nu, nr) <= base + 1e-12
 

@@ -2,7 +2,7 @@
 
 from .algorithm import (ConvergenceTrace, RunConfig, RunResult, Scheme, SchemeSpec,
                         apply_scheme, initial_beamformers, initial_ios,
-                        quantize_phases, run_algorithm2)
+                        quantize_phases, run_algorithm2, run_group)
 from .beamformers import DualState, bisect_multiplier, update_beamformers
 from .campaign import (CampaignConfig, ResultRow, config_from_dict, emit_figure_data,
                        execute_run, load_config, run_campaign, write_campaign)

@@ -9,6 +9,18 @@ iterations; a guard aborts if numerics break that promise.  `run_algorithm2`
 speeds the iteration up with safeguarded SQUAREM extrapolation, which keeps
 an extrapolated iterate only if it does not lower the rate.  Termination is
 by relative change of the weighted sum rate.
+
+`run_group` solves the runs of several channel draws under one config and
+scheme together.  Each run keeps its own SQUAREM state (cycle phase, guard
+surrogate, stop test, iteration cap and trace) and names the next point it
+wants mapped; each round, one `outer_step` maps the points of every run
+still going, stacked on a leading seed axis, and a finished run leaves the
+stack.  Only the surface block (build, vectorize, `solve_qcqp`) and
+SQUAREM's own arithmetic run seed by seed.  Every batched operation gives
+each seed the bits it gives that seed alone, so a run's result does not
+depend on its group; `run_algorithm2` is the group of one.  A point carries
+the `LinkSet` of its rate evaluation, which the next step's decoder refresh
+and first guard read instead of evaluating the links again.
 """
 from __future__ import annotations
 
@@ -19,10 +31,10 @@ import numpy as np
 
 from .beamformers import DualState, update_beamformers
 from .channels import ChannelSet
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericalError
 from .phases import (PgdCounts, PgdSettings, build_quadratic_forms, project_feasible,
                      solve_qcqp, vectorize)
-from .system import (BeamformerSet, EffectiveChannels, IosState, RateReport,
+from .system import (BeamformerSet, EffectiveChannels, IosState, LinkSet, RateReport,
                      compose_direct, compose_effective, stream_counts,
                      weighted_sum_rate)
 from .wmmse import surrogate_objective, update_state
@@ -168,51 +180,102 @@ def apply_scheme(scheme: SchemeSpec, ch: ChannelSet, cfg: RunConfig
     return bf, ios, _compose(ch, ios, scheme)
 
 
+def _stack(records: list):
+    """One record whose array fields stack the records' fields on a new
+    leading axis (None stays None, tuples stack entrywise)."""
+    def stacked(values):
+        if values[0] is None:
+            return None
+        if isinstance(values[0], tuple):
+            return tuple(map(stacked, zip(*values)))
+        return np.stack(values)
+    return type(records[0])(**{name: stacked([vars(r)[name] for r in records])
+                               for name in vars(records[0])})
+
+
+def _row(record, i):
+    """Entry i of a record's leading axes, in every array field."""
+    def entry(value):
+        if value is None:
+            return None
+        if isinstance(value, tuple):
+            return tuple(entry(v) for v in value)
+        return value[i]
+    return type(record)(**{name: entry(value) for name, value in vars(record).items()})
+
+
 def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, bf: BeamformerSet,
-               ios: IosState, eff: EffectiveChannels, prev_s4: float | None = None):
+               ios: IosState, eff: EffectiveChannels, prev_s4=None,
+               links: LinkSet | None = None):
     """One outer iteration: decoders/weights, then precoders, then the surface.
 
-    The surrogate after each block must not fall below the one before it (any
-    quantization comes after the step); the decoder/weight step is held to
-    `prev_s4`, the last surrogate of the previous iteration, when given.
-    Returns the new (bf, ios, eff), the surface solver's `PgdCounts` (zero
-    without a surface solve), the dual multipliers and the surrogates
-    (s2, s3, s4) after the three blocks.
+    The records may carry leading axes (a group's seeds); the surface block
+    runs once per leading index.  The surrogate after each block must not
+    fall below the one before it (any quantization comes after the step); the
+    decoder/weight step is held to `prev_s4`, the last surrogate of the
+    previous iteration, when given (NaN where a point has none).  `links` is
+    the `LinkSet` at (eff, bf) when the caller holds it.  Returns the new
+    (bf, ios, eff), the surface solver's `PgdCounts` (zero without a surface
+    solve), the dual multipliers, the surrogates (s2, s3, s4) after the three
+    blocks and the `LinkSet` at the new point.
     """
-    def surr(e, b, s):
-        return surrogate_objective(e, b, s, cfg.gamma_down, cfg.gamma_up,
-                                   cfg.noise_users, cfg.noise_rx)
+    lead = bf.v_u.shape[:-3]
 
-    def check(stage: str, new: float, old: float) -> None:
-        if new < old - max(_STEP_TOL, cfg.divergence_rel_tol * abs(old)):
-            raise ConvergenceError(f"surrogate decreased during {stage}: {old} -> {new}")
+    def surr(e, b, s, at):
+        return np.asarray(surrogate_objective(e, b, s, cfg.gamma_down, cfg.gamma_up,
+                                              cfg.noise_users, cfg.noise_rx, links=at))[()]
 
-    st = update_state(eff, bf, cfg.noise_users, cfg.noise_rx)
-    s2 = surr(eff, bf, st)
+    def check(stage: str, new: np.ndarray, old) -> None:
+        old = np.broadcast_to(np.asarray(old, dtype=float), lead)
+        for i in np.ndindex(lead):
+            if new[i] < old[i] - max(_STEP_TOL, cfg.divergence_rel_tol * abs(old[i])):
+                raise ConvergenceError(f"surrogate decreased during {stage}: "
+                                       f"{float(old[i])} -> {float(new[i])}")
+
+    def links_at(e, b):
+        return LinkSet.at(e, b, cfg.noise_users, cfg.noise_rx)
+
+    if links is None:
+        links = links_at(eff, bf)
+    st = update_state(eff, bf, cfg.noise_users, cfg.noise_rx, links=links)
+    s2 = surr(eff, bf, st, links)
     if prev_s4 is not None:
         check("decoder/weight update", s2, prev_s4)
 
     frozen_v_d = None if scheme.optimizes_downlink else bf.v_d
     bf, duals = update_beamformers(eff, st, cfg.gamma_down, cfg.gamma_up,
                                    cfg.p_b, cfg.p_u, cfg.eps_b, frozen_v_d)
-    s3 = surr(eff, bf, st)
+    links = links_at(eff, bf)
+    s3 = surr(eff, bf, st, links)
     check("precoder update", s3, s2)
 
-    counts = PgdCounts()
+    counts = PgdCounts(np.zeros(lead, dtype=int)[()], np.zeros(lead, dtype=int)[()])
     if scheme.surface_sides:
-        qf = build_quadratic_forms(ch, bf, st, cfg.gamma_down, cfg.gamma_up)
-        ios, counts = solve_qcqp(vectorize(qf), ios, cfg.pgd, scheme.surface_sides)
+        coef = np.empty_like(ios.coef)
+        for i in np.ndindex(lead):
+            qf = build_quadratic_forms(_row(ch, i), _row(bf, i), _row(st, i),
+                                       cfg.gamma_down, cfg.gamma_up)
+            new, n = solve_qcqp(vectorize(qf), IosState(ios.coef[i]), cfg.pgd,
+                                scheme.surface_sides)
+            coef[i] = new.coef
+            if lead:
+                counts.iters[i], counts.cap_exits[i] = n.iters, n.cap_exits
+            else:
+                counts = n
+        ios = IosState(coef)
         eff = _compose(ch, ios, scheme)
-        s4 = surr(eff, bf, st)
+        links = links_at(eff, bf)
+        s4 = surr(eff, bf, st, links)
         check("surface update", s4, s3)
     else:
         s4 = s3
-    return bf, ios, eff, counts, duals, (s2, s3, s4)
+    return bf, ios, eff, counts, duals, (s2, s3, s4), links
 
 
-def _rate(eff: EffectiveChannels, bf: BeamformerSet, cfg: RunConfig) -> RateReport:
+def _rate(eff: EffectiveChannels, bf: BeamformerSet, cfg: RunConfig,
+          links: LinkSet | None = None) -> RateReport:
     return weighted_sum_rate(eff, bf, cfg.gamma_down, cfg.gamma_up,
-                             cfg.noise_users, cfg.noise_rx)
+                             cfg.noise_users, cfg.noise_rx, links=links)
 
 
 def _settled(new: float, old: float, eps_w: float) -> bool:
@@ -223,52 +286,70 @@ def _settled(new: float, old: float, eps_w: float) -> bool:
 
 @dataclass
 class _Iterate:
-    """One point of the outer loop with everything a run returns from it."""
+    """One point of the outer loop with everything a run returns from it.
+    `eff` and `links` are None for a point that is yet to be composed."""
     bf: BeamformerSet
     ios: IosState
-    eff: EffectiveChannels
-    report: RateReport
+    eff: EffectiveChannels | None = None
+    links: LinkSet | None = None        # at (eff, bf), whitened
+    report: RateReport | None = None
     duals: DualState | None = None
-    s4: float | None = None     # last surrogate of the step that produced it
+    s4: float | None = None             # last surrogate of the step that produced it
+    row: tuple | None = None            # (stacked (bf, ios, eff, links), index) of an image
 
     @property
     def rate(self) -> float:
         return self.report.weighted_sum
 
 
-class _Steps:
-    """The `outer_step` calls of one run and the trace they leave."""
+def _gather(points: list[_Iterate]) -> tuple:
+    """(bf, ios, eff, links) of the points on one leading axis.  The images of
+    one map, all of them in their order, are their stacks as they came."""
+    stacks = points[0].row[0] if points[0].row else None
+    if stacks and len(stacks[0].v_u) == len(points) and all(
+            x.row and x.row[0] is stacks and x.row[1] == k for k, x in enumerate(points)):
+        return stacks
+    return tuple(_stack([getattr(x, name) for x in points])
+                 for name in ("bf", "ios", "eff", "links"))
 
-    def __init__(self, ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, start: _Iterate):
-        self.ch, self.cfg, self.scheme = ch, cfg, scheme
+
+@dataclass
+class _Request:
+    """A point a run wants mapped, with the guard surrogate it is held to."""
+    x: _Iterate
+    prev_s4: float | None
+
+
+class _Run:
+    """One run's SQUAREM cycles.  `cycles` is a generator: it yields each
+    point to map as a `_Request` and receives the image, with the solver
+    counts and surrogates of its step, from `run_group`."""
+
+    def __init__(self, cfg: RunConfig, scheme: SchemeSpec, start: _Iterate):
+        self.cfg, self.scheme = cfg, scheme
+        self.start = start
         self.trace = ConvergenceTrace([start.rate], 0, "max_iters")
 
     @property
     def exhausted(self) -> bool:
         return self.trace.iterations >= self.cfg.max_outer_iters
 
-    def take(self, bf: BeamformerSet, ios: IosState, eff: EffectiveChannels,
-             prev_s4: float | None) -> _Iterate:
-        """One counted map evaluation, with the phases snapped after it for
-        schemes that quantize every iteration.  The image carries its rate."""
-        bf, ios, eff, pgd, duals, surrogates = outer_step(self.ch, self.cfg, self.scheme,
-                                                          bf, ios, eff, prev_s4)
+    def take(self, x: _Iterate, prev_s4: float | None):
+        """One counted map evaluation; the image carries its rate."""
+        y, pgd, surrogates = yield _Request(x, prev_s4)
         t = self.trace
         t.iterations += 1
         t.pgd_iters += pgd.iters
         t.pgd_cap_exits += pgd.cap_exits
         t.step_surrogates.append(surrogates)
-        if self.scheme.quantizes_each_iter:
-            ios = quantize_phases(ios, self.scheme.quantization_bits)
-            eff = _compose(self.ch, ios, self.scheme)
-        return _Iterate(bf, ios, eff, _rate(eff, bf, self.cfg), duals, surrogates[2])
+        return y
 
-    def plain(self, x: _Iterate) -> tuple[_Iterate, bool]:
+    def plain(self, x: _Iterate):
         """A plain step from x, then the stop test (True when it holds).
         Monotone schemes are held to ascent; quantized ones step off the
         ascent path and start each step without a guard surrogate."""
         monotone = not self.scheme.quantizes_each_iter
-        y = self.take(x.bf, x.ios, x.eff, x.s4 if monotone else None)
+        y = yield from self.take(x, x.s4 if monotone else None)
         self.trace.rates.append(y.rate)
         if monotone and (x.rate - y.rate) > self.cfg.divergence_rel_tol * max(abs(y.rate),
                                                                               1e-12):
@@ -278,6 +359,56 @@ class _Steps:
             self.trace.terminated_by = "tolerance"
             return y, True
         return y, False
+
+    def extrapolate(self, x0: _Iterate, x1: _Iterate, x2: _Iterate):
+        """The SQUAREM step from x0 over x1 = F(x0) and x2 = F(x1).
+
+        With r = x1 - x0, v = x2 - x1 - r and alpha = min(-|r|/|v|, -1), the
+        point x0 - 2 alpha r + alpha^2 v is projected onto the budgets and the
+        coupling disks and mapped once more; no rate is evaluated at the point
+        itself.  The image is kept if its weighted sum rate is no lower than
+        x2's.  Otherwise alpha moves halfway to -1, where the point is x2
+        itself, for at most `_MAX_TRIALS` trials, and x2 is kept.  Each trial
+        is one counted iteration and logs the rate of the iterate kept after it.
+        """
+        a0, a1, a2 = ((x.bf.v_d, x.bf.v_u, x.ios.coef) for x in (x0, x1, x2))
+        r = [b - a for a, b in zip(a0, a1)]
+        v = [c - b - d for b, c, d in zip(a1, a2, r)]
+        norm_r = np.sqrt(sum(np.vdot(d, d).real for d in r))
+        norm_v = np.sqrt(sum(np.vdot(d, d).real for d in v))
+        alpha = -norm_r / norm_v if norm_v > 0.0 else -1.0
+        trace, cfg = self.trace, self.cfg
+        for _ in range(_MAX_TRIALS):
+            if alpha >= -1.0 or self.exhausted:
+                break
+            v_d, v_u, coef = (a - 2.0 * alpha * d + alpha ** 2 * e
+                              for a, d, e in zip(a0, r, v))
+            bf = _project_budgets(BeamformerSet(v_d, v_u), cfg.p_b, cfg.p_u)
+            x3 = yield from self.take(_Iterate(bf, IosState(project_feasible(coef))), None)
+            if x3.rate >= x2.rate:
+                trace.extrapolations_accepted += 1
+                trace.rates.append(x3.rate)
+                return x3
+            trace.extrapolations_rejected += 1
+            trace.rates.append(x2.rate)
+            alpha = 0.5 * (alpha - 1.0)
+        return x2
+
+    def cycles(self):
+        """Monotone schemes run SQUAREM cycles: two plain steps, then one
+        safeguarded extrapolation.  The stop test runs after plain steps only,
+        so a run ends on a plain step or at the iteration cap.  Schemes that
+        quantize every iteration take plain steps alone.  Returns the last
+        iterate."""
+        x, done = self.start, False
+        while not (done or self.exhausted):
+            x1, done = yield from self.plain(x)
+            if done or self.exhausted or self.scheme.quantizes_each_iter:
+                x = x1
+                continue
+            x2, done = yield from self.plain(x1)
+            x = x2 if done else (yield from self.extrapolate(x, x1, x2))
+        return x
 
 
 def _project_budgets(bf: BeamformerSet, p_b: float, p_u: float) -> BeamformerSet:
@@ -293,39 +424,120 @@ def _project_budgets(bf: BeamformerSet, p_b: float, p_u: float) -> BeamformerSet
     return BeamformerSet(v_d, v_u)
 
 
-def _extrapolate(steps: _Steps, x0: _Iterate, x1: _Iterate, x2: _Iterate) -> _Iterate:
-    """The SQUAREM step from x0 over x1 = F(x0) and x2 = F(x1).
+class _Batch:
+    """The channel draws of a group, stacked for the seeds still running."""
 
-    With r = x1 - x0, v = x2 - x1 - r and alpha = min(-|r|/|v|, -1), the
-    point x0 - 2 alpha r + alpha^2 v is projected onto the budgets and the
-    coupling disks and mapped once more; no rate is evaluated at the point
-    itself.  The image is kept if its weighted sum rate is no lower than x2's.
-    Otherwise alpha moves halfway to -1, where the point is x2 itself, for at
-    most `_MAX_TRIALS` trials, and x2 is kept.  Each trial is one counted
-    iteration and logs the rate of the iterate kept after it.
+    def __init__(self, chs: list[ChannelSet], cfg: RunConfig, scheme: SchemeSpec):
+        self.chs, self.cfg, self.scheme = chs, cfg, scheme
+        self._seeds: tuple[int, ...] = ()
+        self._ch: ChannelSet | None = None
+
+    def channels(self, seeds: tuple[int, ...]) -> ChannelSet:
+        """The draws of `seeds` on one leading axis, restacked when the set changes."""
+        if seeds != self._seeds:
+            self._seeds, self._ch = seeds, _stack([self.chs[i] for i in seeds])
+        return self._ch
+
+    def _complete(self, ch: ChannelSet, points: list[_Iterate]) -> None:
+        """Compose, and evaluate the links of, the points that lack them;
+        `ch` stacks the points' draws."""
+        todo = [k for k, x in enumerate(points) if x.eff is None]
+        if todo:
+            eff = _compose(_row(ch, np.array(todo)), _stack([points[k].ios for k in todo]),
+                           self.scheme)
+            for j, k in enumerate(todo):
+                points[k].eff = _row(eff, j)
+        todo = [k for k, x in enumerate(points) if x.links is None]
+        if todo:
+            links = LinkSet.at(_stack([points[k].eff for k in todo]),
+                               _stack([points[k].bf for k in todo]),
+                               self.cfg.noise_users, self.cfg.noise_rx)
+            links.whitened()
+            for j, k in enumerate(todo):
+                points[k].links = _row(links, j)
+
+    def map(self, seeds: tuple[int, ...], requests: list[_Request]) -> list[tuple]:
+        """One `outer_step` over the requested points of the given seeds,
+        any phase quantization after it, and the rate of each image; per seed
+        (image, PgdCounts, surrogates)."""
+        cfg, scheme = self.cfg, self.scheme
+        points = [q.x for q in requests]
+        ch = self.channels(seeds)
+        self._complete(ch, points)
+        prev = [np.nan if q.prev_s4 is None else q.prev_s4 for q in requests]
+        bf, ios, eff, links = _gather(points)
+        bf, ios, eff, counts, duals, surrogates, links = outer_step(
+            ch, cfg, scheme, bf, ios, eff,
+            None if all(q.prev_s4 is None for q in requests) else np.array(prev), links)
+        if scheme.quantizes_each_iter:
+            ios = quantize_phases(ios, scheme.quantization_bits)
+            eff = _compose(ch, ios, scheme)
+            links = LinkSet.at(eff, bf, cfg.noise_users, cfg.noise_rx)
+        report = _rate(eff, bf, cfg, links)
+        stacks = (bf, ios, eff, links)
+        s2, s3, s4 = surrogates
+        return [(_Iterate(_row(bf, k), _row(ios, k), _row(eff, k), _row(links, k),
+                          RateReport(report.r_down[k], report.r_up[k],
+                                     float(report.weighted_sum[k])),
+                          DualState(float(duals.mu_d[k]), duals.lambda_u[k]), float(s4[k]),
+                          (stacks, k)),
+                 PgdCounts(int(counts.iters[k]), int(counts.cap_exits[k])),
+                 (float(s2[k]), float(s3[k]), float(s4[k])))
+                for k in range(len(seeds))]
+
+
+def _failing_seed(batch: _Batch, seeds: tuple[int, ...], requests: list[_Request]) -> int:
+    """The first seed whose point fails when mapped alone (the first seed when
+    none does)."""
+    for i, q in zip(seeds, requests):
+        try:
+            batch.map((i,), [q])
+        except (ConvergenceError, NumericalError):
+            return i
+    return seeds[0]
+
+
+def run_group(chs: list[ChannelSet], cfg: RunConfig, scheme: SchemeSpec) -> list[RunResult]:
+    """`run_algorithm2` on every channel draw of `chs`, as one batched loop.
+
+    Each run's results are those of its draw alone, bit for bit.  A
+    `ConvergenceError` or `NumericalError` from any run ends the group; its
+    `run_index` attribute is the position of the failing draw in `chs`.
     """
-    a0, a1, a2 = ((x.bf.v_d, x.bf.v_u, x.ios.coef) for x in (x0, x1, x2))
-    r = [b - a for a, b in zip(a0, a1)]
-    v = [c - b - d for b, c, d in zip(a1, a2, r)]
-    norm_r = np.sqrt(sum(np.vdot(d, d).real for d in r))
-    norm_v = np.sqrt(sum(np.vdot(d, d).real for d in v))
-    alpha = -norm_r / norm_v if norm_v > 0.0 else -1.0
-    trace, cfg = steps.trace, steps.cfg
-    for _ in range(_MAX_TRIALS):
-        if alpha >= -1.0 or steps.exhausted:
-            break
-        v_d, v_u, coef = (a - 2.0 * alpha * d + alpha ** 2 * e for a, d, e in zip(a0, r, v))
-        bf = _project_budgets(BeamformerSet(v_d, v_u), cfg.p_b, cfg.p_u)
-        ios = IosState(project_feasible(coef))
-        x3 = steps.take(bf, ios, _compose(steps.ch, ios, steps.scheme), None)
-        if x3.rate >= x2.rate:
-            trace.extrapolations_accepted += 1
-            trace.rates.append(x3.rate)
-            return x3
-        trace.extrapolations_rejected += 1
-        trace.rates.append(x2.rate)
-        alpha = 0.5 * (alpha - 1.0)
-    return x2
+    batch = _Batch(chs, cfg, scheme)
+    runs, pending, ends = [], {}, {}
+    for i, ch in enumerate(chs):
+        bf, ios, eff = apply_scheme(scheme, ch, cfg)
+        links = LinkSet.at(eff, bf, cfg.noise_users, cfg.noise_rx)
+        runs.append(_Run(cfg, scheme, _Iterate(bf, ios, eff, links, _rate(eff, bf, cfg, links))))
+        pending[i] = runs[i].cycles()
+    requests = {}
+
+    def advance(i, sent=None) -> None:
+        try:
+            requests[i] = pending[i].send(sent)
+        except StopIteration as stop:
+            ends[i] = stop.value
+            del pending[i], requests[i]
+        except (ConvergenceError, NumericalError) as exc:
+            exc.run_index = i
+            raise
+
+    for i in list(pending):
+        requests[i] = None
+        advance(i)
+    while pending:
+        seeds = tuple(sorted(pending))
+        asked = [requests[i] for i in seeds]
+        try:
+            images = batch.map(seeds, asked)
+        except (ConvergenceError, NumericalError) as exc:
+            exc.run_index = seeds[0] if len(seeds) == 1 else _failing_seed(batch, seeds, asked)
+            raise
+        for i, image in zip(seeds, images):
+            advance(i, image)
+    return [RunResult(x.bf, x.ios, run.trace, x.report, x.duals)
+            for x, run in ((ends[i], runs[i]) for i in range(len(chs)))]
 
 
 def run_algorithm2(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec) -> RunResult:
@@ -333,20 +545,9 @@ def run_algorithm2(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec) -> RunRes
 
     Monotone schemes run SQUAREM cycles (Varadhan & Roland, Scand. J. Statist.
     2008) over x = (V_d, V_u, coef) with `outer_step` as the map: two plain
-    steps, then one safeguarded extrapolation (`_extrapolate`).  The stop test
-    runs after plain steps only, so a run ends on a plain step or at the
-    iteration cap.  Schemes that quantize every iteration take plain steps
-    alone.
+    steps, then one safeguarded extrapolation.  The stop test runs after
+    plain steps only, so a run ends on a plain step or at the iteration cap.
+    Schemes that quantize every iteration take plain steps alone.  This is
+    `run_group` on one draw.
     """
-    bf, ios, eff = apply_scheme(scheme, ch, cfg)
-    x = _Iterate(bf, ios, eff, _rate(eff, bf, cfg))
-    steps = _Steps(ch, cfg, scheme, x)
-    done = False
-    while not (done or steps.exhausted):
-        x1, done = steps.plain(x)
-        if done or steps.exhausted or scheme.quantizes_each_iter:
-            x = x1
-            continue
-        x2, done = steps.plain(x1)
-        x = x2 if done else _extrapolate(steps, x, x1, x2)
-    return RunResult(x.bf, x.ios, steps.trace, x.report, x.duals)
+    return run_group([ch], cfg, scheme)[0]

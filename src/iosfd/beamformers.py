@@ -12,7 +12,9 @@ lambda_k*I (uplink).  Consumed power is nonincreasing in the multiplier, so a
 root search drives it onto the budget whenever the unconstrained solution is
 infeasible.  One multiplier covers the whole downlink (sum-power constraint);
 uplink users are budgeted individually.  All K quadratics of a direction are
-built and eigendecomposed as one (K, n, n) stack.
+built and eigendecomposed as one (K, n, n) stack, and the seeds of a group
+stack in front of that: one search per seed's downlink and per (seed, user)
+uplink, all advanced together.
 
 The consumed power is p(mu) = sum_i w_i / (lambda_i + mu)^2, so
 p(mu)^(-1/2) is exactly linear in mu for a single eigen-term and nearly
@@ -44,7 +46,8 @@ _BISECT_EVERY = 5
 
 @dataclass
 class DualState:
-    """Multipliers of the last update: downlink sum power, then per uplink user."""
+    """Multipliers of the last update: downlink sum power, then per uplink user
+    (with the leading axes of the precoders they belong to)."""
     mu_d: float
     lambda_u: np.ndarray
 
@@ -52,7 +55,10 @@ class DualState:
 def uplink_weight_core(st: WmmseState, gamma_up: np.ndarray) -> np.ndarray:
     """sum_j gamma_ju U_ju W_ju U_ju^H, shared by every precoder quadratic."""
     uw = st.u_u @ st.w_u @ adj(st.u_u)
-    return hermitize(np.tensordot(np.asarray(gamma_up, dtype=float), uw, axes=1))
+    *lead, K, n, _ = uw.shape
+    # a 1 x K row times K x n^2, the product np.tensordot forms for one run
+    row = np.asarray(gamma_up, dtype=float).astype(complex)[None, :]
+    return hermitize((row @ uw.reshape(*lead, K, n * n)).reshape(*lead, n, n))
 
 
 def downlink_weight_core(st: WmmseState, gamma_down: np.ndarray) -> np.ndarray:
@@ -63,72 +69,110 @@ def downlink_weight_core(st: WmmseState, gamma_down: np.ndarray) -> np.ndarray:
 def xi_down(eff: EffectiveChannels, uw: np.ndarray, core: np.ndarray) -> np.ndarray:
     """(K, N_t, N_t) downlink quadratics at zero multiplier: own-link term with
     the downlink weight core `uw` plus the self-coupling penalty h_t^H core h_t."""
-    return hermitize(adj(eff.h_kd) @ uw @ eff.h_kd + eff.h_t.conj().T @ core @ eff.h_t)
+    return hermitize(adj(eff.h_kd) @ uw @ eff.h_kd
+                     + (adj(eff.h_t) @ core @ eff.h_t)[..., None, :, :])
 
 
 def xi_up(eff: EffectiveChannels, uw: np.ndarray, core: np.ndarray) -> np.ndarray:
     """(K, N_ut, N_ut) uplink quadratics at zero multiplier: user k's leakage
     into every downlink receiver j through h_jk[k, j], weighted by the downlink
     weight core `uw`, plus the receive-side coupling h_ku^H core h_ku."""
-    leak = (adj(eff.h_jk) @ uw[None] @ eff.h_jk).sum(axis=1)
-    return hermitize(leak + adj(eff.h_ku) @ core @ eff.h_ku)
+    leak = (adj(eff.h_jk) @ uw[..., None, :, :, :] @ eff.h_jk).sum(axis=-3)
+    return hermitize(leak + adj(eff.h_ku) @ core[..., None, :, :] @ eff.h_ku)
 
 
-def bisect_multiplier(power_of: Callable[[float], float], budget: float,
-                      eps_b: float = 1e-4) -> float:
-    """Smallest multiplier whose consumed power meets the budget.
+def _g(power: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """g = power^(-1/2) - target elementwise, infinite at zero power and
+    -target at infinite power.  The root is Python's float pow: numpy's
+    power rounds some of these inputs differently."""
+    return np.array([math.inf if p == 0.0 else (0.0 if math.isinf(p) else p ** -0.5) - t
+                     for p, t in zip(power.ravel().tolist(), target.ravel().tolist())]
+                    ).reshape(power.shape)
 
-    Checks the multiplier-free solution first; otherwise doubles the upper
-    end of the bracket [0, 1] until feasible (each infeasible end becomes the
-    lower one), then takes secant steps on
+
+def bisect_multiplier(power_of: Callable[[np.ndarray], np.ndarray], budget,
+                      eps_b: float = 1e-4):
+    """Smallest multiplier whose consumed power meets the budget, for one
+    search or for an array of independent searches (one per entry of
+    `budget`), advanced together.
+
+    Each search checks the multiplier-free solution first; otherwise doubles
+    the upper end of the bracket [0, 1] until feasible (each infeasible end
+    becomes the lower one), then takes secant steps on
     g = power^(-1/2) - budget^(-1/2) inside the bracket, bisecting when a step
     leaves it and on every _BISECT_EVERY-th step.  The hard accuracy target is
     eps_b * budget on the power gap, but iteration continues toward machine
     precision so the result acts like the exact dual point.  Each probe is
-    one call of `power_of`.
+    one call of `power_of` with one multiplier per search (budget's shape),
+    NaN for a search that is waiting or finished, returning their powers.
+    Every search makes the probes, and returns the multiplier, that it makes
+    alone: all searches double their brackets first, then take their secant
+    steps in lockstep.
     """
-    if budget < 0:
+    budget = np.asarray(budget, dtype=float)
+    if (budget < 0).any():
         raise ValueError("power budget must be nonnegative")
-    lo, hi = 0.0, 1.0
-    p = power_of(lo)
-    if p <= budget * (1.0 + 1e-12):
-        return lo
-    if budget == 0.0:
+
+    def probe(mu: np.ndarray, live) -> np.ndarray:
+        p = np.asarray(power_of(np.where(live, mu, np.nan)), dtype=float)
+        return p if p.shape == budget.shape else np.full(budget.shape, p)
+
+    lo, hi = np.zeros(budget.shape), np.ones(budget.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):    # p(0) may divide by zero
+        p = probe(lo, True)
+    done = p <= budget * (1.0 + 1e-12)
+    out = np.zeros(budget.shape)
+    if done.all():
+        return out[()]
+    if (~done & (budget == 0.0)).any():
         raise NumericalError("zero budget with nonzero unconstrained power")
 
-    target = budget ** -0.5
-
-    def g(power: float) -> float:
-        if power == 0.0:
-            return math.inf
-        return (0.0 if math.isinf(power) else power ** -0.5) - target
-
-    g_lo = g(p)
+    target = _g(budget, np.zeros(budget.shape))     # budget^(-1/2)
+    g_lo = _g(p, target)
+    g_b = g_lo
     doublings = 0
-    while (p := power_of(hi)) > budget:
-        lo, g_lo = hi, g(p)
-        hi *= 2.0
+    growing = ~done
+    while growing.any():
+        p_hi = probe(hi, growing)
+        g_hi = _g(p_hi, target)
+        fits = growing & (p_hi <= budget)
+        p, g_b = np.where(fits, p_hi, p), np.where(fits, g_hi, g_b)
+        growing &= ~fits
+        lo, g_lo, hi = (np.where(growing, hi, lo), np.where(growing, g_hi, g_lo),
+                        np.where(growing, 2.0 * hi, hi))
         doublings += 1
-        if doublings > _MAX_DOUBLINGS:
+        if doublings > _MAX_DOUBLINGS and growing.any():
             raise NumericalError("multiplier bracket never became feasible")
 
     tol = min(eps_b, _POWER_REL_TOL) * budget
     x = hi
-    a, g_a, b, g_b = lo, g_lo, hi, g(p)      # the last two probes, for the secant
+    a, g_a, b = lo, g_lo, hi            # the last two probes, for the secant
+    live = ~done
     for step in range(1, _MAX_STEPS + 1):
-        if 0.0 <= budget - p <= tol or (hi - lo) <= 1e-15 * hi:
-            break
-        x = b - g_b * (b - a) / (g_b - g_a) if g_b != g_a else lo
-        if step % _BISECT_EVERY == 0 or not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        p = power_of(x)
-        if p > budget:
-            lo = x
+        gap = budget - p
+        end = (gap >= 0.0) & (gap <= tol)
+        end |= (hi - lo) <= 1e-15 * hi
+        end &= live
+        if end.any():
+            out = np.where(end, np.where(p <= budget, x, hi), out)
+            live &= ~end
+            if not live.any():
+                return out[()]
+        mid = 0.5 * (lo + hi)
+        if step % _BISECT_EVERY == 0:
+            x = mid
         else:
-            hi = x
-        a, g_a, b, g_b = b, g_b, x, g(p)
+            # a zero denominator gives an infinite or NaN step, which the
+            # bracket test turns into a bisection as well
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                x = b - g_b * (b - a) / (g_b - g_a)
+            x = np.where((lo < x) & (x < hi), x, mid)
+        p = probe(x, live)
+        over = p > budget
+        lo, hi = np.where(over, x, lo), np.where(over, hi, x)
+        a, g_a, b, g_b = b, g_b, x, _g(p, target)
     # Report the feasible side of the bracket.
-    return x if p <= budget else hi
+    return np.where(live, np.where(p <= budget, x, hi), out)[()]
 
 
 class _RegularizedSolve:
@@ -148,18 +192,20 @@ class _RegularizedSolve:
         self._vecs = vecs
         self._proj = adj(vecs) @ rhs
         self._weights = np.sum(np.abs(self._proj) ** 2, axis=-1)
+        self._carries = self._weights > 0.0
 
-    def power(self, mu: float, users=slice(None)) -> float:
-        """Consumed power at multiplier mu, summed over the selected users."""
-        w, d = self._weights[users], self._vals[users] + mu
-        if mu > 0.0:
-            return float(np.sum(w / (d * d)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return float(np.sum(np.where(w > 0.0, w / (d * d), 0.0)))
+    def power(self, mu: np.ndarray, axis) -> np.ndarray:
+        """Consumed power at multipliers `mu` (broadcast against the (K, n)
+        eigenvalue stack), summed over `axis`: one user's n eigen-terms, or
+        all K users' for a shared multiplier.  At mu = 0 a zero eigenvalue
+        divides by zero; where it carries weight the power is infinite."""
+        d = self._vals + mu
+        return np.add.reduce(np.where(self._carries, self._weights / (d * d), 0.0), axis=axis)
 
-    def solution(self, mu) -> np.ndarray:
-        """(K, n, s) precoders at one multiplier, or at one per user (shape (K,))."""
-        denom = self._vals + np.reshape(mu, (-1, 1))
+    def solution(self, mu: np.ndarray) -> np.ndarray:
+        """(K, n, s) precoders at the multipliers `mu`, one per user (shape (K,))
+        or one shared (shape (1,))."""
+        denom = self._vals + mu[..., None]
         safe = np.where(denom > 0.0, denom, 1.0)
         scaled = np.where((denom > 0.0)[..., None], self._proj / safe[..., None], 0.0)
         return self._vecs @ scaled
@@ -173,25 +219,33 @@ def update_beamformers(eff: EffectiveChannels, st: WmmseState,
     """Refresh every precoder from the current decoders/weights.
 
     The downlink multiplier couples all K precoders through the sum-power
-    budget; uplink multipliers are solved per user.  Given `frozen_v_d`, the
-    downlink precoders are kept as they are (single-side baseline).
+    budget; uplink multipliers are solved per user.  One `bisect_multiplier`
+    call runs a downlink and K uplink searches per leading index.  Given
+    `frozen_v_d`, the downlink precoders are kept as they are (single-side
+    baseline).
     """
-    K = eff.n_users
+    *lead, K = eff.h_kd.shape[:-2]
+    lead = tuple(lead)
     uw, core = downlink_weight_core(st, gamma_down), uplink_weight_core(st, gamma_up)
     gd = np.asarray(gamma_down, dtype=float)[:, None, None]
     gu = np.asarray(gamma_up, dtype=float)[:, None, None]
 
+    up = _RegularizedSolve(xi_up(eff, uw, core),
+                           gu * (adj(eff.h_ku) @ st.u_u @ st.w_u))
     if frozen_v_d is None:
         down = _RegularizedSolve(xi_down(eff, uw, core),
                                  gd * (adj(eff.h_kd) @ st.u_d @ st.w_d))
-        mu = bisect_multiplier(down.power, p_b, eps_b)
-        v_d = down.solution(mu)
-    else:
-        mu = 0.0
-        v_d = frozen_v_d.copy()
 
-    up = _RegularizedSolve(xi_up(eff, uw, core),
-                           gu * (adj(eff.h_ku) @ st.u_u @ st.w_u))
-    lams = np.array([bisect_multiplier(lambda m, k=k: up.power(m, k), p_u, eps_b)
-                     for k in range(K)])
+        def power(m):       # column 0: the downlink sum; columns 1..K: the uplink users
+            return np.concatenate([down.power(m[..., :1, None], (-2, -1))[..., None],
+                                   up.power(m[..., 1:, None], -1)], axis=-1)
+        mult = bisect_multiplier(power, np.concatenate(
+            [np.full(lead + (1,), p_b), np.full(lead + (K,), p_u)], axis=-1), eps_b)
+        mu, lams = mult[..., 0][()], mult[..., 1:]
+        v_d = down.solution(np.asarray(mu)[..., None])
+    else:
+        lams = bisect_multiplier(lambda m: up.power(m[..., None], -1),
+                                 np.full(lead + (K,), p_u), eps_b)
+        mu = np.zeros(lead)[()]
+        v_d = frozen_v_d.copy()
     return BeamformerSet(v_d, up.solution(lams)), DualState(mu, lams)

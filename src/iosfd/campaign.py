@@ -1,9 +1,13 @@
 """Monte-Carlo campaign runner: config parsing, sweeps, seeds, CSV output.
 
-A campaign is a grid of (scheme, sweep value, seed) runs.  Runs are pure
-functions of the resolved config, so the result set is deterministic and can
-be farmed out to a process pool; rows are sorted canonically before writing,
-which makes the output independent of worker count.
+A campaign is a grid of (scheme, sweep value, seed) runs.  The seeds of one
+(scheme, sweep value) group share their config and layout, so a job builds
+the layout once and solves its seeds as one batched `run_group`; a group is
+split into chunks of seeds only while there are fewer jobs than workers.
+Runs are pure functions of the resolved config, and a run's result does not
+depend on the seeds it is batched with, so the result set is deterministic
+and can be farmed out to a process pool; rows are sorted canonically before
+writing, which makes the output independent of worker count and chunking.
 """
 from __future__ import annotations
 
@@ -20,9 +24,11 @@ from typing import Any
 
 import numpy as np
 
-from .algorithm import RunConfig, Scheme, SchemeSpec, run_algorithm2
+from .algorithm import RunConfig, Scheme, SchemeSpec, run_group
+# bound here for perfbench's tracer, which wraps it by name in this module
+from .algorithm import run_algorithm2  # noqa: F401
 from .channels import FadingParams, sample_channels
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceError, NumericalError
 from .geometry import GeometryConfig, build_layout
 from .phases import PgdSettings
 
@@ -381,9 +387,12 @@ def _run_config(cfg: CampaignConfig, pw: PowersConfig, k_users: int) -> RunConfi
     )
 
 
-def execute_run(cfg: CampaignConfig, scheme: SchemeSpec, sweep_value, seed: int
-                ) -> tuple[ResultRow, list[float]]:
-    """One (scheme, sweep value, seed) cell; pure function of its arguments."""
+def run_cells(cfg: CampaignConfig, scheme: SchemeSpec, sweep_value, seeds: list[int]
+              ) -> list[tuple[ResultRow, list[float]]]:
+    """The cells of some seeds of one (scheme, sweep value) group, solved as one
+    batch on one layout; a pure function of its arguments.  Each row's
+    `wall_ms` is the batch's wall time over its cell count.  A
+    `ConvergenceError` or `NumericalError` is raised again naming the cell."""
     start = time.perf_counter()
     sc, pw = _sweep_scenario(cfg, sweep_value)
     geo = GeometryConfig(
@@ -403,13 +412,20 @@ def execute_run(cfg: CampaignConfig, scheme: SchemeSpec, sweep_value, seed: int
         gain_exponent_rx=cfg.physics.gain_exponent_rx,
         uu_free_space=cfg.physics.uu_free_space,
     )
-    ch = sample_channels(layout, fading, seed,
-                         include_direct=scheme.kind is Scheme.WO_IOS)
-    result = run_algorithm2(ch, _run_config(cfg, pw, sc.k_users), scheme)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    row = ResultRow(
+    chs = [sample_channels(layout, fading, seed, include_direct=scheme.kind is Scheme.WO_IOS)
+           for seed in seeds]
+    try:
+        results = run_group(chs, _run_config(cfg, pw, sc.k_users), scheme)
+    except (ConvergenceError, NumericalError) as exc:
+        index = getattr(exc, "run_index", None)
+        cell = [scheme.label] + ([] if sweep_value is None else [f"sweep value {sweep_value}"])
+        cell.append(f"seed {seeds[index]}" if index is not None else f"seeds {seeds}")
+        raise type(exc)(f"{', '.join(cell)}: {exc}") from exc
+    wall_ms = (time.perf_counter() - start) * 1e3 / len(seeds)
+    value = None if sweep_value is None else float(sweep_value)
+    return [(ResultRow(
         scheme=scheme.label,
-        sweep_value=None if sweep_value is None else float(sweep_value),
+        sweep_value=value,
         seed=seed,
         weighted_sum_rate=result.report.weighted_sum,
         r_down=[float(r) for r in result.report.r_down],
@@ -417,14 +433,19 @@ def execute_run(cfg: CampaignConfig, scheme: SchemeSpec, sweep_value, seed: int
         iterations=result.trace.iterations,
         terminated_by=result.trace.terminated_by,
         wall_ms=wall_ms,
-    )
-    return row, list(result.trace.rates)
+    ), list(result.trace.rates)) for seed, result in zip(seeds, results)]
 
 
-def _worker(args) -> tuple[tuple, ResultRow, list[float]]:
-    cfg, scheme, sweep_value, seed = args
-    row, trace = execute_run(cfg, scheme, sweep_value, seed)
-    return (scheme.label, sweep_value, seed), row, trace
+def execute_run(cfg: CampaignConfig, scheme: SchemeSpec, sweep_value, seed: int
+                ) -> tuple[ResultRow, list[float]]:
+    """One (scheme, sweep value, seed) cell; pure function of its arguments."""
+    return run_cells(cfg, scheme, sweep_value, [seed])[0]
+
+
+def _worker(args) -> list[tuple[tuple, ResultRow, list[float]]]:
+    cfg, scheme, sweep_value, seeds = args
+    return [((scheme.label, sweep_value, seed), row, trace)
+            for seed, (row, trace) in zip(seeds, run_cells(cfg, scheme, sweep_value, seeds))]
 
 
 def _sweep_key(value: float | None) -> float:
@@ -432,18 +453,38 @@ def _sweep_key(value: float | None) -> float:
     return -np.inf if value is None else value
 
 
+def _chunks(seeds: list[int], parts: int) -> list[list[int]]:
+    """`seeds` in `parts` consecutive chunks whose sizes differ by at most one."""
+    size, extra = divmod(len(seeds), parts)
+    bounds = np.cumsum([0] + [size + (i < extra) for i in range(parts)])
+    return [seeds[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def campaign_jobs(cfg: CampaignConfig, threads: int = 1) -> list[tuple]:
+    """One job per (scheme, sweep value) group, in grid order.  While there
+    are fewer jobs than min(threads, cells), the group with the largest
+    chunks is cut into one more near-equal chunk (the earliest on ties)."""
+    values = cfg.sweep.values if cfg.sweep.axis != "none" else [None]
+    groups = [(scheme, value) for scheme in cfg.schemes for value in values]
+    seeds = list(cfg.seeds)
+    parts = [1] * len(groups)
+    while sum(parts) < min(threads, len(groups) * len(seeds)):
+        widest = max(range(len(groups)), key=lambda g: (-(-len(seeds) // parts[g]), -g))
+        parts[widest] += 1
+    return [(cfg, scheme, value, chunk)
+            for (scheme, value), n in zip(groups, parts) for chunk in _chunks(seeds, n)]
+
+
 def run_campaign(cfg: CampaignConfig, threads: int = 1
                  ) -> tuple[list[ResultRow], dict[tuple, list[float]]]:
     """All cells of the campaign grid, canonically ordered."""
-    values = cfg.sweep.values if cfg.sweep.axis != "none" else [None]
-    jobs = [(cfg, scheme, value, seed)
-            for scheme in cfg.schemes for value in values for seed in cfg.seeds]
+    jobs = campaign_jobs(cfg, threads)
     if threads > 1 and len(jobs) > 1:
-        # every worker forks at the first submit, so start no more than there are cells
+        # every worker forks at the first submit, so start no more than there are jobs
         with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            outcomes = list(pool.map(_worker, jobs))
+            outcomes = [cell for job in pool.map(_worker, jobs) for cell in job]
     else:
-        outcomes = [_worker(job) for job in jobs]
+        outcomes = [cell for job in jobs for cell in _worker(job)]
     rows = sorted((row for _, row, _ in outcomes),
                   key=lambda r: (r.scheme, _sweep_key(r.sweep_value), r.seed))
     traces = {key: trace for key, _, trace in outcomes}

@@ -55,6 +55,7 @@ Newton system.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,10 +257,11 @@ def _newton_system(f, fh, s, d, g, inv, grad):
         system[re, im] -= gram.imag
         system[im, re] += gram.imag
         at += m
-    system[np.diag_indices(2 * n)] += 1.0
+    system.ravel()[::2 * n + 1] += 1.0      # the diagonal, through a flat view
     rhs = np.concatenate(grad)
     x = np.linalg.solve(system, np.concatenate([rhs.real, rhs.imag]))
-    return np.split(x[:n] + 1j * x[n:], np.cumsum(sizes)[:-1])
+    x = x[:n] + 1j * x[n:]
+    return [x[end - m:end] for end, m in zip(itertools.accumulate(sizes), sizes)]
 
 
 def _newton_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings):

@@ -7,7 +7,8 @@ form (C, G, W) of `system.whiten_links`, the one the rate is read from:
 W* = I + G^H G (Woodbury: E(U*) = (I + V^H H^H B^{-1} H V)^{-1}) and
 U* = C^{-H} G W*^{-1} (push-through identity).  The weighted surrogate over
 all links is what the beamformer and phase blocks ascend.  Every quantity is
-stacked over the K users and computed for all links at once.
+stacked over the K users and computed for all links at once, and over the
+seeds of a group in front of that (see `system`).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import adj, hermitize, logdet_pd, solve_pd
-from .system import BeamformerSet, EffectiveChannels, link_covariances, whiten_links
+from .system import BeamformerSet, EffectiveChannels, LinkSet, weighted_sum
 
 
 @dataclass
@@ -28,7 +29,7 @@ class WmmseState:
 
     @property
     def n_users(self) -> int:
-        return len(self.u_d)
+        return self.u_d.shape[-3]
 
 
 def _mse(hv: np.ndarray, u: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -37,39 +38,47 @@ def _mse(hv: np.ndarray, u: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return hermitize(resid @ adj(resid) + adj(u) @ denom @ u)
 
 
-def _decoder_and_weight(hv: np.ndarray, denom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """U* = C^{-H} G W^{-1} and W* = W from the links' whitened form."""
-    c, g, w = whiten_links(hv, denom)
+def _decoder_and_weight(white: tuple[np.ndarray, np.ndarray, np.ndarray]
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """U* = C^{-H} G W^{-1} and W* = W from the links' whitened form (C, G, W)."""
+    c, g, w = white
     return np.linalg.solve(adj(c), adj(solve_pd(w, adj(g)))), w
 
 
 def update_state(eff: EffectiveChannels, bf: BeamformerSet,
-                 noise_users: np.ndarray, noise_rx: float) -> WmmseState:
-    """One full decoder/weight refresh for every link."""
-    hv_d, den_d, hv_u, den_u = link_covariances(eff, bf, noise_users, noise_rx)
-    u_d, w_d = _decoder_and_weight(hv_d, den_d)
-    u_u, w_u = _decoder_and_weight(hv_u, den_u)
+                 noise_users: np.ndarray, noise_rx: float,
+                 links: LinkSet | None = None) -> WmmseState:
+    """One full decoder/weight refresh for every link; `links`, when given,
+    is the `LinkSet` at (eff, bf)."""
+    if links is None:
+        links = LinkSet.at(eff, bf, noise_users, noise_rx)
+    white_d, white_u = links.whitened()
+    u_d, w_d = _decoder_and_weight(white_d)
+    u_u, w_u = _decoder_and_weight(white_u)
     return WmmseState(u_d, w_d, u_u, w_u)
 
 
 def _trace_prod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re Tr(A_k B_k) for each k of two (K, n, n) stacks."""
-    return np.einsum("kij,kji->k", a, b).real
+    return np.einsum("...ij,...ji->...", a, b).real
 
 
 def surrogate_objective(eff: EffectiveChannels, bf: BeamformerSet, st: WmmseState,
                         gamma_down: np.ndarray, gamma_up: np.ndarray,
-                        noise_users: np.ndarray, noise_rx: float) -> float:
+                        noise_users: np.ndarray, noise_rx: float,
+                        links: LinkSet | None = None):
     """Weighted surrogate in nats, sum over links of gamma (log|W| - Tr(W E) + s).
 
     E is each link's MSE matrix at the given decoders, from the channels and
-    precoders alone; equals the weighted sum rate (in nats) when the decoders
-    and weights are at their optima.
+    precoders alone (`links`, when given, is the `LinkSet` at (eff, bf)); equals
+    the weighted sum rate (in nats) when the decoders and weights are at their
+    optima.  A float, or one per leading index.
     """
-    hv_d, den_d, hv_u, den_u = link_covariances(eff, bf, noise_users, noise_rx)
+    if links is None:
+        links = LinkSet.at(eff, bf, noise_users, noise_rx)
     total = 0.0
-    for gamma, w, u, hv, den in ((gamma_down, st.w_d, st.u_d, hv_d, den_d),
-                                 (gamma_up, st.w_u, st.u_u, hv_u, den_u)):
+    for gamma, w, u, hv, den in ((gamma_down, st.w_d, st.u_d, links.hv_d, links.den_d),
+                                 (gamma_up, st.w_u, st.u_u, links.hv_u, links.den_u)):
         per_link = logdet_pd(w) - _trace_prod(w, _mse(hv, u, den)) + w.shape[-1]
-        total += float(np.dot(gamma, per_link))
-    return total
+        total = total + weighted_sum(gamma, per_link)
+    return total if np.ndim(total) else float(total)

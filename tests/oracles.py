@@ -18,7 +18,9 @@ one user (and one interferer) at a time on single matrices:
   which solve its stationarity condition directly where the package sweeps
   every multiplier through one eigendecomposition;
 * `bisect_multiplier_plain`, the plain bisection that
-  `beamformers.bisect_multiplier` replaced by a safeguarded secant search.
+  `beamformers.bisect_multiplier` replaced by a safeguarded secant search;
+* `bisect_multiplier_scalar`, that secant search for one multiplier in
+  Python floats, before it was vectorized over many searches.
 
 `pgd_side_plain` is plain projected gradient on one side of the surface
 QCQP, the reference that `phases._newton_side` is checked against.  It takes
@@ -34,6 +36,8 @@ is for schemes that quantize every iteration and adds SQUAREM cycles for the
 others.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -427,8 +431,8 @@ def run_plain(ch, cfg, scheme):
 
     prev_s4 = None
     for it in range(cfg.max_outer_iters):
-        bf, ios, eff, pgd, duals, surrogates = alg.outer_step(ch, cfg, scheme, bf, ios, eff,
-                                                              prev_s4)
+        bf, ios, eff, pgd, duals, surrogates, _ = alg.outer_step(ch, cfg, scheme, bf, ios,
+                                                                 eff, prev_s4)
         pgd_iters += pgd.iters
         pgd_cap_exits += pgd.cap_exits
         step_log.append(surrogates)
@@ -454,3 +458,49 @@ def run_plain(ch, cfg, scheme):
     trace = alg.ConvergenceTrace(rates, iterations, terminated_by, step_log,
                                  pgd_cap_exits, pgd_iters)
     return alg.RunResult(bf, ios, trace, report, duals)
+
+
+def bisect_multiplier_scalar(power_of, budget: float, eps_b: float = 1e-4) -> float:
+    """One search of `beamformers.bisect_multiplier` in Python floats: the
+    bracket doubling, then secant steps on g = p^(-1/2) - budget^(-1/2) with a
+    bisection when a step leaves the bracket and on every fifth step.  The
+    vectorized search must make the same probes and return the same bits."""
+    if budget < 0:
+        raise ValueError("power budget must be nonnegative")
+    lo, hi = 0.0, 1.0
+    p = power_of(lo)
+    if p <= budget * (1.0 + 1e-12):
+        return lo
+    if budget == 0.0:
+        raise NumericalError("zero budget with nonzero unconstrained power")
+    target = budget ** -0.5
+
+    def g(power: float) -> float:
+        if power == 0.0:
+            return math.inf
+        return (0.0 if math.isinf(power) else power ** -0.5) - target
+
+    g_lo = g(p)
+    doublings = 0
+    while (p := power_of(hi)) > budget:
+        lo, g_lo = hi, g(p)
+        hi *= 2.0
+        doublings += 1
+        if doublings > 60:
+            raise NumericalError("multiplier bracket never became feasible")
+    tol = min(eps_b, 1e-12) * budget
+    x = hi
+    a, g_a, b, g_b = lo, g_lo, hi, g(p)
+    for step in range(1, 201):
+        if 0.0 <= budget - p <= tol or (hi - lo) <= 1e-15 * hi:
+            break
+        x = b - g_b * (b - a) / (g_b - g_a) if g_b != g_a else lo
+        if step % 5 == 0 or not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        p = power_of(x)
+        if p > budget:
+            lo = x
+        else:
+            hi = x
+        a, g_a, b, g_b = b, g_b, x, g(p)
+    return x if p <= budget else hi

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from iosfd import (FadingParams, GeometryConfig, IosState, PgdSettings, RunConfig,
-                   Scheme, SchemeSpec, antenna_gain, build_layout, run_algorithm2,
+                   Scheme, SchemeSpec, antenna_gain, build_layout, run_algorithm2, run_group,
                    sample_channels, solve_qcqp, update_beamformers, vectorize,
                    weighted_sum_rate)
 from iosfd.campaign import config_from_dict, run_campaign, rows_to_csv, write_campaign
@@ -51,15 +51,6 @@ def run_cfg(K: int, p_b_dbm: float = 10.0, p_u_dbm: float = 5.0) -> RunConfig:
         p_b=10.0 ** (p_b_dbm / 10.0), p_u=10.0 ** (p_u_dbm / 10.0),
         eps_w=1e-4, eps_b=1e-4, max_outer_iters=500,
     )
-
-
-def mc_run(L: int, seed: int, scheme: SchemeSpec, K: int = 3,
-           p_b_dbm: float = 10.0, p_u_dbm: float = 5.0,
-           geometry=reference_run_geometry):
-    layout = build_layout(geometry(L, K))
-    ch = sample_channels(layout, FadingParams.from_db(3.0), seed,
-                         include_direct=scheme.kind is Scheme.WO_IOS)
-    return run_algorithm2(ch, run_cfg(K, p_b_dbm, p_u_dbm), scheme)
 
 
 def test_rate_mse_equivalence():
@@ -213,6 +204,16 @@ def test_gradient_checks():
 N_DOMINANCE_SEEDS = 20
 
 
+def mc_group(L: int, seeds, scheme: SchemeSpec, K: int = 3,
+             p_b_dbm: float = 10.0, p_u_dbm: float = 5.0,
+             geometry=reference_run_geometry):
+    """One run per seed on one layout, solved as one seed-batched group."""
+    layout = build_layout(geometry(L, K))
+    chs = [sample_channels(layout, FadingParams.from_db(3.0), seed,
+                           include_direct=scheme.kind is Scheme.WO_IOS) for seed in seeds]
+    return run_group(chs, run_cfg(K, p_b_dbm, p_u_dbm), scheme)
+
+
 def surface_path_budget(geo: GeometryConfig, fading: FadingParams) -> float:
     """README path-budget criterion L * lambda * sqrt(G) / (4 pi d).
 
@@ -241,7 +242,7 @@ def dominance_runs():
             ("DS_64_close", SchemeSpec(Scheme.DS_IOS), 64, integrated_run_geometry),
             ("SS_64_close", SchemeSpec(Scheme.SS_IOS), 64, integrated_run_geometry),
             ("WO_64_close", SchemeSpec(Scheme.WO_IOS), 64, integrated_run_geometry)):
-        runs = [mc_run(L, seed, scheme, geometry=geometry) for seed in range(N_DOMINANCE_SEEDS)]
+        runs = mc_group(L, range(N_DOMINANCE_SEEDS), scheme, geometry=geometry)
         means[label] = float(np.mean([r.report.weighted_sum for r in runs]))
         means["exits"][label] = [r.trace.terminated_by for r in runs]
     return means
@@ -303,8 +304,8 @@ def power_trend_runs():
     means = {}
     for kind in (Scheme.DS_IOS, Scheme.SS_IOS, Scheme.WO_IOS):
         for p_b in (0.0, 5.0, 10.0, 15.0):
-            vals = [mc_run(64, seed, SchemeSpec(kind), p_b_dbm=p_b).report.weighted_sum
-                    for seed in range(10)]
+            vals = [r.report.weighted_sum
+                    for r in mc_group(64, range(10), SchemeSpec(kind), p_b_dbm=p_b)]
             means[(kind.value, p_b)] = float(np.mean(vals))
     return means
 

@@ -331,8 +331,8 @@ def test_outer_step_is_one_iteration_of_the_loop():
         bf, ios, eff = iosfd.algorithm.apply_scheme(scheme, ch, cfg)
         prev_s4, surrogates = None, []
         for _ in range(res.trace.iterations):
-            bf, ios, eff, _, duals, s = iosfd.algorithm.outer_step(ch, cfg, scheme, bf, ios,
-                                                                   eff, prev_s4)
+            bf, ios, eff, _, duals, s, _ = iosfd.algorithm.outer_step(ch, cfg, scheme, bf,
+                                                                      ios, eff, prev_s4)
             surrogates.append(s)
             prev_s4 = s[2]
         assert surrogates == res.trace.step_surrogates
@@ -373,13 +373,15 @@ def _physical_run(seed, scheme, L=16):
 
 def _record_trials(monkeypatch):
     """Record (prev_s4, bf, ios) at the start of every map evaluation; after
-    the first, only extrapolated trials start without a guard surrogate."""
+    the first, only extrapolated trials start without a guard surrogate.  A
+    single run is mapped as a group of one, so each record is that run's row."""
     step = iosfd.algorithm.outer_step
     starts = []
 
-    def recording(ch, cfg, scheme, bf, ios, eff, prev_s4=None):
-        starts.append((prev_s4, bf, ios))
-        return step(ch, cfg, scheme, bf, ios, eff, prev_s4)
+    def recording(ch, cfg, scheme, bf, ios, eff, prev_s4=None, links=None):
+        starts.append((None if prev_s4 is None else float(prev_s4[0]),
+                       BeamformerSet(bf.v_d[0], bf.v_u[0]), IosState(ios.coef[0])))
+        return step(ch, cfg, scheme, bf, ios, eff, prev_s4, links)
     monkeypatch.setattr(iosfd.algorithm, "outer_step", recording)
     return starts
 
@@ -497,8 +499,13 @@ def test_iteration_cap_counts_every_map_evaluation(monkeypatch):
             t = res.trace
             assert len(images) == t.iterations <= cap and len(t.rates) == t.iterations + 1
             assert (t.terminated_by == "max_iters") == (t.iterations == cap < full.iterations)
-            bf, ios, _, _, duals, _ = next(im for im in images if im[0] is res.beamformers)
-            assert ios is res.ios and duals is res.duals
+            # the one image whose precoders were returned (a run is a group of one)
+            bf, ios, _, _, duals, _, _ = next(
+                im for im in images if np.array_equal(im[0].v_d[0], res.beamformers.v_d)
+                and np.array_equal(im[0].v_u[0], res.beamformers.v_u))
+            assert np.array_equal(ios.coef[0], res.ios.coef)
+            assert duals.mu_d[0] == res.duals.mu_d
+            assert np.array_equal(duals.lambda_u[0], res.duals.lambda_u)
         assert t.rates == full.rates
 
 
@@ -509,11 +516,11 @@ def test_convergence_error_in_extrapolated_step_propagates(monkeypatch):
     step = iosfd.algorithm.outer_step
     calls = []
 
-    def failing(ch, cfg, scheme, bf, ios, eff, prev_s4=None):
+    def failing(ch, cfg, scheme, bf, ios, eff, prev_s4=None, links=None):
         calls.append(prev_s4)
         if prev_s4 is None and len(calls) > 1:
             raise ConvergenceError("surrogate decreased during surface update: trial")
-        return step(ch, cfg, scheme, bf, ios, eff, prev_s4)
+        return step(ch, cfg, scheme, bf, ios, eff, prev_s4, links)
     monkeypatch.setattr(iosfd.algorithm, "outer_step", failing)
     ch, cfg = _physical_run(0, SchemeSpec(Scheme.DS_IOS))
     with pytest.raises(ConvergenceError, match="trial"):

@@ -45,10 +45,16 @@ def test_ios_state_is_one_side_by_kind_array(rng):
 
 
 def test_ios_state_rejects_wrong_shape():
-    for shape in ((4, 8), (2, 8), (1, 2, 8), (2, 3, 8), (2, 2, 2, 8), (2, 2)):
+    """(2, 2, L) after any leading axes: a leading axis stacks several runs'
+    states, so (2, 2, 2, 8) is two states, and a malformed trailing shape
+    fails with or without leading axes."""
+    for shape in ((4, 8), (2, 8), (1, 2, 8), (2, 3, 8), (2, 2, 3, 8), (3, 2, 3, 8), (2, 2)):
         with pytest.raises(ValueError, match=r"\(2, 2, L\)"):
             IosState(np.zeros(shape, complex))
     assert IosState(np.zeros((2, 2, 3))).coef.dtype == complex
+    stack = IosState(np.arange(64, dtype=complex).reshape(2, 2, 2, 8))
+    assert stack.theta_t.shape == (2, 8) and stack.n_elements == 8
+    assert np.array_equal(stack.phi_u[1], stack.coef[1, 1, 1])
 
 
 def test_coupling_is_per_side(rng):

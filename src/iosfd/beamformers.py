@@ -113,13 +113,17 @@ def bisect_multiplier(power_of: Callable[[np.ndarray], np.ndarray], budget,
     if (budget < 0).any():
         raise ValueError("power budget must be nonnegative")
 
-    def probe(mu: np.ndarray, live) -> np.ndarray:
-        p = np.asarray(power_of(np.where(live, mu, np.nan)), dtype=float)
+    def probe(mu: np.ndarray) -> np.ndarray:
+        p = np.asarray(power_of(mu), dtype=float)
         return p if p.shape == budget.shape else np.full(budget.shape, p)
+
+    def idle(live: np.ndarray) -> np.ndarray:
+        """Added to the probes: 0 for the searches in `live`, NaN for the rest."""
+        return np.where(live, 0.0, np.nan)
 
     lo, hi = np.zeros(budget.shape), np.ones(budget.shape)
     with np.errstate(divide="ignore", invalid="ignore"):    # p(0) may divide by zero
-        p = probe(lo, True)
+        p = probe(lo)
     done = p <= budget * (1.0 + 1e-12)
     out = np.zeros(budget.shape)
     if done.all():
@@ -133,7 +137,7 @@ def bisect_multiplier(power_of: Callable[[np.ndarray], np.ndarray], budget,
     doublings = 0
     growing = ~done
     while growing.any():
-        p_hi = probe(hi, growing)
+        p_hi = probe(hi + idle(growing))
         g_hi = _g(p_hi, target)
         fits = growing & (p_hi <= budget)
         p, g_b = np.where(fits, p_hi, p), np.where(fits, g_hi, g_b)
@@ -148,16 +152,18 @@ def bisect_multiplier(power_of: Callable[[np.ndarray], np.ndarray], budget,
     x = hi
     a, g_a, b = lo, g_lo, hi            # the last two probes, for the secant
     live = ~done
+    nan_if_done = idle(live)
     for step in range(1, _MAX_STEPS + 1):
         gap = budget - p
         end = (gap >= 0.0) & (gap <= tol)
         end |= (hi - lo) <= 1e-15 * hi
         end &= live
-        if end.any():
+        if np.count_nonzero(end):
             out = np.where(end, np.where(p <= budget, x, hi), out)
             live &= ~end
-            if not live.any():
+            if not np.count_nonzero(live):
                 return out[()]
+            nan_if_done = idle(live)
         mid = 0.5 * (lo + hi)
         if step % _BISECT_EVERY == 0:
             x = mid
@@ -167,7 +173,7 @@ def bisect_multiplier(power_of: Callable[[np.ndarray], np.ndarray], budget,
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 x = b - g_b * (b - a) / (g_b - g_a)
             x = np.where((lo < x) & (x < hi), x, mid)
-        p = probe(x, live)
+        p = probe(x + nan_if_done)          # x > 0, so x + 0 is x
         over = p > budget
         lo, hi = np.where(over, x, lo), np.where(over, hi, x)
         a, g_a, b, g_b = b, g_b, x, _g(p, target)
@@ -237,8 +243,10 @@ def update_beamformers(eff: EffectiveChannels, st: WmmseState,
                                  gd * (adj(eff.h_kd) @ st.u_d @ st.w_d))
 
         def power(m):       # column 0: the downlink sum; columns 1..K: the uplink users
-            return np.concatenate([down.power(m[..., :1, None], (-2, -1))[..., None],
-                                   up.power(m[..., 1:, None], -1)], axis=-1)
+            out = np.empty(m.shape)
+            out[..., 0] = down.power(m[..., :1, None], (-2, -1))
+            out[..., 1:] = up.power(m[..., 1:, None], -1)
+            return out
         mult = bisect_multiplier(power, np.concatenate(
             [np.full(lead + (1,), p_b), np.full(lead + (K,), p_u)], axis=-1), eps_b)
         mu, lams = mult[..., 0][()], mult[..., 1:]

@@ -486,15 +486,15 @@ class _Batch:
                 for k in range(len(seeds))]
 
 
-def _failing_seed(batch: _Batch, seeds: tuple[int, ...], requests: list[_Request]) -> int:
-    """The first seed whose point fails when mapped alone (the first seed when
-    none does)."""
+def _failing_seed(batch: _Batch, seeds: tuple[int, ...],
+                  requests: list[_Request]) -> int | None:
+    """The first seed whose point fails when mapped alone (None when none does)."""
     for i, q in zip(seeds, requests):
         try:
             batch.map((i,), [q])
         except (ConvergenceError, NumericalError):
             return i
-    return seeds[0]
+    return None
 
 
 def run_group(chs: list[ChannelSet], cfg: RunConfig, scheme: SchemeSpec) -> list[RunResult]:
@@ -502,7 +502,8 @@ def run_group(chs: list[ChannelSet], cfg: RunConfig, scheme: SchemeSpec) -> list
 
     Each run's results are those of its draw alone, bit for bit.  A
     `ConvergenceError` or `NumericalError` from any run ends the group; its
-    `run_index` attribute is the position of the failing draw in `chs`.
+    `run_index` attribute is the position of the failing draw in `chs` (None
+    if no draw fails when mapped alone).
     """
     batch = _Batch(chs, cfg, scheme)
     runs, pending, ends = [], {}, {}

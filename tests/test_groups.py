@@ -176,3 +176,18 @@ def test_failing_seed_is_named(monkeypatch, error):
                                        sweep={"axis": "P_B", "values": [5.0]}))
     with pytest.raises(error, match=r"^DS_IOS, sweep value 5\.0, seed 12: stub failure$"):
         run_campaign(cfg, threads=1)
+
+
+def test_failure_not_reproduced_alone_names_the_job_seeds(monkeypatch):
+    """A batched step that fails only while several seeds are stacked has
+    no single failing seed: the error names every seed of the job."""
+    update = iosfd.algorithm.update_beamformers
+
+    def failing(eff, *args, **kwargs):
+        if eff.h_kd.shape[0] > 1:
+            raise NumericalError("stub failure")
+        return update(eff, *args, **kwargs)
+    monkeypatch.setattr(iosfd.algorithm, "update_beamformers", failing)
+    cfg = config_from_dict(tiny_config(seeds=[10, 11, 12]))
+    with pytest.raises(NumericalError, match=r"^DS_IOS, seeds \[10, 11, 12\]: stub failure$"):
+        run_campaign(cfg, threads=1)

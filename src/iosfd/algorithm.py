@@ -295,7 +295,6 @@ class _Iterate:
     report: RateReport | None = None
     duals: DualState | None = None
     s4: float | None = None             # last surrogate of the step that produced it
-    row: tuple | None = None            # (stacked (bf, ios, eff, links), index) of an image
 
     @property
     def rate(self) -> float:
@@ -303,12 +302,7 @@ class _Iterate:
 
 
 def _gather(points: list[_Iterate]) -> tuple:
-    """(bf, ios, eff, links) of the points on one leading axis.  The images of
-    one map, all of them in their order, are their stacks as they came."""
-    stacks = points[0].row[0] if points[0].row else None
-    if stacks and len(stacks[0].v_u) == len(points) and all(
-            x.row and x.row[0] is stacks and x.row[1] == k for k, x in enumerate(points)):
-        return stacks
+    """(bf, ios, eff, links) of the points on one leading axis."""
     return tuple(_stack([getattr(x, name) for x in points])
                  for name in ("bf", "ios", "eff", "links"))
 
@@ -474,13 +468,11 @@ class _Batch:
             eff = _compose(ch, ios, scheme)
             links = LinkSet.at(eff, bf, cfg.noise_users, cfg.noise_rx)
         report = _rate(eff, bf, cfg, links)
-        stacks = (bf, ios, eff, links)
         s2, s3, s4 = surrogates
         return [(_Iterate(_row(bf, k), _row(ios, k), _row(eff, k), _row(links, k),
                           RateReport(report.r_down[k], report.r_up[k],
                                      float(report.weighted_sum[k])),
-                          DualState(float(duals.mu_d[k]), duals.lambda_u[k]), float(s4[k]),
-                          (stacks, k)),
+                          DualState(float(duals.mu_d[k]), duals.lambda_u[k]), float(s4[k])),
                  PgdCounts(int(counts.iters[k]), int(counts.cap_exits[k])),
                  (float(s2[k]), float(s3[k]), float(s4[k])))
                 for k in range(len(seeds))]

@@ -82,12 +82,11 @@ def xi_up(eff: EffectiveChannels, uw: np.ndarray, core: np.ndarray) -> np.ndarra
 
 
 def _g(power: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """g = power^(-1/2) - target elementwise, infinite at zero power and
-    -target at infinite power.  The root is Python's float pow: numpy's
-    power rounds some of these inputs differently."""
+    """g = power^(-1/2) - target elementwise over 1-D arrays, infinite at zero
+    power and -target at infinite power.  The root is Python's float pow:
+    numpy's power rounds some of these inputs differently."""
     return np.array([math.inf if p == 0.0 else (0.0 if math.isinf(p) else p ** -0.5) - t
-                     for p, t in zip(power.ravel().tolist(), target.ravel().tolist())]
-                    ).reshape(power.shape)
+                     for p, t in zip(power.tolist(), target.tolist())])
 
 
 def bisect_multiplier(power_of: Callable[[np.ndarray], np.ndarray], budget,
@@ -107,78 +106,84 @@ def bisect_multiplier(power_of: Callable[[np.ndarray], np.ndarray], budget,
     NaN for a search that is waiting or finished, returning their powers.
     Every search makes the probes, and returns the multiplier, that it makes
     alone: all searches double their brackets first, then take their secant
-    steps in lockstep.
+    steps in lockstep.  The state of the open searches is kept on one axis
+    (flat index `idx`) that drops a search when it ends.
     """
     budget = np.asarray(budget, dtype=float)
     if (budget < 0).any():
         raise ValueError("power budget must be nonnegative")
 
-    def probe(mu: np.ndarray) -> np.ndarray:
-        p = np.asarray(power_of(mu), dtype=float)
-        return p if p.shape == budget.shape else np.full(budget.shape, p)
+    def probe(at: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """Powers of the searches at flat indices `at` at multipliers `mu`."""
+        full = np.full(budget.shape, np.nan)
+        full.flat[at] = mu
+        p = np.asarray(power_of(full), dtype=float)
+        return p.ravel()[at] if p.shape == budget.shape else np.full(len(at), p)
 
-    def idle(live: np.ndarray) -> np.ndarray:
-        """Added to the probes: 0 for the searches in `live`, NaN for the rest."""
-        return np.where(live, 0.0, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # p(0) may divide by zero; a zero secant denominator gives an infinite
+        # or NaN step, which the bracket test turns into a bisection
+        return _search(probe, budget, eps_b)
 
-    lo, hi = np.zeros(budget.shape), np.ones(budget.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):    # p(0) may divide by zero
-        p = probe(lo)
-    done = p <= budget * (1.0 + 1e-12)
+
+def _search(probe: Callable, budget: np.ndarray, eps_b: float):
+    """The steps of `bisect_multiplier`, over the open searches' flat indices."""
+    every = np.arange(budget.size)
+    p = probe(every, np.zeros(budget.size))
+    flat = budget.ravel()
+    done = p <= flat * (1.0 + 1e-12)
     out = np.zeros(budget.shape)
     if done.all():
         return out[()]
-    if (~done & (budget == 0.0)).any():
+    if (~done & (flat == 0.0)).any():
         raise NumericalError("zero budget with nonzero unconstrained power")
 
-    target = _g(budget, np.zeros(budget.shape))     # budget^(-1/2)
+    idx = every[~done]
+    budget, p = flat[idx], p[idx]
+    target = _g(budget, np.zeros(len(idx)))     # budget^(-1/2)
+    lo, hi = np.zeros(len(idx)), np.ones(len(idx))
     g_lo = _g(p, target)
-    g_b = g_lo
-    doublings = 0
-    growing = ~done
-    while growing.any():
-        p_hi = probe(hi + idle(growing))
-        g_hi = _g(p_hi, target)
-        fits = growing & (p_hi <= budget)
-        p, g_b = np.where(fits, p_hi, p), np.where(fits, g_hi, g_b)
-        growing &= ~fits
-        lo, g_lo, hi = (np.where(growing, hi, lo), np.where(growing, g_hi, g_lo),
-                        np.where(growing, 2.0 * hi, hi))
-        doublings += 1
-        if doublings > _MAX_DOUBLINGS and growing.any():
+    g_b = g_lo.copy()
+    growing = np.arange(len(idx))
+    for doublings in range(1, _MAX_DOUBLINGS + 2):
+        p_hi = probe(idx[growing], hi[growing])
+        g_hi = _g(p_hi, target[growing])
+        fits = p_hi <= budget[growing]
+        p[growing[fits]], g_b[growing[fits]] = p_hi[fits], g_hi[fits]
+        more, growing = ~fits, growing[~fits]
+        if not len(growing):
+            break
+        lo[growing], g_lo[growing] = hi[growing], g_hi[more]
+        hi[growing] *= 2.0
+        if doublings > _MAX_DOUBLINGS:
             raise NumericalError("multiplier bracket never became feasible")
 
     tol = min(eps_b, _POWER_REL_TOL) * budget
     x = hi
     a, g_a, b = lo, g_lo, hi            # the last two probes, for the secant
-    live = ~done
-    nan_if_done = idle(live)
     for step in range(1, _MAX_STEPS + 1):
         gap = budget - p
-        end = (gap >= 0.0) & (gap <= tol)
-        end |= (hi - lo) <= 1e-15 * hi
-        end &= live
+        end = ((gap >= 0.0) & (gap <= tol)) | ((hi - lo) <= 1e-15 * hi)
         if np.count_nonzero(end):
-            out = np.where(end, np.where(p <= budget, x, hi), out)
-            live &= ~end
-            if not np.count_nonzero(live):
+            out.flat[idx[end]] = np.where(p[end] <= budget[end], x[end], hi[end])
+            keep = ~end
+            if not np.count_nonzero(keep):
                 return out[()]
-            nan_if_done = idle(live)
+            idx, budget, tol, target, p, x, lo, hi, a, g_a, b, g_b = (
+                v[keep] for v in (idx, budget, tol, target, p, x, lo, hi, a, g_a, b, g_b))
         mid = 0.5 * (lo + hi)
         if step % _BISECT_EVERY == 0:
             x = mid
         else:
-            # a zero denominator gives an infinite or NaN step, which the
-            # bracket test turns into a bisection as well
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                x = b - g_b * (b - a) / (g_b - g_a)
+            x = b - g_b * (b - a) / (g_b - g_a)
             x = np.where((lo < x) & (x < hi), x, mid)
-        p = probe(x + nan_if_done)          # x > 0, so x + 0 is x
+        p = probe(idx, x)
         over = p > budget
         lo, hi = np.where(over, x, lo), np.where(over, hi, x)
         a, g_a, b, g_b = b, g_b, x, _g(p, target)
     # Report the feasible side of the bracket.
-    return np.where(live, np.where(p <= budget, x, hi), out)[()]
+    out.flat[idx] = np.where(p <= budget, x, hi)
+    return out[()]
 
 
 class _RegularizedSolve:

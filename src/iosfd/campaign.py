@@ -2,8 +2,8 @@
 
 A campaign is a grid of (scheme, sweep value, seed) runs.  The seeds of one
 (scheme, sweep value) group share their config and layout, so a job builds
-the layout once and solves its seeds as one batched `run_group`; a group is
-split into chunks of seeds only while there are fewer jobs than workers.
+the layout once and solves its seeds as one batched `run_group`; on a pool,
+groups are split into chunks of seeds until there are a few jobs per worker.
 Runs are pure functions of the resolved config, and a run's result does not
 depend on the seeds it is batched with, so the result set is deterministic
 and can be farmed out to a process pool; rows are sorted canonically before
@@ -33,6 +33,11 @@ from .geometry import GeometryConfig, build_layout
 from .phases import PgdSettings
 
 SWEEP_AXES = ("none", "L", "P_B", "P_U", "tx_ios_distance")
+# A few jobs per pool worker: a group's cost depends on which of its seeds
+# run long (a capped run can cost a hundred short ones), so whole groups
+# alone would leave the last worker with the heaviest one; smaller chunks
+# give up some of the batching.
+JOBS_PER_WORKER = 4
 # A run's arrays grow with these counts (channels as K x L x N, surface
 # factors as L x (K N)^2), so larger values would ask for more memory than a
 # run can get, or for arrays numpy cannot index.
@@ -436,12 +441,6 @@ def run_cells(cfg: CampaignConfig, scheme: SchemeSpec, sweep_value, seeds: list[
     ), list(result.trace.rates)) for seed, result in zip(seeds, results)]
 
 
-def execute_run(cfg: CampaignConfig, scheme: SchemeSpec, sweep_value, seed: int
-                ) -> tuple[ResultRow, list[float]]:
-    """One (scheme, sweep value, seed) cell; pure function of its arguments."""
-    return run_cells(cfg, scheme, sweep_value, [seed])[0]
-
-
 def _worker(args) -> list[tuple[tuple, ResultRow, list[float]]]:
     cfg, scheme, sweep_value, seeds = args
     return [((scheme.label, sweep_value, seed), row, trace)
@@ -461,14 +460,16 @@ def _chunks(seeds: list[int], parts: int) -> list[list[int]]:
 
 
 def campaign_jobs(cfg: CampaignConfig, threads: int = 1) -> list[tuple]:
-    """One job per (scheme, sweep value) group, in grid order.  While there
-    are fewer jobs than min(threads, cells), the group with the largest
-    chunks is cut into one more near-equal chunk (the earliest on ties)."""
+    """One job per (scheme, sweep value) group, in grid order.  On more than
+    one worker, while there are fewer jobs than min(JOBS_PER_WORKER *
+    threads, cells), the group with the largest chunks is cut into one more
+    near-equal chunk (the earliest on ties)."""
     values = cfg.sweep.values if cfg.sweep.axis != "none" else [None]
     groups = [(scheme, value) for scheme in cfg.schemes for value in values]
     seeds = list(cfg.seeds)
     parts = [1] * len(groups)
-    while sum(parts) < min(threads, len(groups) * len(seeds)):
+    wanted = JOBS_PER_WORKER * threads if threads > 1 else 1
+    while sum(parts) < min(wanted, len(groups) * len(seeds)):
         widest = max(range(len(groups)), key=lambda g: (-(-len(seeds) // parts[g]), -g))
         parts[widest] += 1
     return [(cfg, scheme, value, chunk)

@@ -402,8 +402,12 @@ def solve_qcqp(pq: PhaseQuadratic, init: IosState, settings: PgdSettings,
                sides: tuple[int, ...] = (0, 1)) -> tuple[IosState, PgdCounts]:
     """Dual Newton solve, one `_newton_side` solve per side index in `sides`;
     the other sides keep their coefficients.  Returns the new state and the
-    Newton steps and cap exits of this call's side solves.
+    Newton steps and cap exits of this call's side solves.  `init` is one
+    run's state: a stack of states is rejected.
     """
+    if init.coef.ndim != 3:
+        raise ValueError(f"solve_qcqp takes one state of shape (2, 2, L), "
+                         f"got {init.coef.shape}")
     out = init.copy()
     counts = PgdCounts()
     for s in sides:

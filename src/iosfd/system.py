@@ -53,10 +53,11 @@ class IosState:
         return self.coef.shape[-1]
 
     def coupling(self) -> np.ndarray:
-        """|theta_l|^2 + |phi_l|^2 of both sides, (2, L)."""
+        """|theta_l|^2 + |phi_l|^2 of both sides, (2, L) after any leading axes."""
         return np.sum(np.abs(self.coef) ** 2, axis=-2)
 
     def is_feasible(self) -> bool:
+        """Every element of every stacked state within the coupling disk."""
         return bool(np.all(self.coupling() <= 1.0 + COUPLING_TOL))
 
     def validate(self) -> None:

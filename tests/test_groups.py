@@ -13,7 +13,8 @@ import iosfd.campaign
 from iosfd import (FadingParams, NumericalError, RunConfig, Scheme, SchemeSpec,
                    bisect_multiplier, build_layout, run_algorithm2, run_group,
                    sample_channels)
-from iosfd.campaign import campaign_jobs, config_from_dict, run_campaign
+from iosfd.campaign import (JOBS_PER_WORKER, campaign_jobs, config_from_dict,
+                            run_campaign)
 from iosfd.errors import ConvergenceError
 from iosfd.linalg import adj
 from iosfd.system import weighted_sum
@@ -143,9 +144,9 @@ def test_campaign_output_ignores_chunking_and_workers(monkeypatch):
             return map(fn, jobs)
     got = [run_campaign(cfg, threads=2)]
     monkeypatch.setattr(iosfd.campaign, "ProcessPoolExecutor", InProcess)
-    for threads in (5, 7, 20, 64):
+    for threads in (2, 3, 4, 5, 64):
         jobs = campaign_jobs(cfg, threads)
-        assert len(jobs) == min(threads, 20)
+        assert len(jobs) == min(JOBS_PER_WORKER * threads, 20)
         chunks = {}
         for _, scheme, value, seeds in jobs:
             chunks.setdefault((scheme.label, value), []).append(seeds)

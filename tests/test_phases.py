@@ -257,6 +257,14 @@ def test_pgd_reports_cap_exits(rng):
     assert counts.cap_exits > 0
 
 
+def test_solve_qcqp_rejects_a_stack_of_states(rng):
+    """A stack (2, 2, 2, L) is a valid `IosState` but not one run's state."""
+    pq = vectorize(build_from_instance(random_instance(rng, K=2, L=6)))
+    stack = IosState(np.stack([random_ios(rng, 6).coef] * 2))
+    with pytest.raises(ValueError, match=r"one state of shape \(2, 2, L\)"):
+        solve_qcqp(pq, stack, PgdSettings())
+
+
 def test_pgd_boundary_optimum_takes_linear_phase():
     L = 2
     c = np.zeros(L, dtype=complex)

@@ -68,6 +68,16 @@ def test_coupling_is_per_side(rng):
     assert not ios.is_feasible()
 
 
+def test_stacked_state_is_feasible_only_if_every_state_is(rng):
+    stack = IosState(np.stack([random_ios(rng, 6).coef, random_ios(rng, 6).coef]))
+    assert stack.coupling().shape == (2, 2, 6) and stack.is_feasible()
+    stack.validate()
+    stack.phi_u[1, 4] = 1.0
+    assert not stack.is_feasible()
+    with pytest.raises(ValueError, match="coupling constraint violated"):
+        stack.validate()
+
+
 def test_phases_canonical_range(rng):
     v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     ph = IosState.phases(v)

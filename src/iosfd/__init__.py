@@ -5,7 +5,7 @@ from .algorithm import (ConvergenceTrace, RunConfig, RunResult, Scheme, SchemeSp
                         quantize_phases, run_algorithm2, run_group)
 from .beamformers import DualState, bisect_multiplier, update_beamformers
 from .campaign import (CampaignConfig, ResultRow, config_from_dict, emit_figure_data,
-                       load_config, run_campaign, run_cells, write_campaign)
+                       load_config, run_campaign, write_campaign)
 from .channels import ChannelSet, FadingParams, sample_channels
 from .errors import (ConfigError, ConvergenceError, GeometryError, IosfdError,
                      NumericalError)

@@ -249,7 +249,7 @@ def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, bf: Beamforme
     s3 = surr(eff, bf, st, links)
     check("precoder update", s3, s2)
 
-    counts = PgdCounts(np.zeros(lead, dtype=int)[()], np.zeros(lead, dtype=int)[()])
+    iters, caps = np.zeros(lead, dtype=int), np.zeros(lead, dtype=int)
     if scheme.surface_sides:
         coef = np.empty_like(ios.coef)
         for i in np.ndindex(lead):
@@ -257,11 +257,7 @@ def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, bf: Beamforme
                                        cfg.gamma_down, cfg.gamma_up)
             new, n = solve_qcqp(vectorize(qf), IosState(ios.coef[i]), cfg.pgd,
                                 scheme.surface_sides)
-            coef[i] = new.coef
-            if lead:
-                counts.iters[i], counts.cap_exits[i] = n.iters, n.cap_exits
-            else:
-                counts = n
+            coef[i], iters[i], caps[i] = new.coef, n.iters, n.cap_exits
         ios = IosState(coef)
         eff = _compose(ch, ios, scheme)
         links = links_at(eff, bf)
@@ -269,7 +265,7 @@ def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, bf: Beamforme
         check("surface update", s4, s3)
     else:
         s4 = s3
-    return bf, ios, eff, counts, duals, (s2, s3, s4), links
+    return bf, ios, eff, PgdCounts(iters[()], caps[()]), duals, (s2, s3, s4), links
 
 
 def _rate(eff: EffectiveChannels, bf: BeamformerSet, cfg: RunConfig,

@@ -13,8 +13,11 @@ root search drives it onto the budget whenever the unconstrained solution is
 infeasible.  One multiplier covers the whole downlink (sum-power constraint);
 uplink users are budgeted individually.  All K quadratics of a direction are
 built and eigendecomposed as one (K, n, n) stack, and the seeds of a group
-stack in front of that: one search per seed's downlink and per (seed, user)
-uplink, all advanced together.
+stack in front of that.  One search call per update covers every seed's
+downlink and every (seed, user) uplink, on budgets of shape (..., 1 + K);
+its state is one array of that shape per quantity, and a search that has
+ended probes NaN from then on.  A frozen downlink (single-side baseline)
+keeps its column with zero power, so its search ends at mu = 0.
 
 The consumed power is p(mu) = sum_i w_i / (lambda_i + mu)^2, so
 p(mu)^(-1/2) is exactly linear in mu for a single eigen-term and nearly
@@ -82,11 +85,11 @@ def xi_up(eff: EffectiveChannels, uw: np.ndarray, core: np.ndarray) -> np.ndarra
 
 
 def _g(power: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """g = power^(-1/2) - target elementwise over 1-D arrays, infinite at zero
-    power and -target at infinite power.  The root is Python's float pow:
-    numpy's power rounds some of these inputs differently."""
-    return np.array([math.inf if p == 0.0 else (0.0 if math.isinf(p) else p ** -0.5) - t
-                     for p, t in zip(power.tolist(), target.tolist())])
+    """g = power^(-1/2) - target elementwise, infinite at zero power and
+    -target at infinite power.  The root is Python's float pow: numpy's power
+    rounds some of these inputs differently."""
+    return np.array([math.inf if p == 0.0 else p ** -0.5 for p in power.ravel().tolist()]
+                    ).reshape(power.shape) - target
 
 
 def bisect_multiplier(power_of: Callable[[np.ndarray], np.ndarray], budget,
@@ -101,89 +104,61 @@ def bisect_multiplier(power_of: Callable[[np.ndarray], np.ndarray], budget,
     g = power^(-1/2) - budget^(-1/2) inside the bracket, bisecting when a step
     leaves it and on every _BISECT_EVERY-th step.  The hard accuracy target is
     eps_b * budget on the power gap, but iteration continues toward machine
-    precision so the result acts like the exact dual point.  Each probe is
-    one call of `power_of` with one multiplier per search (budget's shape),
-    NaN for a search that is waiting or finished, returning their powers.
-    Every search makes the probes, and returns the multiplier, that it makes
-    alone: all searches double their brackets first, then take their secant
-    steps in lockstep.  The state of the open searches is kept on one axis
-    (flat index `idx`) that drops a search when it ends.
+    precision so the result acts like the exact dual point: the feasible end
+    `hi` of the bracket.  Each probe is one call of `power_of` with one
+    multiplier per search (budget's shape), NaN for a search that is waiting
+    or finished, returning their powers.  Every search makes the probes, and
+    returns the multiplier, that it makes alone: all searches double their
+    brackets first, then take their secant steps in lockstep, on one shared
+    step count.  The state is one array of budget's shape per quantity.  A
+    search that has ended keeps its bracket and power (one met at zero has
+    the bracket [0, 0]), so its stop test stays true and its multiplier NaN.
     """
     budget = np.asarray(budget, dtype=float)
     if (budget < 0).any():
         raise ValueError("power budget must be nonnegative")
-
-    def probe(at: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        """Powers of the searches at flat indices `at` at multipliers `mu`."""
-        full = np.full(budget.shape, np.nan)
-        full.flat[at] = mu
-        p = np.asarray(power_of(full), dtype=float)
-        return p.ravel()[at] if p.shape == budget.shape else np.full(len(at), p)
-
+    # p(0) may divide by zero; a zero secant denominator gives an infinite or
+    # NaN step, which the bracket test turns into a bisection
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # p(0) may divide by zero; a zero secant denominator gives an infinite
-        # or NaN step, which the bracket test turns into a bisection
-        return _search(probe, budget, eps_b)
+        p = np.asarray(power_of(np.zeros(budget.shape)), dtype=float)
+        hi = np.where(p <= budget * (1.0 + 1e-12), 0.0, 1.0)
+        if ((hi > 0.0) & (budget == 0.0)).any():
+            raise NumericalError("zero budget with nonzero unconstrained power")
+        target = _g(budget, 0.0)        # budget^(-1/2)
+        lo, g_lo = np.zeros(budget.shape), _g(p, target)
+        g_b, grows = g_lo, hi > 0.0
+        for doublings in range(_MAX_DOUBLINGS + 2):
+            if not grows.any():
+                break
+            if doublings > _MAX_DOUBLINGS:
+                raise NumericalError("multiplier bracket never became feasible")
+            p_hi = np.asarray(power_of(np.where(grows, hi, np.nan)), dtype=float)
+            g_hi = _g(p_hi, target)
+            fits = grows & (p_hi <= budget)
+            p, g_b = np.where(fits, p_hi, p), np.where(fits, g_hi, g_b)
+            grows = grows & ~fits
+            lo, g_lo = np.where(grows, hi, lo), np.where(grows, g_hi, g_lo)
+            hi = np.where(grows, 2.0 * hi, hi)
 
-
-def _search(probe: Callable, budget: np.ndarray, eps_b: float):
-    """The steps of `bisect_multiplier`, over the open searches' flat indices."""
-    every = np.arange(budget.size)
-    p = probe(every, np.zeros(budget.size))
-    flat = budget.ravel()
-    done = p <= flat * (1.0 + 1e-12)
-    out = np.zeros(budget.shape)
-    if done.all():
-        return out[()]
-    if (~done & (flat == 0.0)).any():
-        raise NumericalError("zero budget with nonzero unconstrained power")
-
-    idx = every[~done]
-    budget, p = flat[idx], p[idx]
-    target = _g(budget, np.zeros(len(idx)))     # budget^(-1/2)
-    lo, hi = np.zeros(len(idx)), np.ones(len(idx))
-    g_lo = _g(p, target)
-    g_b = g_lo.copy()
-    growing = np.arange(len(idx))
-    for doublings in range(1, _MAX_DOUBLINGS + 2):
-        p_hi = probe(idx[growing], hi[growing])
-        g_hi = _g(p_hi, target[growing])
-        fits = p_hi <= budget[growing]
-        p[growing[fits]], g_b[growing[fits]] = p_hi[fits], g_hi[fits]
-        more, growing = ~fits, growing[~fits]
-        if not len(growing):
-            break
-        lo[growing], g_lo[growing] = hi[growing], g_hi[more]
-        hi[growing] *= 2.0
-        if doublings > _MAX_DOUBLINGS:
-            raise NumericalError("multiplier bracket never became feasible")
-
-    tol = min(eps_b, _POWER_REL_TOL) * budget
-    x = hi
-    a, g_a, b = lo, g_lo, hi            # the last two probes, for the secant
-    for step in range(1, _MAX_STEPS + 1):
-        gap = budget - p
-        end = ((gap >= 0.0) & (gap <= tol)) | ((hi - lo) <= 1e-15 * hi)
-        if np.count_nonzero(end):
-            out.flat[idx[end]] = np.where(p[end] <= budget[end], x[end], hi[end])
-            keep = ~end
-            if not np.count_nonzero(keep):
-                return out[()]
-            idx, budget, tol, target, p, x, lo, hi, a, g_a, b, g_b = (
-                v[keep] for v in (idx, budget, tol, target, p, x, lo, hi, a, g_a, b, g_b))
-        mid = 0.5 * (lo + hi)
-        if step % _BISECT_EVERY == 0:
-            x = mid
-        else:
-            x = b - g_b * (b - a) / (g_b - g_a)
-            x = np.where((lo < x) & (x < hi), x, mid)
-        p = probe(idx, x)
-        over = p > budget
-        lo, hi = np.where(over, x, lo), np.where(over, hi, x)
-        a, g_a, b, g_b = b, g_b, x, _g(p, target)
-    # Report the feasible side of the bracket.
-    out.flat[idx] = np.where(p <= budget, x, hi)
-    return out[()]
+        tol = min(eps_b, _POWER_REL_TOL) * budget
+        a, g_a, b = lo, g_lo, hi            # the last two probes, for the secant
+        for step in range(1, _MAX_STEPS + 1):
+            gap = budget - p
+            end = ((gap >= 0.0) & (gap <= tol)) | ((hi - lo) <= 1e-15 * hi)
+            if end.all():
+                break
+            mid = 0.5 * (lo + hi)
+            if step % _BISECT_EVERY == 0:
+                x = mid
+            else:
+                x = b - g_b * (b - a) / (g_b - g_a)
+                x = np.where((lo < x) & (x < hi), x, mid)
+            x = np.where(end, np.nan, x)
+            p = np.where(end, p, power_of(x))
+            over = p > budget
+            lo, hi = np.where(over & ~end, x, lo), np.where(over | end, hi, x)
+            a, g_a, b, g_b = b, g_b, x, _g(p, target)
+    return hi[()]
 
 
 class _RegularizedSolve:
@@ -231,9 +206,11 @@ def update_beamformers(eff: EffectiveChannels, st: WmmseState,
 
     The downlink multiplier couples all K precoders through the sum-power
     budget; uplink multipliers are solved per user.  One `bisect_multiplier`
-    call runs a downlink and K uplink searches per leading index.  Given
-    `frozen_v_d`, the downlink precoders are kept as they are (single-side
-    baseline).
+    call runs a downlink and K uplink searches per leading index, on budgets
+    of shape (..., 1 + K).  Given `frozen_v_d`, the downlink precoders are
+    kept as they are (single-side baseline): no downlink quadratic is built,
+    the downlink power reads 0, and its search ends at mu = 0 on the first
+    probe.
     """
     *lead, K = eff.h_kd.shape[:-2]
     lead = tuple(lead)
@@ -243,22 +220,17 @@ def update_beamformers(eff: EffectiveChannels, st: WmmseState,
 
     up = _RegularizedSolve(xi_up(eff, uw, core),
                            gu * (adj(eff.h_ku) @ st.u_u @ st.w_u))
-    if frozen_v_d is None:
-        down = _RegularizedSolve(xi_down(eff, uw, core),
-                                 gd * (adj(eff.h_kd) @ st.u_d @ st.w_d))
+    down = None if frozen_v_d is not None else _RegularizedSolve(
+        xi_down(eff, uw, core), gd * (adj(eff.h_kd) @ st.u_d @ st.w_d))
 
-        def power(m):       # column 0: the downlink sum; columns 1..K: the uplink users
-            out = np.empty(m.shape)
+    def power(m):       # column 0: the downlink sum; columns 1..K: the uplink users
+        out = np.zeros(m.shape)
+        if down is not None:
             out[..., 0] = down.power(m[..., :1, None], (-2, -1))
-            out[..., 1:] = up.power(m[..., 1:, None], -1)
-            return out
-        mult = bisect_multiplier(power, np.concatenate(
-            [np.full(lead + (1,), p_b), np.full(lead + (K,), p_u)], axis=-1), eps_b)
-        mu, lams = mult[..., 0][()], mult[..., 1:]
-        v_d = down.solution(np.asarray(mu)[..., None])
-    else:
-        lams = bisect_multiplier(lambda m: up.power(m[..., None], -1),
-                                 np.full(lead + (K,), p_u), eps_b)
-        mu = np.zeros(lead)[()]
-        v_d = frozen_v_d.copy()
+        out[..., 1:] = up.power(m[..., 1:, None], -1)
+        return out
+    mult = bisect_multiplier(power, np.concatenate(
+        [np.full(lead + (1,), p_b), np.full(lead + (K,), p_u)], axis=-1), eps_b)
+    mu, lams = mult[..., 0][()], mult[..., 1:]
+    v_d = frozen_v_d.copy() if down is None else down.solution(np.asarray(mu)[..., None])
     return BeamformerSet(v_d, up.solution(lams)), DualState(mu, lams)

@@ -155,11 +155,19 @@ def test_update_never_decreases_surrogate(rng):
 
 
 def test_frozen_downlink_is_kept(rng):
+    """A frozen downlink keeps its precoders and reads mu = 0, and the uplink
+    multipliers and precoders are those of the unfrozen update, bit for bit,
+    with the uplink budgets slack (p_u = 2) and binding (p_u = 0.05)."""
     _, _, eff, bf, st, gd, gu, nu, nr = random_instance(rng)
-    new, duals = update_beamformers(eff, st, gd, gu, 4.0, 2.0, frozen_v_d=bf.v_d)
-    for k in range(2):
-        assert np.array_equal(new.v_d[k], bf.v_d[k])
-    assert duals.mu_d == 0.0
+    for p_u in (2.0, 0.05):
+        new, duals = update_beamformers(eff, st, gd, gu, 4.0, p_u, frozen_v_d=bf.v_d)
+        free, free_duals = update_beamformers(eff, st, gd, gu, 4.0, p_u)
+        for k in range(2):
+            assert np.array_equal(new.v_d[k], bf.v_d[k])
+        assert duals.mu_d == 0.0 and free_duals.mu_d > 0.0
+        assert np.array_equal(duals.lambda_u, free_duals.lambda_u)
+        assert np.array_equal(new.v_u, free.v_u)
+    assert np.all(duals.lambda_u > 0.0)
 
 
 def _power_map(weights, eigvals):

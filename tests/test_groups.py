@@ -67,27 +67,32 @@ def test_batched_numpy_operations_match_per_seed_calls():
 
 
 def test_vectorized_search_makes_the_scalar_probes():
-    """All random brackets searched at once: each search probes the
-    multipliers, in order, that the scalar search probes, and returns its
-    multiplier bit for bit; waiting and finished searches see NaN."""
+    """All random brackets searched at once, as one row and as a (seed,
+    search) array: each search probes the multipliers, in order, that the
+    scalar search probes, and returns its multiplier bit for bit; waiting and
+    finished searches see NaN."""
     maps = _random_power_maps(np.random.default_rng(31), 120)
     want, want_probes = [], []
     for power, _, budget in maps:
         calls = []
         want.append(bisect_multiplier_scalar(lambda m: calls.append(m) or power(m), budget))
         want_probes.append(calls)
-    probes = [[] for _ in maps]
+    budgets = np.array([budget for _, _, budget in maps])
+    for shape in ((len(maps),), (2, len(maps) // 2)):
+        probes = [[] for _ in maps]
 
-    def powers(mu):
-        out = np.full(len(maps), np.nan)
-        for j, m in enumerate(mu.tolist()):
-            if not np.isnan(m):
-                probes[j].append(m)
-                out[j] = maps[j][0](m)
-        return out
-    got = bisect_multiplier(powers, np.array([budget for _, _, budget in maps]))
-    assert np.array_equal(got, np.array(want))
-    assert probes == want_probes
+        def powers(mu):
+            assert mu.shape == shape
+            out = np.full(len(maps), np.nan)
+            for j, m in enumerate(mu.ravel().tolist()):
+                if not np.isnan(m):
+                    probes[j].append(m)
+                    out[j] = maps[j][0](m)
+            return out.reshape(shape)
+        got = bisect_multiplier(powers, budgets.reshape(shape))
+        assert got.shape == shape
+        assert np.array_equal(got.ravel(), np.array(want))
+        assert probes == want_probes
     assert sum(map(len, probes)) > 5 * len(maps)       # the searches do take steps
 
 

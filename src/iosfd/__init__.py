@@ -1,8 +1,8 @@
 """Weighted sum-rate simulator for a dual-side omni-surface full-duplex MIMO link."""
 
 from .algorithm import (ConvergenceTrace, RunConfig, RunResult, Scheme, SchemeSpec,
-                        apply_scheme, initial_beamformers, initial_ios,
-                        quantize_phases, run_algorithm2, run_group)
+                        apply_scheme, initial_beamformers, quantize_phases,
+                        run_algorithm2, run_group)
 from .beamformers import DualState, bisect_multiplier, update_beamformers
 from .campaign import (CampaignConfig, ResultRow, config_from_dict, emit_figure_data,
                        load_config, run_campaign, write_campaign)

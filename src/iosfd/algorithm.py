@@ -73,19 +73,6 @@ class SchemeSpec:
         return self.quantization_bits is not None
 
     @property
-    def optimizes_downlink(self) -> bool:
-        return self.kind is not Scheme.SS_IOS
-
-    @property
-    def surface_sides(self) -> tuple[int, ...]:
-        """Side indices of `IosState.coef` the surface solve updates."""
-        if self.kind is Scheme.SS_IOS:
-            return (1,)
-        if self.kind is Scheme.WO_IOS:
-            return ()
-        return (0, 1)
-
-    @property
     def label(self) -> str:
         """Kind plus the quantization, e.g. DS_IOS_q4."""
         if self.quantization_bits is None:
@@ -142,18 +129,6 @@ def initial_beamformers(ch: ChannelSet, p_b: float, p_u: float) -> BeamformerSet
     return BeamformerSet(np.repeat(v_d[None], K, axis=0), np.repeat(v_u[None], K, axis=0))
 
 
-def initial_ios(L: int, scheme: SchemeSpec) -> IosState:
-    """Balanced split for the dual-side run; unused directions start at zero so
-    they never pin amplitude the active direction could use."""
-    if scheme.kind is Scheme.WO_IOS:
-        return IosState.zeros(L)
-    ios = IosState.balanced(L)
-    if scheme.kind is Scheme.SS_IOS:
-        ios.coef[0] = 0.0       # t side
-        ios.coef[1, 0] = 0.0    # u-side reflection
-    return ios
-
-
 def quantize_phases(ios: IosState, bits: int) -> IosState:
     """Snap every phase to the nearest of 2^bits uniform levels, keep amplitudes."""
     if not (1 <= bits <= 16):
@@ -172,11 +147,25 @@ def _compose(ch: ChannelSet, ios: IosState, scheme: SchemeSpec) -> EffectiveChan
 
 def apply_scheme(scheme: SchemeSpec, ch: ChannelSet, cfg: RunConfig
                  ) -> tuple[BeamformerSet, IosState, EffectiveChannels]:
-    """Initial state for one run under the given benchmark scheme."""
+    """Initial state for one run under the given benchmark scheme.
+
+    DS_IOS starts from the balanced split and WO_IOS without a surface.
+    SS_IOS is the dual-side solver started from zero downlink precoders, a
+    zero t side and a zero u-side reflection, and this is the only place
+    that tells it from DS_IOS: block ascent keeps each zero exactly zero
+    (Shi, Razaviyayn, Luo & He, IEEE TSP 2011).  With V_d = 0 the downlink
+    decoders are 0 and its weights I, so the downlink power is 0 at every
+    multiplier and V_d stays 0 at mu = 0; every factor and linear vector of
+    the t side and of the u-side reflection is then 0, so the surface solve
+    keeps those coefficients at 0.
+    """
     bf = initial_beamformers(ch, cfg.p_b, cfg.p_u)
+    L = ch.h_ti.shape[0]
+    ios = IosState.balanced(L) if scheme.uses_surface else IosState.zeros(L)
     if scheme.kind is Scheme.SS_IOS:
         bf = BeamformerSet(np.zeros_like(bf.v_d), bf.v_u)
-    ios = initial_ios(ch.h_ti.shape[0], scheme)
+        ios.coef[0] = 0.0       # t side
+        ios.coef[1, 0] = 0.0    # u-side reflection
     return bf, ios, _compose(ch, ios, scheme)
 
 
@@ -242,21 +231,19 @@ def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, bf: Beamforme
     if prev_s4 is not None:
         check("decoder/weight update", s2, prev_s4)
 
-    frozen_v_d = None if scheme.optimizes_downlink else bf.v_d
     bf, duals = update_beamformers(eff, st, cfg.gamma_down, cfg.gamma_up,
-                                   cfg.p_b, cfg.p_u, cfg.eps_b, frozen_v_d)
+                                   cfg.p_b, cfg.p_u, cfg.eps_b)
     links = links_at(eff, bf)
     s3 = surr(eff, bf, st, links)
     check("precoder update", s3, s2)
 
     iters, caps = np.zeros(lead, dtype=int), np.zeros(lead, dtype=int)
-    if scheme.surface_sides:
+    if scheme.uses_surface:
         coef = np.empty_like(ios.coef)
         for i in np.ndindex(lead):
             qf = build_quadratic_forms(_row(ch, i), _row(bf, i), _row(st, i),
                                        cfg.gamma_down, cfg.gamma_up)
-            new, n = solve_qcqp(vectorize(qf), IosState(ios.coef[i]), cfg.pgd,
-                                scheme.surface_sides)
+            new, n = solve_qcqp(vectorize(qf), IosState(ios.coef[i]), cfg.pgd)
             coef[i], iters[i], caps[i] = new.coef, n.iters, n.cap_exits
         ios = IosState(coef)
         eff = _compose(ch, ios, scheme)
@@ -290,7 +277,7 @@ class _Iterate:
     links: LinkSet | None = None        # at (eff, bf), whitened
     report: RateReport | None = None
     duals: DualState | None = None
-    s4: float | None = None             # last surrogate of the step that produced it
+    s4: float | None = None             # guard surrogate of the step taken from it
 
     @property
     def rate(self) -> float:
@@ -303,17 +290,10 @@ def _gather(points: list[_Iterate]) -> tuple:
                  for name in ("bf", "ios", "eff", "links"))
 
 
-@dataclass
-class _Request:
-    """A point a run wants mapped, with the guard surrogate it is held to."""
-    x: _Iterate
-    prev_s4: float | None
-
-
 class _Run:
     """One run's SQUAREM cycles.  `cycles` is a generator: it yields each
-    point to map as a `_Request` and receives the image, with the solver
-    counts and surrogates of its step, from `run_group`."""
+    point to map and receives the image, with the solver counts and
+    surrogates of its step, from `run_group`."""
 
     def __init__(self, cfg: RunConfig, scheme: SchemeSpec, start: _Iterate):
         self.cfg, self.scheme = cfg, scheme
@@ -324,9 +304,9 @@ class _Run:
     def exhausted(self) -> bool:
         return self.trace.iterations >= self.cfg.max_outer_iters
 
-    def take(self, x: _Iterate, prev_s4: float | None):
+    def take(self, x: _Iterate):
         """One counted map evaluation; the image carries its rate."""
-        y, pgd, surrogates = yield _Request(x, prev_s4)
+        y, pgd, surrogates = yield x
         t = self.trace
         t.iterations += 1
         t.pgd_iters += pgd.iters
@@ -337,9 +317,9 @@ class _Run:
     def plain(self, x: _Iterate):
         """A plain step from x, then the stop test (True when it holds).
         Monotone schemes are held to ascent; quantized ones step off the
-        ascent path and start each step without a guard surrogate."""
+        ascent path, and their images carry no guard surrogate."""
         monotone = not self.scheme.quantizes_each_iter
-        y = yield from self.take(x, x.s4 if monotone else None)
+        y = yield from self.take(x)
         self.trace.rates.append(y.rate)
         if monotone and (x.rate - y.rate) > self.cfg.divergence_rel_tol * max(abs(y.rate),
                                                                               1e-12):
@@ -374,7 +354,7 @@ class _Run:
             v_d, v_u, coef = (a - 2.0 * alpha * d + alpha ** 2 * e
                               for a, d, e in zip(a0, r, v))
             bf = _project_budgets(BeamformerSet(v_d, v_u), cfg.p_b, cfg.p_u)
-            x3 = yield from self.take(_Iterate(bf, IosState(project_feasible(coef))), None)
+            x3 = yield from self.take(_Iterate(bf, IosState(project_feasible(coef))))
             if x3.rate >= x2.rate:
                 trace.extrapolations_accepted += 1
                 trace.rates.append(x3.rate)
@@ -446,19 +426,19 @@ class _Batch:
             for j, k in enumerate(todo):
                 points[k].links = _row(links, j)
 
-    def map(self, seeds: tuple[int, ...], requests: list[_Request]) -> list[tuple]:
-        """One `outer_step` over the requested points of the given seeds,
-        any phase quantization after it, and the rate of each image; per seed
-        (image, PgdCounts, surrogates)."""
+    def map(self, seeds: tuple[int, ...], points: list[_Iterate]) -> list[tuple]:
+        """One `outer_step` over the given seeds' points, each held to its
+        `s4`, any phase quantization after it, and the rate of each image;
+        per seed (image, PgdCounts, surrogates).  A quantized image carries
+        no `s4`: the snapped point is not where s4 was measured."""
         cfg, scheme = self.cfg, self.scheme
-        points = [q.x for q in requests]
         ch = self.channels(seeds)
         self._complete(ch, points)
-        prev = [np.nan if q.prev_s4 is None else q.prev_s4 for q in requests]
+        prev = [np.nan if x.s4 is None else x.s4 for x in points]
         bf, ios, eff, links = _gather(points)
         bf, ios, eff, counts, duals, surrogates, links = outer_step(
             ch, cfg, scheme, bf, ios, eff,
-            None if all(q.prev_s4 is None for q in requests) else np.array(prev), links)
+            None if all(x.s4 is None for x in points) else np.array(prev), links)
         if scheme.quantizes_each_iter:
             ios = quantize_phases(ios, scheme.quantization_bits)
             eff = _compose(ch, ios, scheme)
@@ -468,18 +448,19 @@ class _Batch:
         return [(_Iterate(_row(bf, k), _row(ios, k), _row(eff, k), _row(links, k),
                           RateReport(report.r_down[k], report.r_up[k],
                                      float(report.weighted_sum[k])),
-                          DualState(float(duals.mu_d[k]), duals.lambda_u[k]), float(s4[k])),
+                          DualState(float(duals.mu_d[k]), duals.lambda_u[k]),
+                          None if scheme.quantizes_each_iter else float(s4[k])),
                  PgdCounts(int(counts.iters[k]), int(counts.cap_exits[k])),
                  (float(s2[k]), float(s3[k]), float(s4[k])))
                 for k in range(len(seeds))]
 
 
 def _failing_seed(batch: _Batch, seeds: tuple[int, ...],
-                  requests: list[_Request]) -> int | None:
+                  points: list[_Iterate]) -> int | None:
     """The first seed whose point fails when mapped alone (None when none does)."""
-    for i, q in zip(seeds, requests):
+    for i, x in zip(seeds, points):
         try:
-            batch.map((i,), [q])
+            batch.map((i,), [x])
         except (ConvergenceError, NumericalError):
             return i
     return None
@@ -500,28 +481,28 @@ def run_group(chs: list[ChannelSet], cfg: RunConfig, scheme: SchemeSpec) -> list
         links = LinkSet.at(eff, bf, cfg.noise_users, cfg.noise_rx)
         runs.append(_Run(cfg, scheme, _Iterate(bf, ios, eff, links, _rate(eff, bf, cfg, links))))
         pending[i] = runs[i].cycles()
-    requests = {}
+    points = {}
 
     def advance(i, sent=None) -> None:
         try:
-            requests[i] = pending[i].send(sent)
+            points[i] = pending[i].send(sent)
         except StopIteration as stop:
             ends[i] = stop.value
-            del pending[i], requests[i]
+            del pending[i], points[i]
         except (ConvergenceError, NumericalError) as exc:
             exc.run_index = i
             raise
 
     for i in list(pending):
-        requests[i] = None
+        points[i] = None
         advance(i)
     while pending:
         seeds = tuple(sorted(pending))
-        asked = [requests[i] for i in seeds]
+        wanted = [points[i] for i in seeds]
         try:
-            images = batch.map(seeds, asked)
+            images = batch.map(seeds, wanted)
         except (ConvergenceError, NumericalError) as exc:
-            exc.run_index = seeds[0] if len(seeds) == 1 else _failing_seed(batch, seeds, asked)
+            exc.run_index = seeds[0] if len(seeds) == 1 else _failing_seed(batch, seeds, wanted)
             raise
         for i, image in zip(seeds, images):
             advance(i, image)

@@ -16,8 +16,7 @@ built and eigendecomposed as one (K, n, n) stack, and the seeds of a group
 stack in front of that.  One search call per update covers every seed's
 downlink and every (seed, user) uplink, on budgets of shape (..., 1 + K);
 its state is one array of that shape per quantity, and a search that has
-ended probes NaN from then on.  A frozen downlink (single-side baseline)
-keeps its column with zero power, so its search ends at mu = 0.
+ended probes NaN from then on.
 
 The consumed power is p(mu) = sum_i w_i / (lambda_i + mu)^2, so
 p(mu)^(-1/2) is exactly linear in mu for a single eigen-term and nearly
@@ -199,18 +198,17 @@ class _RegularizedSolve:
 
 def update_beamformers(eff: EffectiveChannels, st: WmmseState,
                        gamma_down: np.ndarray, gamma_up: np.ndarray,
-                       p_b: float, p_u: float, eps_b: float = 1e-4,
-                       frozen_v_d: np.ndarray | None = None
+                       p_b: float, p_u: float, eps_b: float = 1e-4
                        ) -> tuple[BeamformerSet, DualState]:
     """Refresh every precoder from the current decoders/weights.
 
     The downlink multiplier couples all K precoders through the sum-power
     budget; uplink multipliers are solved per user.  One `bisect_multiplier`
     call runs a downlink and K uplink searches per leading index, on budgets
-    of shape (..., 1 + K).  Given `frozen_v_d`, the downlink precoders are
-    kept as they are (single-side baseline): no downlink quadratic is built,
-    the downlink power reads 0, and its search ends at mu = 0 on the first
-    probe.
+    of shape (..., 1 + K).  Zero downlink decoders (the single-side
+    baseline's V_d = 0) give a zero right-hand side: the downlink power
+    reads 0 at every multiplier, its search ends at mu = 0 on the first
+    probe, and V_d comes back 0.
     """
     *lead, K = eff.h_kd.shape[:-2]
     lead = tuple(lead)
@@ -220,17 +218,15 @@ def update_beamformers(eff: EffectiveChannels, st: WmmseState,
 
     up = _RegularizedSolve(xi_up(eff, uw, core),
                            gu * (adj(eff.h_ku) @ st.u_u @ st.w_u))
-    down = None if frozen_v_d is not None else _RegularizedSolve(
-        xi_down(eff, uw, core), gd * (adj(eff.h_kd) @ st.u_d @ st.w_d))
+    down = _RegularizedSolve(xi_down(eff, uw, core), gd * (adj(eff.h_kd) @ st.u_d @ st.w_d))
 
     def power(m):       # column 0: the downlink sum; columns 1..K: the uplink users
         out = np.zeros(m.shape)
-        if down is not None:
-            out[..., 0] = down.power(m[..., :1, None], (-2, -1))
+        out[..., 0] = down.power(m[..., :1, None], (-2, -1))
         out[..., 1:] = up.power(m[..., 1:, None], -1)
         return out
     mult = bisect_multiplier(power, np.concatenate(
         [np.full(lead + (1,), p_b), np.full(lead + (K,), p_u)], axis=-1), eps_b)
     mu, lams = mult[..., 0][()], mult[..., 1:]
-    v_d = frozen_v_d.copy() if down is None else down.solution(np.asarray(mu)[..., None])
+    v_d = down.solution(np.asarray(mu)[..., None])
     return BeamformerSet(v_d, up.solution(lams)), DualState(mu, lams)

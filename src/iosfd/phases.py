@@ -284,13 +284,15 @@ def _newton_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings)
     step count and whether the solve ended without its certificate.
     """
     L = v.shape[-1]
+    if not np.any(lin):
+        return np.zeros_like(v), 0.0, 0, False      # v = 0 minimizes ||F^H v||^2
     f, e = zip(*map(_binary_scale, factors))
     top = max((e[j] for j in range(2) if np.any(f[j])), default=0)
     # The side runs normalized by 2^top (F) and 4^top (b), so a rescaled
     # problem (F 2^k, lin 4^k) takes the same steps to the same bits.
     b = np.ldexp(lin.conj().view(np.float64), -2 * top).view(complex)
-    if not np.any(b):
-        return np.zeros_like(v), 0.0, 0, False      # v = 0 minimizes ||F^H v||^2
+    if not np.any(b):       # lin underflowed in the normalization
+        return np.zeros_like(v), 0.0, 0, False
     # A block whose scale s_j underflows adds nothing, as its products would.
     live = [j for j in range(2)
             if np.any(f[j]) and np.ldexp(1.0, 2 * (e[j] - top)) >= np.finfo(float).tiny]
@@ -398,21 +400,21 @@ class PgdCounts:
     cap_exits: int = 0
 
 
-def solve_qcqp(pq: PhaseQuadratic, init: IosState, settings: PgdSettings,
-               sides: tuple[int, ...] = (0, 1)) -> tuple[IosState, PgdCounts]:
-    """Dual Newton solve, one `_newton_side` solve per side index in `sides`;
-    the other sides keep their coefficients.  Returns the new state and the
-    Newton steps and cap exits of this call's side solves.  `init` is one
-    run's state: a stack of states is rejected.
+def solve_qcqp(pq: PhaseQuadratic, init: IosState, settings: PgdSettings
+               ) -> tuple[IosState, PgdCounts]:
+    """Dual Newton solve, one `_newton_side` solve per side.  A side whose
+    linear vectors are zero (SS_IOS's t side) comes back zero with no step.
+    Returns the new state and the Newton steps and cap exits of the side
+    solves.  `init` is one run's state: a stack of states is rejected.
     """
     if init.coef.ndim != 3:
         raise ValueError(f"solve_qcqp takes one state of shape (2, 2, L), "
                          f"got {init.coef.shape}")
     out = init.copy()
     counts = PgdCounts()
-    for s in sides:
-        v, _, n, capped = _newton_side(pq.factors[s], pq.lin[s], init.coef[s], settings)
-        out.coef[s] = v
+    for s in range(2):
+        out.coef[s], _, n, capped = _newton_side(pq.factors[s], pq.lin[s], init.coef[s],
+                                                 settings)
         counts.iters += n
         counts.cap_exits += capped
 

@@ -266,9 +266,6 @@ def test_scheme_spec_validation():
         SchemeSpec(Scheme.WO_IOS, quantization_bits=4)
     assert SchemeSpec(Scheme.SS_IOS, quantization_bits=2).quantizes_each_iter
     assert not SchemeSpec(Scheme.DS_IOS).quantizes_each_iter
-    sides = [SchemeSpec(kind).surface_sides
-             for kind in (Scheme.DS_IOS, Scheme.SS_IOS, Scheme.WO_IOS)]
-    assert sides == [(0, 1), (1,), ()]
     labels = [SchemeSpec(Scheme.DS_IOS).label, SchemeSpec(Scheme.SS_IOS).label,
               SchemeSpec(Scheme.WO_IOS).label,
               SchemeSpec(Scheme.SS_IOS, quantization_bits=3).label]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iosfd import bisect_multiplier, update_beamformers
+from iosfd import BeamformerSet, bisect_multiplier, update_beamformers, update_state
 from iosfd.errors import NumericalError
 from iosfd.wmmse import surrogate_objective
 
@@ -154,19 +154,20 @@ def test_update_never_decreases_surrogate(rng):
         assert after >= before - 1e-9
 
 
-def test_frozen_downlink_is_kept(rng):
-    """A frozen downlink keeps its precoders and reads mu = 0, and the uplink
-    multipliers and precoders are those of the unfrozen update, bit for bit,
-    with the uplink budgets slack (p_u = 2) and binding (p_u = 0.05)."""
-    _, _, eff, bf, st, gd, gu, nu, nr = random_instance(rng)
+def test_zero_downlink_is_a_fixed_point(rng):
+    """With V_d = 0 the downlink decoders are 0 and its weights I, bit for
+    bit, and the precoder update keeps V_d = 0 at mu = 0, with the uplink
+    budgets slack (p_u = 2) and binding (p_u = 0.05)."""
+    _, _, eff, bf, _, gd, gu, nu, nr = random_instance(rng)
+    bf = BeamformerSet(np.zeros_like(bf.v_d), bf.v_u)
+    st = update_state(eff, bf, nu, nr)
+    eye = np.broadcast_to(np.eye(st.w_d.shape[-1], dtype=complex), st.w_d.shape)
+    assert not np.any(st.u_d)
+    assert st.w_d.tobytes() == np.ascontiguousarray(eye).tobytes()
     for p_u in (2.0, 0.05):
-        new, duals = update_beamformers(eff, st, gd, gu, 4.0, p_u, frozen_v_d=bf.v_d)
-        free, free_duals = update_beamformers(eff, st, gd, gu, 4.0, p_u)
-        for k in range(2):
-            assert np.array_equal(new.v_d[k], bf.v_d[k])
-        assert duals.mu_d == 0.0 and free_duals.mu_d > 0.0
-        assert np.array_equal(duals.lambda_u, free_duals.lambda_u)
-        assert np.array_equal(new.v_u, free.v_u)
+        new, duals = update_beamformers(eff, st, gd, gu, 4.0, p_u)
+        assert not np.any(new.v_d)
+        assert duals.mu_d == 0.0
     assert np.all(duals.lambda_u > 0.0)
 
 

@@ -170,13 +170,13 @@ def test_failing_seed_is_named(monkeypatch, error):
     solve = iosfd.algorithm.solve_qcqp
     calls, bad = [], []
 
-    def failing(pq, init, settings, sides):
+    def failing(pq, init, settings):
         calls.append(pq.lin.tobytes())
         if len(calls) == 3:
             bad.append(calls[-1])              # the third seed's first surface solve
         if calls[-1] in bad:
             raise error("stub failure")
-        return solve(pq, init, settings, sides)
+        return solve(pq, init, settings)
     monkeypatch.setattr(iosfd.algorithm, "solve_qcqp", failing)
     cfg = config_from_dict(tiny_config(seeds=[10, 11, 12, 13],
                                        sweep={"axis": "P_B", "values": [5.0]}))

@@ -295,7 +295,7 @@ def test_descent_check_allows_roundoff_and_rejects_ascent(monkeypatch, rng):
     L = 6
     f_theta, f_phi = 300.0 * cn_sample(rng, (L, L)), 300.0 * cn_sample(rng, (L, L))
     pq = t_side_quadratic((f_theta, f_phi), 3e4 * cn_sample(rng, (2, L)))
-    init, _ = solve_qcqp(pq, IosState.zeros(L), PgdSettings(), sides=(0,))
+    init, _ = solve_qcqp(pq, IosState.zeros(L), PgdSettings())
     g_init = gprime_value(pq, init)
     shrink = max((1.0 - 1e-14, 1.0 + 1e-14),
                  key=lambda a: gprime_value(pq, IosState(a * init.coef)))
@@ -303,14 +303,14 @@ def test_descent_check_allows_roundoff_and_rejects_ascent(monkeypatch, rng):
     assert abs(g_init) > 1e4 and 1e-12 < rise < 1e-13 * abs(g_init)
     monkeypatch.setattr("iosfd.phases._newton_side",
                         lambda factors, lin, v, settings: (shrink * v, 0.0, 0, False))
-    out, _ = solve_qcqp(pq, init, PgdSettings(), sides=(0,))
+    out, _ = solve_qcqp(pq, init, PgdSettings())
     assert np.array_equal(out.coef, shrink * init.coef)
 
     assert gprime_value(pq, IosState(-init.coef)) - g_init > 1e-3 * abs(g_init)
     monkeypatch.setattr("iosfd.phases._newton_side",
                         lambda factors, lin, v, settings: (-v, 0.0, 0, False))
     with pytest.raises(NumericalError, match="failed to descend"):
-        solve_qcqp(pq, init, PgdSettings(), sides=(0,))
+        solve_qcqp(pq, init, PgdSettings())
 
 
 def close_mounted_qcqps(L, seed, n_outer, scheme=SchemeSpec(Scheme.DS_IOS)):
@@ -331,7 +331,7 @@ def close_mounted_qcqps(L, seed, n_outer, scheme=SchemeSpec(Scheme.DS_IOS)):
                                    cfg.eps_b)
         pq = vectorize(build_quadratic_forms(ch, bf, st, cfg.gamma_down, cfg.gamma_up))
         yield pq, ios
-        ios = plain_solve(pq, ios, PgdSettings(), scheme.surface_sides)
+        ios = plain_solve(pq, ios, PgdSettings())
         eff = compose_effective(ch, ios)
 
 
@@ -340,10 +340,10 @@ def side_blocks(pq, s):
     return pq.factors[s], pq.lin[s]
 
 
-def plain_solve(pq, init, settings, sides=(0, 1)):
+def plain_solve(pq, init, settings):
     """`solve_qcqp` with each side solved by the plain projected-gradient oracle."""
     out = init.copy()
-    for s in sides:
+    for s in range(2):
         out.coef[s], _ = pgd_side_plain(*side_blocks(pq, s), init.coef[s], settings)
     return out
 

@@ -64,12 +64,19 @@ def check_run(ch, cfg, scheme) -> None:
     point, after a fresh decoder/weight refresh, the surrogate is ln 2 times
     the weighted sum rate (to 1e-10 relative, plus the surrogate's absolute
     roundoff); and a rerun gives the same bytes.  A rate may repeat its
-    predecessor up to 1e-12 relative roundoff at the fixed point."""
+    predecessor up to 1e-12 relative roundoff at the fixed point.  SS_IOS
+    ends where it starts on its zero blocks: zero downlink precoders, t side
+    and u-side reflection, mu_d = 0 and no downlink rate."""
     res = run_algorithm2(ch, cfg, scheme)
     bf = res.beamformers
     assert bf.downlink_power() <= cfg.p_b * (1.0 + BUDGET_TOL)
     assert all(bf.uplink_power(k) <= cfg.p_u * (1.0 + BUDGET_TOL) for k in range(bf.n_users))
     assert res.ios.is_feasible()
+    if scheme.kind is Scheme.SS_IOS:
+        assert not np.any(bf.v_d)
+        assert not np.any(res.ios.coef[0]) and not np.any(res.ios.coef[1, 0])
+        assert res.duals.mu_d == 0.0
+        assert np.all(res.report.r_down == 0.0)
 
     rates = np.asarray(res.trace.rates)
     assert len(rates) == res.trace.iterations + 1

@@ -1,5 +1,12 @@
 """Weighted sum-rate simulator for a dual-side omni-surface full-duplex MIMO link."""
 
+import os as _os
+
+# One BLAS/OpenMP thread unless the caller asks for more: results depend on
+# the BLAS thread count, and numpy reads these when it loads.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
+
 from .algorithm import (ConvergenceTrace, RunConfig, RunResult, Scheme, SchemeSpec,
                         apply_scheme, initial_beamformers, quantize_phases,
                         run_algorithm2, run_group)

@@ -14,18 +14,20 @@ by relative change of the weighted sum rate.
 scheme together.  Each run keeps its own SQUAREM state (cycle phase, guard
 surrogate, stop test, iteration cap and trace) and names the next point it
 wants mapped; each round, one `outer_step` maps the points of every run
-still going, stacked on a leading seed axis, and a finished run leaves the
-stack.  Only the surface block (build, vectorize, `solve_qcqp`) and
-SQUAREM's own arithmetic run seed by seed.  Every batched operation gives
-each seed the bits it gives that seed alone, so a run's result does not
-depend on its group; `run_algorithm2` is the group of one.  A point carries
-the `LinkSet` of its rate evaluation, which the next step's decoder refresh
-and first guard read instead of evaluating the links again.
+still going, stacked on a leading seed axis.  The draws are stacked once and
+sliced again only when a run ends, and records move between a stack and its
+runs through `_stack` and `_row` alone.  Only the surface block (build,
+vectorize, `solve_qcqp`) and SQUAREM's own arithmetic run seed by seed.
+Every batched operation gives each seed the bits it gives that seed alone,
+so a run's result does not depend on its group; `run_algorithm2` is the
+group of one.  A point carries the `LinkSet` of its rate evaluation, which
+the next step's decoder refresh and first guard read instead of evaluating
+the links again.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -183,13 +185,14 @@ def _stack(records: list):
 
 
 def _row(record, i):
-    """Entry i of a record's leading axes, in every array field."""
+    """Entry i of a record's leading axes, in every array field (nested
+    records and tuples entrywise, None stays None)."""
     def entry(value):
-        if value is None:
-            return None
+        if isinstance(value, np.ndarray):
+            return value[i]
         if isinstance(value, tuple):
-            return tuple(entry(v) for v in value)
-        return value[i]
+            return tuple(map(entry, value))
+        return None if value is None else _row(value, i)
     return type(record)(**{name: entry(value) for name, value in vars(record).items()})
 
 
@@ -394,76 +397,54 @@ def _project_budgets(bf: BeamformerSet, p_b: float, p_u: float) -> BeamformerSet
     return BeamformerSet(v_d, v_u)
 
 
-class _Batch:
-    """The channel draws of a group, stacked for the seeds still running."""
-
-    def __init__(self, chs: list[ChannelSet], cfg: RunConfig, scheme: SchemeSpec):
-        self.chs, self.cfg, self.scheme = chs, cfg, scheme
-        self._seeds: tuple[int, ...] = ()
-        self._ch: ChannelSet | None = None
-
-    def channels(self, seeds: tuple[int, ...]) -> ChannelSet:
-        """The draws of `seeds` on one leading axis, restacked when the set changes."""
-        if seeds != self._seeds:
-            self._seeds, self._ch = seeds, _stack([self.chs[i] for i in seeds])
-        return self._ch
-
-    def _complete(self, ch: ChannelSet, points: list[_Iterate]) -> None:
-        """Compose, and evaluate the links of, the points that lack them;
-        `ch` stacks the points' draws."""
-        todo = [k for k, x in enumerate(points) if x.eff is None]
-        if todo:
-            eff = _compose(_row(ch, np.array(todo)), _stack([points[k].ios for k in todo]),
-                           self.scheme)
-            for j, k in enumerate(todo):
-                points[k].eff = _row(eff, j)
-        todo = [k for k, x in enumerate(points) if x.links is None]
-        if todo:
-            links = LinkSet.at(_stack([points[k].eff for k in todo]),
-                               _stack([points[k].bf for k in todo]),
-                               self.cfg.noise_users, self.cfg.noise_rx)
-            links.whitened()
-            for j, k in enumerate(todo):
-                points[k].links = _row(links, j)
-
-    def map(self, seeds: tuple[int, ...], points: list[_Iterate]) -> list[tuple]:
-        """One `outer_step` over the given seeds' points, each held to its
-        `s4`, any phase quantization after it, and the rate of each image;
-        per seed (image, PgdCounts, surrogates).  A quantized image carries
-        no `s4`: the snapped point is not where s4 was measured."""
-        cfg, scheme = self.cfg, self.scheme
-        ch = self.channels(seeds)
-        self._complete(ch, points)
-        prev = [np.nan if x.s4 is None else x.s4 for x in points]
-        bf, ios, eff, links = _gather(points)
-        bf, ios, eff, counts, duals, surrogates, links = outer_step(
-            ch, cfg, scheme, bf, ios, eff,
-            None if all(x.s4 is None for x in points) else np.array(prev), links)
-        if scheme.quantizes_each_iter:
-            ios = quantize_phases(ios, scheme.quantization_bits)
-            eff = _compose(ch, ios, scheme)
-            links = LinkSet.at(eff, bf, cfg.noise_users, cfg.noise_rx)
-        report = _rate(eff, bf, cfg, links)
-        s2, s3, s4 = surrogates
-        return [(_Iterate(_row(bf, k), _row(ios, k), _row(eff, k), _row(links, k),
-                          RateReport(report.r_down[k], report.r_up[k],
-                                     float(report.weighted_sum[k])),
-                          DualState(float(duals.mu_d[k]), duals.lambda_u[k]),
-                          None if scheme.quantizes_each_iter else float(s4[k])),
-                 PgdCounts(int(counts.iters[k]), int(counts.cap_exits[k])),
-                 (float(s2[k]), float(s3[k]), float(s4[k])))
-                for k in range(len(seeds))]
+def _complete(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec,
+              points: list[_Iterate]) -> None:
+    """Compose, and evaluate the links of, the points that lack them;
+    `ch` stacks the points' draws."""
+    todo = [k for k, x in enumerate(points) if x.eff is None]
+    if todo:
+        eff = _compose(_row(ch, np.array(todo)), _stack([points[k].ios for k in todo]), scheme)
+        for j, k in enumerate(todo):
+            points[k].eff = _row(eff, j)
+    todo = [k for k, x in enumerate(points) if x.links is None]
+    if todo:
+        links = LinkSet.at(_stack([points[k].eff for k in todo]),
+                           _stack([points[k].bf for k in todo]), cfg.noise_users, cfg.noise_rx)
+        links.whitened()
+        for j, k in enumerate(todo):
+            points[k].links = _row(links, j)
 
 
-def _failing_seed(batch: _Batch, seeds: tuple[int, ...],
-                  points: list[_Iterate]) -> int | None:
-    """The first seed whose point fails when mapped alone (None when none does)."""
-    for i, x in zip(seeds, points):
-        try:
-            batch.map((i,), [x])
-        except (ConvergenceError, NumericalError):
-            return i
-    return None
+def _map(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec,
+         points: list[_Iterate]) -> list[tuple]:
+    """One `outer_step` over the points, `ch` stacking their draws, each
+    held to its `s4`, any phase quantization after it, and the rate of each
+    image; per point (image, PgdCounts, surrogates).  A quantized image
+    carries no `s4`: the snapped point is not where s4 was measured."""
+    _complete(ch, cfg, scheme, points)
+    prev = None if all(x.s4 is None for x in points) else \
+        np.array([np.nan if x.s4 is None else x.s4 for x in points])
+    bf, ios, eff, links = _gather(points)
+    bf, ios, eff, counts, duals, surrogates, links = outer_step(ch, cfg, scheme, bf, ios, eff,
+                                                                prev, links)
+    s4 = surrogates[2]
+    if scheme.quantizes_each_iter:
+        ios = quantize_phases(ios, scheme.quantization_bits)
+        eff = _compose(ch, ios, scheme)
+        links = LinkSet.at(eff, bf, cfg.noise_users, cfg.noise_rx)
+        s4 = None
+    image = _Iterate(bf, ios, eff, links, _rate(eff, bf, cfg, links), duals, s4)
+    return [(_row(image, k), _row(counts, k), tuple(s[k] for s in surrogates))
+            for k in range(len(points))]
+
+
+def _fails_alone(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, x: _Iterate) -> bool:
+    """Whether mapping x alone on its draw `ch` raises a solver error."""
+    try:
+        _map(_stack([ch]), cfg, scheme, [x])
+    except (ConvergenceError, NumericalError):
+        return True
+    return False
 
 
 def run_group(chs: list[ChannelSet], cfg: RunConfig, scheme: SchemeSpec) -> list[RunResult]:
@@ -474,14 +455,13 @@ def run_group(chs: list[ChannelSet], cfg: RunConfig, scheme: SchemeSpec) -> list
     `run_index` attribute is the position of the failing draw in `chs` (None
     if no draw fails when mapped alone).
     """
-    batch = _Batch(chs, cfg, scheme)
-    runs, pending, ends = [], {}, {}
-    for i, ch in enumerate(chs):
-        bf, ios, eff = apply_scheme(scheme, ch, cfg)
-        links = LinkSet.at(eff, bf, cfg.noise_users, cfg.noise_rx)
-        runs.append(_Run(cfg, scheme, _Iterate(bf, ios, eff, links, _rate(eff, bf, cfg, links))))
-        pending[i] = runs[i].cycles()
-    points = {}
+    stacked = _stack(chs)
+    starts = [_Iterate(*apply_scheme(scheme, c, cfg)) for c in chs]
+    _complete(stacked, cfg, scheme, starts)
+    bf, _, eff, links = _gather(starts)
+    report = _rate(eff, bf, cfg, links)
+    runs = [_Run(cfg, scheme, replace(x, report=_row(report, k))) for k, x in enumerate(starts)]
+    pending, points, ends = {i: run.cycles() for i, run in enumerate(runs)}, {}, {}
 
     def advance(i, sent=None) -> None:
         try:
@@ -496,13 +476,17 @@ def run_group(chs: list[ChannelSet], cfg: RunConfig, scheme: SchemeSpec) -> list
     for i in list(pending):
         points[i] = None
         advance(i)
+    ch, running = stacked, tuple(range(len(chs)))
     while pending:
         seeds = tuple(sorted(pending))
+        if seeds != running:
+            ch, running = _row(stacked, np.array(seeds)), seeds
         wanted = [points[i] for i in seeds]
         try:
-            images = batch.map(seeds, wanted)
+            images = _map(ch, cfg, scheme, wanted)
         except (ConvergenceError, NumericalError) as exc:
-            exc.run_index = seeds[0] if len(seeds) == 1 else _failing_seed(batch, seeds, wanted)
+            exc.run_index = seeds[0] if len(seeds) == 1 else next(
+                (i for i, x in zip(seeds, wanted) if _fails_alone(chs[i], cfg, scheme, x)), None)
             raise
         for i, image in zip(seeds, images):
             advance(i, image)

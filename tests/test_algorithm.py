@@ -74,6 +74,32 @@ def test_high_power_run_passes_the_descent_check():
     assert out.stdout.split() == ["tolerance"]
 
 
+def test_simulate_gives_one_answer_per_host(tmp_path):
+    """`iosfd simulate` on the 50/45 dBm run above, whose path depends on
+    the BLAS thread count, writes the same results with every thread
+    variable unset as with OPENBLAS_NUM_THREADS=1: the package pins one
+    BLAS thread unless the caller sets one."""
+    root = Path(__file__).resolve().parents[1]
+    config = tmp_path / "high-power.json"
+    config.write_text('{"name": "high-power", "powers": {"p_b_dbm": 50.0, "p_u_dbm": 45.0},'
+                      ' "schemes": ["DS_IOS"], "seeds": [1]}')
+    thread_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                   "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in thread_vars}
+    env["PYTHONPATH"] = str(root / "src")
+    results = []
+    for n, extra in enumerate(({}, {"OPENBLAS_NUM_THREADS": "1"})):
+        out = subprocess.run([sys.executable, "-m", "iosfd.cli", "simulate", "--config",
+                              str(config), "--threads", "1", "--out", str(tmp_path / str(n))],
+                             env=dict(env, **extra), capture_output=True, text=True,
+                             timeout=300)
+        assert out.returncode == 0, out.stderr[-2000:]
+        rows = (tmp_path / str(n) / "high-power" / "results.csv").read_text().splitlines()
+        drop = rows[0].split(",").index("wall_ms")
+        results.append([[c for i, c in enumerate(r.split(",")) if i != drop] for r in rows])
+    assert results[0] == results[1]
+
+
 def test_trace_counts_pgd_cap_exits():
     """Surface side solves cut off by the PGD iteration cap add up in the trace."""
     ch = channels_for(integrated_geometry(L=8), 0)

@@ -1,5 +1,7 @@
 """`tools/compare_results.py` on two small hand-written output directories."""
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_results.py"
@@ -33,3 +35,19 @@ def test_same_results_pass_and_one_changed_trace_byte_fails(tmp_path, capsys):
     trace.write_bytes(bytes(data))
     assert compare_results.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     assert "1 trace files differ, first ['WO_IOS_none_0.csv']" in capsys.readouterr().out
+
+
+def test_same_results_reads_same_for_one_tree_against_itself(tmp_path):
+    """`tools/same_results.py` runs a tiny config in this tree twice and
+    reads "same" with exit 0."""
+    root = TOOL.parents[1]
+    config = tmp_path / "tiny.json"
+    config.write_text('{"name": "tiny", "scenario": {"k_users": 2, "l_elements": 4,'
+                      ' "user_anchors": [[20.0, 20.0, 1.5], [25.0, -35.0, 1.5]]},'
+                      ' "solver": {"max_outer_iters": 8}, "schemes": ["DS_IOS", "WO_IOS"],'
+                      ' "seeds": [1, 2]}')
+    out = subprocess.run([sys.executable, str(root / "tools" / "same_results.py"), str(root),
+                          str(root), "--config", str(config)],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr[-2000:]
+    assert out.stdout.startswith("tiny/tiny: same, 4 rows, 4 traces; results ")

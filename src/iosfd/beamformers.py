@@ -14,7 +14,8 @@ infeasible.  One multiplier covers the whole downlink (sum-power constraint);
 uplink users are budgeted individually.  All K quadratics of a direction are
 built and eigendecomposed as one (K, n, n) stack, and the seeds of a group
 stack in front of that.  One search call per update covers every seed's
-downlink and every (seed, user) uplink, on budgets of shape (..., 1 + K);
+downlink and every (seed, user) uplink, on budgets of shape (..., 1 + K),
+or of shape (..., K) when the downlink right-hand side is exactly zero;
 its state is one array of that shape per quantity, and a search that has
 ended probes NaN from then on.
 
@@ -210,10 +211,10 @@ def update_beamformers(eff: EffectiveChannels, st: WmmseState,
     The downlink multiplier couples all K precoders through the sum-power
     budget; uplink multipliers are solved per user.  One `bisect_multiplier`
     call runs a downlink and K uplink searches per leading index, on budgets
-    of shape (..., 1 + K).  Zero downlink decoders (the single-side
-    baseline's V_d = 0) give a zero right-hand side: the downlink power
-    reads 0 at every multiplier, its search ends at mu = 0 on the first
-    probe, and V_d comes back 0.
+    of shape (..., 1 + K).  A downlink right-hand side that is exactly zero
+    (the zero decoders of the single-side baseline's V_d = 0) has zero power
+    at every multiplier: V_d comes back 0 at mu = 0 unsearched, and the uplink
+    budgets (..., K) are searched alone, with the probes they make beside it.
     """
     *lead, K = eff.h_kd.shape[:-2]
     lead = tuple(lead)
@@ -223,7 +224,13 @@ def update_beamformers(eff: EffectiveChannels, st: WmmseState,
 
     up = _RegularizedSolve(xi_up(eff, uw, core),
                            gu * (adj(eff.h_ku) @ st.u_u @ st.w_u))
-    down = _RegularizedSolve(xi_down(eff, uw, core), gd * (adj(eff.h_kd) @ st.u_d @ st.w_d))
+    rhs_d = gd * (adj(eff.h_kd) @ st.u_d @ st.w_d)
+    if not rhs_d.any():
+        lams = bisect_multiplier(lambda m: up.power(m[..., None], -1),
+                                 np.full(lead + (K,), p_u), eps_b)
+        return (BeamformerSet(np.zeros_like(rhs_d), up.solution(lams)),
+                DualState(np.zeros(lead)[()], lams))
+    down = _RegularizedSolve(xi_down(eff, uw, core), rhs_d)
 
     def power(m):       # column 0: the downlink sum; columns 1..K: the uplink users
         out = np.zeros(m.shape)

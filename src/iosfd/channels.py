@@ -15,11 +15,13 @@ Five links are modeled per realization:
 NLoS parts are unit-variance circular Gaussians consumed in a fixed order
 (transceiver coupling, then each user's surface link, then the user-user
 grid row-major, then optional direct links), so a seed pins the realization.
-The per-user links are drawn one matrix at a time in that order and stacked
-into arrays with leading user axes.
+All of them come from one normal draw, sliced per matrix in that order into
+its real block and then its imaginary block.  Each link family is computed
+as one array with its leading user axes.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -28,7 +30,6 @@ import numpy as np
 from .errors import GeometryError
 from .geometry import (SpatialLayout, antenna_gain, elevations_from_axis,
                        elevations_from_normal, pairwise_distances)
-from .linalg import cn_sample
 
 logger = logging.getLogger(__name__)
 
@@ -76,64 +77,68 @@ class ChannelSet:
 
 
 def _rician(amplitude: np.ndarray, distances: np.ndarray, wavelength: float,
-            chi: float, rng: np.random.Generator) -> np.ndarray:
+            chi: float, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Rician coefficients, elementwise, with the NLoS unit normals `re`, `im`."""
     los = np.sqrt(chi / (chi + 1.0)) * np.exp(-2j * np.pi * distances / wavelength)
-    nlos = np.sqrt(1.0 / (chi + 1.0)) * cn_sample(rng, distances.shape)
-    return amplitude * (los + nlos)
+    cn = (re + 1j * im) / np.sqrt(2.0)
+    return amplitude * (los + np.sqrt(1.0 / (chi + 1.0)) * cn)
 
 
 def sample_channels(layout: SpatialLayout, fading: FadingParams, seed: int,
                     include_direct: bool = False) -> ChannelSet:
     """Draw one channel realization; identical seeds give identical matrices."""
-    rng = np.random.default_rng(seed)
     lam = layout.wavelength
     kappa = fading.pathloss_exponent
-    chi = fading.rician_factor
+    ios, tx, rx = layout.ios_positions, layout.tx_positions, layout.rx_positions
+    u_rx, u_tx = layout.user_rx_positions, layout.user_tx_positions
 
-    ios = layout.ios_positions
-    tx = layout.tx_positions
-    rx = layout.rx_positions
+    # Every distance first, so a zero one raises before any elevation is formed.
+    r_ti, r_ir, r_tr = (pairwise_distances(ios, tx), pairwise_distances(ios, rx),
+                        pairwise_distances(rx, tx))
+    r_iu = pairwise_distances(ios, u_rx)                        # (K, L, N_ur)
+    r_uu = pairwise_distances(u_rx[None], u_tx[:, None])        # (K, K, N_ur, N_ut), [j, k]
+    r_direct = ((pairwise_distances(u_rx, tx), pairwise_distances(rx, u_tx))
+                if include_direct else ())                      # (K, N_ur, N_t), (K, N_r, N_ut)
 
-    def gainless_link(a: np.ndarray, b: np.ndarray, exponent: float = kappa / 2.0):
-        """Rician link (len(a), len(b)) with no element gain at either end."""
-        r = pairwise_distances(a, b)
-        return _rician(lam / (4.0 * np.pi * r ** exponent), r, lam, chi, rng)
-
-    def los_link(array: np.ndarray, gain_exponent: float):
+    def los_link(r: np.ndarray, array: np.ndarray, gain_exponent: float):
         """LoS link (L, len(array)) between the surface and a transceiver
         array, element gain taken at the surface elevation; draws nothing."""
-        r = pairwise_distances(ios, array)
         th = elevations_from_axis(ios, array, layout.ios_axis)
         return (lam * np.sqrt(antenna_gain(th, gain_exponent))
                 / (4.0 * np.pi * r)) * np.exp(-2j * np.pi * r / lam)
 
-    h_ti = los_link(tx, fading.gain_exponent_tx)    # transmit array -> surface
-    h_ir = los_link(rx, fading.gain_exponent_rx)    # surface -> receive array
+    def gainless(r: np.ndarray, exponent: float = kappa / 2.0) -> np.ndarray:
+        """Rician amplitude with no element gain at either end."""
+        return lam / (4.0 * np.pi * r ** exponent)
+
+    h_ti = los_link(r_ti, tx, fading.gain_exponent_tx)    # transmit array -> surface
+    h_ir = los_link(r_ir, rx, fading.gain_exponent_rx)    # surface -> receive array
 
     # Transceiver self-coupling, Rician with both end gains.
-    r_tr = pairwise_distances(rx, tx)                                   # (N_r, N_t)
     th_at_tx = elevations_from_normal(tx, rx, layout.tx_normal).T       # (N_r, N_t)
     th_at_rx = elevations_from_normal(rx, tx, layout.rx_normal)         # (N_r, N_t)
     amp_tr = (lam * np.sqrt(antenna_gain(th_at_tx, fading.gain_exponent_tx)
                             * antenna_gain(th_at_rx, fading.gain_exponent_rx))
               / (4.0 * np.pi * r_tr ** (kappa / 2.0)))
-    h_tr = _rician(amp_tr, r_tr, lam, chi, rng)
 
-    # Surface <-> users (no gain factor); one matrix per user, both directions.
-    h_iu = np.array([gainless_link(ios, pos) for pos in layout.user_rx_positions])
-
-    # User-user grid (includes each user's own tx->rx coupling).
+    # The Rician families in draw order: self-coupling, surface <-> users (one
+    # matrix per user serves both directions), the user-user grid (with each
+    # user's own tx->rx coupling), then the direct links; one elementwise pass.
     uu_exp = 1.0 if fading.uu_free_space else kappa / 2.0
-    h_uu = np.array([[gainless_link(rx_pos, tx_pos, uu_exp)
-                      for rx_pos in layout.user_rx_positions]
-                     for tx_pos in layout.user_tx_positions])
-
-    h_direct_tu = h_direct_ur = None
-    if include_direct:
-        h_direct_tu = np.array([gainless_link(pos, tx) for pos in layout.user_rx_positions])
-        h_direct_ur = np.array([gainless_link(rx, pos) for pos in layout.user_tx_positions])
-
-    return ChannelSet(h_ti, h_tr, h_iu, h_ir, h_uu, h_direct_tu, h_direct_ur)
+    links = ([(amp_tr, r_tr), (gainless(r_iu), r_iu), (gainless(r_uu, uu_exp), r_uu)]
+             + [(gainless(r), r) for r in r_direct])
+    shapes = [r.shape for _, r in links]
+    ends = [0, *itertools.accumulate(r.size for _, r in links)]
+    z = np.random.default_rng(seed).standard_normal(2 * ends[-1])
+    pairs = [z[2 * a:2 * b].reshape(-1, 2, shape[-2] * shape[-1])   # (matrices, re/im, entries)
+             for a, b, shape in zip(ends, ends[1:], shapes)]
+    h = _rician(np.concatenate([amp for amp, _ in links], axis=None),
+                np.concatenate([r for _, r in links], axis=None), lam, fading.rician_factor,
+                np.concatenate([p[:, 0] for p in pairs], axis=None),
+                np.concatenate([p[:, 1] for p in pairs], axis=None))
+    h_tr, h_iu, h_uu, *direct = (h[a:b].reshape(shape)
+                                 for a, b, shape in zip(ends, ends[1:], shapes))
+    return ChannelSet(h_ti, h_tr, h_iu, h_ir, h_uu, *direct)
 
 
 def require_reciprocal_user_arrays(ch: ChannelSet) -> None:

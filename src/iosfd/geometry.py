@@ -25,27 +25,31 @@ def antenna_gain(theta, exponent: float):
         raise ValueError(f"gain exponent must be nonnegative, got {exponent}")
     theta = np.asarray(theta, dtype=float)
     c = np.cos(theta)
-    gain = np.where(theta <= np.pi / 2, 2.0 * (exponent + 1) * np.clip(c, 0.0, None) ** exponent, 0.0)
+    gain = np.where(theta <= np.pi / 2, 2.0 * (exponent + 1) * np.maximum(c, 0.0) ** exponent, 0.0)
     if gain.ndim == 0:
         return float(gain)
     return gain
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
+    n = math.sqrt(v.dot(v))     # np.linalg.norm(v), without its overhead
     if n == 0.0:
         raise GeometryError("zero-length direction vector (coincident anchors?)")
     return v / n
 
 
+def _cross(a, b) -> np.ndarray:
+    """a x b of two 3-vectors, by the formula `np.cross` evaluates, in Python floats."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two orthonormal in-plane axes for an array facing along `normal`."""
-    helper = np.array([0.0, 0.0, 1.0])
-    if abs(float(np.dot(normal, helper))) > 0.9:
-        helper = np.array([1.0, 0.0, 0.0])
-    u1 = _unit(np.cross(normal, helper))
-    u2 = np.cross(normal, u1)
-    return u1, u2
+    """Two orthonormal in-plane axes for an array facing along `normal`; the
+    helper axis is z, or x for a normal within about 26 degrees of the z axis."""
+    n = normal.tolist()
+    u1 = _unit(_cross(n, (1.0, 0.0, 0.0) if abs(n[2]) > 0.9 else (0.0, 0.0, 1.0)))
+    return u1, _cross(n, u1.tolist())
 
 
 def _grid_positions(anchor: np.ndarray, n: int, spacing: float,
@@ -136,10 +140,16 @@ def build_layout(cfg: GeometryConfig) -> SpatialLayout:
                          cfg.wavelength, ios_axis, tx_normal, rx_normal)
 
 
+def _norms(diff: np.ndarray) -> np.ndarray:
+    """`np.linalg.norm(diff, axis=-1)` of real vectors, without its overhead."""
+    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
+
+
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance matrix (len(a), len(b)); raises if any entry is zero."""
-    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
-    if np.any(d == 0.0):
+    """Distances (..., len(a), len(b)) between the points of a (..., m, 3) and
+    b (..., n, 3), leading axes broadcast; raises if any entry is zero."""
+    d = _norms(a[..., :, None, :] - b[..., None, :, :])
+    if not d.all():
         raise GeometryError("zero distance between points of different arrays")
     return d
 
@@ -151,7 +161,7 @@ def elevations_from_axis(origins: np.ndarray, targets: np.ndarray,
     The |cos| fold maps both faces of the surface into [0, pi/2].
     """
     diff = targets[None, :, :] - origins[:, None, :]
-    d = np.linalg.norm(diff, axis=-1)
+    d = _norms(diff)
     cosang = np.abs(diff @ axis) / np.where(d == 0.0, 1.0, d)
     return np.arccos(np.clip(cosang, -1.0, 1.0))
 
@@ -160,6 +170,6 @@ def elevations_from_normal(origins: np.ndarray, targets: np.ndarray,
                            normal: np.ndarray) -> np.ndarray:
     """One-sided elevation in [0, pi]; anything beyond pi/2 sits behind the array."""
     diff = targets[None, :, :] - origins[:, None, :]
-    d = np.linalg.norm(diff, axis=-1)
+    d = _norms(diff)
     cosang = (diff @ normal) / np.where(d == 0.0, 1.0, d)
     return np.arccos(np.clip(cosang, -1.0, 1.0))

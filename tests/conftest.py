@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,30 @@ def integrated_run_geometry(L: int, K: int = 2, n: int = 2) -> GeometryConfig:
         ios_anchor=np.array([0.0, 0.0, 5.0]) + 0.1 * direction,
         user_anchors=anchors[:K],
     )
+
+
+# (n_tx, n_rx, n_user_tx, n_user_rx); the last has n_user_tx != n_user_rx
+LAYOUT_ANTENNAS = [(1, 1, 1, 1), (2, 2, 2, 2), (4, 3, 2, 2), (2, 2, 1, 3)]
+# L in the reference geometry, and close-mounted (surface 0.1 m from the transceiver)
+GEOMETRIES = [("reference", L) for L in (1, 5, 8, 64)] + [("close", L) for L in (16, 64, 256)]
+# the fading settings of the draw oracle test
+FADINGS = [FadingParams.from_db(3.0),
+           FadingParams(0.7, pathloss_exponent=3.1, gain_exponent_tx=1.5,
+                        gain_exponent_rx=2.5, uu_free_space=False)]
+
+
+def grid_geometry(kind: str, L: int, K: int, antennas) -> GeometryConfig:
+    """One geometry of the layout and draw oracle tests."""
+    cfg = reference_geometry(L=L, K=K) if kind == "reference" else integrated_run_geometry(L, K)
+    n_tx, n_rx, n_ut, n_ur = antennas
+    return dataclasses.replace(cfg, n_tx=n_tx, n_rx=n_rx, n_user_tx=n_ut, n_user_rx=n_ur)
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes (so -0.0 differs from 0.0), or both None."""
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def random_channels(rng, K=2, n_tx=2, n_rx=2, n_u=2, L=4, scale=1.0, direct=False, n_ut=None):

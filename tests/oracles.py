@@ -34,6 +34,12 @@ projects the four surface vectors one at a time, where
 iteration, the stop test after each.  `algorithm.run_algorithm2` runs it as
 is for schemes that quantize every iteration and adds SQUAREM cycles for the
 others.
+
+`build_layout_cross` forms the array planes with `np.cross` and
+`np.linalg.norm`, and `sample_channels_loop` draws the links one matrix at a
+time, each from its own `cn_sample` call in the fixed stream order; they are
+the forms `geometry.build_layout` and `channels.sample_channels` replaced,
+and must give the same bits.
 """
 from __future__ import annotations
 
@@ -42,8 +48,11 @@ import math
 import numpy as np
 
 import iosfd.algorithm
-from iosfd.errors import ConvergenceError, NumericalError
-from iosfd.linalg import hermitize, logdet_pd, solve_pd
+from iosfd.channels import ChannelSet
+from iosfd.errors import ConvergenceError, GeometryError, NumericalError
+from iosfd.geometry import (SpatialLayout, antenna_gain, elevations_from_axis,
+                            elevations_from_normal)
+from iosfd.linalg import cn_sample, hermitize, logdet_pd, solve_pd
 from iosfd.phases import PgdSettings, _value
 from iosfd.system import LN2, BeamformerSet, EffectiveChannels, IosState
 from iosfd.wmmse import WmmseState
@@ -504,3 +513,129 @@ def bisect_multiplier_scalar(power_of, budget: float, eps_b: float = 1e-4) -> fl
             hi = x
         a, g_a, b, g_b = b, g_b, x, g(p)
     return x if p <= budget else hi
+
+
+# -- layout and channel draw ----------------------------------------------------
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    n = np.linalg.norm(v)
+    if n == 0.0:
+        raise GeometryError("zero-length direction vector (coincident anchors?)")
+    return v / n
+
+
+def _plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    helper = np.array([0.0, 0.0, 1.0])
+    if abs(float(np.dot(normal, helper))) > 0.9:
+        helper = np.array([1.0, 0.0, 0.0])
+    u1 = _unit(np.cross(normal, helper))
+    u2 = np.cross(normal, u1)
+    return u1, u2
+
+
+def _grid_positions(anchor: np.ndarray, n: int, spacing: float,
+                    u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    cols = math.ceil(math.sqrt(n))
+    idx = np.arange(n)
+    return anchor + spacing * ((idx % cols)[:, None] * u1 + (idx // cols)[:, None] * u2)
+
+
+def build_layout_cross(cfg) -> SpatialLayout:
+    """`geometry.build_layout` with its plane axes from `np.cross`."""
+    if min(cfg.n_tx, cfg.n_rx, cfg.n_elements, cfg.n_user_tx, cfg.n_user_rx) < 1:
+        raise GeometryError("antenna/element counts must all be >= 1")
+    if cfg.wavelength <= 0:
+        raise GeometryError("wavelength must be positive")
+
+    tx_anchor = np.asarray(cfg.tx_anchor, dtype=float)
+    rx_anchor = np.asarray(cfg.rx_anchor, dtype=float)
+    ios_anchor = np.asarray(cfg.ios_anchor, dtype=float)
+    users = np.asarray(cfg.user_anchors, dtype=float).reshape(-1, 3)
+    spacing = cfg.wavelength / 2.0
+
+    for a, b, what in ((tx_anchor, rx_anchor, "tx/rx"),
+                       (tx_anchor, ios_anchor, "tx/ios"),
+                       (rx_anchor, ios_anchor, "rx/ios")):
+        if np.linalg.norm(a - b) == 0.0:
+            raise GeometryError(f"coincident anchors ({what}) give a zero link distance")
+
+    ios_axis = _unit(ios_anchor - tx_anchor)
+    tx_normal = _unit(rx_anchor - tx_anchor)
+    rx_normal = _unit(tx_anchor - rx_anchor)
+
+    u1, u2 = _plane_basis(ios_axis)
+    ios_positions = _grid_positions(ios_anchor, cfg.n_elements, spacing, u1, u2)
+    t1, t2 = _plane_basis(tx_normal)
+    tx_positions = _grid_positions(tx_anchor, cfg.n_tx, spacing, t1, t2)
+    r1, r2 = _plane_basis(rx_normal)
+    rx_positions = _grid_positions(rx_anchor, cfg.n_rx, spacing, r1, r2)
+
+    xhat = np.array([1.0, 0.0, 0.0])
+    yhat = np.array([0.0, 1.0, 0.0])
+    user_tx = users[:, None] + spacing * np.arange(cfg.n_user_tx)[:, None] * xhat
+    user_rx = users[:, None] + spacing * yhat + spacing * np.arange(cfg.n_user_rx)[:, None] * xhat
+
+    return SpatialLayout(tx_positions, rx_positions, ios_positions, user_rx, user_tx,
+                         cfg.wavelength, ios_axis, tx_normal, rx_normal)
+
+
+def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+    if np.any(d == 0.0):
+        raise GeometryError("zero distance between points of different arrays")
+    return d
+
+
+def _rician(amplitude: np.ndarray, distances: np.ndarray, wavelength: float,
+            chi: float, rng: np.random.Generator) -> np.ndarray:
+    los = np.sqrt(chi / (chi + 1.0)) * np.exp(-2j * np.pi * distances / wavelength)
+    nlos = np.sqrt(1.0 / (chi + 1.0)) * cn_sample(rng, distances.shape)
+    return amplitude * (los + nlos)
+
+
+def sample_channels_loop(layout, fading, seed: int, include_direct: bool = False) -> ChannelSet:
+    """`channels.sample_channels` one matrix at a time: every Rician link
+    takes its own `cn_sample` draw, users and user pairs in a Python loop."""
+    rng = np.random.default_rng(seed)
+    lam = layout.wavelength
+    kappa = fading.pathloss_exponent
+    chi = fading.rician_factor
+
+    ios = layout.ios_positions
+    tx = layout.tx_positions
+    rx = layout.rx_positions
+
+    def gainless_link(a: np.ndarray, b: np.ndarray, exponent: float = kappa / 2.0):
+        r = _pairwise_distances(a, b)
+        return _rician(lam / (4.0 * np.pi * r ** exponent), r, lam, chi, rng)
+
+    def los_link(array: np.ndarray, gain_exponent: float):
+        r = _pairwise_distances(ios, array)
+        th = elevations_from_axis(ios, array, layout.ios_axis)
+        return (lam * np.sqrt(antenna_gain(th, gain_exponent))
+                / (4.0 * np.pi * r)) * np.exp(-2j * np.pi * r / lam)
+
+    h_ti = los_link(tx, fading.gain_exponent_tx)
+    h_ir = los_link(rx, fading.gain_exponent_rx)
+
+    r_tr = _pairwise_distances(rx, tx)
+    th_at_tx = elevations_from_normal(tx, rx, layout.tx_normal).T
+    th_at_rx = elevations_from_normal(rx, tx, layout.rx_normal)
+    amp_tr = (lam * np.sqrt(antenna_gain(th_at_tx, fading.gain_exponent_tx)
+                            * antenna_gain(th_at_rx, fading.gain_exponent_rx))
+              / (4.0 * np.pi * r_tr ** (kappa / 2.0)))
+    h_tr = _rician(amp_tr, r_tr, lam, chi, rng)
+
+    h_iu = np.array([gainless_link(ios, pos) for pos in layout.user_rx_positions])
+
+    uu_exp = 1.0 if fading.uu_free_space else kappa / 2.0
+    h_uu = np.array([[gainless_link(rx_pos, tx_pos, uu_exp)
+                      for rx_pos in layout.user_rx_positions]
+                     for tx_pos in layout.user_tx_positions])
+
+    h_direct_tu = h_direct_ur = None
+    if include_direct:
+        h_direct_tu = np.array([gainless_link(pos, tx) for pos in layout.user_rx_positions])
+        h_direct_ur = np.array([gainless_link(rx, pos) for pos in layout.user_tx_positions])
+
+    return ChannelSet(h_ti, h_tr, h_iu, h_ir, h_uu, h_direct_tu, h_direct_ur)

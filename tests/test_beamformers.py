@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from iosfd import BeamformerSet, bisect_multiplier, update_beamformers, update_state
+from iosfd import beamformers
 from iosfd.errors import NumericalError
+from iosfd.linalg import adj
 from iosfd.wmmse import surrogate_objective
 
 from conftest import fd_gradient, random_instance
@@ -169,6 +171,33 @@ def test_zero_downlink_is_a_fixed_point(rng):
         assert not np.any(new.v_d)
         assert duals.mu_d == 0.0
     assert np.all(duals.lambda_u > 0.0)
+
+
+def test_zero_downlink_searches_the_uplink_alone(rng):
+    """On an SS state (V_d = 0) the update's lambda_u and V_u have the bits of
+    a direct uplink-only search and solve, and of the joint search with the
+    zero downlink beside it, as it ran before the downlink was skipped."""
+    _, _, eff, bf, _, gd, gu, nu, nr = random_instance(rng)
+    st = update_state(eff, BeamformerSet(np.zeros_like(bf.v_d), bf.v_u), nu, nr)
+    K = len(gu)
+    uw = beamformers.downlink_weight_core(st, gd)
+    core = beamformers.uplink_weight_core(st, gu)
+    up = beamformers._RegularizedSolve(beamformers.xi_up(eff, uw, core),
+                                       gu[:, None, None] * (adj(eff.h_ku) @ st.u_u @ st.w_u))
+    down = beamformers._RegularizedSolve(beamformers.xi_down(eff, uw, core),
+                                         gd[:, None, None] * (adj(eff.h_kd) @ st.u_d @ st.w_d))
+
+    def joint(m):
+        return np.concatenate([down.power(m[:1, None], (-2, -1))[None],
+                               up.power(m[1:, None], -1)])
+    for p_u in (2.0, 0.05):
+        new, duals = update_beamformers(eff, st, gd, gu, 4.0, p_u)
+        lams = bisect_multiplier(lambda m: up.power(m[..., None], -1), np.full(K, p_u))
+        both = bisect_multiplier(joint, np.concatenate([[4.0], np.full(K, p_u)]))
+        assert both[0] == 0.0
+        assert duals.lambda_u.tobytes() == lams.tobytes() == both[1:].tobytes()
+        assert new.v_u.tobytes() == up.solution(lams).tobytes()
+        assert not np.any(new.v_d) and new.v_d.shape == bf.v_d.shape and duals.mu_d == 0.0
 
 
 def _power_map(weights, eigvals):

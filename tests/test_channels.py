@@ -3,10 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from iosfd import FadingParams, build_layout, sample_channels
+from iosfd import ChannelSet, FadingParams, build_layout, sample_channels
+from iosfd.errors import GeometryError
 from iosfd.geometry import antenna_gain, elevations_from_axis, pairwise_distances
 
-from conftest import reference_geometry
+from conftest import (FADINGS, GEOMETRIES, LAYOUT_ANTENNAS, grid_geometry, reference_geometry,
+                      same_bits)
+from oracles import sample_channels_loop
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +125,52 @@ def test_sub_free_space_exponent_warns_only(caplog):
     with caplog.at_level("WARNING"):
         FadingParams(rician_factor=2.0, pathloss_exponent=1.5)
     assert any("below free space" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("kind, L", GEOMETRIES)
+def test_draw_matches_the_per_matrix_loop_bit_for_bit(kind, L):
+    """Every ChannelSet field has the bits of the draw made one matrix at a
+    time, for K = 1-3, four array sizes, two fading settings, seeds 0-5, with
+    and without the direct links."""
+    for K in (1, 2, 3):
+        for antennas in LAYOUT_ANTENNAS:
+            layout = build_layout(grid_geometry(kind, L, K, antennas))
+            for fading in FADINGS:
+                for seed in range(6):
+                    for direct in (False, True):
+                        got = sample_channels(layout, fading, seed, include_direct=direct)
+                        want = sample_channels_loop(layout, fading, seed, include_direct=direct)
+                        for field in dataclasses.fields(ChannelSet):
+                            assert same_bits(getattr(got, field.name),
+                                             getattr(want, field.name)), (
+                                K, antennas, fading, seed, direct, field.name)
+
+
+def test_zero_distances_raise_as_the_per_matrix_loop_does():
+    """A transceiver or surface anchor on a user's antenna, or one user's
+    transmit antenna on another's receive antenna, gives a zero distance;
+    both draws raise the same GeometryError, the direct links only when
+    they are drawn."""
+    base = reference_geometry(L=8, K=2)
+    lay = build_layout(base)
+    rx0, tx0 = lay.user_rx_positions[0][0], lay.user_tx_positions[0][0]
+    cases = {"surface on a user": dataclasses.replace(base, ios_anchor=rx0),
+             "transmitter on a user": dataclasses.replace(base, tx_anchor=rx0),
+             "receiver on a user": dataclasses.replace(base, rx_anchor=tx0),
+             "user on a user": dataclasses.replace(
+                 base, user_anchors=np.array([base.user_anchors[0], rx0]))}
+    fading = FadingParams.from_db(3.0)
+    raised = set()
+    for name, cfg in cases.items():
+        layout = build_layout(cfg)
+        for direct in (False, True):
+            outcomes = []
+            for draw in (sample_channels, sample_channels_loop):
+                try:
+                    outcomes.append(draw(layout, fading, 1, include_direct=direct).h_uu.tobytes())
+                except GeometryError as err:
+                    outcomes.append(str(err))
+                    raised.add((name, direct))
+            assert outcomes[0] == outcomes[1], (name, direct)
+    assert raised == {(name, direct) for name in cases for direct in (False, True)} - {
+        ("transmitter on a user", False), ("receiver on a user", False)}

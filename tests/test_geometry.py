@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from iosfd import GeometryConfig, antenna_gain, build_layout
 from iosfd.errors import GeometryError
+from iosfd.geometry import SpatialLayout, pairwise_distances
 
-from conftest import reference_geometry
+from conftest import GEOMETRIES, LAYOUT_ANTENNAS, grid_geometry, reference_geometry, same_bits
+from oracles import build_layout_cross
 
 
 def test_gain_isotropic_hemisphere_value():
@@ -105,3 +109,66 @@ def test_user_positions_are_stacked_per_user_rows():
         rx = anchor + spacing * yhat + spacing * np.arange(2)[:, None] * xhat
         assert np.array_equal(lay.user_tx_positions[k], tx)
         assert np.array_equal(lay.user_rx_positions[k], rx)
+
+
+def _tilted(L: int, K: int, antennas) -> GeometryConfig:
+    """Receiver and surface above the transmitter: their axes lie within
+    26 degrees of z, so the plane axes are built on x instead of z."""
+    cfg = grid_geometry("reference", L, K, antennas)
+    return dataclasses.replace(cfg, rx_anchor=np.array([0.0, 0.1, 6.0]),
+                               ios_anchor=np.array([0.05, 0.0, 6.5]))
+
+
+def _random_anchors(seed: int, L: int, K: int, antennas) -> GeometryConfig:
+    rng = np.random.default_rng(seed)
+    cfg = grid_geometry("reference", L, K, antennas)
+    return dataclasses.replace(cfg, tx_anchor=rng.uniform(-3, 3, 3),
+                               rx_anchor=rng.uniform(-3, 3, 3), ios_anchor=rng.uniform(-3, 3, 3),
+                               user_anchors=rng.uniform(-40, 40, (K, 3)))
+
+
+def test_layout_matches_the_cross_product_form_bit_for_bit():
+    """Every SpatialLayout field has the bits of the layout built with
+    np.cross, over the draw grid's geometries, a tilted one and random anchors."""
+    cases = [grid_geometry(kind, L, K, a) for kind, L in GEOMETRIES
+             for K in (1, 2, 3) for a in LAYOUT_ANTENNAS]
+    cases += [_tilted(L, K, a) for L in (1, 8, 64) for K in (1, 3) for a in LAYOUT_ANTENNAS]
+    cases += [_random_anchors(seed, 16, 2, LAYOUT_ANTENNAS[seed % 4]) for seed in range(40)]
+    for cfg in cases:
+        got, want = build_layout(cfg), build_layout_cross(cfg)
+        for field in dataclasses.fields(SpatialLayout):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert same_bits(np.asarray(a), np.asarray(b)), (cfg, field.name)
+
+
+def test_layout_errors_match_the_cross_product_form():
+    cases = []
+    for a, b in (("tx_anchor", "rx_anchor"), ("tx_anchor", "ios_anchor"),
+                 ("rx_anchor", "ios_anchor")):
+        cfg = reference_geometry()
+        setattr(cfg, b, getattr(cfg, a).copy())
+        cases.append((cfg, f"coincident anchors ({a[:-7]}/{b[:-7]})"))
+    cases += [(dataclasses.replace(reference_geometry(), n_user_rx=0), "counts must all be >= 1"),
+              (dataclasses.replace(reference_geometry(), wavelength=0.0), "wavelength")]
+    for cfg, expected in cases:
+        messages = []
+        for build in (build_layout, build_layout_cross):
+            with pytest.raises(GeometryError) as err:
+                build(cfg)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] and expected in messages[0]
+
+
+def test_pairwise_distances_broadcast_leading_axes_bit_for_bit():
+    """(..., m, 3) against (..., n, 3) gives the stack of the 2-D distance
+    matrices, with the bits of each."""
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(3, 4, 3)), rng.normal(size=(2, 1, 5, 3))
+    got = pairwise_distances(a, b)
+    assert got.shape == (2, 3, 4, 5)
+    for j in range(2):
+        for k in range(3):
+            want = np.linalg.norm(a[k][:, None, :] - b[j, 0][None, :, :], axis=-1)
+            assert got[j, k].tobytes() == want.tobytes()
+    with pytest.raises(GeometryError, match="zero distance"):
+        pairwise_distances(a, a[:, 2:])

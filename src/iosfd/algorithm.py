@@ -70,6 +70,11 @@ class SchemeSpec:
         return self.kind is not Scheme.WO_IOS
 
     @property
+    def uses_downlink(self) -> bool:
+        """False for SS_IOS, whose downlink starts at zero and stays there."""
+        return self.kind is not Scheme.SS_IOS
+
+    @property
     def quantizes_each_iter(self) -> bool:
         """Phases snapped after every outer iteration, off the ascent path."""
         return self.quantization_bits is not None
@@ -153,18 +158,19 @@ def apply_scheme(scheme: SchemeSpec, ch: ChannelSet, cfg: RunConfig
 
     DS_IOS starts from the balanced split and WO_IOS without a surface.
     SS_IOS is the dual-side solver started from zero downlink precoders, a
-    zero t side and a zero u-side reflection, and this is the only place
-    that tells it from DS_IOS: block ascent keeps each zero exactly zero
-    (Shi, Razaviyayn, Luo & He, IEEE TSP 2011).  With V_d = 0 the downlink
-    decoders are 0 and its weights I, so the downlink power is 0 at every
-    multiplier and V_d stays 0 at mu = 0; every factor and linear vector of
-    the t side and of the u-side reflection is then 0, so the surface solve
-    keeps those coefficients at 0.
+    zero t side and a zero u-side reflection (it has no `uses_downlink`),
+    and this is the only place that tells it from DS_IOS: block ascent
+    keeps each zero exactly zero (Shi, Razaviyayn, Luo & He, IEEE TSP
+    2011).  With V_d = 0 the downlink decoders are 0 and its weights I, so
+    the downlink power is 0 at every multiplier and V_d stays 0 at mu = 0;
+    every factor and linear vector of the t side and of the u-side
+    reflection is then 0, so the surface solve keeps those coefficients
+    at 0.
     """
     bf = initial_beamformers(ch, cfg.p_b, cfg.p_u)
     L = ch.h_ti.shape[0]
     ios = IosState.balanced(L) if scheme.uses_surface else IosState.zeros(L)
-    if scheme.kind is Scheme.SS_IOS:
+    if not scheme.uses_downlink:
         bf = BeamformerSet(np.zeros_like(bf.v_d), bf.v_u)
         ios.coef[0] = 0.0       # t side
         ios.coef[1, 0] = 0.0    # u-side reflection

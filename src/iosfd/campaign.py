@@ -1,13 +1,17 @@
 """Monte-Carlo campaign runner: config parsing, sweeps, seeds, CSV output.
 
-A campaign is a grid of (scheme, sweep value, seed) runs.  The seeds of one
-(scheme, sweep value) group share their config and layout, so a job builds
-the layout once and solves its seeds as one batched `run_group`; on a pool,
-groups are split into chunks of seeds until there are a few jobs per worker.
-Runs are pure functions of the resolved config, and a run's result does not
-depend on the seeds it is batched with, so the result set is deterministic
-and can be farmed out to a process pool; rows are sorted canonically before
-writing, which makes the output independent of worker count and chunking.
+A campaign is a grid of (scheme, sweep value, seed) runs.  A scheme whose
+problem does not change along the sweep axis (`reads_axis`: P_B without a
+downlink, the surface distance without a surface) has one group for all
+sweep values, and every other scheme one group per value.  The seeds of a
+group share their config and layout, so a job builds the layout once and
+solves its seeds as one batched `run_group`, writing each solved cell under
+every value of its group; on a pool, groups are split into chunks of seeds
+until there are a few jobs per worker.  Runs are pure functions of the
+resolved config, and a run's result does not depend on the seeds it is
+batched with, so the result set is deterministic and can be farmed out to a
+process pool; rows are sorted canonically before writing, which makes the
+output independent of worker count and chunking.
 """
 from __future__ import annotations
 
@@ -392,15 +396,27 @@ def _run_config(cfg: CampaignConfig, pw: PowersConfig, k_users: int) -> RunConfi
     )
 
 
-def run_cells(cfg: CampaignConfig, scheme: SchemeSpec, sweep_value, seeds: list[int]
-              ) -> list[tuple[ResultRow, list[float]]]:
-    """The cells of some seeds of one (scheme, sweep value) group, solved as one
-    batch on one layout; a pure function of its arguments.  Each row's
-    `wall_ms` is the batch's wall time over its cell count.  A
+def reads_axis(scheme: SchemeSpec, axis: str) -> bool:
+    """Whether the scheme's problem changes along the sweep axis.  P_B budgets
+    only a downlink and the transmitter-surface distance moves only links
+    through the surface; L and P_U are read by every scheme (WO_IOS draws its
+    links after the L-sized surface ones, so each L gives it new channels)."""
+    return {"P_B": scheme.uses_downlink, "tx_ios_distance": scheme.uses_surface}.get(axis, True)
+
+
+def run_cells(cfg: CampaignConfig, scheme: SchemeSpec, sweep_values: tuple, seeds: list[int]
+              ) -> list[tuple[tuple, ResultRow, list[float]]]:
+    """The cells of some seeds of one (scheme, problem) group, as (trace key,
+    row, trace); a pure function of its arguments.  The group's sweep values
+    give the scheme one problem (`reads_axis`), so its seeds are solved as
+    one batch at the first value, and each solved seed gives a row and a
+    trace under every value.  Every value's layout is built all the same,
+    so a value with an invalid geometry fails the group.  Each row's
+    `wall_ms` is the job's wall time over its row count.  A
     `ConvergenceError` or `NumericalError` is raised again naming the cell."""
     start = time.perf_counter()
-    sc, pw = _sweep_scenario(cfg, sweep_value)
-    geo = GeometryConfig(
+    scenarios = [_sweep_scenario(cfg, value) for value in sweep_values]
+    layouts = [build_layout(GeometryConfig(
         n_tx=sc.n_tx, n_rx=sc.n_rx, n_elements=sc.l_elements,
         n_user_tx=sc.n_user_tx, n_user_rx=sc.n_user_rx,
         tx_anchor=np.asarray(sc.tx_anchor, float),
@@ -408,8 +424,8 @@ def run_cells(cfg: CampaignConfig, scheme: SchemeSpec, sweep_value, seeds: list[
         ios_anchor=np.asarray(sc.ios_anchor, float),
         user_anchors=np.asarray(sc.user_anchors, float),
         wavelength=cfg.physics.wavelength_m,
-    )
-    layout = build_layout(geo)
+    )) for sc, _ in scenarios]
+    sc, pw = scenarios[0]
     fading = FadingParams.from_db(
         cfg.physics.rician_factor_db,
         pathloss_exponent=cfg.physics.pathloss_exponent,
@@ -417,20 +433,23 @@ def run_cells(cfg: CampaignConfig, scheme: SchemeSpec, sweep_value, seeds: list[
         gain_exponent_rx=cfg.physics.gain_exponent_rx,
         uu_free_space=cfg.physics.uu_free_space,
     )
-    chs = [sample_channels(layout, fading, seed, include_direct=scheme.kind is Scheme.WO_IOS)
+    chs = [sample_channels(layouts[0], fading, seed, include_direct=scheme.kind is Scheme.WO_IOS)
            for seed in seeds]
     try:
         results = run_group(chs, _run_config(cfg, pw, sc.k_users), scheme)
     except (ConvergenceError, NumericalError) as exc:
         index = getattr(exc, "run_index", None)
-        cell = [scheme.label] + ([] if sweep_value is None else [f"sweep value {sweep_value}"])
+        cell = [scheme.label]
+        if len(sweep_values) > 1:
+            cell.append(f"sweep values {list(sweep_values)}")
+        elif sweep_values[0] is not None:
+            cell.append(f"sweep value {sweep_values[0]}")
         cell.append(f"seed {seeds[index]}" if index is not None else f"seeds {seeds}")
         raise type(exc)(f"{', '.join(cell)}: {exc}") from exc
-    wall_ms = (time.perf_counter() - start) * 1e3 / len(seeds)
-    value = None if sweep_value is None else float(sweep_value)
-    return [(ResultRow(
+    wall_ms = (time.perf_counter() - start) * 1e3 / (len(seeds) * len(sweep_values))
+    return [((scheme.label, value, seed), ResultRow(
         scheme=scheme.label,
-        sweep_value=value,
+        sweep_value=None if value is None else float(value),
         seed=seed,
         weighted_sum_rate=result.report.weighted_sum,
         r_down=[float(r) for r in result.report.r_down],
@@ -438,13 +457,11 @@ def run_cells(cfg: CampaignConfig, scheme: SchemeSpec, sweep_value, seeds: list[
         iterations=result.trace.iterations,
         terminated_by=result.trace.terminated_by,
         wall_ms=wall_ms,
-    ), list(result.trace.rates)) for seed, result in zip(seeds, results)]
+    ), list(result.trace.rates)) for value in sweep_values for seed, result in zip(seeds, results)]
 
 
 def _worker(args) -> list[tuple[tuple, ResultRow, list[float]]]:
-    cfg, scheme, sweep_value, seeds = args
-    return [((scheme.label, sweep_value, seed), row, trace)
-            for seed, (row, trace) in zip(seeds, run_cells(cfg, scheme, sweep_value, seeds))]
+    return run_cells(*args)
 
 
 def _sweep_key(value: float | None) -> float:
@@ -460,20 +477,24 @@ def _chunks(seeds: list[int], parts: int) -> list[list[int]]:
 
 
 def campaign_jobs(cfg: CampaignConfig, threads: int = 1) -> list[tuple]:
-    """One job per (scheme, sweep value) group, in grid order.  On more than
-    one worker, while there are fewer jobs than min(JOBS_PER_WORKER *
-    threads, cells), the group with the largest chunks is cut into one more
-    near-equal chunk (the earliest on ties)."""
+    """One job (cfg, scheme, sweep values, seeds) per (scheme, problem) group,
+    in grid order: a scheme has one group per sweep value, or one for all
+    values when it does not read the axis.  On more than one worker, while
+    there are fewer jobs than min(JOBS_PER_WORKER * threads, groups x seeds),
+    the group with the largest chunks is cut into one more near-equal chunk
+    (the earliest on ties)."""
     values = cfg.sweep.values if cfg.sweep.axis != "none" else [None]
-    groups = [(scheme, value) for scheme in cfg.schemes for value in values]
+    groups = [(scheme, shared) for scheme in cfg.schemes
+              for shared in ([(v,) for v in values] if reads_axis(scheme, cfg.sweep.axis)
+                             else [tuple(values)])]
     seeds = list(cfg.seeds)
     parts = [1] * len(groups)
     wanted = JOBS_PER_WORKER * threads if threads > 1 else 1
     while sum(parts) < min(wanted, len(groups) * len(seeds)):
         widest = max(range(len(groups)), key=lambda g: (-(-len(seeds) // parts[g]), -g))
         parts[widest] += 1
-    return [(cfg, scheme, value, chunk)
-            for (scheme, value), n in zip(groups, parts) for chunk in _chunks(seeds, n)]
+    return [(cfg, scheme, shared, chunk)
+            for (scheme, shared), n in zip(groups, parts) for chunk in _chunks(seeds, n)]
 
 
 def run_campaign(cfg: CampaignConfig, threads: int = 1

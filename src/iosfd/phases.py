@@ -155,11 +155,17 @@ def _block_value(fq: np.ndarray, c: np.ndarray, v: np.ndarray) -> float:
     return _value(fq.conj().T @ v, v, c.conj())
 
 
+def _gprime_values(pq: PhaseQuadratic, states: list[IosState]) -> list[float]:
+    """`gprime_value` at each state, conjugating each factor once."""
+    fh = [[fq.conj().T for fq in side] for side in pq.factors]
+    return [sum(_value(h[0] @ v[0], v[0], c[0].conj()) + _value(h[1] @ v[1], v[1], c[1].conj())
+                for h, c, v in zip(fh, pq.lin, st.coef)) for st in states]
+
+
 def gprime_value(pq: PhaseQuadratic, ios: IosState) -> float:
     """Minimization objective; the matrix form is g = -g' plus the terms no
     coefficient can reach, which the solve does not need."""
-    return sum(_block_value(f[0], c[0], v[0]) + _block_value(f[1], c[1], v[1])
-               for f, c, v in zip(pq.factors, pq.lin, ios.coef))
+    return _gprime_values(pq, [ios])[0]
 
 
 def project_feasible(coef: np.ndarray) -> np.ndarray:
@@ -204,12 +210,11 @@ def _pair_sum(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, axis=0)
 
 
-def _line_max(g, dg, delta, nu, dnu) -> float:
+def _line_max(c, b, dg, nu, dnu) -> float:
     """argmax over t in [0, 1] of the smoothed dual along a step,
     -||nu + t dnu||^2 - 2 sum_l sqrt(||g_l + t dg_l||^2 + delta^2), by Newton's
-    method on its derivative, safeguarded by bisection."""
-    c = _pair_sum(np.abs(g) ** 2) + delta * delta
-    b = _pair_sum((g.conj() * dg).real)
+    method on its derivative, safeguarded by bisection; c_l = ||g_l||^2 +
+    delta^2 and b_l = Re{g_l^H dg_l}."""
     a = _pair_sum(np.abs(dg) ** 2)
     xb = sum(np.vdot(x, dx).real for x, dx in zip(nu, dnu))
     xa = sum(np.vdot(dx, dx).real for dx in dnu)
@@ -287,7 +292,8 @@ def _newton_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings)
     if not np.any(lin):
         return np.zeros_like(v), 0.0, 0, False      # v = 0 minimizes ||F^H v||^2
     f, e = zip(*map(_binary_scale, factors))
-    top = max((e[j] for j in range(2) if np.any(f[j])), default=0)
+    nonzero = [np.any(fj) for fj in f]
+    top = max((e[j] for j in range(2) if nonzero[j]), default=0)
     # The side runs normalized by 2^top (F) and 4^top (b), so a rescaled
     # problem (F 2^k, lin 4^k) takes the same steps to the same bits.
     b = np.ldexp(lin.conj().view(np.float64), -2 * top).view(complex)
@@ -295,7 +301,7 @@ def _newton_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings)
         return np.zeros_like(v), 0.0, 0, False
     # A block whose scale s_j underflows adds nothing, as its products would.
     live = [j for j in range(2)
-            if np.any(f[j]) and np.ldexp(1.0, 2 * (e[j] - top)) >= np.finfo(float).tiny]
+            if nonzero[j] and np.ldexp(1.0, 2 * (e[j] - top)) >= np.finfo(float).tiny]
     s = [float(np.ldexp(1.0, 2 * (e[j] - top))) for j in live]    # F_j = sqrt(s_j) F~_j
     d = [float(np.ldexp(1.0, e[j] - top)) for j in live]          # nu_j = d_j mu_j
     f = [f[j] for j in live]
@@ -333,13 +339,15 @@ def _newton_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings)
     best_v, p_best = v, np.inf
     _, mu = offer(v)
     g = image(mu) - b
-    d_best = dual_at(mu)
+    g2 = _pair_sum(np.abs(g) ** 2)
+    d_best = dual(mu, np.sqrt(g2))
     it = 0
     while True:
         if p_best - d_best <= settings.tolerance * abs(d_best):
             return ended(False)
         delta = _SMOOTHING * (p_best - d_best) / L
-        rho = np.sqrt(_pair_sum(np.abs(g) ** 2) + delta * delta)
+        c = g2 + delta * delta
+        rho = np.sqrt(c)
         inv = np.divide(1.0, rho, out=np.zeros_like(rho), where=rho > 0)
         _, p = offer(-g * inv)
         if p_best - d_best <= settings.tolerance * abs(d_best):
@@ -364,7 +372,8 @@ def _newton_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings)
         dg = image(step)
 
         base = dual(mu, rho)
-        t = _line_max(g, dg, delta, [d[k] * mu[k] for k in blocks], dnu)
+        gdg = _pair_sum((g.conj() * dg).real)
+        t = _line_max(c, gdg, dg, [d[k] * mu[k] for k in blocks], dnu)
         for _ in range(_HALVINGS):
             trial = [mu[k] + t * step[k] for k in blocks]
             if dual(trial, np.sqrt(_pair_sum(np.abs(g + t * dg) ** 2) + delta * delta)) \
@@ -376,7 +385,7 @@ def _newton_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings)
             return ended(p_best - d_best > roundoff * (abs(p_best) + abs(d_best)))
         # The primal point the linearized step predicts, v + t dv with
         # dv = -dg / rho + g Re{g^H dg} / rho^3, and its nu = F^H v.
-        w, q = offer(-(g + t * dg) * inv + g * (t * _pair_sum((g.conj() * dg).real) * inv ** 3))
+        w, q = offer(-(g + t * dg) * inv + g * (t * gdg * inv ** 3))
         # At an optimum F^H v = nu, and elements inside their disks carry no
         # multiplier: correct those of this point by least squares to meet
         # the new nu, where the division by rho ~ delta has lost them.
@@ -388,7 +397,8 @@ def _newton_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings)
             offer(w)
         mu = trial
         g = image(mu) - b
-        d_best = max(d_best, dual(mu, np.sqrt(_pair_sum(np.abs(g) ** 2))), dual_at(q))
+        g2 = _pair_sum(np.abs(g) ** 2)
+        d_best = max(d_best, dual(mu, np.sqrt(g2)), dual_at(q))
 
 
 @dataclass
@@ -419,7 +429,7 @@ def solve_qcqp(pq: PhaseQuadratic, init: IosState, settings: PgdSettings
         counts.cap_exits += capped
 
     out.validate()
-    before = gprime_value(pq, init)
-    if gprime_value(pq, out) > before + 1e-12 * max(1.0, abs(before)):
+    before, after = _gprime_values(pq, [init, out])
+    if after > before + 1e-12 * max(1.0, abs(before)):
         raise NumericalError("surface solve failed to descend")
     return out, counts

@@ -5,6 +5,10 @@ stacked arrays.  These tests pin that down at three levels: the numpy
 operations the batched step relies on, the vectorized multiplier search,
 and whole runs and campaigns.
 """
+import dataclasses
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,9 +17,9 @@ import iosfd.campaign
 from iosfd import (FadingParams, NumericalError, RunConfig, Scheme, SchemeSpec,
                    bisect_multiplier, build_layout, run_algorithm2, run_group,
                    sample_channels)
-from iosfd.campaign import (JOBS_PER_WORKER, campaign_jobs, config_from_dict,
-                            run_campaign)
-from iosfd.errors import ConvergenceError
+from iosfd.campaign import (JOBS_PER_WORKER, campaign_jobs, config_from_dict, reads_axis,
+                            run_campaign, run_cells, write_campaign)
+from iosfd.errors import ConvergenceError, GeometryError
 from iosfd.linalg import adj
 from iosfd.system import weighted_sum
 
@@ -125,6 +129,21 @@ def test_group_equals_single_runs(scheme):
     assert len({res.trace.iterations for res in group}) > 2
 
 
+class InProcess:
+    """Stand-in for the process pool that maps the jobs in this process."""
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
 def test_campaign_output_ignores_chunking_and_workers(monkeypatch):
     """Every chunking of the groups, in this process and on two workers,
     writes the same rows (apart from wall_ms) and traces."""
@@ -134,19 +153,6 @@ def test_campaign_output_ignores_chunking_and_workers(monkeypatch):
     want = (strip_wall(iosfd.campaign.rows_to_csv(rows)), traces)
     assert len(campaign_jobs(cfg, 1)) == 4
     assert len(run_campaign(cfg, threads=2)[0]) == 20
-
-    class InProcess:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
     got = [run_campaign(cfg, threads=2)]
     monkeypatch.setattr(iosfd.campaign, "ProcessPoolExecutor", InProcess)
     for threads in (2, 3, 4, 5, 64):
@@ -196,4 +202,115 @@ def test_failure_not_reproduced_alone_names_the_job_seeds(monkeypatch):
     monkeypatch.setattr(iosfd.algorithm, "update_beamformers", failing)
     cfg = config_from_dict(tiny_config(seeds=[10, 11, 12]))
     with pytest.raises(NumericalError, match=r"^DS_IOS, seeds \[10, 11, 12\]: stub failure$"):
+        run_campaign(cfg, threads=1)
+
+
+QUANTIZED_SS = SchemeSpec(Scheme.SS_IOS, quantization_bits=4)
+AXIS_VALUES = {"L": [2, 4], "P_B": [0.0, 10.0], "P_U": [0.0, 10.0],
+               "tx_ios_distance": [0.5, 2.0]}
+
+
+def _cells_at(cfg, scheme, value):
+    """Rows (without sweep value and wall_ms) and traces of one value's group."""
+    cells = run_cells(cfg, scheme, (value,), cfg.seeds)
+    return [(dataclasses.replace(row, sweep_value=None, wall_ms=0.0), trace)
+            for _, row, trace in cells]
+
+
+def test_unread_axes_give_the_same_cells():
+    """The sharing rule's tripwire: every (scheme, axis) pair `reads_axis`
+    calls unread gives the same rows and traces at two sweep values solved
+    as separate groups, and the pairs it calls unread are exactly SS_IOS
+    (quantized or not) under P_B and WO_IOS under the surface distance.
+    WO_IOS under L and SS_IOS under P_U still differ: WO_IOS draws new
+    channels at each L, so L may join the rule only on purpose."""
+    unread = set()
+    for scheme in SCHEMES + (QUANTIZED_SS,):
+        for axis, values in AXIS_VALUES.items():
+            if reads_axis(scheme, axis):
+                continue
+            unread.add((scheme.label, axis))
+            cfg = config_from_dict(tiny_config(seeds=[1, 2],
+                                               sweep={"axis": axis, "values": values}))
+            assert _cells_at(cfg, scheme, values[0]) == _cells_at(cfg, scheme, values[1])
+    assert unread == {("SS_IOS", "P_B"), ("SS_IOS_q4", "P_B"), ("WO_IOS", "tx_ios_distance")}
+    for label, axis in (("WO_IOS", "L"), ("SS_IOS", "P_U")):
+        scheme = SchemeSpec(label)
+        cfg = config_from_dict(tiny_config(seeds=[1, 2],
+                                           sweep={"axis": axis, "values": AXIS_VALUES[axis]}))
+        first, second = (_cells_at(cfg, scheme, v) for v in AXIS_VALUES[axis])
+        assert all(a[0].weighted_sum_rate != b[0].weighted_sum_rate
+                   for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("axis, shared", (("P_B", "SS_IOS"), ("tx_ios_distance", "WO_IOS")))
+def test_shared_groups_write_the_per_value_output(tmp_path, monkeypatch, axis, shared):
+    """Over a sweep that one scheme does not read, the campaign solves that
+    scheme once per seed and writes the results.csv (apart from wall_ms),
+    traces and config echo that solving every (scheme, value) group on its
+    own writes, in this process and on two workers.  Each job's rows sum to
+    its wall time, read from a clock that ticks one second per reading."""
+    cfg = config_from_dict(tiny_config(schemes=["DS_IOS", "SS_IOS", "WO_IOS"], seeds=[3, 4, 5],
+                                       sweep={"axis": axis, "values": AXIS_VALUES[axis]}))
+    monkeypatch.setattr(iosfd.campaign, "ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr(iosfd.campaign, "time", SimpleNamespace(
+        perf_counter=itertools.count().__next__))
+    solved, jobs = [], []
+    group, worker = iosfd.campaign.run_group, iosfd.campaign._worker
+    monkeypatch.setattr(iosfd.campaign, "run_group", lambda chs, rc, scheme: (
+        solved.extend([scheme.label] * len(chs)) or group(chs, rc, scheme)))
+    monkeypatch.setattr(iosfd.campaign, "_worker", lambda job: (
+        jobs.append((job, worker(job))) or jobs[-1][1]))
+
+    def output(out, threads):
+        base = write_campaign(cfg, tmp_path / out, threads=threads)
+        traces = {p.name: p.read_text() for p in (base / "traces").iterdir()}
+        return (strip_wall((base / "results.csv").read_text()), traces,
+                (base / "config.echo.json").read_text())
+
+    with monkeypatch.context() as alone:
+        alone.setattr(iosfd.campaign, "reads_axis", lambda scheme, axis: True)
+        want = output("alone", 1)
+    assert solved.count(shared) == 2 * len(cfg.seeds)
+    for threads in (1, 2):
+        del solved[:], jobs[:]
+        assert output(f"threads{threads}", threads) == want
+        assert solved.count(shared) == len(cfg.seeds)
+        assert solved.count("DS_IOS") == 2 * len(cfg.seeds)
+        for (_, _, values, seeds), cells in jobs:
+            assert len(cells) == len(values) * len(seeds)
+            assert sum(row.wall_ms for _, row, _ in cells) == pytest.approx(1e3)
+    assert len(want[1]) == 3 * 2 * len(cfg.seeds)
+
+
+@pytest.mark.parametrize("error", (NumericalError, ConvergenceError))
+def test_failing_seed_of_a_shared_group_is_named(monkeypatch, error):
+    """A surface solve that fails for one seed of a group shared by two
+    P_B values names the scheme, both values and that seed."""
+    solve = iosfd.algorithm.solve_qcqp
+    calls, bad = [], []
+
+    def failing(pq, init, settings):
+        calls.append(pq.lin.tobytes())
+        if len(calls) == 3:
+            bad.append(calls[-1])              # the third seed's first surface solve
+        if calls[-1] in bad:
+            raise error("stub failure")
+        return solve(pq, init, settings)
+    monkeypatch.setattr(iosfd.algorithm, "solve_qcqp", failing)
+    cfg = config_from_dict(tiny_config(schemes=["SS_IOS"], seeds=[10, 11, 12, 13],
+                                       sweep={"axis": "P_B", "values": [0.0, 5.0]}))
+    with pytest.raises(error, match=r"^SS_IOS, sweep values \[0\.0, 5\.0\], seed 12: "
+                                    r"stub failure$"):
+        run_campaign(cfg, threads=1)
+
+
+def test_shared_group_checks_every_layout():
+    """A surface distance whose layout is invalid fails a scheme that does
+    not read the distance too, as it does when each value is solved alone."""
+    cfg = config_from_dict(tiny_config(
+        schemes=["WO_IOS"], sweep={"axis": "tx_ios_distance", "values": [1.0, 2.0]},
+        scenario={**tiny_config()["scenario"], "ios_anchor": [1.0, 0.0, 5.0],
+                  "rx_anchor": [2.0, 0.0, 5.0]}))
+    with pytest.raises(GeometryError, match=r"rx/ios"):
         run_campaign(cfg, threads=1)

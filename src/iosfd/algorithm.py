@@ -14,20 +14,19 @@ by relative change of the weighted sum rate.
 scheme together.  Each run keeps its own SQUAREM state (cycle phase, guard
 surrogate, stop test, iteration cap and trace) and names the next point it
 wants mapped; each round, one `outer_step` maps the points of every run
-still going, stacked on a leading seed axis.  The draws are stacked once and
-sliced again only when a run ends, and records move between a stack and its
-runs through `_stack` and `_row` alone.  Only the surface block (build,
-vectorize, `solve_qcqp`) and SQUAREM's own arithmetic run seed by seed.
-Every batched operation gives each seed the bits it gives that seed alone,
-so a run's result does not depend on its group; `run_algorithm2` is the
-group of one.  A point carries the `LinkSet` of its rate evaluation, which
-the next step's decoder refresh and first guard read instead of evaluating
-the links again.
+still going, stacked on a leading seed axis, and records move between a
+stack and its runs through `_stack` and `_row` alone.  A point is its
+precoders and surface (V_d, V_u, coef); each map composes the points'
+channels on the running seeds' draws and evaluates their links afresh.
+Only the surface block (build, vectorize, `solve_qcqp`) and SQUAREM's own
+arithmetic run seed by seed.  Every batched operation gives each seed the
+bits it gives that seed alone, so a run's result does not depend on its
+group; `run_algorithm2` is the group of one.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -179,43 +178,37 @@ def apply_scheme(scheme: SchemeSpec, ch: ChannelSet, cfg: RunConfig
 
 def _stack(records: list):
     """One record whose array fields stack the records' fields on a new
-    leading axis (None stays None, tuples stack entrywise)."""
+    leading axis (None stays None)."""
     def stacked(values):
-        if values[0] is None:
-            return None
-        if isinstance(values[0], tuple):
-            return tuple(map(stacked, zip(*values)))
-        return np.stack(values)
+        return None if values[0] is None else np.stack(values)
     return type(records[0])(**{name: stacked([vars(r)[name] for r in records])
                                for name in vars(records[0])})
 
 
 def _row(record, i):
     """Entry i of a record's leading axes, in every array field (nested
-    records and tuples entrywise, None stays None)."""
+    records entrywise, None stays None)."""
     def entry(value):
         if isinstance(value, np.ndarray):
             return value[i]
-        if isinstance(value, tuple):
-            return tuple(map(entry, value))
         return None if value is None else _row(value, i)
     return type(record)(**{name: entry(value) for name, value in vars(record).items()})
 
 
 def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, bf: BeamformerSet,
-               ios: IosState, eff: EffectiveChannels, prev_s4=None,
-               links: LinkSet | None = None):
+               ios: IosState, eff: EffectiveChannels, prev_s4=None):
     """One outer iteration: decoders/weights, then precoders, then the surface.
 
-    The records may carry leading axes (a group's seeds); the surface block
-    runs once per leading index.  The surrogate after each block must not
+    `eff` is composed from `ch` and `ios`.  The records may carry leading
+    axes (a group's seeds); the surface block runs once per leading index.
+    Each block's links are evaluated here: at the entry point, after the
+    precoders and after the surface.  The surrogate after each block must not
     fall below the one before it (any quantization comes after the step); the
     decoder/weight step is held to `prev_s4`, the last surrogate of the
-    previous iteration, when given (NaN where a point has none).  `links` is
-    the `LinkSet` at (eff, bf) when the caller holds it.  Returns the new
-    (bf, ios, eff), the surface solver's `PgdCounts` (zero without a surface
-    solve), the dual multipliers, the surrogates (s2, s3, s4) after the three
-    blocks and the `LinkSet` at the new point.
+    previous iteration, when given (NaN where a point has none).  Returns the
+    new (bf, ios, eff), the surface solver's `PgdCounts` (zero without a
+    surface solve), the dual multipliers, the surrogates (s2, s3, s4) after
+    the three blocks and the `LinkSet` at the new point.
     """
     lead = bf.v_u.shape[:-3]
 
@@ -233,8 +226,7 @@ def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, bf: Beamforme
     def links_at(e, b):
         return LinkSet.at(e, b, cfg.noise_users, cfg.noise_rx)
 
-    if links is None:
-        links = links_at(eff, bf)
+    links = links_at(eff, bf)
     st = update_state(eff, bf, cfg.noise_users, cfg.noise_rx, links=links)
     s2 = surr(eff, bf, st, links)
     if prev_s4 is not None:
@@ -278,12 +270,9 @@ def _settled(new: float, old: float, eps_w: float) -> bool:
 
 @dataclass
 class _Iterate:
-    """One point of the outer loop with everything a run returns from it.
-    `eff` and `links` are None for a point that is yet to be composed."""
+    """One point of the outer loop with everything a run returns from it."""
     bf: BeamformerSet
     ios: IosState
-    eff: EffectiveChannels | None = None
-    links: LinkSet | None = None        # at (eff, bf), whitened
     report: RateReport | None = None
     duals: DualState | None = None
     s4: float | None = None             # guard surrogate of the step taken from it
@@ -291,12 +280,6 @@ class _Iterate:
     @property
     def rate(self) -> float:
         return self.report.weighted_sum
-
-
-def _gather(points: list[_Iterate]) -> tuple:
-    """(bf, ios, eff, links) of the points on one leading axis."""
-    return tuple(_stack([getattr(x, name) for x in points])
-                 for name in ("bf", "ios", "eff", "links"))
 
 
 class _Run:
@@ -403,43 +386,22 @@ def _project_budgets(bf: BeamformerSet, p_b: float, p_u: float) -> BeamformerSet
     return BeamformerSet(v_d, v_u)
 
 
-def _complete(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec,
-              points: list[_Iterate]) -> None:
-    """Compose, and evaluate the links of, the points that lack them;
-    `ch` stacks the points' draws."""
-    todo = [k for k, x in enumerate(points) if x.eff is None]
-    if todo:
-        eff = _compose(_row(ch, np.array(todo)), _stack([points[k].ios for k in todo]), scheme)
-        for j, k in enumerate(todo):
-            points[k].eff = _row(eff, j)
-    todo = [k for k, x in enumerate(points) if x.links is None]
-    if todo:
-        links = LinkSet.at(_stack([points[k].eff for k in todo]),
-                           _stack([points[k].bf for k in todo]), cfg.noise_users, cfg.noise_rx)
-        links.whitened()
-        for j, k in enumerate(todo):
-            points[k].links = _row(links, j)
-
-
 def _map(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec,
          points: list[_Iterate]) -> list[tuple]:
     """One `outer_step` over the points, `ch` stacking their draws, each
     held to its `s4`, any phase quantization after it, and the rate of each
     image; per point (image, PgdCounts, surrogates).  A quantized image
     carries no `s4`: the snapped point is not where s4 was measured."""
-    _complete(ch, cfg, scheme, points)
     prev = None if all(x.s4 is None for x in points) else \
         np.array([np.nan if x.s4 is None else x.s4 for x in points])
-    bf, ios, eff, links = _gather(points)
-    bf, ios, eff, counts, duals, surrogates, links = outer_step(ch, cfg, scheme, bf, ios, eff,
-                                                                prev, links)
+    bf, ios = _stack([x.bf for x in points]), _stack([x.ios for x in points])
+    bf, ios, eff, counts, duals, surrogates, links = outer_step(
+        ch, cfg, scheme, bf, ios, _compose(ch, ios, scheme), prev)
     s4 = surrogates[2]
     if scheme.quantizes_each_iter:
         ios = quantize_phases(ios, scheme.quantization_bits)
-        eff = _compose(ch, ios, scheme)
-        links = LinkSet.at(eff, bf, cfg.noise_users, cfg.noise_rx)
-        s4 = None
-    image = _Iterate(bf, ios, eff, links, _rate(eff, bf, cfg, links), duals, s4)
+        eff, links, s4 = _compose(ch, ios, scheme), None, None
+    image = _Iterate(bf, ios, _rate(eff, bf, cfg, links), duals, s4)
     return [(_row(image, k), _row(counts, k), tuple(s[k] for s in surrogates))
             for k in range(len(points))]
 
@@ -462,11 +424,9 @@ def run_group(chs: list[ChannelSet], cfg: RunConfig, scheme: SchemeSpec) -> list
     if no draw fails when mapped alone).
     """
     stacked = _stack(chs)
-    starts = [_Iterate(*apply_scheme(scheme, c, cfg)) for c in chs]
-    _complete(stacked, cfg, scheme, starts)
-    bf, _, eff, links = _gather(starts)
-    report = _rate(eff, bf, cfg, links)
-    runs = [_Run(cfg, scheme, replace(x, report=_row(report, k))) for k, x in enumerate(starts)]
+    bf, ios, eff = map(_stack, zip(*(apply_scheme(scheme, c, cfg) for c in chs)))
+    start = _Iterate(bf, ios, _rate(eff, bf, cfg))
+    runs = [_Run(cfg, scheme, _row(start, k)) for k in range(len(chs))]
     pending, points, ends = {i: run.cycles() for i, run in enumerate(runs)}, {}, {}
 
     def advance(i, sent=None) -> None:
@@ -482,14 +442,11 @@ def run_group(chs: list[ChannelSet], cfg: RunConfig, scheme: SchemeSpec) -> list
     for i in list(pending):
         points[i] = None
         advance(i)
-    ch, running = stacked, tuple(range(len(chs)))
     while pending:
-        seeds = tuple(sorted(pending))
-        if seeds != running:
-            ch, running = _row(stacked, np.array(seeds)), seeds
+        seeds = sorted(pending)
         wanted = [points[i] for i in seeds]
         try:
-            images = _map(ch, cfg, scheme, wanted)
+            images = _map(_row(stacked, np.array(seeds)), cfg, scheme, wanted)
         except (ConvergenceError, NumericalError) as exc:
             exc.run_index = seeds[0] if len(seeds) == 1 else next(
                 (i for i, x in zip(seeds, wanted) if _fails_alone(chs[i], cfg, scheme, x)), None)

@@ -274,6 +274,8 @@ def validate_config(cfg: CampaignConfig) -> None:
         raise ConfigError(f"sweep.axis: must be one of {SWEEP_AXES}")
     if cfg.sweep.axis != "none" and not cfg.sweep.values:
         raise ConfigError("sweep.values: must be nonempty for a sweep")
+    if cfg.sweep.axis == "none" and cfg.sweep.values:
+        raise ConfigError("sweep.values: must be empty without a sweep axis")
     for i, value in enumerate(cfg.sweep.values):
         if not _is_finite_number(value):
             raise ConfigError(f"sweep.values[{i}]: expected a finite number, got {value!r}")
@@ -433,7 +435,7 @@ def run_cells(cfg: CampaignConfig, scheme: SchemeSpec, sweep_values: tuple, seed
         gain_exponent_rx=cfg.physics.gain_exponent_rx,
         uu_free_space=cfg.physics.uu_free_space,
     )
-    chs = [sample_channels(layouts[0], fading, seed, include_direct=scheme.kind is Scheme.WO_IOS)
+    chs = [sample_channels(layouts[0], fading, seed, include_direct=not scheme.uses_surface)
            for seed in seeds]
     try:
         results = run_group(chs, _run_config(cfg, pw, sc.k_users), scheme)
@@ -477,12 +479,13 @@ def _chunks(seeds: list[int], parts: int) -> list[list[int]]:
 
 
 def campaign_jobs(cfg: CampaignConfig, threads: int = 1) -> list[tuple]:
-    """One job (cfg, scheme, sweep values, seeds) per (scheme, problem) group,
-    in grid order: a scheme has one group per sweep value, or one for all
-    values when it does not read the axis.  On more than one worker, while
-    there are fewer jobs than min(JOBS_PER_WORKER * threads, groups x seeds),
-    the group with the largest chunks is cut into one more near-equal chunk
-    (the earliest on ties)."""
+    """One job (cfg, scheme, sweep values, seeds) per (scheme, problem) group:
+    a scheme has one group per sweep value, or one for all values when it
+    does not read the axis.  On more than one worker, while there are fewer
+    jobs than min(JOBS_PER_WORKER * threads, groups x seeds), the group with
+    the largest chunks is cut into one more near-equal chunk (the earliest on
+    ties).  Jobs come widest chunk first, in grid order on ties, so a pool
+    starts the longest jobs first."""
     values = cfg.sweep.values if cfg.sweep.axis != "none" else [None]
     groups = [(scheme, shared) for scheme in cfg.schemes
               for shared in ([(v,) for v in values] if reads_axis(scheme, cfg.sweep.axis)
@@ -493,8 +496,9 @@ def campaign_jobs(cfg: CampaignConfig, threads: int = 1) -> list[tuple]:
     while sum(parts) < min(wanted, len(groups) * len(seeds)):
         widest = max(range(len(groups)), key=lambda g: (-(-len(seeds) // parts[g]), -g))
         parts[widest] += 1
-    return [(cfg, scheme, shared, chunk)
+    jobs = [(cfg, scheme, shared, chunk)
             for (scheme, shared), n in zip(groups, parts) for chunk in _chunks(seeds, n)]
+    return sorted(jobs, key=lambda job: -len(job[3]))
 
 
 def run_campaign(cfg: CampaignConfig, threads: int = 1
@@ -574,7 +578,8 @@ def read_results_csv(text: str) -> list[ResultRow]:
 
 
 def write_campaign(cfg: CampaignConfig, out_dir: str | Path, threads: int = 1) -> Path:
-    """Run the campaign and lay results out under out_dir/<name>/."""
+    """Run the campaign and lay results out under out_dir/<name>/.  Once it
+    has succeeded, trace files of cells this run does not have are deleted."""
     rows, traces = run_campaign(cfg, threads)
     base = Path(out_dir) / cfg.name
     trace_dir = base / "traces"
@@ -582,10 +587,15 @@ def write_campaign(cfg: CampaignConfig, out_dir: str | Path, threads: int = 1) -
     (base / "results.csv").write_text(rows_to_csv(rows))
     (base / "config.echo.json").write_text(
         json.dumps(dataclasses.asdict(cfg), indent=2, default=str) + "\n")
+    written = set()
     for (label, sweep_value, seed), trace in traces.items():
         sv = "none" if sweep_value is None else repr(float(sweep_value))
-        (trace_dir / f"{label}_{sv}_{seed}.csv").write_text(_csv_text(
+        path = trace_dir / f"{label}_{sv}_{seed}.csv"
+        path.write_text(_csv_text(
             ["iteration", "weighted_sum_rate"], ([i, float(r)] for i, r in enumerate(trace))))
+        written.add(path)
+    for stale in set(trace_dir.glob("*.csv")) - written:
+        stale.unlink()
     return base
 
 

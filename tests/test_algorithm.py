@@ -401,10 +401,10 @@ def _record_trials(monkeypatch):
     step = iosfd.algorithm.outer_step
     starts = []
 
-    def recording(ch, cfg, scheme, bf, ios, eff, prev_s4=None, links=None):
+    def recording(ch, cfg, scheme, bf, ios, eff, prev_s4=None):
         starts.append((None if prev_s4 is None else float(prev_s4[0]),
                        BeamformerSet(bf.v_d[0], bf.v_u[0]), IosState(ios.coef[0])))
-        return step(ch, cfg, scheme, bf, ios, eff, prev_s4, links)
+        return step(ch, cfg, scheme, bf, ios, eff, prev_s4)
     monkeypatch.setattr(iosfd.algorithm, "outer_step", recording)
     return starts
 
@@ -539,11 +539,11 @@ def test_convergence_error_in_extrapolated_step_propagates(monkeypatch):
     step = iosfd.algorithm.outer_step
     calls = []
 
-    def failing(ch, cfg, scheme, bf, ios, eff, prev_s4=None, links=None):
+    def failing(ch, cfg, scheme, bf, ios, eff, prev_s4=None):
         calls.append(prev_s4)
         if prev_s4 is None and len(calls) > 1:
             raise ConvergenceError("surrogate decreased during surface update: trial")
-        return step(ch, cfg, scheme, bf, ios, eff, prev_s4, links)
+        return step(ch, cfg, scheme, bf, ios, eff, prev_s4)
     monkeypatch.setattr(iosfd.algorithm, "outer_step", failing)
     ch, cfg = _physical_run(0, SchemeSpec(Scheme.DS_IOS))
     with pytest.raises(ConvergenceError, match="trial"):

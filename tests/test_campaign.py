@@ -10,7 +10,7 @@ from iosfd.campaign import (MAX_ANTENNAS, MAX_ELEMENTS, AggregateRow, ResultRow,
                             emit_figure_data, read_results_csv, rows_to_csv, run_campaign,
                             write_campaign)
 from iosfd.cli import main
-from iosfd.errors import ConfigError
+from iosfd.errors import ConfigError, ConvergenceError
 
 
 def tiny_config(**extra):
@@ -136,6 +136,33 @@ def test_trace_files_written(tmp_path):
     echoed = json.loads((base / "config.echo.json").read_text())
     assert echoed["scenario"]["l_elements"] == 2
 
+
+
+def test_rewrite_keeps_only_this_runs_traces(tmp_path, monkeypatch):
+    """A campaign written over an earlier one's directory deletes the trace
+    files of cells it does not have; one that fails deletes nothing."""
+    write_campaign(config_from_dict(tiny_config(seeds=[0, 1, 2])), tmp_path)
+    base = write_campaign(config_from_dict(tiny_config(seeds=[0])), tmp_path)
+    assert [f.name for f in (base / "traces").iterdir()] == ["DS_IOS_none_0.csv"]
+    assert len(read_results_csv((base / "results.csv").read_text())) == 1
+    write_campaign(config_from_dict(tiny_config(seeds=[0, 1, 2])), tmp_path)
+
+    def failing(*args):
+        raise ConvergenceError("stub failure")
+    monkeypatch.setattr(iosfd.campaign, "run_group", failing)
+    with pytest.raises(ConvergenceError, match="stub failure"):
+        write_campaign(config_from_dict(tiny_config(seeds=[0])), tmp_path)
+    assert sorted(f.name for f in (base / "traces").iterdir()) == [
+        f"DS_IOS_none_{seed}.csv" for seed in (0, 1, 2)]
+
+
+def test_sweep_values_need_an_axis():
+    """Sweep values without a sweep axis would be ignored: they are rejected."""
+    with pytest.raises(ConfigError, match=r"^sweep.values: must be empty without a sweep axis$"):
+        config_from_dict(tiny_config(sweep={"values": [0.0, 10.0]}))
+    with pytest.raises(ConfigError, match="sweep.values"):
+        config_from_dict(tiny_config(sweep={"axis": "none", "values": [0.0]}))
+    assert config_from_dict(tiny_config(sweep={"axis": "none", "values": []})).sweep.values == []
 
 def test_scheme_options_get_their_own_rows_and_traces(tmp_path):
     """Every option is in the label, so each scheme of the list keeps its own

@@ -314,3 +314,16 @@ def test_shared_group_checks_every_layout():
                   "rx_anchor": [2.0, 0.0, 5.0]}))
     with pytest.raises(GeometryError, match=r"rx/ios"):
         run_campaign(cfg, threads=1)
+
+
+def test_widest_jobs_start_first():
+    """On two workers, a campaign shaped like the WO_IOS / SS_IOS P_B sweep
+    over 20 seeds hands the pool its jobs widest chunk first, so the shared
+    SS_IOS group is among the first two jobs started."""
+    cfg = config_from_dict(tiny_config(schemes=["WO_IOS", "SS_IOS"], seeds=list(range(20)),
+                                       sweep={"axis": "P_B", "values": [0.0, 5.0, 10.0, 15.0]}))
+    jobs = campaign_jobs(cfg, 2)
+    widths = [len(seeds) for _, _, _, seeds in jobs]
+    assert widths == sorted(widths, reverse=True)
+    assert [(scheme.label, values) for _, scheme, values, _ in jobs[:2]].count(
+        ("SS_IOS", (0.0, 5.0, 10.0, 15.0))) == 1

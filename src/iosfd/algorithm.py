@@ -11,17 +11,18 @@ an extrapolated iterate only if it does not lower the rate.  Termination is
 by relative change of the weighted sum rate.
 
 `run_group` solves the runs of several channel draws under one config and
-scheme together.  Each run keeps its own SQUAREM state (cycle phase, guard
-surrogate, stop test, iteration cap and trace) and names the next point it
-wants mapped; each round, one `outer_step` maps the points of every run
-still going, stacked on a leading seed axis, and records move between a
+scheme together.  Each run keeps its own SQUAREM state (cycle phase, stop
+test, iteration cap and trace) and names the next point it wants mapped;
+each round, one `outer_step` maps the points of every run still going,
+stacked on a leading seed axis, to rated points; records move between a
 stack and its runs through `_stack` and `_row` alone.  A point is its
-precoders and surface (V_d, V_u, coef); each map composes the points'
-channels on the running seeds' draws and evaluates their links afresh.
-Only the surface block (build, vectorize, `solve_qcqp`) and SQUAREM's own
-arithmetic run seed by seed.  Every batched operation gives each seed the
-bits it gives that seed alone, so a run's result does not depend on its
-group; `run_algorithm2` is the group of one.
+precoders and surface (V_d, V_u, coef) with the guard surrogate s4 of the
+step that produced it (NaN where it has none); each step composes its
+points' channels on the running seeds' draws and evaluates their links
+afresh.  Only the surface block (build, vectorize, `solve_qcqp`) and
+SQUAREM's own arithmetic run seed by seed.  Every batched operation gives
+each seed the bits it gives that seed alone, so a run's result does not
+depend on its group; `run_algorithm2` is the group of one.
 """
 from __future__ import annotations
 
@@ -195,21 +196,37 @@ def _row(record, i):
     return type(record)(**{name: entry(value) for name, value in vars(record).items()})
 
 
-def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, bf: BeamformerSet,
-               ios: IosState, eff: EffectiveChannels, prev_s4=None):
-    """One outer iteration: decoders/weights, then precoders, then the surface.
+@dataclass
+class _Iterate:
+    """One point of the outer loop with everything a run returns from it."""
+    bf: BeamformerSet
+    ios: IosState
+    report: RateReport | None = None
+    duals: DualState | None = None
+    s4: float = np.nan                  # guard surrogate of the step taken from it; NaN: none
 
-    `eff` is composed from `ch` and `ios`.  The records may carry leading
-    axes (a group's seeds); the surface block runs once per leading index.
-    Each block's links are evaluated here: at the entry point, after the
-    precoders and after the surface.  The surrogate after each block must not
-    fall below the one before it (any quantization comes after the step); the
-    decoder/weight step is held to `prev_s4`, the last surrogate of the
-    previous iteration, when given (NaN where a point has none).  Returns the
-    new (bf, ios, eff), the surface solver's `PgdCounts` (zero without a
-    surface solve), the dual multipliers, the surrogates (s2, s3, s4) after
-    the three blocks and the `LinkSet` at the new point.
+    @property
+    def rate(self) -> float:
+        return self.report.weighted_sum
+
+
+def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, x: _Iterate):
+    """One outer iteration from the point x: decoders/weights, then precoders,
+    then the surface, then any phase quantization; the image is rated.
+
+    x's records may carry leading axes (a group's seeds, `ch` stacking their
+    draws); the surface block runs once per leading index.  The step composes
+    x's channels on `ch` and evaluates each block's links: at the entry point,
+    after the precoders and after the surface.  The surrogate after each block
+    must not fall below the one before it, and the decoder/weight step is held
+    to x.s4 (NaN: no guard).  A quantizing scheme snaps the phases after the
+    step, off the ascent path, and rates the image on its recomposed channels;
+    its s4 is NaN, as the snapped point is not where s4 was measured.  Returns
+    the image (precoders, surface, rate report, dual multipliers and s4), the
+    surface solver's `PgdCounts` (zero without a surface solve) and the
+    surrogates (s2, s3, s4) after the three blocks.
     """
+    bf, ios = x.bf, x.ios
     lead = bf.v_u.shape[:-3]
 
     def surr(e, b, s, at):
@@ -226,11 +243,11 @@ def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, bf: Beamforme
     def links_at(e, b):
         return LinkSet.at(e, b, cfg.noise_users, cfg.noise_rx)
 
+    eff = _compose(ch, ios, scheme)
     links = links_at(eff, bf)
     st = update_state(eff, bf, cfg.noise_users, cfg.noise_rx, links=links)
     s2 = surr(eff, bf, st, links)
-    if prev_s4 is not None:
-        check("decoder/weight update", s2, prev_s4)
+    check("decoder/weight update", s2, x.s4)
 
     bf, duals = update_beamformers(eff, st, cfg.gamma_down, cfg.gamma_up,
                                    cfg.p_b, cfg.p_u, cfg.eps_b)
@@ -239,6 +256,7 @@ def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, bf: Beamforme
     check("precoder update", s3, s2)
 
     iters, caps = np.zeros(lead, dtype=int), np.zeros(lead, dtype=int)
+    s4 = guard = s3
     if scheme.uses_surface:
         coef = np.empty_like(ios.coef)
         for i in np.ndindex(lead):
@@ -249,17 +267,14 @@ def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, bf: Beamforme
         ios = IosState(coef)
         eff = _compose(ch, ios, scheme)
         links = links_at(eff, bf)
-        s4 = surr(eff, bf, st, links)
+        s4 = guard = surr(eff, bf, st, links)
         check("surface update", s4, s3)
-    else:
-        s4 = s3
-    return bf, ios, eff, PgdCounts(iters[()], caps[()]), duals, (s2, s3, s4), links
-
-
-def _rate(eff: EffectiveChannels, bf: BeamformerSet, cfg: RunConfig,
-          links: LinkSet | None = None) -> RateReport:
-    return weighted_sum_rate(eff, bf, cfg.gamma_down, cfg.gamma_up,
-                             cfg.noise_users, cfg.noise_rx, links=links)
+    if scheme.quantizes_each_iter:
+        ios = quantize_phases(ios, scheme.quantization_bits)
+        eff, links, guard = _compose(ch, ios, scheme), None, np.full(lead, np.nan)[()]
+    report = weighted_sum_rate(eff, bf, cfg.gamma_down, cfg.gamma_up, cfg.noise_users,
+                               cfg.noise_rx, links=links)
+    return _Iterate(bf, ios, report, duals, guard), PgdCounts(iters[()], caps[()]), (s2, s3, s4)
 
 
 def _settled(new: float, old: float, eps_w: float) -> bool:
@@ -268,23 +283,9 @@ def _settled(new: float, old: float, eps_w: float) -> bool:
     return diff == 0.0 or diff / max(abs(new), 1e-300) <= eps_w
 
 
-@dataclass
-class _Iterate:
-    """One point of the outer loop with everything a run returns from it."""
-    bf: BeamformerSet
-    ios: IosState
-    report: RateReport | None = None
-    duals: DualState | None = None
-    s4: float | None = None             # guard surrogate of the step taken from it
-
-    @property
-    def rate(self) -> float:
-        return self.report.weighted_sum
-
-
 class _Run:
     """One run's SQUAREM cycles.  `cycles` is a generator: it yields each
-    point to map and receives the image, with the solver counts and
+    point to map and receives the rated image, with the solver counts and
     surrogates of its step, from `run_group`."""
 
     def __init__(self, cfg: RunConfig, scheme: SchemeSpec, start: _Iterate):
@@ -309,7 +310,7 @@ class _Run:
     def plain(self, x: _Iterate):
         """A plain step from x, then the stop test (True when it holds).
         Monotone schemes are held to ascent; quantized ones step off the
-        ascent path, and their images carry no guard surrogate."""
+        ascent path."""
         monotone = not self.scheme.quantizes_each_iter
         y = yield from self.take(x)
         self.trace.rates.append(y.rate)
@@ -388,20 +389,11 @@ def _project_budgets(bf: BeamformerSet, p_b: float, p_u: float) -> BeamformerSet
 
 def _map(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec,
          points: list[_Iterate]) -> list[tuple]:
-    """One `outer_step` over the points, `ch` stacking their draws, each
-    held to its `s4`, any phase quantization after it, and the rate of each
-    image; per point (image, PgdCounts, surrogates).  A quantized image
-    carries no `s4`: the snapped point is not where s4 was measured."""
-    prev = None if all(x.s4 is None for x in points) else \
-        np.array([np.nan if x.s4 is None else x.s4 for x in points])
-    bf, ios = _stack([x.bf for x in points]), _stack([x.ios for x in points])
-    bf, ios, eff, counts, duals, surrogates, links = outer_step(
-        ch, cfg, scheme, bf, ios, _compose(ch, ios, scheme), prev)
-    s4 = surrogates[2]
-    if scheme.quantizes_each_iter:
-        ios = quantize_phases(ios, scheme.quantization_bits)
-        eff, links, s4 = _compose(ch, ios, scheme), None, None
-    image = _Iterate(bf, ios, _rate(eff, bf, cfg, links), duals, s4)
+    """One `outer_step` over the stacked points, `ch` stacking their draws;
+    per point (image, PgdCounts, surrogates)."""
+    x = _Iterate(_stack([p.bf for p in points]), _stack([p.ios for p in points]),
+                 s4=np.array([p.s4 for p in points]))
+    image, counts, surrogates = outer_step(ch, cfg, scheme, x)
     return [(_row(image, k), _row(counts, k), tuple(s[k] for s in surrogates))
             for k in range(len(points))]
 
@@ -425,7 +417,9 @@ def run_group(chs: list[ChannelSet], cfg: RunConfig, scheme: SchemeSpec) -> list
     """
     stacked = _stack(chs)
     bf, ios, eff = map(_stack, zip(*(apply_scheme(scheme, c, cfg) for c in chs)))
-    start = _Iterate(bf, ios, _rate(eff, bf, cfg))
+    start = _Iterate(bf, ios, weighted_sum_rate(eff, bf, cfg.gamma_down, cfg.gamma_up,
+                                                cfg.noise_users, cfg.noise_rx),
+                     s4=np.full(len(chs), np.nan))
     runs = [_Run(cfg, scheme, _row(start, k)) for k in range(len(chs))]
     pending, points, ends = {i: run.cycles() for i, run in enumerate(runs)}, {}, {}
 

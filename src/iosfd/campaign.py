@@ -32,7 +32,7 @@ from .algorithm import RunConfig, Scheme, SchemeSpec, run_group
 # bound here for perfbench's tracer, which wraps it by name in this module
 from .algorithm import run_algorithm2  # noqa: F401
 from .channels import FadingParams, sample_channels
-from .errors import ConfigError, ConvergenceError, NumericalError
+from .errors import ConfigError, ConvergenceError, GeometryError, NumericalError
 from .geometry import GeometryConfig, build_layout
 from .phases import PgdSettings
 
@@ -204,6 +204,9 @@ def config_from_dict(data: dict) -> CampaignConfig:
         if key == "name":
             if not isinstance(value, str) or not value:
                 raise ConfigError("name: expected a nonempty string")
+            if value in (".", "..") or any(c in value for c in "/\\\0"):
+                raise ConfigError(f"name: must be one path component inside --out, "
+                                  f"got {value!r}")
             cfg.name = value
         elif key in ("scenario", "physics", "powers", "weights", "solver", "sweep"):
             _fill_dataclass(getattr(cfg, key), value, key)
@@ -311,6 +314,30 @@ def validate_config(cfg: CampaignConfig) -> None:
                           f"got {cfg.solver.divergence_rel_tol!r}")
     if not (0.0 < cfg.weights.downlink < 1.0 and 0.0 < cfg.weights.uplink < 1.0):
         raise ConfigError("weights: rate weights must lie strictly inside (0, 1)")
+    if not cfg.physics.wavelength_m > 0:
+        raise ConfigError(f"physics.wavelength_m: must be > 0, got {cfg.physics.wavelength_m!r}")
+    _check_layouts(cfg)
+
+
+def _check_layouts(cfg: CampaignConfig) -> None:
+    """Build every layout the campaign's jobs will build, so that no job ends
+    the campaign on its geometry: each sweep value's on an `L` or
+    `tx_ios_distance` sweep, else the scenario's."""
+    sc = cfg.scenario
+    for scheme in cfg.schemes:
+        if scheme.uses_surface and sc.n_user_tx != sc.n_user_rx:
+            raise ConfigError(f"scenario: {scheme.label} needs n_user_tx == n_user_rx "
+                              f"(reciprocal surface link), got {sc.n_user_tx} != "
+                              f"{sc.n_user_rx}")
+    if cfg.sweep.axis in ("L", "tx_ios_distance"):
+        points = [(f"sweep.values[{i}]", v) for i, v in enumerate(cfg.sweep.values)]
+    else:
+        points = [("scenario", None)]
+    for path, value in points:
+        try:
+            _layout(cfg, _sweep_scenario(cfg, value)[0])
+        except GeometryError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_config(path: str | Path, overrides: list[tuple[str, str]] = ()) -> CampaignConfig:
@@ -379,6 +406,18 @@ def _sweep_scenario(cfg: CampaignConfig, value) -> tuple[ScenarioConfig, PowersC
     return sc, pw
 
 
+def _layout(cfg: CampaignConfig, sc: ScenarioConfig):
+    return build_layout(GeometryConfig(
+        n_tx=sc.n_tx, n_rx=sc.n_rx, n_elements=sc.l_elements,
+        n_user_tx=sc.n_user_tx, n_user_rx=sc.n_user_rx,
+        tx_anchor=np.asarray(sc.tx_anchor, float),
+        rx_anchor=np.asarray(sc.rx_anchor, float),
+        ios_anchor=np.asarray(sc.ios_anchor, float),
+        user_anchors=np.asarray(sc.user_anchors, float),
+        wavelength=cfg.physics.wavelength_m,
+    ))
+
+
 def _run_config(cfg: CampaignConfig, pw: PowersConfig, k_users: int) -> RunConfig:
     gamma_down = np.full(k_users, cfg.weights.downlink)
     gamma_up = np.full(k_users, cfg.weights.uplink)
@@ -412,22 +451,13 @@ def run_cells(cfg: CampaignConfig, scheme: SchemeSpec, sweep_values: tuple, seed
     row, trace); a pure function of its arguments.  The group's sweep values
     give the scheme one problem (`reads_axis`), so its seeds are solved as
     one batch at the first value, and each solved seed gives a row and a
-    trace under every value.  Every value's layout is built all the same,
-    so a value with an invalid geometry fails the group.  Each row's
-    `wall_ms` is the job's wall time over its row count.  A
-    `ConvergenceError` or `NumericalError` is raised again naming the cell."""
+    trace under every value; only the first value's layout is built
+    (`validate_config` has built every value's).  Each row's `wall_ms` is
+    the job's wall time over its row count.  A `ConvergenceError` or
+    `NumericalError` is raised again naming the cell."""
     start = time.perf_counter()
-    scenarios = [_sweep_scenario(cfg, value) for value in sweep_values]
-    layouts = [build_layout(GeometryConfig(
-        n_tx=sc.n_tx, n_rx=sc.n_rx, n_elements=sc.l_elements,
-        n_user_tx=sc.n_user_tx, n_user_rx=sc.n_user_rx,
-        tx_anchor=np.asarray(sc.tx_anchor, float),
-        rx_anchor=np.asarray(sc.rx_anchor, float),
-        ios_anchor=np.asarray(sc.ios_anchor, float),
-        user_anchors=np.asarray(sc.user_anchors, float),
-        wavelength=cfg.physics.wavelength_m,
-    )) for sc, _ in scenarios]
-    sc, pw = scenarios[0]
+    sc, pw = _sweep_scenario(cfg, sweep_values[0])
+    layout = _layout(cfg, sc)
     fading = FadingParams.from_db(
         cfg.physics.rician_factor_db,
         pathloss_exponent=cfg.physics.pathloss_exponent,
@@ -435,7 +465,7 @@ def run_cells(cfg: CampaignConfig, scheme: SchemeSpec, sweep_values: tuple, seed
         gain_exponent_rx=cfg.physics.gain_exponent_rx,
         uu_free_space=cfg.physics.uu_free_space,
     )
-    chs = [sample_channels(layouts[0], fading, seed, include_direct=not scheme.uses_surface)
+    chs = [sample_channels(layout, fading, seed, include_direct=not scheme.uses_surface)
            for seed in seeds]
     try:
         results = run_group(chs, _run_config(cfg, pw, sc.k_users), scheme)
@@ -578,24 +608,32 @@ def read_results_csv(text: str) -> list[ResultRow]:
 
 
 def write_campaign(cfg: CampaignConfig, out_dir: str | Path, threads: int = 1) -> Path:
-    """Run the campaign and lay results out under out_dir/<name>/.  Once it
+    """Run the campaign and lay results out under out_dir/<name>/.  The
+    directories are made before any job runs; an `OSError` making them or
+    writing a file is a `ConfigError` naming the path.  Once the campaign
     has succeeded, trace files of cells this run does not have are deleted."""
-    rows, traces = run_campaign(cfg, threads)
     base = Path(out_dir) / cfg.name
     trace_dir = base / "traces"
-    trace_dir.mkdir(parents=True, exist_ok=True)
-    (base / "results.csv").write_text(rows_to_csv(rows))
-    (base / "config.echo.json").write_text(
-        json.dumps(dataclasses.asdict(cfg), indent=2, default=str) + "\n")
-    written = set()
-    for (label, sweep_value, seed), trace in traces.items():
-        sv = "none" if sweep_value is None else repr(float(sweep_value))
-        path = trace_dir / f"{label}_{sv}_{seed}.csv"
-        path.write_text(_csv_text(
-            ["iteration", "weighted_sum_rate"], ([i, float(r)] for i, r in enumerate(trace))))
-        written.add(path)
-    for stale in set(trace_dir.glob("*.csv")) - written:
-        stale.unlink()
+    try:
+        trace_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {trace_dir}: {exc.strerror}") from None
+    rows, traces = run_campaign(cfg, threads)
+    try:
+        (base / "results.csv").write_text(rows_to_csv(rows))
+        (base / "config.echo.json").write_text(
+            json.dumps(dataclasses.asdict(cfg), indent=2, default=str) + "\n")
+        written = set()
+        for (label, sweep_value, seed), trace in traces.items():
+            sv = "none" if sweep_value is None else repr(float(sweep_value))
+            path = trace_dir / f"{label}_{sv}_{seed}.csv"
+            path.write_text(_csv_text(["iteration", "weighted_sum_rate"],
+                                      ([i, float(r)] for i, r in enumerate(trace))))
+            written.add(path)
+        for stale in set(trace_dir.glob("*.csv")) - written:
+            stale.unlink()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename}: {exc.strerror}") from None
     return base
 
 

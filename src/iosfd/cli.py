@@ -65,7 +65,10 @@ def _aggregate(args, extras: list[str]) -> int:
         raise ConfigError(f"{args.infile}: {exc}") from None
     csv_text = aggregates_to_csv(aggs)
     if args.out:
-        Path(args.out).write_text(csv_text)
+        try:
+            Path(args.out).write_text(csv_text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(csv_text)
     return 0

@@ -18,18 +18,6 @@ logger = logging.getLogger(__name__)
 _RIDGE_SCALE = 1e-12
 
 
-def cn_sample(rng: np.random.Generator, shape) -> np.ndarray:
-    """Unit-variance circularly-symmetric complex Gaussian draw.
-
-    The real part is drawn first, then the imaginary part, each filled
-    row-major; this fixes the stream order so a given seed always yields
-    the same matrices.
-    """
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
-
-
 def adj(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return m.conj().swapaxes(-1, -2)

@@ -151,21 +151,13 @@ def _value(p: np.ndarray, v: np.ndarray, c_conj: np.ndarray) -> float:
     return float(np.vdot(p, p).real - 2.0 * np.vdot(v, c_conj).real)
 
 
-def _block_value(fq: np.ndarray, c: np.ndarray, v: np.ndarray) -> float:
-    return _value(fq.conj().T @ v, v, c.conj())
-
-
-def _gprime_values(pq: PhaseQuadratic, states: list[IosState]) -> list[float]:
-    """`gprime_value` at each state, conjugating each factor once."""
-    fh = [[fq.conj().T for fq in side] for side in pq.factors]
-    return [sum(_value(h[0] @ v[0], v[0], c[0].conj()) + _value(h[1] @ v[1], v[1], c[1].conj())
-                for h, c, v in zip(fh, pq.lin, st.coef)) for st in states]
-
-
 def gprime_value(pq: PhaseQuadratic, ios: IosState) -> float:
-    """Minimization objective; the matrix form is g = -g' plus the terms no
-    coefficient can reach, which the solve does not need."""
-    return _gprime_values(pq, [ios])[0]
+    """Minimization objective, summed block by block, theta then phi, per
+    side; the matrix form is g = -g' plus the terms no coefficient can reach,
+    which the solve does not need."""
+    return sum(_value(f[0].conj().T @ v[0], v[0], c[0].conj())
+               + _value(f[1].conj().T @ v[1], v[1], c[1].conj())
+               for f, c, v in zip(pq.factors, pq.lin, ios.coef))
 
 
 def project_feasible(coef: np.ndarray) -> np.ndarray:
@@ -429,7 +421,7 @@ def solve_qcqp(pq: PhaseQuadratic, init: IosState, settings: PgdSettings
         counts.cap_exits += capped
 
     out.validate()
-    before, after = _gprime_values(pq, [init, out])
+    before, after = gprime_value(pq, init), gprime_value(pq, out)
     if after > before + 1e-12 * max(1.0, abs(before)):
         raise NumericalError("surface solve failed to descend")
     return out, counts

@@ -173,12 +173,6 @@ def whitened_bits(g: np.ndarray, w: np.ndarray):
     return np.asarray(np.sum(np.log1p(q), axis=-1) / LN2)[()]
 
 
-def rate_bits(hv: np.ndarray, den: np.ndarray):
-    """log2|I + H V V^H H^H B^{-1}| = log2|W| per link, from H V and B."""
-    _, g, w = whiten_links(hv, den)
-    return whitened_bits(g, w)
-
-
 def _gram(m: np.ndarray) -> np.ndarray:
     return m @ adj(m)
 

@@ -6,9 +6,10 @@ import pytest
 from iosfd import (BeamformerSet, ChannelSet, FadingParams, GeometryConfig,
                    IosState, RunConfig, build_layout, compose_effective,
                    sample_channels, update_state)
-from iosfd.linalg import cn_sample
 from iosfd.phases import PhaseQuadratic
 from iosfd.system import stream_counts
+
+from oracles import cn_sample
 
 
 def reference_geometry(L=8, K=2, n_tx=2, n_rx=2, n_user=2):

@@ -39,7 +39,8 @@ others.
 `np.linalg.norm`, and `sample_channels_loop` draws the links one matrix at a
 time, each from its own `cn_sample` call in the fixed stream order; they are
 the forms `geometry.build_layout` and `channels.sample_channels` replaced,
-and must give the same bits.
+and must give the same bits.  `cn_sample`, the unit complex Gaussian draw
+whose order that fixes, also draws the tests' random matrices.
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ from iosfd.channels import ChannelSet
 from iosfd.errors import ConvergenceError, GeometryError, NumericalError
 from iosfd.geometry import (SpatialLayout, antenna_gain, elevations_from_axis,
                             elevations_from_normal)
-from iosfd.linalg import cn_sample, hermitize, logdet_pd, solve_pd
+from iosfd.linalg import hermitize, logdet_pd, solve_pd
 from iosfd.phases import PgdSettings, _value
 from iosfd.system import LN2, BeamformerSet, EffectiveChannels, IosState
 from iosfd.wmmse import WmmseState
@@ -422,38 +423,27 @@ def quantize_phases_per_vector(ios: IosState, bits: int):
 def run_plain(ch, cfg, scheme):
     """Plain alternating loop: `outer_step` until the relative change of the
     weighted sum rate is within eps_w; monotone schemes are held to ascent.
-    Blocks are looked up in `iosfd.algorithm`, as the package does."""
+    Each step returns its rated image (quantized, for schemes that quantize
+    every iteration).  Blocks are looked up in `iosfd.algorithm`, as the
+    package does."""
     alg = iosfd.algorithm
     bf, ios, eff = alg.apply_scheme(scheme, ch, cfg)
+    x = alg._Iterate(bf, ios, alg.weighted_sum_rate(eff, bf, cfg.gamma_down, cfg.gamma_up,
+                                                    cfg.noise_users, cfg.noise_rx))
     monotone = not scheme.quantizes_each_iter
-
-    def rate(eff, bf):
-        return alg.weighted_sum_rate(eff, bf, cfg.gamma_down, cfg.gamma_up,
-                                     cfg.noise_users, cfg.noise_rx)
-
-    report = rate(eff, bf)
-    rates = [report.weighted_sum]
+    rates = [x.rate]
     step_log = []
-    duals = None
     terminated_by = "max_iters"
     iterations = pgd_iters = pgd_cap_exits = 0
 
-    prev_s4 = None
     for it in range(cfg.max_outer_iters):
-        bf, ios, eff, pgd, duals, surrogates, _ = alg.outer_step(ch, cfg, scheme, bf, ios,
-                                                                 eff, prev_s4)
+        y, pgd, surrogates = alg.outer_step(ch, cfg, scheme, x)
         pgd_iters += pgd.iters
         pgd_cap_exits += pgd.cap_exits
         step_log.append(surrogates)
-        prev_s4 = surrogates[2]
 
-        if scheme.quantizes_each_iter:
-            ios = alg.quantize_phases(ios, scheme.quantization_bits)
-            eff = alg._compose(ch, ios, scheme)
-            prev_s4 = None  # quantization may step off the ascent path
-
-        report = rate(eff, bf)
-        new, old = report.weighted_sum, rates[-1]
+        new, old = y.rate, x.rate
+        x = y
         rates.append(new)
         iterations = it + 1
         if monotone and (old - new) > cfg.divergence_rel_tol * max(abs(new), 1e-12):
@@ -466,7 +456,7 @@ def run_plain(ch, cfg, scheme):
 
     trace = alg.ConvergenceTrace(rates, iterations, terminated_by, step_log,
                                  pgd_cap_exits, pgd_iters)
-    return alg.RunResult(bf, ios, trace, report, duals)
+    return alg.RunResult(x.bf, x.ios, trace, x.report, x.duals)
 
 
 def bisect_multiplier_scalar(power_of, budget: float, eps_b: float = 1e-4) -> float:
@@ -584,6 +574,18 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if np.any(d == 0.0):
         raise GeometryError("zero distance between points of different arrays")
     return d
+
+
+def cn_sample(rng: np.random.Generator, shape) -> np.ndarray:
+    """Unit-variance circularly-symmetric complex Gaussian draw.
+
+    The real part is drawn first, then the imaginary part, each filled
+    row-major; this fixes the stream order so a given seed always yields
+    the same matrices.
+    """
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return (re + 1j * im) / np.sqrt(2.0)
 
 
 def _rician(amplitude: np.ndarray, distances: np.ndarray, wavelength: float,

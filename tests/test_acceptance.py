@@ -14,13 +14,13 @@ from iosfd import (FadingParams, GeometryConfig, IosState, PgdSettings, RunConfi
                    sample_channels, solve_qcqp, update_beamformers, vectorize,
                    weighted_sum_rate)
 from iosfd.campaign import config_from_dict, run_campaign, rows_to_csv, write_campaign
-from iosfd.linalg import cn_sample
 from iosfd.phases import gprime_value
 from iosfd.system import LN2
 from iosfd.wmmse import surrogate_objective
 
 from conftest import fd_gradient, integrated_run_geometry, random_instance, t_side_quadratic
 from dense_forms import hadamard_quadratic
+from oracles import cn_sample
 from test_beamformers import _lagrangian_down
 from test_phases import _grid_minimum, _single_block_pq
 

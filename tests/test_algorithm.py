@@ -9,7 +9,7 @@ import pytest
 import iosfd.algorithm
 from iosfd import (BeamformerSet, FadingParams, GeometryConfig, IosState, PgdSettings,
                    RunConfig, Scheme, SchemeSpec, build_layout, quantize_phases,
-                   run_algorithm2, sample_channels)
+                   run_algorithm2, run_group, sample_channels)
 from iosfd.errors import ConvergenceError
 
 from conftest import reference_geometry, random_ios
@@ -351,14 +351,14 @@ def test_outer_step_is_one_iteration_of_the_loop():
         scheme = SchemeSpec(kind)
         ch = channels_for(integrated_geometry(L=8), 1, direct=kind is Scheme.WO_IOS)
         res = run_plain(ch, cfg, scheme)
-        bf, ios, eff = iosfd.algorithm.apply_scheme(scheme, ch, cfg)
-        prev_s4, surrogates = None, []
+        bf, ios, _ = iosfd.algorithm.apply_scheme(scheme, ch, cfg)
+        x, surrogates = iosfd.algorithm._Iterate(bf, ios), []
         for _ in range(res.trace.iterations):
-            bf, ios, eff, _, duals, s, _ = iosfd.algorithm.outer_step(ch, cfg, scheme, bf,
-                                                                      ios, eff, prev_s4)
+            x, _, s = iosfd.algorithm.outer_step(ch, cfg, scheme, x)
+            assert x.s4 == s[2]
             surrogates.append(s)
-            prev_s4 = s[2]
         assert surrogates == res.trace.step_surrogates
+        bf, ios, duals = x.bf, x.ios, x.duals
         for x, y in ((bf.v_d, res.beamformers.v_d), (bf.v_u, res.beamformers.v_u),
                      (ios.theta_t, res.ios.theta_t), (ios.phi_t, res.ios.phi_t),
                      (ios.theta_u, res.ios.theta_u), (ios.phi_u, res.ios.phi_u),
@@ -379,6 +379,32 @@ def test_quantized_each_iteration_runs_the_plain_loop():
             assert res.trace.extrapolations_accepted == res.trace.extrapolations_rejected == 0
 
 
+def test_each_round_rates_and_composes_once(monkeypatch):
+    """A group's start points are composed once per seed and rated together;
+    each round then rates its images once and composes the entry point, the
+    surface image (with a surface) and the snapped image (when quantizing)."""
+    calls = {}
+
+    def counted(name):
+        block = getattr(iosfd.algorithm, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return block(*args, **kwargs)
+        monkeypatch.setattr(iosfd.algorithm, name, wrapper)
+    for name in ("weighted_sum_rate", "compose_effective", "compose_direct"):
+        counted(name)
+    for scheme in (SchemeSpec(Scheme.DS_IOS), SchemeSpec(Scheme.SS_IOS),
+                   SchemeSpec(Scheme.WO_IOS), SchemeSpec(Scheme.DS_IOS, quantization_bits=4)):
+        chs = [channels_for(reference_geometry(L=8), seed, direct=not scheme.uses_surface)
+               for seed in range(3)]
+        calls.clear()
+        rounds = max(res.trace.iterations for res in run_group(chs, desk_config(), scheme))
+        composes = calls.get("compose_effective", 0) + calls.get("compose_direct", 0)
+        assert calls["weighted_sum_rate"] == rounds + 1
+        assert composes == 3 + rounds * (1 + scheme.uses_surface + scheme.quantizes_each_iter)
+
+
 def _acceptance_config(K=3, max_outer=500):
     """10 dBm / 5 dBm budgets at -80 dBm noise, in mW."""
     return RunConfig(gamma_down=np.full(K, 0.5), gamma_up=np.full(K, 0.5),
@@ -395,16 +421,16 @@ def _physical_run(seed, scheme, L=16):
 
 
 def _record_trials(monkeypatch):
-    """Record (prev_s4, bf, ios) at the start of every map evaluation; after
-    the first, only extrapolated trials start without a guard surrogate.  A
-    single run is mapped as a group of one, so each record is that run's row."""
+    """Record (s4, bf, ios) at the start of every map evaluation; after the
+    first, only extrapolated trials start without a guard surrogate (s4 NaN).
+    A single run is mapped as a group of one, so each record is that run's row."""
     step = iosfd.algorithm.outer_step
     starts = []
 
-    def recording(ch, cfg, scheme, bf, ios, eff, prev_s4=None):
-        starts.append((None if prev_s4 is None else float(prev_s4[0]),
-                       BeamformerSet(bf.v_d[0], bf.v_u[0]), IosState(ios.coef[0])))
-        return step(ch, cfg, scheme, bf, ios, eff, prev_s4)
+    def recording(ch, cfg, scheme, x):
+        starts.append((float(x.s4[0]), BeamformerSet(x.bf.v_d[0], x.bf.v_u[0]),
+                       IosState(x.ios.coef[0])))
+        return step(ch, cfg, scheme, x)
     monkeypatch.setattr(iosfd.algorithm, "outer_step", recording)
     return starts
 
@@ -430,7 +456,7 @@ def test_extrapolated_trace_accounting(monkeypatch):
         assert np.count_nonzero(np.diff(rates) == 0.0) >= t.extrapolations_rejected
         rejected += t.extrapolations_rejected
         assert t.terminated_by == "tolerance" and t.iterations < cfg.max_outer_iters
-        assert starts[-1][0] is not None    # the last map evaluation was a plain step
+        assert not np.isnan(starts[-1][0])  # the last map evaluation was a plain step
         assert rates[-1] == res.report.weighted_sum
     assert rejected > 0
 
@@ -454,7 +480,7 @@ def test_extrapolated_points_are_projected(monkeypatch):
         ch, cfg = _physical_run(seed, scheme)
         starts = _record_trials(monkeypatch)
         res = run_algorithm2(ch, cfg, scheme)
-        trials = [(bf, ios) for prev_s4, bf, ios in starts[1:] if prev_s4 is None]
+        trials = [(bf, ios) for s4, bf, ios in starts[1:] if np.isnan(s4)]
         assert len(trials) == (res.trace.extrapolations_accepted
                                + res.trace.extrapolations_rejected) > 0
         for bf, ios in trials + [(res.beamformers, res.ios)]:
@@ -523,12 +549,12 @@ def test_iteration_cap_counts_every_map_evaluation(monkeypatch):
             assert len(images) == t.iterations <= cap and len(t.rates) == t.iterations + 1
             assert (t.terminated_by == "max_iters") == (t.iterations == cap < full.iterations)
             # the one image whose precoders were returned (a run is a group of one)
-            bf, ios, _, _, duals, _, _ = next(
-                im for im in images if np.array_equal(im[0].v_d[0], res.beamformers.v_d)
-                and np.array_equal(im[0].v_u[0], res.beamformers.v_u))
-            assert np.array_equal(ios.coef[0], res.ios.coef)
-            assert duals.mu_d[0] == res.duals.mu_d
-            assert np.array_equal(duals.lambda_u[0], res.duals.lambda_u)
+            image = next(
+                im for im, _, _ in images if np.array_equal(im.bf.v_d[0], res.beamformers.v_d)
+                and np.array_equal(im.bf.v_u[0], res.beamformers.v_u))
+            assert np.array_equal(image.ios.coef[0], res.ios.coef)
+            assert image.duals.mu_d[0] == res.duals.mu_d
+            assert np.array_equal(image.duals.lambda_u[0], res.duals.lambda_u)
         assert t.rates == full.rates
 
 
@@ -539,14 +565,14 @@ def test_convergence_error_in_extrapolated_step_propagates(monkeypatch):
     step = iosfd.algorithm.outer_step
     calls = []
 
-    def failing(ch, cfg, scheme, bf, ios, eff, prev_s4=None):
-        calls.append(prev_s4)
-        if prev_s4 is None and len(calls) > 1:
+    def failing(ch, cfg, scheme, x):
+        calls.append(float(x.s4[0]))
+        if np.isnan(calls[-1]) and len(calls) > 1:
             raise ConvergenceError("surrogate decreased during surface update: trial")
-        return step(ch, cfg, scheme, bf, ios, eff, prev_s4)
+        return step(ch, cfg, scheme, x)
     monkeypatch.setattr(iosfd.algorithm, "outer_step", failing)
     ch, cfg = _physical_run(0, SchemeSpec(Scheme.DS_IOS))
     with pytest.raises(ConvergenceError, match="trial"):
         run_algorithm2(ch, cfg, SchemeSpec(Scheme.DS_IOS))
-    assert len(calls) >= 3 and calls[-1] is None
-    assert all(prev is not None for prev in calls[1:-1])
+    assert len(calls) >= 3 and np.isnan(calls[-1])
+    assert not any(np.isnan(calls[1:-1]))

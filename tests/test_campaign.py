@@ -164,6 +164,101 @@ def test_sweep_values_need_an_axis():
         config_from_dict(tiny_config(sweep={"axis": "none", "values": [0.0]}))
     assert config_from_dict(tiny_config(sweep={"axis": "none", "values": []})).sweep.values == []
 
+def _never_solve(monkeypatch):
+    """Any job fails the test: what is checked here comes before solving."""
+    def solving(*args):
+        pytest.fail("a job ran")
+    monkeypatch.setattr(iosfd.campaign, "run_group", solving)
+
+
+def _files(root):
+    return sorted(p.relative_to(root) for p in root.rglob("*"))
+
+
+def test_campaign_name_is_one_path_component(tmp_path, monkeypatch, capsys):
+    """A name that would put the output outside --out, or on --out itself, is
+    a config error naming `name`; `simulate` exits 2 and writes nothing."""
+    names = ("../x", "/abs", "a/b", "a\\b", ".", "..")
+    for name in names:
+        with pytest.raises(ConfigError, match=r"^name: must be one path component"):
+            config_from_dict(tiny_config(name=name))
+    assert config_from_dict(tiny_config(name="..x.y")).name == "..x.y"
+    _never_solve(monkeypatch)
+    out = tmp_path / "runs" / "out"
+    out.mkdir(parents=True)
+    cfg_path = tmp_path / "cfg.json"
+    for name in names:
+        cfg_path.write_text(json.dumps(tiny_config(name=name)))
+        before = _files(tmp_path)
+        assert main(["simulate", "--config", str(cfg_path), "--threads", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: name:")
+        assert _files(tmp_path) == before
+
+
+def test_unwritable_out_fails_before_solving(tmp_path, monkeypatch, capsys):
+    """An --out that cannot hold the campaign's directories is a config error
+    naming the path, raised before any job runs; so are an `aggregate --out`
+    in a missing directory and an output file that cannot be written."""
+    _never_solve(monkeypatch)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    with pytest.raises(ConfigError, match="cannot create .*file"):
+        write_campaign(config_from_dict(tiny_config()), blocker)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config()))
+    assert main(["simulate", "--config", str(cfg_path), "--threads", "1",
+                 "--out", str(blocker)]) == 2
+    assert str(blocker) in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory"
+
+    results = tmp_path / "results.csv"
+    results.write_text(rows_to_csv(GOLDEN_ROWS))
+    target = tmp_path / "missing" / "agg.csv"
+    assert main(["aggregate", "--in", str(results), "--out", str(target)]) == 2
+    assert str(target) in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+    monkeypatch.setattr(iosfd.campaign, "run_campaign",
+                        lambda cfg, threads=1: (GOLDEN_ROWS, {}))
+    (tmp_path / "out" / "unit" / "results.csv").mkdir(parents=True)
+    with pytest.raises(ConfigError, match=r"cannot write .*results\.csv"):
+        write_campaign(config_from_dict(tiny_config()), tmp_path / "out")
+
+
+def test_geometry_errors_come_before_any_job(tmp_path, monkeypatch, capsys):
+    """A sweep value or scenario whose layout is invalid, and unequal user
+    arrays under a surface scheme, are config errors naming the field when
+    the config is loaded, also when a job that would not fail comes first;
+    `simulate` exits 2 and writes nothing."""
+    scenario = tiny_config()["scenario"]
+    cases = [
+        (tiny_config(schemes=["WO_IOS", "DS_IOS"],
+                     sweep={"axis": "tx_ios_distance", "values": [1.0, 2.0]},
+                     scenario={**scenario, "ios_anchor": [1.0, 0.0, 5.0],
+                               "rx_anchor": [2.0, 0.0, 5.0]}),
+         r"sweep.values[1]: coincident anchors (rx/ios)"),
+        (tiny_config(schemes=["WO_IOS"], sweep={"axis": "P_B", "values": [0.0, 5.0]},
+                     scenario={**scenario, "ios_anchor": [0.0, 1.0, 5.0]}),
+         "scenario: coincident anchors (rx/ios)"),
+        (tiny_config(schemes=["WO_IOS", "SS_IOS"], scenario={**scenario, "n_user_rx": 3}),
+         "scenario: SS_IOS needs n_user_tx == n_user_rx"),
+    ]
+    _never_solve(monkeypatch)
+    for data, message in cases:
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        assert str(err.value).startswith(message)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["simulate", "--config", str(cfg_path), "--threads", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    assert config_from_dict(tiny_config(schemes=["WO_IOS"],
+                                        scenario={**scenario, "n_user_rx": 3}))
+
+
 def test_scheme_options_get_their_own_rows_and_traces(tmp_path):
     """Every option is in the label, so each scheme of the list keeps its own
     rows and one trace file per row."""
@@ -478,8 +573,10 @@ def test_scenario_counts_are_capped():
                                                   rf"\[1, {cap}\]"):
                 config_from_dict(tiny_config(scenario={name: bad, "k_users": 2,
                                                        "user_anchors": anchors}))
-        ok = config_from_dict(tiny_config(scenario={name: cap, "k_users": 2,
-                                                    "user_anchors": anchors}))
+        # unequal user arrays are valid only without a surface
+        ok = config_from_dict(tiny_config(
+            schemes=["WO_IOS"] if name.startswith("n_user") else ["DS_IOS"],
+            scenario={name: cap, "k_users": 2, "user_anchors": anchors}))
         assert getattr(ok.scenario, name) == cap
     for bad in (0, -1, MAX_ELEMENTS + 1, 10 ** 13, 10 ** 30):
         with pytest.raises(ConfigError, match=r"sweep.values\[1\]: element count must be an "

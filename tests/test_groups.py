@@ -19,7 +19,7 @@ from iosfd import (FadingParams, NumericalError, RunConfig, Scheme, SchemeSpec,
                    sample_channels)
 from iosfd.campaign import (JOBS_PER_WORKER, campaign_jobs, config_from_dict, reads_axis,
                             run_campaign, run_cells, write_campaign)
-from iosfd.errors import ConvergenceError, GeometryError
+from iosfd.errors import ConfigError, ConvergenceError
 from iosfd.linalg import adj
 from iosfd.system import weighted_sum
 
@@ -307,13 +307,29 @@ def test_failing_seed_of_a_shared_group_is_named(monkeypatch, error):
 
 def test_shared_group_checks_every_layout():
     """A surface distance whose layout is invalid fails a scheme that does
-    not read the distance too, as it does when each value is solved alone."""
+    not read the distance too, as it does when each value is solved alone:
+    the config is rejected when it is loaded, naming the value."""
+    with pytest.raises(ConfigError, match=r"sweep.values\[1\].*rx/ios"):
+        config_from_dict(tiny_config(
+            schemes=["WO_IOS"], sweep={"axis": "tx_ios_distance", "values": [1.0, 2.0]},
+            scenario={**tiny_config()["scenario"], "ios_anchor": [1.0, 0.0, 5.0],
+                      "rx_anchor": [2.0, 0.0, 5.0]}))
+
+
+def test_shared_group_builds_one_layout(monkeypatch):
+    """Loading a distance sweep builds every value's layout; a job of a
+    group shared by all values then builds only the first value's."""
+    built = []
+    build = iosfd.campaign.build_layout
+    monkeypatch.setattr(iosfd.campaign, "build_layout",
+                        lambda geo: built.append(tuple(geo.ios_anchor)) or build(geo))
     cfg = config_from_dict(tiny_config(
-        schemes=["WO_IOS"], sweep={"axis": "tx_ios_distance", "values": [1.0, 2.0]},
-        scenario={**tiny_config()["scenario"], "ios_anchor": [1.0, 0.0, 5.0],
-                  "rx_anchor": [2.0, 0.0, 5.0]}))
-    with pytest.raises(GeometryError, match=r"rx/ios"):
-        run_campaign(cfg, threads=1)
+        schemes=["WO_IOS"], sweep={"axis": "tx_ios_distance", "values": [0.5, 1.0, 2.0]}))
+    assert len(set(built)) == len(built) == 3
+    first = built[0]
+    built.clear()
+    rows, _ = run_campaign(cfg, threads=1)
+    assert built == [first] and len(rows) == 3
 
 
 def test_widest_jobs_start_first():

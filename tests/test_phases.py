@@ -6,14 +6,13 @@ from iosfd import (FadingParams, IosState, PgdSettings, RunConfig, Scheme, Schem
                    project_feasible, sample_channels, solve_qcqp, update_beamformers,
                    vectorize)
 from iosfd.errors import NumericalError
-from iosfd.linalg import cn_sample
-from iosfd.phases import _binary_scale, _block_value, _newton_side, gprime_value
+from iosfd.phases import _binary_scale, _newton_side, _value, gprime_value
 from iosfd.wmmse import surrogate_objective, update_state
 
 from conftest import (integrated_run_geometry, random_beamformers, random_instance,
                       random_ios, reference_geometry, t_side_quadratic)
 from dense_forms import build_dense_forms, dense_blocks, g_value, hadamard_quadratic
-from oracles import min_eigval, pgd_side_plain
+from oracles import cn_sample, min_eigval, pgd_side_plain
 
 
 def build_from_instance(inst):
@@ -351,7 +350,8 @@ def plain_solve(pq, init, settings):
 def side_value(blocks, v):
     """The part of g' that one side solve minimizes."""
     factors, lin = blocks
-    return _block_value(factors[0], lin[0], v[0]) + _block_value(factors[1], lin[1], v[1])
+    return (_value(factors[0].conj().T @ v[0], v[0], lin[0].conj())
+            + _value(factors[1].conj().T @ v[1], v[1], lin[1].conj()))
 
 
 def test_accelerated_pgd_ends_no_higher_than_plain(rng):

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iosfd import (RunConfig, Scheme, SchemeSpec, compose_direct, compose_effective,
-                   run_algorithm2, update_state)
+from iosfd import (IosState, RunConfig, Scheme, SchemeSpec, compose_direct,
+                   compose_effective, run_algorithm2, update_state)
 from iosfd.system import LN2
 from iosfd.wmmse import surrogate_objective
 
@@ -60,13 +60,16 @@ def _fingerprint(res) -> tuple:
 
 def check_run(ch, cfg, scheme) -> None:
     """The output meets the budgets and the coupling disks; the trace has one
-    entry per map evaluation plus the start and does not fall; at the returned
-    point, after a fresh decoder/weight refresh, the surrogate is ln 2 times
-    the weighted sum rate (to 1e-10 relative, plus the surrogate's absolute
-    roundoff); and a rerun gives the same bytes.  A rate may repeat its
-    predecessor up to 1e-12 relative roundoff at the fixed point.  SS_IOS
-    ends where it starts on its zero blocks: zero downlink precoders, t side
-    and u-side reflection, mu_d = 0 and no downlink rate."""
+    entry per map evaluation plus the start and, unless the scheme quantizes,
+    does not fall; at the returned point, after a fresh decoder/weight
+    refresh, the surrogate is ln 2 times the weighted sum rate (to 1e-10
+    relative, plus the surrogate's absolute roundoff); and a rerun gives the
+    same bytes.  A rate may repeat its predecessor up to 1e-12 relative
+    roundoff at the fixed point.  A quantizing scheme returns phases on its
+    grid of 2^bits levels, and the rate and surrogate are those of the
+    snapped point.  SS_IOS ends where it starts on its zero blocks: zero
+    downlink precoders, t side and u-side reflection, mu_d = 0 and no
+    downlink rate."""
     res = run_algorithm2(ch, cfg, scheme)
     bf = res.beamformers
     assert bf.downlink_power() <= cfg.p_b * (1.0 + BUDGET_TOL)
@@ -80,7 +83,12 @@ def check_run(ch, cfg, scheme) -> None:
 
     rates = np.asarray(res.trace.rates)
     assert len(rates) == res.trace.iterations + 1
-    assert np.all(np.diff(rates) >= -1e-12 * np.abs(rates[1:]))
+    if scheme.quantizes_each_iter:
+        nonzero = res.ios.coef[res.ios.coef != 0]
+        steps = IosState.phases(nonzero) / (2.0 * np.pi / 2 ** scheme.quantization_bits)
+        assert np.all(np.abs(steps - np.round(steps)) <= 1e-9)
+    else:
+        assert np.all(np.diff(rates) >= -1e-12 * np.abs(rates[1:]))
 
     eff = compose_direct(ch) if scheme.kind is Scheme.WO_IOS else compose_effective(ch, res.ios)
     st_ = update_state(eff, bf, cfg.noise_users, cfg.noise_rx)
@@ -107,6 +115,19 @@ def test_tiny_budget_runs(seed, scheme):
     difference, or from log|W| with W rounded to I + G^H G, keeps only its
     leading digits there, and that roundoff tripped the loop's 1e-6 relative
     rate guard in these runs."""
+    rng = np.random.default_rng(seed)
+    K, L, n = rng.integers(1, 4), rng.integers(1, 7), rng.integers(1, 3)
+    p_b, p_u = rng.choice([0.0, 1e-12, 1e-3, 1.0], 2)
+    check_run(*build_run(rng, K, L, n, [1.0, 1e-4][seed % 2], p_b, p_u), scheme)
+
+
+@pytest.mark.parametrize("scheme", [SchemeSpec(Scheme.DS_IOS, quantization_bits=4),
+                                    SchemeSpec(Scheme.SS_IOS, quantization_bits=2)],
+                         ids=lambda v: v.label)
+@pytest.mark.parametrize("seed", range(6))
+def test_quantized_run_properties(seed, scheme):
+    """`check_run` on schemes that snap the phases every iteration, over
+    budgets from zero to 1 and channels at unit and physical scale."""
     rng = np.random.default_rng(seed)
     K, L, n = rng.integers(1, 4), rng.integers(1, 7), rng.integers(1, 3)
     p_b, p_u = rng.choice([0.0, 1e-12, 1e-3, 1.0], 2)

@@ -3,14 +3,13 @@ import pytest
 
 from iosfd import (BeamformerSet, ChannelSet, IosState, compose_effective,
                    update_state, weighted_sum_rate)
-from iosfd.linalg import cn_sample
 from iosfd.system import LN2
 from iosfd.wmmse import surrogate_objective
 
 from conftest import fd_gradient, random_instance
-from oracles import (downlink_interference, min_eigval, mse_matrix_down, mse_matrix_up,
-                     optimal_decoder_down, optimal_decoder_up, optimal_weight_down,
-                     optimal_weight_up, surrogate_compact)
+from oracles import (cn_sample, downlink_interference, min_eigval, mse_matrix_down,
+                     mse_matrix_up, optimal_decoder_down, optimal_decoder_up,
+                     optimal_weight_down, optimal_weight_up, surrogate_compact)
 
 
 def scalar_setup():

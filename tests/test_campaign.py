@@ -178,7 +178,7 @@ def _files(root):
 def test_campaign_name_is_one_path_component(tmp_path, monkeypatch, capsys):
     """A name that would put the output outside --out, or on --out itself, is
     a config error naming `name`; `simulate` exits 2 and writes nothing."""
-    names = ("../x", "/abs", "a/b", "a\\b", ".", "..")
+    names = ("../x", "/abs", "a/b", "a\\b", ".", "..", "a\0b")
     for name in names:
         with pytest.raises(ConfigError, match=r"^name: must be one path component"):
             config_from_dict(tiny_config(name=name))
@@ -227,10 +227,10 @@ def test_unwritable_out_fails_before_solving(tmp_path, monkeypatch, capsys):
 
 
 def test_geometry_errors_come_before_any_job(tmp_path, monkeypatch, capsys):
-    """A sweep value or scenario whose layout is invalid, and unequal user
-    arrays under a surface scheme, are config errors naming the field when
-    the config is loaded, also when a job that would not fail comes first;
-    `simulate` exits 2 and writes nothing."""
+    """A sweep value or scenario whose layout is invalid, unequal user arrays
+    under a surface scheme and a wavelength that is not positive are config
+    errors naming the field when the config is loaded, also when a job that
+    would not fail comes first; `simulate` exits 2 and writes nothing."""
     scenario = tiny_config()["scenario"]
     cases = [
         (tiny_config(schemes=["WO_IOS", "DS_IOS"],
@@ -243,6 +243,7 @@ def test_geometry_errors_come_before_any_job(tmp_path, monkeypatch, capsys):
          "scenario: coincident anchors (rx/ios)"),
         (tiny_config(schemes=["WO_IOS", "SS_IOS"], scenario={**scenario, "n_user_rx": 3}),
          "scenario: SS_IOS needs n_user_tx == n_user_rx"),
+        (tiny_config(physics={"wavelength_m": 0.0}), "physics.wavelength_m: must be > 0"),
     ]
     _never_solve(monkeypatch)
     for data, message in cases:

@@ -37,6 +37,15 @@ def build_run(rng, K, L, n, scale, p_b, p_u, n_ut=None) -> tuple:
     return ch, cfg
 
 
+def seeded_run(seed: int) -> tuple:
+    """`build_run` on network sizes, budgets (each 0, 1e-12, 1e-3 or 1) and
+    a scale drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    K, L, n = rng.integers(1, 4), rng.integers(1, 7), rng.integers(1, 3)
+    p_b, p_u = rng.choice([0.0, 1e-12, 1e-3, 1.0], 2)
+    return build_run(rng, K, L, n, [1.0, 1e-4][seed % 2], p_b, p_u)
+
+
 @st.composite
 def runs(draw):
     """(channels, run config, scheme) of one run.  Without a surface the users'
@@ -115,10 +124,7 @@ def test_tiny_budget_runs(seed, scheme):
     difference, or from log|W| with W rounded to I + G^H G, keeps only its
     leading digits there, and that roundoff tripped the loop's 1e-6 relative
     rate guard in these runs."""
-    rng = np.random.default_rng(seed)
-    K, L, n = rng.integers(1, 4), rng.integers(1, 7), rng.integers(1, 3)
-    p_b, p_u = rng.choice([0.0, 1e-12, 1e-3, 1.0], 2)
-    check_run(*build_run(rng, K, L, n, [1.0, 1e-4][seed % 2], p_b, p_u), scheme)
+    check_run(*seeded_run(seed), scheme)
 
 
 @pytest.mark.parametrize("scheme", [SchemeSpec(Scheme.DS_IOS, quantization_bits=4),
@@ -128,7 +134,4 @@ def test_tiny_budget_runs(seed, scheme):
 def test_quantized_run_properties(seed, scheme):
     """`check_run` on schemes that snap the phases every iteration, over
     budgets from zero to 1 and channels at unit and physical scale."""
-    rng = np.random.default_rng(seed)
-    K, L, n = rng.integers(1, 4), rng.integers(1, 7), rng.integers(1, 3)
-    p_b, p_u = rng.choice([0.0, 1e-12, 1e-3, 1.0], 2)
-    check_run(*build_run(rng, K, L, n, [1.0, 1e-4][seed % 2], p_b, p_u), scheme)
+    check_run(*seeded_run(seed), scheme)

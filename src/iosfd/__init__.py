@@ -19,7 +19,7 @@ from .errors import (ConfigError, ConvergenceError, GeometryError, IosfdError,
 from .geometry import GeometryConfig, SpatialLayout, antenna_gain, build_layout
 from .phases import (PgdSettings, PhaseQuadratic, QuadraticFormSet,
                      build_quadratic_forms, project_feasible, solve_qcqp, vectorize)
-from .system import (BeamformerSet, EffectiveChannels, IosState, RateReport,
+from .system import (BeamformerSet, EffectiveChannels, IosState, LinkSet, RateReport,
                      compose_direct, compose_effective, weighted_sum_rate)
 from .wmmse import WmmseState, surrogate_objective, update_state
 

@@ -153,8 +153,8 @@ def _compose(ch: ChannelSet, ios: IosState, scheme: SchemeSpec) -> EffectiveChan
 
 
 def apply_scheme(scheme: SchemeSpec, ch: ChannelSet, cfg: RunConfig
-                 ) -> tuple[BeamformerSet, IosState, EffectiveChannels]:
-    """Initial state for one run under the given benchmark scheme.
+                 ) -> tuple[BeamformerSet, IosState]:
+    """Start point (precoders, surface) of one run under the given benchmark scheme.
 
     DS_IOS starts from the balanced split and WO_IOS without a surface.
     SS_IOS is the dual-side solver started from zero downlink precoders, a
@@ -174,7 +174,7 @@ def apply_scheme(scheme: SchemeSpec, ch: ChannelSet, cfg: RunConfig
         bf = BeamformerSet(np.zeros_like(bf.v_d), bf.v_u)
         ios.coef[0] = 0.0       # t side
         ios.coef[1, 0] = 0.0    # u-side reflection
-    return bf, ios, _compose(ch, ios, scheme)
+    return bf, ios
 
 
 def _stack(records: list):
@@ -216,22 +216,23 @@ def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, x: _Iterate):
 
     x's records may carry leading axes (a group's seeds, `ch` stacking their
     draws); the surface block runs once per leading index.  The step composes
-    x's channels on `ch` and evaluates each block's links: at the entry point,
-    after the precoders and after the surface.  The surrogate after each block
-    must not fall below the one before it, and the decoder/weight step is held
-    to x.s4 (NaN: no guard).  A quantizing scheme snaps the phases after the
-    step, off the ascent path, and rates the image on its recomposed channels;
-    its s4 is NaN, as the snapped point is not where s4 was measured.  Returns
-    the image (precoders, surface, rate report, dual multipliers and s4), the
-    surface solver's `PgdCounts` (zero without a surface solve) and the
-    surrogates (s2, s3, s4) after the three blocks.
+    x's channels on `ch` and forms one `LinkSet` at each point it visits: the
+    entry point, after the precoders and after the surface.  The decoders, the
+    surrogates and the image's rate read those `LinkSet`s and nothing else
+    about the point.  The surrogate after each block must not fall below the
+    one before it, and the decoder/weight step is held to x.s4 (NaN: no
+    guard).  A quantizing scheme snaps the phases after the step, off the
+    ascent path, and rates the image on the `LinkSet` of its recomposed
+    channels; its s4 is NaN, as the snapped point is not where s4 was
+    measured.  Returns the image (precoders, surface, rate report, dual
+    multipliers and s4), the surface solver's `PgdCounts` (zero without a
+    surface solve) and the surrogates (s2, s3, s4) after the three blocks.
     """
     bf, ios = x.bf, x.ios
     lead = bf.v_u.shape[:-3]
 
-    def surr(e, b, s, at):
-        return np.asarray(surrogate_objective(e, b, s, cfg.gamma_down, cfg.gamma_up,
-                                              cfg.noise_users, cfg.noise_rx, links=at))[()]
+    def surr(at: LinkSet):
+        return np.asarray(surrogate_objective(at, st, cfg.gamma_down, cfg.gamma_up))[()]
 
     def check(stage: str, new: np.ndarray, old) -> None:
         old = np.broadcast_to(np.asarray(old, dtype=float), lead)
@@ -245,14 +246,14 @@ def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, x: _Iterate):
 
     eff = _compose(ch, ios, scheme)
     links = links_at(eff, bf)
-    st = update_state(eff, bf, cfg.noise_users, cfg.noise_rx, links=links)
-    s2 = surr(eff, bf, st, links)
+    st = update_state(links)
+    s2 = surr(links)
     check("decoder/weight update", s2, x.s4)
 
     bf, duals = update_beamformers(eff, st, cfg.gamma_down, cfg.gamma_up,
                                    cfg.p_b, cfg.p_u, cfg.eps_b)
     links = links_at(eff, bf)
-    s3 = surr(eff, bf, st, links)
+    s3 = surr(links)
     check("precoder update", s3, s2)
 
     iters, caps = np.zeros(lead, dtype=int), np.zeros(lead, dtype=int)
@@ -265,15 +266,13 @@ def outer_step(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec, x: _Iterate):
             new, n = solve_qcqp(vectorize(qf), IosState(ios.coef[i]), cfg.pgd)
             coef[i], iters[i], caps[i] = new.coef, n.iters, n.cap_exits
         ios = IosState(coef)
-        eff = _compose(ch, ios, scheme)
-        links = links_at(eff, bf)
-        s4 = guard = surr(eff, bf, st, links)
+        links = links_at(_compose(ch, ios, scheme), bf)
+        s4 = guard = surr(links)
         check("surface update", s4, s3)
     if scheme.quantizes_each_iter:
         ios = quantize_phases(ios, scheme.quantization_bits)
-        eff, links, guard = _compose(ch, ios, scheme), None, np.full(lead, np.nan)[()]
-    report = weighted_sum_rate(eff, bf, cfg.gamma_down, cfg.gamma_up, cfg.noise_users,
-                               cfg.noise_rx, links=links)
+        links, guard = links_at(_compose(ch, ios, scheme), bf), np.full(lead, np.nan)[()]
+    report = weighted_sum_rate(links, cfg.gamma_down, cfg.gamma_up)
     return _Iterate(bf, ios, report, duals, guard), PgdCounts(iters[()], caps[()]), (s2, s3, s4)
 
 
@@ -416,9 +415,9 @@ def run_group(chs: list[ChannelSet], cfg: RunConfig, scheme: SchemeSpec) -> list
     if no draw fails when mapped alone).
     """
     stacked = _stack(chs)
-    bf, ios, eff = map(_stack, zip(*(apply_scheme(scheme, c, cfg) for c in chs)))
-    start = _Iterate(bf, ios, weighted_sum_rate(eff, bf, cfg.gamma_down, cfg.gamma_up,
-                                                cfg.noise_users, cfg.noise_rx),
+    bf, ios = map(_stack, zip(*(apply_scheme(scheme, c, cfg) for c in chs)))
+    links = LinkSet.at(_compose(stacked, ios, scheme), bf, cfg.noise_users, cfg.noise_rx)
+    start = _Iterate(bf, ios, weighted_sum_rate(links, cfg.gamma_down, cfg.gamma_up),
                      s4=np.full(len(chs), np.nan))
     runs = [_Run(cfg, scheme, _row(start, k)) for k in range(len(chs))]
     pending, points, ends = {i: run.cycles() for i, run in enumerate(runs)}, {}, {}

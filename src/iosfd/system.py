@@ -8,8 +8,9 @@ interference-plus-noise covariance B, G = C^{-1} H V is its whitened received
 signal and W = I + G^H G.  Its rate is log2|W| (Sylvester's identity), summed
 from log1p of W's Cholesky pivots less one: nonnegative up to roundoff since
 W >= I, and accurate relative to its size.  The same (C, G, W) give the MMSE
-decoder and weight in `wmmse`; a `LinkSet` holds them for one point, so the
-rate, the decoders and the surrogate there share one evaluation.
+decoder and weight in `wmmse`.  A `LinkSet`, formed only by `LinkSet.at`,
+holds them for one point; the rate, the decoders and the surrogate there read
+it and nothing else about the point, so they share one evaluation.
 
 Every record and function here takes optional leading axes in front of the
 shapes it documents: a group of runs stacks its seeds on one leading axis,
@@ -177,44 +178,33 @@ def _gram(m: np.ndarray) -> np.ndarray:
     return m @ adj(m)
 
 
-def link_covariances(eff: EffectiveChannels, bf: BeamformerSet, noise_users: np.ndarray,
-                     noise_rx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Received signal H V and interference-plus-noise covariance of every link.
-
-    Returns (hv_d, den_d, hv_u, den_u): hv_d[k] = H_kd V_kd (K, N_ur, s_d) and
-    den_d[k] the uplink leakage into user k's receiver plus its noise; hv_u[k]
-    = H_ku V_ku (K, N_r, s_u) and den_u[k] the other uplinks plus the
-    transmit-side self-coupling at the receive array plus noise.
-    """
-    K = eff.n_users
-    hv_d = eff.h_kd @ bf.v_d
-    hv_u = eff.h_ku @ bf.v_u
-    lead, n_d, n_u = hv_d.shape[:-3], hv_d.shape[-2], hv_u.shape[-2]
-    den_d = _gram(eff.h_jk @ bf.v_u[..., :, None, :, :]).sum(axis=-4)
-    den_d += np.asarray(noise_users, dtype=float)[:, None, None] * np.eye(n_d)
-    others = (1.0 - np.eye(K)) @ _gram(hv_u).reshape(*lead, K, -1)     # exact 0/1 weights
-    den_u = (others.reshape(*lead, K, n_u, n_u)
-             + _gram(eff.h_t[..., None, :, :] @ bf.v_d).sum(axis=-3)[..., None, :, :])
-    den_u += noise_rx * np.eye(n_u)
-    return hv_d, den_d, hv_u, den_u
-
-
 @dataclass
 class LinkSet:
-    """`link_covariances` at one point (eff, bf), with the downlinks' and the
-    uplinks' whitened (C, G, W) once `whitened` has formed them.  The rate,
-    the decoder/weight refresh and the surrogate at that point all read it."""
-    hv_d: np.ndarray
-    den_d: np.ndarray
-    hv_u: np.ndarray
-    den_u: np.ndarray
+    """The links at one point (eff, bf): each link's received signal H V and
+    interference-plus-noise covariance, and the downlinks' and the uplinks'
+    whitened (C, G, W) once `whitened` has formed them.  `at` is the one
+    constructor; the rate, the decoders and the surrogate there read it."""
+    hv_d: np.ndarray        # H_kd V_kd (K, N_ur, s_d)
+    den_d: np.ndarray       # uplink leakage into user k's receiver plus its noise
+    hv_u: np.ndarray        # H_ku V_ku (K, N_r, s_u)
+    den_u: np.ndarray       # other uplinks plus the transmit-side self-coupling, plus noise
     white_d: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     white_u: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def at(cls, eff: EffectiveChannels, bf: BeamformerSet, noise_users: np.ndarray,
            noise_rx: float) -> "LinkSet":
-        return cls(*link_covariances(eff, bf, noise_users, noise_rx))
+        K = eff.n_users
+        hv_d = eff.h_kd @ bf.v_d
+        hv_u = eff.h_ku @ bf.v_u
+        lead, n_d, n_u = hv_d.shape[:-3], hv_d.shape[-2], hv_u.shape[-2]
+        den_d = _gram(eff.h_jk @ bf.v_u[..., :, None, :, :]).sum(axis=-4)
+        den_d += np.asarray(noise_users, dtype=float)[:, None, None] * np.eye(n_d)
+        others = (1.0 - np.eye(K)) @ _gram(hv_u).reshape(*lead, K, -1)   # exact 0/1 weights
+        den_u = (others.reshape(*lead, K, n_u, n_u)
+                 + _gram(eff.h_t[..., None, :, :] @ bf.v_d).sum(axis=-3)[..., None, :, :])
+        den_u += noise_rx * np.eye(n_u)
+        return cls(hv_d, den_d, hv_u, den_u)
 
     def whitened(self):
         """((C, G, W) of the downlinks, (C, G, W) of the uplinks)."""
@@ -230,19 +220,15 @@ def weighted_sum(gamma: np.ndarray, per_link: np.ndarray):
     return (per_link[..., None, :] @ np.asarray(gamma, dtype=float)[:, None])[..., 0, 0]
 
 
-def weighted_sum_rate(eff: EffectiveChannels, bf: BeamformerSet,
-                      gamma_down: np.ndarray, gamma_up: np.ndarray,
-                      noise_users: np.ndarray, noise_rx: float,
-                      links: LinkSet | None = None) -> RateReport:
-    """Exact rates; `links`, when given, is the `LinkSet` at (eff, bf).  The
-    weighted sum is a float, or one per leading index."""
+def weighted_sum_rate(links: LinkSet, gamma_down: np.ndarray,
+                      gamma_up: np.ndarray) -> RateReport:
+    """Exact rates of the point `links` was formed at.  The weighted sum is
+    a float, or one per leading index."""
     gamma_down = np.asarray(gamma_down, dtype=float)
     gamma_up = np.asarray(gamma_up, dtype=float)
     if np.any(gamma_down <= 0) or np.any(gamma_down >= 1) \
             or np.any(gamma_up <= 0) or np.any(gamma_up >= 1):
         raise ValueError("rate weights must lie strictly inside (0, 1)")
-    if links is None:
-        links = LinkSet.at(eff, bf, noise_users, noise_rx)
     (_, g_d, w_d), (_, g_u, w_u) = links.whitened()
     r_down = whitened_bits(g_d, w_d)
     r_up = whitened_bits(g_u, w_u)

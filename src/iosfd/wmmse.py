@@ -6,9 +6,11 @@ where log|W*| equals the rate in nats.  Both come from the link's whitened
 form (C, G, W) of `system.whiten_links`, the one the rate is read from:
 W* = I + G^H G (Woodbury: E(U*) = (I + V^H H^H B^{-1} H V)^{-1}) and
 U* = C^{-H} G W*^{-1} (push-through identity).  The weighted surrogate over
-all links is what the beamformer and phase blocks ascend.  Every quantity is
-stacked over the K users and computed for all links at once, and over the
-seeds of a group in front of that (see `system`).
+all links is what the beamformer and phase blocks ascend.  `update_state`
+and `surrogate_objective` read a point only through its `system.LinkSet`,
+the one the rate there reads too.  Every quantity is stacked over the K
+users and computed for all links at once, and over the seeds of a group in
+front of that (see `system`).
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import adj, hermitize, logdet_pd, solve_pd
-from .system import BeamformerSet, EffectiveChannels, LinkSet, weighted_sum
+from .system import LinkSet, weighted_sum
 
 
 @dataclass
@@ -45,13 +47,8 @@ def _decoder_and_weight(white: tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.linalg.solve(adj(c), adj(solve_pd(w, adj(g)))), w
 
 
-def update_state(eff: EffectiveChannels, bf: BeamformerSet,
-                 noise_users: np.ndarray, noise_rx: float,
-                 links: LinkSet | None = None) -> WmmseState:
-    """One full decoder/weight refresh for every link; `links`, when given,
-    is the `LinkSet` at (eff, bf)."""
-    if links is None:
-        links = LinkSet.at(eff, bf, noise_users, noise_rx)
+def update_state(links: LinkSet) -> WmmseState:
+    """One full decoder/weight refresh for every link of `links`."""
     white_d, white_u = links.whitened()
     u_d, w_d = _decoder_and_weight(white_d)
     u_u, w_u = _decoder_and_weight(white_u)
@@ -63,19 +60,14 @@ def _trace_prod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ji->...", a, b).real
 
 
-def surrogate_objective(eff: EffectiveChannels, bf: BeamformerSet, st: WmmseState,
-                        gamma_down: np.ndarray, gamma_up: np.ndarray,
-                        noise_users: np.ndarray, noise_rx: float,
-                        links: LinkSet | None = None):
+def surrogate_objective(links: LinkSet, st: WmmseState, gamma_down: np.ndarray,
+                        gamma_up: np.ndarray):
     """Weighted surrogate in nats, sum over links of gamma (log|W| - Tr(W E) + s).
 
-    E is each link's MSE matrix at the given decoders, from the channels and
-    precoders alone (`links`, when given, is the `LinkSet` at (eff, bf)); equals
-    the weighted sum rate (in nats) when the decoders and weights are at their
-    optima.  A float, or one per leading index.
+    E is each link's MSE matrix at the given decoders, from the point's links
+    alone; equals the weighted sum rate (in nats) when the decoders and
+    weights are at their optima.  A float, or one per leading index.
     """
-    if links is None:
-        links = LinkSet.at(eff, bf, noise_users, noise_rx)
     total = 0.0
     for gamma, w, u, hv, den in ((gamma_down, st.w_d, st.u_d, links.hv_d, links.den_d),
                                  (gamma_up, st.w_u, st.u_u, links.hv_u, links.den_u)):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from iosfd import (BeamformerSet, ChannelSet, FadingParams, GeometryConfig,
-                   IosState, RunConfig, build_layout, compose_effective,
-                   sample_channels, update_state)
+                   IosState, LinkSet, compose_effective, update_state)
 from iosfd.phases import PhaseQuadratic
 from iosfd.system import stream_counts
 
@@ -117,7 +116,7 @@ def random_instance(rng, K=2, n_tx=2, n_rx=2, n_u=2, L=4, scale=1.0,
     gamma_d = rng.uniform(0.2, 0.8, size=K)
     gamma_u = rng.uniform(0.2, 0.8, size=K)
     noise_users = np.full(K, noise)
-    st = update_state(eff, bf, noise_users, noise)
+    st = update_state(LinkSet.at(eff, bf, noise_users, noise))
     return ch, ios, eff, bf, st, gamma_d, gamma_u, noise_users, noise
 
 

@@ -427,9 +427,9 @@ def run_plain(ch, cfg, scheme):
     every iteration).  Blocks are looked up in `iosfd.algorithm`, as the
     package does."""
     alg = iosfd.algorithm
-    bf, ios, eff = alg.apply_scheme(scheme, ch, cfg)
-    x = alg._Iterate(bf, ios, alg.weighted_sum_rate(eff, bf, cfg.gamma_down, cfg.gamma_up,
-                                                    cfg.noise_users, cfg.noise_rx))
+    bf, ios = alg.apply_scheme(scheme, ch, cfg)
+    links = alg.LinkSet.at(alg._compose(ch, ios, scheme), bf, cfg.noise_users, cfg.noise_rx)
+    x = alg._Iterate(bf, ios, alg.weighted_sum_rate(links, cfg.gamma_down, cfg.gamma_up))
     monotone = not scheme.quantizes_each_iter
     rates = [x.rate]
     step_log = []

@@ -5,15 +5,16 @@ Heavy Monte-Carlo batteries share module-scoped fixtures so the whole module
 stays inside its runtime budget on a desk-class machine.
 """
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from iosfd import (FadingParams, GeometryConfig, IosState, PgdSettings, RunConfig,
+from iosfd import (FadingParams, GeometryConfig, IosState, LinkSet, PgdSettings, RunConfig,
                    Scheme, SchemeSpec, antenna_gain, build_layout, run_algorithm2, run_group,
                    sample_channels, solve_qcqp, update_beamformers, vectorize,
                    weighted_sum_rate)
-from iosfd.campaign import config_from_dict, run_campaign, rows_to_csv, write_campaign
+from iosfd.campaign import config_from_dict, write_campaign
 from iosfd.phases import gprime_value
 from iosfd.system import LN2
 from iosfd.wmmse import surrogate_objective
@@ -22,7 +23,7 @@ from conftest import fd_gradient, integrated_run_geometry, random_instance, t_si
 from dense_forms import hadamard_quadratic
 from oracles import cn_sample
 from test_beamformers import _lagrangian_down
-from test_phases import _grid_minimum, _single_block_pq
+from test_phases import _grid_minimum
 
 _T0 = time.time()
 
@@ -67,8 +68,8 @@ def test_rate_mse_equivalence():
         _, _, eff, bf, st, gd, gu, nu, nr = random_instance(
             rng, K=K, n_tx=n_tx, n_rx=n_rx, n_u=n_u, L=L,
             noise=float(rng.uniform(0.01, 1.0)))
-        surr = surrogate_objective(eff, bf, st, gd, gu, nu, nr)
-        rate = weighted_sum_rate(eff, bf, gd, gu, nu, nr).weighted_sum
+        surr = surrogate_objective(LinkSet.at(eff, bf, nu, nr), st, gd, gu)
+        rate = weighted_sum_rate(LinkSet.at(eff, bf, nu, nr), gd, gu).weighted_sum
         err = abs(surr - LN2 * rate) / (1.0 + abs(surr))
         worst = max(worst, err)
     elapsed = time.time() - start
@@ -346,6 +347,21 @@ def test_determinism(tmp_path):
                               threads=threads)
         texts.append(stripped(base))
     _report("determinism", texts[0] == texts[1] == texts[2])
+
+
+def test_readme_quick_start_runs():
+    """The README's library quick start runs as written; its last lines re-rate
+    the result through the public `LinkSet` and `weighted_sum_rate`, and the
+    per-link rates match the report too."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    scope = {}
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), scope)
+    result, cfg = scope["result"], scope["cfg"]
+    rerated = weighted_sum_rate(scope["links"], cfg.gamma_down, cfg.gamma_up)
+    _report("readme-quick-start",
+            np.array_equal(rerated.r_down, result.report.r_down)
+            and np.array_equal(rerated.r_up, result.report.r_up))
 
 
 def test_total_runtime_budget():

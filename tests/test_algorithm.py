@@ -351,7 +351,7 @@ def test_outer_step_is_one_iteration_of_the_loop():
         scheme = SchemeSpec(kind)
         ch = channels_for(integrated_geometry(L=8), 1, direct=kind is Scheme.WO_IOS)
         res = run_plain(ch, cfg, scheme)
-        bf, ios, _ = iosfd.algorithm.apply_scheme(scheme, ch, cfg)
+        bf, ios = iosfd.algorithm.apply_scheme(scheme, ch, cfg)
         x, surrogates = iosfd.algorithm._Iterate(bf, ios), []
         for _ in range(res.trace.iterations):
             x, _, s = iosfd.algorithm.outer_step(ch, cfg, scheme, x)
@@ -380,9 +380,10 @@ def test_quantized_each_iteration_runs_the_plain_loop():
 
 
 def test_each_round_rates_and_composes_once(monkeypatch):
-    """A group's start points are composed once per seed and rated together;
-    each round then rates its images once and composes the entry point, the
-    surface image (with a surface) and the snapped image (when quantizing)."""
+    """A group's start points are composed and rated together, once, on the
+    stacked draws; each round then rates its images once and composes the
+    entry point, the surface image (with a surface) and the snapped image
+    (when quantizing)."""
     calls = {}
 
     def counted(name):
@@ -402,7 +403,7 @@ def test_each_round_rates_and_composes_once(monkeypatch):
         rounds = max(res.trace.iterations for res in run_group(chs, desk_config(), scheme))
         composes = calls.get("compose_effective", 0) + calls.get("compose_direct", 0)
         assert calls["weighted_sum_rate"] == rounds + 1
-        assert composes == 3 + rounds * (1 + scheme.uses_surface + scheme.quantizes_each_iter)
+        assert composes == 1 + rounds * (1 + scheme.uses_surface + scheme.quantizes_each_iter)
 
 
 def _acceptance_config(K=3, max_outer=500):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from iosfd import BeamformerSet, bisect_multiplier, update_beamformers, update_state
+from iosfd import (BeamformerSet, LinkSet, bisect_multiplier, update_beamformers,
+                   update_state)
 from iosfd import beamformers
 from iosfd.errors import NumericalError
 from iosfd.linalg import adj
@@ -150,9 +151,9 @@ def test_update_meets_budgets_and_slackness(rng):
 def test_update_never_decreases_surrogate(rng):
     for _ in range(5):
         _, _, eff, bf, st, gd, gu, nu, nr = random_instance(rng, p_b=2.0, p_u=1.0)
-        before = surrogate_objective(eff, bf, st, gd, gu, nu, nr)
+        before = surrogate_objective(LinkSet.at(eff, bf, nu, nr), st, gd, gu)
         new, _ = update_beamformers(eff, st, gd, gu, 2.0, 1.0)
-        after = surrogate_objective(eff, new, st, gd, gu, nu, nr)
+        after = surrogate_objective(LinkSet.at(eff, new, nu, nr), st, gd, gu)
         assert after >= before - 1e-9
 
 
@@ -162,7 +163,7 @@ def test_zero_downlink_is_a_fixed_point(rng):
     budgets slack (p_u = 2) and binding (p_u = 0.05)."""
     _, _, eff, bf, _, gd, gu, nu, nr = random_instance(rng)
     bf = BeamformerSet(np.zeros_like(bf.v_d), bf.v_u)
-    st = update_state(eff, bf, nu, nr)
+    st = update_state(LinkSet.at(eff, bf, nu, nr))
     eye = np.broadcast_to(np.eye(st.w_d.shape[-1], dtype=complex), st.w_d.shape)
     assert not np.any(st.u_d)
     assert st.w_d.tobytes() == np.ascontiguousarray(eye).tobytes()
@@ -178,7 +179,7 @@ def test_zero_downlink_searches_the_uplink_alone(rng):
     a direct uplink-only search and solve, and of the joint search with the
     zero downlink beside it, as it ran before the downlink was skipped."""
     _, _, eff, bf, _, gd, gu, nu, nr = random_instance(rng)
-    st = update_state(eff, BeamformerSet(np.zeros_like(bf.v_d), bf.v_u), nu, nr)
+    st = update_state(LinkSet.at(eff, BeamformerSet(np.zeros_like(bf.v_d), bf.v_u), nu, nr))
     K = len(gu)
     uw = beamformers.downlink_weight_core(st, gd)
     core = beamformers.uplink_weight_core(st, gu)

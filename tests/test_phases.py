@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iosfd import (FadingParams, IosState, PgdSettings, RunConfig, Scheme, SchemeSpec,
+from iosfd import (FadingParams, IosState, LinkSet, PgdSettings, RunConfig, Scheme, SchemeSpec,
                    apply_scheme, build_layout, build_quadratic_forms, compose_effective,
                    project_feasible, sample_channels, solve_qcqp, update_beamformers,
                    vectorize)
@@ -87,11 +87,12 @@ def test_matrix_objective_matches_surrogate(rng):
         ch, ios, eff, bf, st, gd, gu, nu, nr = inst
         qf = build_dense_forms(ch, bf, st, gd, gu, nu, nr)
         val = g_value(qf, ios)
-        ref = surrogate_objective(eff, bf, st, gd, gu, nu, nr)
+        ref = surrogate_objective(LinkSet.at(eff, bf, nu, nr), st, gd, gu)
         assert abs(val - ref) <= 1e-8 * (1.0 + abs(ref))
         other = random_ios(rng, 4)
         val2 = g_value(qf, other)
-        ref2 = surrogate_objective(compose_effective(ch, other), bf, st, gd, gu, nu, nr)
+        ref2 = surrogate_objective(LinkSet.at(compose_effective(ch, other), bf, nu, nr),
+                                   st, gd, gu)
         assert abs(val2 - ref2) <= 1e-8 * (1.0 + abs(ref2))
 
 
@@ -116,7 +117,7 @@ def drawn_instance(rng, geometry, seed):
     ios = random_ios(rng, L)
     eff = compose_effective(ch, ios)
     bf = random_beamformers(rng, K=K)
-    st = update_state(eff, bf, np.full(K, noise), noise)
+    st = update_state(LinkSet.at(eff, bf, np.full(K, noise), noise))
     return ch, ios, eff, bf, st, np.full(K, 0.5), np.full(K, 0.5), np.full(K, noise), noise
 
 
@@ -154,7 +155,8 @@ def test_factored_objective_matches_surrogate(rng):
         r_cg = dense_from_instance(inst).r_cg
         for _ in range(2):
             state = random_ios(rng, ch.h_ti.shape[0])
-            ref = surrogate_objective(compose_effective(ch, state), bf, st, gd, gu, nu, nr)
+            ref = surrogate_objective(LinkSet.at(compose_effective(ch, state), bf, nu, nr),
+                                      st, gd, gu)
             assert -gprime_value(pq, state) + r_cg == pytest.approx(
                 ref, rel=1e-8, abs=1e-8)
 
@@ -323,9 +325,10 @@ def close_mounted_qcqps(L, seed, n_outer, scheme=SchemeSpec(Scheme.DS_IOS)):
     cfg = RunConfig(gamma_down=np.full(K, 0.5), gamma_up=np.full(K, 0.5),
                     noise_users=np.full(K, 1e-11), noise_rx=1e-11,
                     p_b=10.0, p_u=10.0 ** 0.5)
-    bf, ios, eff = apply_scheme(scheme, ch, cfg)
+    bf, ios = apply_scheme(scheme, ch, cfg)
+    eff = compose_effective(ch, ios)
     for _ in range(n_outer):
-        st = update_state(eff, bf, cfg.noise_users, cfg.noise_rx)
+        st = update_state(LinkSet.at(eff, bf, cfg.noise_users, cfg.noise_rx))
         bf, _ = update_beamformers(eff, st, cfg.gamma_down, cfg.gamma_up, cfg.p_b, cfg.p_u,
                                    cfg.eps_b)
         pq = vectorize(build_quadratic_forms(ch, bf, st, cfg.gamma_down, cfg.gamma_up))
@@ -519,8 +522,8 @@ def test_pgd_improves_surrogate_cross_module(rng):
         ch, ios, eff, bf, st, gd, gu, nu, nr = inst
         pq = vectorize(build_quadratic_forms(ch, bf, st, gd, gu))
         out, _ = solve_qcqp(pq, ios, PgdSettings())
-        before = surrogate_objective(eff, bf, st, gd, gu, nu, nr)
-        after = surrogate_objective(compose_effective(ch, out), bf, st, gd, gu, nu, nr)
+        before = surrogate_objective(LinkSet.at(eff, bf, nu, nr), st, gd, gu)
+        after = surrogate_objective(LinkSet.at(compose_effective(ch, out), bf, nu, nr), st, gd, gu)
         assert after >= before - 1e-9
 
 

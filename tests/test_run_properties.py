@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iosfd import (IosState, RunConfig, Scheme, SchemeSpec, compose_direct,
+from iosfd import (IosState, LinkSet, RunConfig, Scheme, SchemeSpec, compose_direct,
                    compose_effective, run_algorithm2, update_state)
 from iosfd.system import LN2
 from iosfd.wmmse import surrogate_objective
@@ -100,9 +100,9 @@ def check_run(ch, cfg, scheme) -> None:
         assert np.all(np.diff(rates) >= -1e-12 * np.abs(rates[1:]))
 
     eff = compose_direct(ch) if scheme.kind is Scheme.WO_IOS else compose_effective(ch, res.ios)
-    st_ = update_state(eff, bf, cfg.noise_users, cfg.noise_rx)
-    surrogate = surrogate_objective(eff, bf, st_, cfg.gamma_down, cfg.gamma_up,
-                                    cfg.noise_users, cfg.noise_rx)
+    st_ = update_state(LinkSet.at(eff, bf, cfg.noise_users, cfg.noise_rx))
+    surrogate = surrogate_objective(LinkSet.at(eff, bf, cfg.noise_users, cfg.noise_rx), st_,
+                                    cfg.gamma_down, cfg.gamma_up)
     nats = LN2 * res.report.weighted_sum
     assert abs(surrogate - nats) <= 1e-10 * nats + SURROGATE_ROUNDOFF, (surrogate, nats)
 

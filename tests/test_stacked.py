@@ -9,9 +9,8 @@ the same as at unit scale).
 import numpy as np
 import pytest
 
-from iosfd import EffectiveChannels, update_state, weighted_sum_rate
+from iosfd import EffectiveChannels, LinkSet, update_state, weighted_sum_rate
 from iosfd.beamformers import downlink_weight_core, uplink_weight_core, xi_down, xi_up
-from iosfd.system import link_covariances
 from iosfd.wmmse import WmmseState, surrogate_objective
 
 from conftest import random_beamformers
@@ -47,7 +46,8 @@ def instance(K: int, scale: float, seed: int = 0):
 @pytest.mark.parametrize("K, scale", CASES)
 def test_interference_matches_loop(K, scale):
     eff, bf, st, gd, gu, nu, nr = instance(K, scale)
-    hv_d, den_d, hv_u, den_u = link_covariances(eff, bf, nu, nr)
+    links = LinkSet.at(eff, bf, nu, nr)
+    hv_d, den_d, hv_u, den_u = links.hv_d, links.den_d, links.hv_u, links.den_u
     for k in range(K):
         assert close(hv_d[k], eff.h_kd[k] @ bf.v_d[k])
         assert close(hv_u[k], eff.h_ku[k] @ bf.v_u[k])
@@ -58,7 +58,7 @@ def test_interference_matches_loop(K, scale):
 @pytest.mark.parametrize("K, scale", CASES)
 def test_rates_match_loop(K, scale):
     eff, bf, st, gd, gu, nu, nr = instance(K, scale)
-    rep = weighted_sum_rate(eff, bf, gd, gu, nu, nr)
+    rep = weighted_sum_rate(LinkSet.at(eff, bf, nu, nr), gd, gu)
     r_down, r_up, total = oracles.rates_loop(eff, bf, gd, gu, nu, nr)
     assert close(rep.r_down, r_down) and close(rep.r_up, r_up)
     assert rep.weighted_sum == pytest.approx(total, rel=REL)
@@ -67,7 +67,7 @@ def test_rates_match_loop(K, scale):
 @pytest.mark.parametrize("K, scale", CASES)
 def test_decoders_and_weights_match_loop(K, scale):
     eff, bf, st, gd, gu, nu, nr = instance(K, scale)
-    got = update_state(eff, bf, nu, nr)
+    got = update_state(LinkSet.at(eff, bf, nu, nr))
     want = oracles.update_state_loop(eff, bf, nu, nr)
     for name in ("u_d", "w_d", "u_u", "w_u"):
         assert getattr(got, name).shape == (K, 2, 2)
@@ -90,7 +90,7 @@ def test_precoder_quadratics_match_loop(K, scale):
 @pytest.mark.parametrize("K, scale", CASES)
 def test_surrogate_matches_term_by_term_and_compact_forms(K, scale):
     eff, bf, st, gd, gu, nu, nr = instance(K, scale)
-    value = surrogate_objective(eff, bf, st, gd, gu, nu, nr)
+    value = surrogate_objective(LinkSet.at(eff, bf, nu, nr), st, gd, gu)
     assert value == pytest.approx(oracles.surrogate_terms(eff, bf, st, gd, gu, nu, nr),
                                   rel=REL)
     assert value == pytest.approx(oracles.surrogate_compact(eff, bf, st, gd, gu, nu, nr),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iosfd import (BeamformerSet, ChannelSet, IosState, compose_direct,
+from iosfd import (BeamformerSet, ChannelSet, IosState, LinkSet, compose_direct,
                    compose_effective, weighted_sum_rate)
 from iosfd.errors import GeometryError
 from iosfd.system import LN2, whiten_links, whitened_bits
@@ -239,8 +239,8 @@ def test_weighted_sum_is_convex_combination(rng):
     ch = random_channels(rng, K=1, L=2)
     eff = compose_effective(ch, random_ios(rng, 2))
     bf = random_beamformers(rng, K=1)
-    rep = weighted_sum_rate(eff, bf, np.array([0.5]), np.array([0.5]),
-                            np.array([0.1]), 0.1)
+    rep = weighted_sum_rate(LinkSet.at(eff, bf, np.array([0.1]), 0.1),
+                            np.array([0.5]), np.array([0.5]))
     assert rep.weighted_sum == pytest.approx(0.5 * rep.r_down[0] + 0.5 * rep.r_up[0])
 
 
@@ -250,7 +250,7 @@ def test_weighted_sum_matches_manual_oracle(rng):
     bf = random_beamformers(rng, K=3)
     gd = rng.uniform(0.1, 0.9, 3)
     gu = rng.uniform(0.1, 0.9, 3)
-    rep = weighted_sum_rate(eff, bf, gd, gu, np.full(3, 0.05), 0.07)
+    rep = weighted_sum_rate(LinkSet.at(eff, bf, np.full(3, 0.05), 0.07), gd, gu)
     manual = sum(gd[k] * downlink_rate(eff, bf, k, 0.05)
                  + gu[k] * uplink_rate(eff, bf, k, 0.07) for k in range(3))
     assert rep.weighted_sum == pytest.approx(manual, rel=1e-12)
@@ -262,4 +262,5 @@ def test_weights_outside_unit_interval_rejected(rng):
     eff = compose_effective(ch, random_ios(rng, 2))
     bf = random_beamformers(rng, K=1)
     with pytest.raises(ValueError):
-        weighted_sum_rate(eff, bf, np.array([1.0]), np.array([0.5]), np.array([0.1]), 0.1)
+        weighted_sum_rate(LinkSet.at(eff, bf, np.array([0.1]), 0.1),
+                          np.array([1.0]), np.array([0.5]))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from iosfd import (BeamformerSet, ChannelSet, IosState, compose_effective,
+from iosfd import (BeamformerSet, ChannelSet, IosState, LinkSet, compose_effective,
                    update_state, weighted_sum_rate)
+from iosfd.algorithm import _stack
 from iosfd.system import LN2
 from iosfd.wmmse import surrogate_objective
 
@@ -98,7 +99,7 @@ def test_log_weight_equals_rate_in_nats(rng):
     """ln|W*| reproduces the per-link rate; checked against the rate evaluator."""
     for trial in range(5):
         _, _, eff, bf, st, gd, gu, nu, nr = random_instance(rng, K=2, L=4)
-        rep = weighted_sum_rate(eff, bf, gd, gu, nu, nr)
+        rep = weighted_sum_rate(LinkSet.at(eff, bf, nu, nr), gd, gu)
         for k in range(2):
             w = optimal_weight_down(eff, bf, optimal_decoder_down(eff, bf, k, float(nu[k])),
                                     k, float(nu[k]))
@@ -121,8 +122,8 @@ def test_weights_hermitian_psd(rng):
 def test_surrogate_equals_weighted_rate_at_optimum(rng):
     for _ in range(10):
         _, _, eff, bf, st, gd, gu, nu, nr = random_instance(rng, K=2, L=4)
-        rep = weighted_sum_rate(eff, bf, gd, gu, nu, nr)
-        surr = surrogate_objective(eff, bf, st, gd, gu, nu, nr)
+        rep = weighted_sum_rate(LinkSet.at(eff, bf, nu, nr), gd, gu)
+        surr = surrogate_objective(LinkSet.at(eff, bf, nu, nr), st, gd, gu)
         target = LN2 * rep.weighted_sum
         assert abs(surr - target) <= 1e-8 * (1 + abs(surr))
 
@@ -132,7 +133,7 @@ def test_surrogate_trace_form_equals_compact_form(rng):
     _, _, eff, bf, st, gd, gu, nu, nr = random_instance(rng, K=3, L=4)
     # perturb away from the optimum so the identity is tested off-stationarity
     st.u_d[0] = st.u_d[0] + 0.1 * cn_sample(np.random.default_rng(0), st.u_d[0].shape)
-    a = surrogate_objective(eff, bf, st, gd, gu, nu, nr)
+    a = surrogate_objective(LinkSet.at(eff, bf, nu, nr), st, gd, gu)
     b = surrogate_compact(eff, bf, st, gd, gu, nu, nr)
     assert a == pytest.approx(b, rel=1e-10, abs=1e-10)
 
@@ -145,26 +146,57 @@ def test_surrogate_zero_at_all_zero_point(rng):
     st.u_u = np.zeros_like(st.u_u)
     st.w_d = np.broadcast_to(np.eye(st.w_d.shape[-1], dtype=complex), st.w_d.shape).copy()
     st.w_u = np.broadcast_to(np.eye(st.w_u.shape[-1], dtype=complex), st.w_u.shape).copy()
-    assert surrogate_objective(eff, bf, st, gd, gu, nu, nr) == pytest.approx(0.0, abs=1e-12)
+    value = surrogate_objective(LinkSet.at(eff, bf, nu, nr), st, gd, gu)
+    assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_perturbing_weight_decreases_surrogate(rng):
     """log|W| - Tr(W E) is concave in W and maximal at W* = E^{-1}."""
     _, _, eff, bf, st, gd, gu, nu, nr = random_instance(rng)
-    base = surrogate_objective(eff, bf, st, gd, gu, nu, nr)
+    base = surrogate_objective(LinkSet.at(eff, bf, nu, nr), st, gd, gu)
     for _ in range(10):
         pert = st.w_d[0] + 0.05 * np.eye(st.w_d[0].shape[0])
         other = st.w_d.copy()
         other[0] = pert
         mutated = type(st)(st.u_d, other, st.u_u, st.w_u)
-        assert surrogate_objective(eff, bf, mutated, gd, gu, nu, nr) <= base + 1e-12
+        assert surrogate_objective(LinkSet.at(eff, bf, nu, nr), mutated, gd, gu) <= base + 1e-12
 
 
 def test_block_update_never_decreases_surrogate(rng):
     for _ in range(5):
         _, _, eff, bf, st, gd, gu, nu, nr = random_instance(rng)
         st.u_d[0] = st.u_d[0] + 0.3 * cn_sample(rng, st.u_d[0].shape)
-        before = surrogate_objective(eff, bf, st, gd, gu, nu, nr)
-        refreshed = update_state(eff, bf, nu, nr)
-        after = surrogate_objective(eff, bf, refreshed, gd, gu, nu, nr)
+        before = surrogate_objective(LinkSet.at(eff, bf, nu, nr), st, gd, gu)
+        refreshed = update_state(LinkSet.at(eff, bf, nu, nr))
+        after = surrogate_objective(LinkSet.at(eff, bf, nu, nr), refreshed, gd, gu)
         assert after >= before - 1e-9
+
+
+def test_readers_share_one_linkset(rng):
+    """The rate, the decoder/weight refresh and the surrogate read one shared
+    `LinkSet`, as `outer_step` has them do, in either order: each gives the
+    bits it gives on a fresh `LinkSet` at that point, and none of them
+    changes the links it reads.  On one point and on three stacked seeds."""
+    _, _, eff, bf, _, gd, gu, nu, nr = random_instance(rng)
+    draws = [random_instance(rng) for _ in range(3)]
+    stacked = _stack([d[2] for d in draws]), _stack([d[3] for d in draws])
+    for eff, bf in ((eff, bf), stacked):
+        want_rate = weighted_sum_rate(LinkSet.at(eff, bf, nu, nr), gd, gu)
+        want_st = update_state(LinkSet.at(eff, bf, nu, nr))
+        want_surr = surrogate_objective(LinkSet.at(eff, bf, nu, nr), want_st, gd, gu)
+        for rate_first in (True, False):
+            links = LinkSet.at(eff, bf, nu, nr)
+            before = {name: getattr(links, name).copy()
+                      for name in ("hv_d", "den_d", "hv_u", "den_u")}
+            if rate_first:
+                rate, st = weighted_sum_rate(links, gd, gu), update_state(links)
+            else:
+                st, rate = update_state(links), weighted_sum_rate(links, gd, gu)
+            surr = surrogate_objective(links, st, gd, gu)
+            for name in ("r_down", "r_up", "weighted_sum"):
+                assert np.array_equal(getattr(rate, name), getattr(want_rate, name))
+            for name in ("u_d", "w_d", "u_u", "w_u"):
+                assert np.array_equal(getattr(st, name), getattr(want_st, name))
+            assert np.array_equal(surr, want_surr)
+            for name, value in before.items():
+                assert np.array_equal(getattr(links, name), value)

@@ -11,11 +11,11 @@ an extrapolated iterate only if it does not lower the rate.  Termination is
 by relative change of the weighted sum rate.
 
 `run_group` solves the runs of several channel draws under one config and
-scheme together.  Each run keeps its own SQUAREM state (cycle phase, stop
-test, iteration cap and trace) and names the next point it wants mapped;
-each round, one `outer_step` maps the points of every run still going,
-stacked on a leading seed axis, to rated points; records move between a
-stack and its runs through `_stack` and `_row` alone.  A point is its
+scheme together.  Each run is a `_cycles` generator with its own SQUAREM
+state (cycle phase, stop test, iteration cap and trace) that yields the next
+point it wants mapped; each round, one `outer_step` maps the points of every
+run still going, stacked on a leading seed axis, to rated points; records
+move between a stack and its runs through `_stack` and `_row` alone.  A point is its
 precoders and surface (V_d, V_u, coef) with the guard surrogate s4 of the
 step that produced it (NaN where it has none); each step composes its
 points' channels on the running seeds' draws and evaluates their links
@@ -282,47 +282,44 @@ def _settled(new: float, old: float, eps_w: float) -> bool:
     return diff == 0.0 or diff / max(abs(new), 1e-300) <= eps_w
 
 
-class _Run:
-    """One run's SQUAREM cycles.  `cycles` is a generator: it yields each
-    point to map and receives the rated image, with the solver counts and
-    surrogates of its step, from `run_group`."""
+def _cycles(cfg: RunConfig, scheme: SchemeSpec, start: _Iterate):
+    """One run's SQUAREM cycles, as a generator: it yields each point to map
+    and receives the rated image, with the solver counts and surrogates of
+    its step, from `run_group`.  Monotone schemes run cycles of two plain
+    steps, then one safeguarded extrapolation.  The stop test runs after
+    plain steps only, so a run ends on a plain step or at the iteration cap.
+    Schemes that quantize every iteration take plain steps alone.  Returns
+    the run's `RunResult` at its last iterate."""
+    trace = ConvergenceTrace([start.rate], 0, "max_iters")
 
-    def __init__(self, cfg: RunConfig, scheme: SchemeSpec, start: _Iterate):
-        self.cfg, self.scheme = cfg, scheme
-        self.start = start
-        self.trace = ConvergenceTrace([start.rate], 0, "max_iters")
+    def exhausted() -> bool:
+        return trace.iterations >= cfg.max_outer_iters
 
-    @property
-    def exhausted(self) -> bool:
-        return self.trace.iterations >= self.cfg.max_outer_iters
-
-    def take(self, x: _Iterate):
+    def take(x: _Iterate):
         """One counted map evaluation; the image carries its rate."""
         y, pgd, surrogates = yield x
-        t = self.trace
-        t.iterations += 1
-        t.pgd_iters += pgd.iters
-        t.pgd_cap_exits += pgd.cap_exits
-        t.step_surrogates.append(surrogates)
+        trace.iterations += 1
+        trace.pgd_iters += pgd.iters
+        trace.pgd_cap_exits += pgd.cap_exits
+        trace.step_surrogates.append(surrogates)
         return y
 
-    def plain(self, x: _Iterate):
+    def plain(x: _Iterate):
         """A plain step from x, then the stop test (True when it holds).
         Monotone schemes are held to ascent; quantized ones step off the
         ascent path."""
-        monotone = not self.scheme.quantizes_each_iter
-        y = yield from self.take(x)
-        self.trace.rates.append(y.rate)
-        if monotone and (x.rate - y.rate) > self.cfg.divergence_rel_tol * max(abs(y.rate),
-                                                                              1e-12):
+        y = yield from take(x)
+        trace.rates.append(y.rate)
+        if (not scheme.quantizes_each_iter
+                and (x.rate - y.rate) > cfg.divergence_rel_tol * max(abs(y.rate), 1e-12)):
             raise ConvergenceError(f"weighted sum rate decreased at iteration "
-                                   f"{self.trace.iterations}: {x.rate} -> {y.rate}")
-        if _settled(y.rate, x.rate, self.cfg.eps_w):
-            self.trace.terminated_by = "tolerance"
+                                   f"{trace.iterations}: {x.rate} -> {y.rate}")
+        if _settled(y.rate, x.rate, cfg.eps_w):
+            trace.terminated_by = "tolerance"
             return y, True
         return y, False
 
-    def extrapolate(self, x0: _Iterate, x1: _Iterate, x2: _Iterate):
+    def extrapolate(x0: _Iterate, x1: _Iterate, x2: _Iterate):
         """The SQUAREM step from x0 over x1 = F(x0) and x2 = F(x1).
 
         With r = x1 - x0, v = x2 - x1 - r and alpha = min(-|r|/|v|, -1), the
@@ -339,14 +336,13 @@ class _Run:
         norm_r = np.sqrt(sum(np.vdot(d, d).real for d in r))
         norm_v = np.sqrt(sum(np.vdot(d, d).real for d in v))
         alpha = -norm_r / norm_v if norm_v > 0.0 else -1.0
-        trace, cfg = self.trace, self.cfg
         for _ in range(_MAX_TRIALS):
-            if alpha >= -1.0 or self.exhausted:
+            if alpha >= -1.0 or exhausted():
                 break
             v_d, v_u, coef = (a - 2.0 * alpha * d + alpha ** 2 * e
                               for a, d, e in zip(a0, r, v))
             bf = _project_budgets(BeamformerSet(v_d, v_u), cfg.p_b, cfg.p_u)
-            x3 = yield from self.take(_Iterate(bf, IosState(project_feasible(coef))))
+            x3 = yield from take(_Iterate(bf, IosState(project_feasible(coef))))
             if x3.rate >= x2.rate:
                 trace.extrapolations_accepted += 1
                 trace.rates.append(x3.rate)
@@ -356,21 +352,15 @@ class _Run:
             alpha = 0.5 * (alpha - 1.0)
         return x2
 
-    def cycles(self):
-        """Monotone schemes run SQUAREM cycles: two plain steps, then one
-        safeguarded extrapolation.  The stop test runs after plain steps only,
-        so a run ends on a plain step or at the iteration cap.  Schemes that
-        quantize every iteration take plain steps alone.  Returns the last
-        iterate."""
-        x, done = self.start, False
-        while not (done or self.exhausted):
-            x1, done = yield from self.plain(x)
-            if done or self.exhausted or self.scheme.quantizes_each_iter:
-                x = x1
-                continue
-            x2, done = yield from self.plain(x1)
-            x = x2 if done else (yield from self.extrapolate(x, x1, x2))
-        return x
+    x, done = start, False
+    while not (done or exhausted()):
+        x1, done = yield from plain(x)
+        if done or exhausted() or scheme.quantizes_each_iter:
+            x = x1
+            continue
+        x2, done = yield from plain(x1)
+        x = x2 if done else (yield from extrapolate(x, x1, x2))
+    return RunResult(x.bf, x.ios, trace, x.report, x.duals)
 
 
 def _project_budgets(bf: BeamformerSet, p_b: float, p_u: float) -> BeamformerSet:
@@ -419,24 +409,23 @@ def run_group(chs: list[ChannelSet], cfg: RunConfig, scheme: SchemeSpec) -> list
     links = LinkSet.at(_compose(stacked, ios, scheme), bf, cfg.noise_users, cfg.noise_rx)
     start = _Iterate(bf, ios, weighted_sum_rate(links, cfg.gamma_down, cfg.gamma_up),
                      s4=np.full(len(chs), np.nan))
-    runs = [_Run(cfg, scheme, _row(start, k)) for k in range(len(chs))]
-    pending, points, ends = {i: run.cycles() for i, run in enumerate(runs)}, {}, {}
+    runs = [_cycles(cfg, scheme, _row(start, k)) for k in range(len(chs))]
+    points, results = {}, [None] * len(chs)
 
     def advance(i, sent=None) -> None:
         try:
-            points[i] = pending[i].send(sent)
+            points[i] = runs[i].send(sent)
         except StopIteration as stop:
-            ends[i] = stop.value
-            del pending[i], points[i]
+            results[i] = stop.value
+            points.pop(i, None)
         except (ConvergenceError, NumericalError) as exc:
             exc.run_index = i
             raise
 
-    for i in list(pending):
-        points[i] = None
+    for i in range(len(chs)):
         advance(i)
-    while pending:
-        seeds = sorted(pending)
+    while points:
+        seeds = sorted(points)
         wanted = [points[i] for i in seeds]
         try:
             images = _map(_row(stacked, np.array(seeds)), cfg, scheme, wanted)
@@ -446,18 +435,14 @@ def run_group(chs: list[ChannelSet], cfg: RunConfig, scheme: SchemeSpec) -> list
             raise
         for i, image in zip(seeds, images):
             advance(i, image)
-    return [RunResult(x.bf, x.ios, run.trace, x.report, x.duals)
-            for x, run in ((ends[i], runs[i]) for i in range(len(chs)))]
+    return results
 
 
 def run_algorithm2(ch: ChannelSet, cfg: RunConfig, scheme: SchemeSpec) -> RunResult:
     """Alternate decoder/weight, precoder, and surface updates to a fixed point.
 
     Monotone schemes run SQUAREM cycles (Varadhan & Roland, Scand. J. Statist.
-    2008) over x = (V_d, V_u, coef) with `outer_step` as the map: two plain
-    steps, then one safeguarded extrapolation.  The stop test runs after
-    plain steps only, so a run ends on a plain step or at the iteration cap.
-    Schemes that quantize every iteration take plain steps alone.  This is
-    `run_group` on one draw.
+    2008) over x = (V_d, V_u, coef) with `outer_step` as the map; `_cycles`
+    says how a run steps and stops.  This is `run_group` on one draw.
     """
     return run_group([ch], cfg, scheme)[0]

@@ -84,15 +84,10 @@ def xi_up(eff: EffectiveChannels, uw: np.ndarray, core: np.ndarray) -> np.ndarra
     return hermitize(leak + adj(eff.h_ku) @ core[..., None, :, :] @ eff.h_ku)
 
 
-def _g(power: np.ndarray, target, where: np.ndarray | None = None) -> np.ndarray:
+def _g(power: np.ndarray, target) -> np.ndarray:
     """g = power^(-1/2) - target elementwise, infinite at zero power and
-    -target at infinite power; NaN outside `where` when it is given.  The
-    root is Python's float pow: numpy's power rounds some of these inputs
-    differently."""
-    if where is not None:
-        g = np.full(power.shape, np.nan)
-        g[where] = _g(power[where], target[where])
-        return g
+    -target at infinite power.  The root is Python's float pow: numpy's
+    power rounds some of these inputs differently."""
     return np.array([math.inf if p == 0.0 else p ** -0.5 for p in power.ravel().tolist()]
                     ).reshape(power.shape) - target
 
@@ -117,7 +112,8 @@ def bisect_multiplier(power_of: Callable[[np.ndarray], np.ndarray], budget,
     brackets first, then take their secant steps in lockstep, on one shared
     step count.  The state is one array of budget's shape per quantity.  A
     search that has ended keeps its bracket and power (one met at zero has
-    the bracket [0, 0]), so its stop test stays true and its multiplier and g NaN.
+    the bracket [0, 0]), so its stop test stays true; its probe is NaN and
+    its g, which no step reads, is that of its held power.
     """
     budget = np.asarray(budget, dtype=float)
     if (budget < 0).any():
@@ -138,7 +134,7 @@ def bisect_multiplier(power_of: Callable[[np.ndarray], np.ndarray], budget,
             if doublings > _MAX_DOUBLINGS:
                 raise NumericalError("multiplier bracket never became feasible")
             p_hi = np.asarray(power_of(np.where(grows, hi, np.nan)), dtype=float)
-            g_hi = _g(p_hi, target, grows)
+            g_hi = _g(p_hi, target)
             fits = grows & (p_hi <= budget)
             p, g_b = np.where(fits, p_hi, p), np.where(fits, g_hi, g_b)
             grows = grows & ~fits
@@ -162,7 +158,7 @@ def bisect_multiplier(power_of: Callable[[np.ndarray], np.ndarray], budget,
             p = np.where(end, p, power_of(x))
             over = p > budget
             lo, hi = np.where(over & ~end, x, lo), np.where(over | end, hi, x)
-            a, g_a, b, g_b = b, g_b, x, _g(p, target, ~end)
+            a, g_a, b, g_b = b, g_b, x, _g(p, target)
     return hi[()]
 
 

@@ -281,15 +281,13 @@ def _newton_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings)
     step count and whether the solve ended without its certificate.
     """
     L = v.shape[-1]
-    if not np.any(lin):
-        return np.zeros_like(v), 0.0, 0, False      # v = 0 minimizes ||F^H v||^2
     f, e = zip(*map(_binary_scale, factors))
     nonzero = [np.any(fj) for fj in f]
     top = max((e[j] for j in range(2) if nonzero[j]), default=0)
     # The side runs normalized by 2^top (F) and 4^top (b), so a rescaled
     # problem (F 2^k, lin 4^k) takes the same steps to the same bits.
     b = np.ldexp(lin.conj().view(np.float64), -2 * top).view(complex)
-    if not np.any(b):       # lin underflowed in the normalization
+    if not np.any(b):       # lin is zero or underflowed: v = 0 minimizes ||F^H v||^2
         return np.zeros_like(v), 0.0, 0, False
     # A block whose scale s_j underflows adds nothing, as its products would.
     live = [j for j in range(2)

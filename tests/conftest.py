@@ -1,3 +1,4 @@
+import iosfd  # noqa: F401  (pins the BLAS threads before numpy loads)
 import dataclasses
 
 import numpy as np

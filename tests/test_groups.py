@@ -14,9 +14,9 @@ import pytest
 
 import iosfd.algorithm
 import iosfd.campaign
-from iosfd import (FadingParams, NumericalError, RunConfig, Scheme, SchemeSpec,
-                   bisect_multiplier, build_layout, run_algorithm2, run_group,
-                   sample_channels)
+from iosfd import (FadingParams, LinkSet, NumericalError, RunConfig, Scheme, SchemeSpec,
+                   apply_scheme, bisect_multiplier, build_layout, compose_effective,
+                   run_algorithm2, run_group, sample_channels, weighted_sum_rate)
 from iosfd.campaign import (JOBS_PER_WORKER, campaign_jobs, config_from_dict, reads_axis,
                             run_campaign, run_cells, write_campaign)
 from iosfd.errors import ConfigError, ConvergenceError
@@ -127,6 +127,28 @@ def test_group_equals_single_runs(scheme):
     ends = {res.trace.terminated_by for res in group}
     assert ends == {"tolerance", "max_iters"}
     assert len({res.trace.iterations for res in group}) > 2
+
+
+@pytest.mark.parametrize("scheme", SCHEMES[:2], ids=lambda s: s.label)
+def test_zero_cap_returns_the_rated_start_points(scheme):
+    """Under a cap of 0 iterations no run takes a step: each of three draws
+    returns its start point rated alone, with one rate and no multipliers."""
+    layout = build_layout(reference_geometry(L=16, K=3))
+    chs = [sample_channels(layout, FadingParams.from_db(3.0), seed) for seed in range(3)]
+    cfg = RunConfig(gamma_down=np.full(3, 0.5), gamma_up=np.full(3, 0.5),
+                    noise_users=np.full(3, 1e-8), noise_rx=1e-8, p_b=10.0, p_u=10 ** 0.5,
+                    max_outer_iters=0)
+    for ch, res in zip(chs, run_group(chs, cfg, scheme)):
+        bf, ios = apply_scheme(scheme, ch, cfg)
+        links = LinkSet.at(compose_effective(ch, ios), bf, cfg.noise_users, cfg.noise_rx)
+        rate = weighted_sum_rate(links, cfg.gamma_down, cfg.gamma_up).weighted_sum
+        assert np.array_equal(res.beamformers.v_d, bf.v_d)
+        assert np.array_equal(res.beamformers.v_u, bf.v_u)
+        assert np.array_equal(res.ios.coef, ios.coef)
+        assert res.report.weighted_sum == rate
+        assert (res.trace.iterations, res.trace.terminated_by) == (0, "max_iters")
+        assert res.trace.rates == [rate]
+        assert res.duals is None
 
 
 class InProcess:

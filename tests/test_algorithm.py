@@ -1,4 +1,5 @@
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -74,11 +75,53 @@ def test_high_power_run_passes_the_descent_check():
     assert out.stdout.split() == ["tolerance"]
 
 
+STEADY_RUN = """
+from iosfd import (FadingParams, RunConfig, Scheme, SchemeSpec, build_layout,
+                   run_algorithm2, sample_channels)
+import resource
+import numpy as np
+from conftest import grid_geometry
+ch = sample_channels(build_layout(grid_geometry("close", 256, 3, (2, 2, 2, 2))),
+                     FadingParams.from_db(3.0), 0)
+cfg = RunConfig(gamma_down=np.full(3, 0.5), gamma_up=np.full(3, 0.5),
+                noise_users=np.full(3, 1e-8), noise_rx=1e-8, p_b=4.0, p_u=2.0)
+run_algorithm2(ch, cfg, SchemeSpec(Scheme.DS_IOS))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+iters = run_algorithm2(ch, cfg, SchemeSpec(Scheme.DS_IOS)).trace.iterations
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / iters)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="counts page faults under glibc's malloc")
+def test_steady_state_solve_does_not_fault():
+    """A repeated DS_IOS run at L = 256 (close-mounted, K = 3, seed 0, 86
+    outer iterations) reuses the heap its first run freed: `import iosfd`
+    keeps glibc from trimming the surface block's temporaries back to the
+    kernel, so the second run takes (almost) no minor page faults.  A caller
+    that sets glibc's malloc itself keeps its setting; with MALLOC_TOP_PAD_=0
+    the same run faults on every outer iteration."""
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    per_iter = []
+    for extra in ({}, {"MALLOC_TOP_PAD_": "0"}):
+        out = subprocess.run([sys.executable, "-c", STEADY_RUN], env=dict(env, **extra),
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr[-2000:]
+        per_iter.append(float(out.stdout))
+    assert per_iter[0] <= 5
+    assert per_iter[1] > 100
+
+
 def test_simulate_gives_one_answer_per_host(tmp_path):
     """`iosfd simulate` on the 50/45 dBm run above, whose path depends on
     the BLAS thread count, writes the same results with every thread
-    variable unset as with OPENBLAS_NUM_THREADS=1: the package pins one
-    BLAS thread unless the caller sets one."""
+    variable unset as with OPENBLAS_NUM_THREADS=1, and also when the caller
+    imports numpy (loading its BLAS) before iosfd: the package pins one BLAS
+    thread unless the caller sets one."""
     root = Path(__file__).resolve().parents[1]
     config = tmp_path / "high-power.json"
     config.write_text('{"name": "high-power", "powers": {"p_b_dbm": 50.0, "p_u_dbm": 45.0},'
@@ -87,9 +130,13 @@ def test_simulate_gives_one_answer_per_host(tmp_path):
                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
     env = {k: v for k, v in os.environ.items() if k not in thread_vars}
     env["PYTHONPATH"] = str(root / "src")
+    cli = ["-m", "iosfd.cli"]
+    numpy_first = ["-c", "import numpy, sys; from iosfd.cli import main; "
+                         "sys.exit(main(sys.argv[1:]))"]
     results = []
-    for n, extra in enumerate(({}, {"OPENBLAS_NUM_THREADS": "1"})):
-        out = subprocess.run([sys.executable, "-m", "iosfd.cli", "simulate", "--config",
+    for n, (entry, extra) in enumerate(((cli, {}), (cli, {"OPENBLAS_NUM_THREADS": "1"}),
+                                        (numpy_first, {}))):
+        out = subprocess.run([sys.executable, *entry, "simulate", "--config",
                               str(config), "--threads", "1", "--out", str(tmp_path / str(n))],
                              env=dict(env, **extra), capture_output=True, text=True,
                              timeout=300)
@@ -97,7 +144,7 @@ def test_simulate_gives_one_answer_per_host(tmp_path):
         rows = (tmp_path / str(n) / "high-power" / "results.csv").read_text().splitlines()
         drop = rows[0].split(",").index("wall_ms")
         results.append([[c for i, c in enumerate(r.split(",")) if i != drop] for r in rows])
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
 
 
 def test_trace_counts_pgd_cap_exits():

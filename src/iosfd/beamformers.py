@@ -13,11 +13,9 @@ root search drives it onto the budget whenever the unconstrained solution is
 infeasible.  One multiplier covers the whole downlink (sum-power constraint);
 uplink users are budgeted individually.  All K quadratics of a direction are
 built and eigendecomposed as one (K, n, n) stack, and the seeds of a group
-stack in front of that.  One search call per update covers every seed's
-downlink and every (seed, user) uplink, on budgets of shape (..., 1 + K),
-or of shape (..., K) when the downlink right-hand side is exactly zero;
-its state is one array of that shape per quantity, and a search that has
-ended probes NaN from then on.
+stack in front of that.  Each multiplier is then one scalar search in Python
+floats on its own power map: per seed, the downlink over all K users'
+eigen-terms, and per (seed, user), the uplink over that user's.
 
 The consumed power is p(mu) = sum_i w_i / (lambda_i + mu)^2, so
 p(mu)^(-1/2) is exactly linear in mu for a single eigen-term and nearly
@@ -84,82 +82,73 @@ def xi_up(eff: EffectiveChannels, uw: np.ndarray, core: np.ndarray) -> np.ndarra
     return hermitize(leak + adj(eff.h_ku) @ core[..., None, :, :] @ eff.h_ku)
 
 
-def _g(power: np.ndarray, target) -> np.ndarray:
-    """g = power^(-1/2) - target elementwise, infinite at zero power and
-    -target at infinite power.  The root is Python's float pow: numpy's
-    power rounds some of these inputs differently."""
-    return np.array([math.inf if p == 0.0 else p ** -0.5 for p in power.ravel().tolist()]
-                    ).reshape(power.shape) - target
+def bisect_multiplier(power_of: Callable[[float], float], budget: float,
+                      eps_b: float = 1e-4) -> float:
+    """Smallest multiplier whose consumed power `power_of(mu)` meets the
+    budget, in Python floats.
 
-
-def bisect_multiplier(power_of: Callable[[np.ndarray], np.ndarray], budget,
-                      eps_b: float = 1e-4):
-    """Smallest multiplier whose consumed power meets the budget, for one
-    search or for an array of independent searches (one per entry of
-    `budget`), advanced together.
-
-    Each search checks the multiplier-free solution first; otherwise doubles
-    the upper end of the bracket [0, 1] until feasible (each infeasible end
-    becomes the lower one), then takes secant steps on
-    g = power^(-1/2) - budget^(-1/2) inside the bracket, bisecting when a step
-    leaves it and on every _BISECT_EVERY-th step.  The hard accuracy target is
-    eps_b * budget on the power gap, but iteration continues toward machine
-    precision so the result acts like the exact dual point: the feasible end
-    `hi` of the bracket.  Each probe is one call of `power_of` with one
-    multiplier per search (budget's shape), NaN for a search that is waiting
-    or finished, returning their powers.  Every search makes the probes, and
-    returns the multiplier, that it makes alone: all searches double their
-    brackets first, then take their secant steps in lockstep, on one shared
-    step count.  The state is one array of budget's shape per quantity.  A
-    search that has ended keeps its bracket and power (one met at zero has
-    the bracket [0, 0]), so its stop test stays true; its probe is NaN and
-    its g, which no step reads, is that of its held power.
+    Checks the multiplier-free solution first; otherwise doubles the upper end
+    of the bracket [0, 1] until feasible (each infeasible end becomes the
+    lower one), then takes secant steps on g = power^(-1/2) - budget^(-1/2)
+    inside the bracket, bisecting when a step leaves it and on every
+    _BISECT_EVERY-th step.  The hard accuracy target is eps_b * budget on the
+    power gap, but iteration continues toward machine precision so the result
+    acts like the exact dual point: the feasible end `hi` of the bracket.
     """
-    budget = np.asarray(budget, dtype=float)
-    if (budget < 0).any():
+    budget = float(budget)
+    if budget < 0:
         raise ValueError("power budget must be nonnegative")
-    # p(0) may divide by zero; a zero secant denominator gives an infinite or
-    # NaN step, which the bracket test turns into a bisection
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p = np.asarray(power_of(np.zeros(budget.shape)), dtype=float)
-        hi = np.where(p <= budget * (1.0 + 1e-12), 0.0, 1.0)
-        if ((hi > 0.0) & (budget == 0.0)).any():
-            raise NumericalError("zero budget with nonzero unconstrained power")
-        target = _g(budget, 0.0)        # budget^(-1/2)
-        lo, g_lo = np.zeros(budget.shape), _g(p, target)
-        g_b, grows = g_lo, hi > 0.0
-        for doublings in range(_MAX_DOUBLINGS + 2):
-            if not grows.any():
-                break
-            if doublings > _MAX_DOUBLINGS:
-                raise NumericalError("multiplier bracket never became feasible")
-            p_hi = np.asarray(power_of(np.where(grows, hi, np.nan)), dtype=float)
-            g_hi = _g(p_hi, target)
-            fits = grows & (p_hi <= budget)
-            p, g_b = np.where(fits, p_hi, p), np.where(fits, g_hi, g_b)
-            grows = grows & ~fits
-            lo, g_lo = np.where(grows, hi, lo), np.where(grows, g_hi, g_lo)
-            hi = np.where(grows, 2.0 * hi, hi)
+    p = power_of(0.0)
+    if p <= budget * (1.0 + 1e-12):
+        return 0.0
+    if budget == 0.0:
+        raise NumericalError("zero budget with nonzero unconstrained power")
+    target = budget ** -0.5
 
-        tol = min(eps_b, _POWER_REL_TOL) * budget
-        a, g_a, b = lo, g_lo, hi            # the last two probes, for the secant
-        for step in range(1, _MAX_STEPS + 1):
-            gap = budget - p
-            end = ((gap >= 0.0) & (gap <= tol)) | ((hi - lo) <= 1e-15 * hi)
-            if end.all():
-                break
-            mid = 0.5 * (lo + hi)
-            if step % _BISECT_EVERY == 0:
-                x = mid
-            else:
-                x = b - g_b * (b - a) / (g_b - g_a)
-                x = np.where((lo < x) & (x < hi), x, mid)
-            x = np.where(end, np.nan, x)
-            p = np.where(end, p, power_of(x))
-            over = p > budget
-            lo, hi = np.where(over & ~end, x, lo), np.where(over | end, hi, x)
-            a, g_a, b, g_b = b, g_b, x, _g(p, target)
-    return hi[()]
+    def g(power: float) -> float:       # infinite at zero power, -target at infinite
+        return (power ** -0.5 if power else math.inf) - target
+
+    lo, hi, g_lo = 0.0, 1.0, g(p)
+    for _ in range(_MAX_DOUBLINGS + 1):
+        if (p := power_of(hi)) <= budget:
+            break
+        lo, g_lo, hi = hi, g(p), 2.0 * hi
+    else:
+        raise NumericalError("multiplier bracket never became feasible")
+
+    tol = min(eps_b, _POWER_REL_TOL) * budget
+    a, g_a, b, g_b = lo, g_lo, hi, g(p)     # the last two probes, for the secant
+    for step in range(1, _MAX_STEPS + 1):
+        if 0.0 <= budget - p <= tol or hi - lo <= 1e-15 * hi:
+            break
+        # equal g values leave no secant; `lo`, like an infinite or NaN
+        # step, fails the bracket test below and bisects
+        x = b - g_b * (b - a) / (g_b - g_a) if g_b != g_a else lo
+        if step % _BISECT_EVERY == 0 or not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        p = power_of(x)
+        if p > budget:
+            lo = x
+        else:
+            hi = x
+        a, g_a, b, g_b = b, g_b, x, g(p)
+    return hi
+
+
+def _power_map(eigvals: list[float], weights: list[float]) -> Callable[[float], float]:
+    """mu -> sum_i w_i / (lambda_i + mu)^2 over the terms with w_i > 0, added
+    left to right; a term is infinite where lambda_i + mu (or its square)
+    is zero."""
+    terms = [(lam, w) for lam, w in zip(eigvals, weights) if w > 0.0]
+
+    def power(mu: float) -> float:
+        total = 0.0
+        for lam, w in terms:
+            d = lam + mu
+            d *= d
+            total += w / d if d else math.inf
+        return total
+    return power
 
 
 class _RegularizedSolve:
@@ -179,15 +168,16 @@ class _RegularizedSolve:
         self._vecs = vecs
         self._proj = adj(vecs) @ rhs
         self._weights = np.sum(np.abs(self._proj) ** 2, axis=-1)
-        self._carries = self._weights > 0.0
 
-    def power(self, mu: np.ndarray, axis) -> np.ndarray:
-        """Consumed power at multipliers `mu` (broadcast against the (K, n)
-        eigenvalue stack), summed over `axis`: one user's n eigen-terms, or
-        all K users' for a shared multiplier.  At mu = 0 a zero eigenvalue
-        divides by zero; where it carries weight the power is infinite."""
-        d = self._vals + mu
-        return np.add.reduce(np.where(self._carries, self._weights / (d * d), 0.0), axis=axis)
+    def multipliers(self, budget: float, eps_b: float, shared: bool) -> np.ndarray:
+        """One `bisect_multiplier` search per user (shape (..., K)), or with
+        `shared` one per leading index over all K users' eigen-terms (shape
+        (...)), each on the power map of its own eigen-terms."""
+        lead = self._vals.shape[:-2] if shared else self._vals.shape[:-1]
+        rows = zip(self._vals.reshape(math.prod(lead), -1).tolist(),
+                   self._weights.reshape(math.prod(lead), -1).tolist())
+        return np.array([bisect_multiplier(_power_map(vals, weights), float(budget), eps_b)
+                         for vals, weights in rows]).reshape(lead)
 
     def solution(self, mu: np.ndarray) -> np.ndarray:
         """(K, n, s) precoders at the multipliers `mu`, one per user (shape (K,))
@@ -205,36 +195,25 @@ def update_beamformers(eff: EffectiveChannels, st: WmmseState,
     """Refresh every precoder from the current decoders/weights.
 
     The downlink multiplier couples all K precoders through the sum-power
-    budget; uplink multipliers are solved per user.  One `bisect_multiplier`
-    call runs a downlink and K uplink searches per leading index, on budgets
-    of shape (..., 1 + K).  A downlink right-hand side that is exactly zero
-    (the zero decoders of the single-side baseline's V_d = 0) has zero power
-    at every multiplier: V_d comes back 0 at mu = 0 unsearched, and the uplink
-    budgets (..., K) are searched alone, with the probes they make beside it.
+    budget; uplink multipliers are solved per user.  Both directions'
+    quadratics are eigendecomposed as batched stacks, then `bisect_multiplier`
+    runs once per multiplier: per leading index one downlink search and K
+    uplink searches.  A downlink right-hand side that is exactly zero (the
+    zero decoders of the single-side baseline's V_d = 0) has zero power at
+    every multiplier: V_d comes back 0 at mu = 0 unsearched.
     """
-    *lead, K = eff.h_kd.shape[:-2]
-    lead = tuple(lead)
     uw, core = downlink_weight_core(st, gamma_down), uplink_weight_core(st, gamma_up)
     gd = np.asarray(gamma_down, dtype=float)[:, None, None]
     gu = np.asarray(gamma_up, dtype=float)[:, None, None]
 
     up = _RegularizedSolve(xi_up(eff, uw, core),
                            gu * (adj(eff.h_ku) @ st.u_u @ st.w_u))
+    lams = up.multipliers(p_u, eps_b, shared=False)
     rhs_d = gd * (adj(eff.h_kd) @ st.u_d @ st.w_d)
     if not rhs_d.any():
-        lams = bisect_multiplier(lambda m: up.power(m[..., None], -1),
-                                 np.full(lead + (K,), p_u), eps_b)
         return (BeamformerSet(np.zeros_like(rhs_d), up.solution(lams)),
-                DualState(np.zeros(lead)[()], lams))
+                DualState(np.zeros(lams.shape[:-1])[()], lams))
     down = _RegularizedSolve(xi_down(eff, uw, core), rhs_d)
-
-    def power(m):       # column 0: the downlink sum; columns 1..K: the uplink users
-        out = np.zeros(m.shape)
-        out[..., 0] = down.power(m[..., :1, None], (-2, -1))
-        out[..., 1:] = up.power(m[..., 1:, None], -1)
-        return out
-    mult = bisect_multiplier(power, np.concatenate(
-        [np.full(lead + (1,), p_b), np.full(lead + (K,), p_u)], axis=-1), eps_b)
-    mu, lams = mult[..., 0][()], mult[..., 1:]
+    mu = down.multipliers(p_b, eps_b, shared=True)[()]
     v_d = down.solution(np.asarray(mu)[..., None])
     return BeamformerSet(v_d, up.solution(lams)), DualState(mu, lams)

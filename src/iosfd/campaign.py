@@ -31,7 +31,7 @@ import numpy as np
 from .algorithm import RunConfig, Scheme, SchemeSpec, run_group
 # bound here for perfbench's tracer, which wraps it by name in this module
 from .algorithm import run_algorithm2  # noqa: F401
-from .channels import FadingParams, sample_channels
+from .channels import FadingParams, link_distances, sample_channels
 from .errors import ConfigError, ConvergenceError, GeometryError, NumericalError
 from .geometry import GeometryConfig, build_layout
 from .phases import PgdSettings
@@ -320,9 +320,10 @@ def validate_config(cfg: CampaignConfig) -> None:
 
 
 def _check_layouts(cfg: CampaignConfig) -> None:
-    """Build every layout the campaign's jobs will build, so that no job ends
-    the campaign on its geometry: each sweep value's on an `L` or
-    `tx_ios_distance` sweep, else the scenario's."""
+    """Build every layout the campaign's jobs will build, and every distance
+    their draws read, so that no job ends the campaign on its geometry: each
+    sweep value's on an `L` or `tx_ios_distance` sweep, else the scenario's,
+    with the direct links when a scheme draws them."""
     sc = cfg.scenario
     for scheme in cfg.schemes:
         if scheme.uses_surface and sc.n_user_tx != sc.n_user_rx:
@@ -333,9 +334,10 @@ def _check_layouts(cfg: CampaignConfig) -> None:
         points = [(f"sweep.values[{i}]", v) for i, v in enumerate(cfg.sweep.values)]
     else:
         points = [("scenario", None)]
+    include_direct = not all(scheme.uses_surface for scheme in cfg.schemes)
     for path, value in points:
         try:
-            _layout(cfg, _sweep_scenario(cfg, value)[0])
+            link_distances(_layout(cfg, _sweep_scenario(cfg, value)[0]), include_direct)
         except GeometryError as exc:
             raise ConfigError(f"{path}: {exc}") from None
 

@@ -84,21 +84,29 @@ def _rician(amplitude: np.ndarray, distances: np.ndarray, wavelength: float,
     return amplitude * (los + np.sqrt(1.0 / (chi + 1.0)) * cn)
 
 
+def link_distances(layout: SpatialLayout, include_direct: bool = False) -> tuple:
+    """Every distance `sample_channels` reads: r_ti, r_ir, r_tr, r_iu, r_uu and
+    the direct links' (empty without `include_direct`).  Raises
+    `GeometryError` if any of them is zero."""
+    ios, tx, rx = layout.ios_positions, layout.tx_positions, layout.rx_positions
+    u_rx, u_tx = layout.user_rx_positions, layout.user_tx_positions
+    return (pairwise_distances(ios, tx), pairwise_distances(ios, rx),
+            pairwise_distances(rx, tx),
+            pairwise_distances(ios, u_rx),                      # (K, L, N_ur)
+            pairwise_distances(u_rx[None], u_tx[:, None]),      # (K, K, N_ur, N_ut), [j, k]
+            (pairwise_distances(u_rx, tx), pairwise_distances(rx, u_tx))
+            if include_direct else ())                          # (K, N_ur, N_t), (K, N_r, N_ut)
+
+
 def sample_channels(layout: SpatialLayout, fading: FadingParams, seed: int,
                     include_direct: bool = False) -> ChannelSet:
     """Draw one channel realization; identical seeds give identical matrices."""
     lam = layout.wavelength
     kappa = fading.pathloss_exponent
     ios, tx, rx = layout.ios_positions, layout.tx_positions, layout.rx_positions
-    u_rx, u_tx = layout.user_rx_positions, layout.user_tx_positions
 
     # Every distance first, so a zero one raises before any elevation is formed.
-    r_ti, r_ir, r_tr = (pairwise_distances(ios, tx), pairwise_distances(ios, rx),
-                        pairwise_distances(rx, tx))
-    r_iu = pairwise_distances(ios, u_rx)                        # (K, L, N_ur)
-    r_uu = pairwise_distances(u_rx[None], u_tx[:, None])        # (K, K, N_ur, N_ut), [j, k]
-    r_direct = ((pairwise_distances(u_rx, tx), pairwise_distances(rx, u_tx))
-                if include_direct else ())                      # (K, N_ur, N_t), (K, N_r, N_ut)
+    r_ti, r_ir, r_tr, r_iu, r_uu, r_direct = link_distances(layout, include_direct)
 
     def los_link(r: np.ndarray, array: np.ndarray, gain_exponent: float):
         """LoS link (L, len(array)) between the surface and a transceiver

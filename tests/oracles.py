@@ -20,7 +20,9 @@ one user (and one interferer) at a time on single matrices:
 * `bisect_multiplier_plain`, the plain bisection that
   `beamformers.bisect_multiplier` replaced by a safeguarded secant search;
 * `bisect_multiplier_scalar`, that secant search for one multiplier in
-  Python floats, before it was vectorized over many searches.
+  Python floats, as it was written before a lockstep array form replaced it
+  for a time; `bisect_multiplier` is again one such search and must match it
+  probe for probe.
 
 `pgd_side_plain` is plain projected gradient on one side of the surface
 QCQP, the reference that `phases._newton_side` is checked against.  It takes
@@ -463,7 +465,7 @@ def bisect_multiplier_scalar(power_of, budget: float, eps_b: float = 1e-4) -> fl
     """One search of `beamformers.bisect_multiplier` in Python floats: the
     bracket doubling, then secant steps on g = p^(-1/2) - budget^(-1/2) with a
     bisection when a step leaves the bracket and on every fifth step.  The
-    vectorized search must make the same probes and return the same bits."""
+    package's search must make the same probes and return the same bits."""
     if budget < 0:
         raise ValueError("power budget must be nonnegative")
     lo, hi = 0.0, 1.0

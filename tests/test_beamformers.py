@@ -4,6 +4,7 @@ import pytest
 from iosfd import (BeamformerSet, LinkSet, bisect_multiplier, update_beamformers,
                    update_state)
 from iosfd import beamformers
+from iosfd.algorithm import _stack
 from iosfd.errors import NumericalError
 from iosfd.linalg import adj
 from iosfd.wmmse import surrogate_objective
@@ -174,10 +175,11 @@ def test_zero_downlink_is_a_fixed_point(rng):
     assert np.all(duals.lambda_u > 0.0)
 
 
-def test_zero_downlink_searches_the_uplink_alone(rng):
-    """On an SS state (V_d = 0) the update's lambda_u and V_u have the bits of
-    a direct uplink-only search and solve, and of the joint search with the
-    zero downlink beside it, as it ran before the downlink was skipped."""
+def test_zero_downlink_searches_the_uplink_alone(rng, monkeypatch):
+    """On an SS state (V_d = 0) the update returns V_d = 0 at mu = 0 without a
+    downlink search, and its lambda_u and V_u have the bits of one search per
+    user on that user's uplink power map and of the solve at those
+    multipliers."""
     _, _, eff, bf, _, gd, gu, nu, nr = random_instance(rng)
     st = update_state(LinkSet.at(eff, BeamformerSet(np.zeros_like(bf.v_d), bf.v_u), nu, nr))
     K = len(gu)
@@ -185,20 +187,50 @@ def test_zero_downlink_searches_the_uplink_alone(rng):
     core = beamformers.uplink_weight_core(st, gu)
     up = beamformers._RegularizedSolve(beamformers.xi_up(eff, uw, core),
                                        gu[:, None, None] * (adj(eff.h_ku) @ st.u_u @ st.w_u))
-    down = beamformers._RegularizedSolve(beamformers.xi_down(eff, uw, core),
-                                         gd[:, None, None] * (adj(eff.h_kd) @ st.u_d @ st.w_d))
-
-    def joint(m):
-        return np.concatenate([down.power(m[:1, None], (-2, -1))[None],
-                               up.power(m[1:, None], -1)])
+    budgets = []
+    monkeypatch.setattr(beamformers, "bisect_multiplier",
+                        lambda power_of, budget, eps_b: budgets.append(budget)
+                        or bisect_multiplier(power_of, budget, eps_b))
     for p_u in (2.0, 0.05):
+        budgets.clear()
         new, duals = update_beamformers(eff, st, gd, gu, 4.0, p_u)
-        lams = bisect_multiplier(lambda m: up.power(m[..., None], -1), np.full(K, p_u))
-        both = bisect_multiplier(joint, np.concatenate([[4.0], np.full(K, p_u)]))
-        assert both[0] == 0.0
-        assert duals.lambda_u.tobytes() == lams.tobytes() == both[1:].tobytes()
+        assert budgets == [p_u] * K
+        lams = np.array([bisect_multiplier(_power_map(up._weights[k], up._vals[k])[0], p_u)
+                         for k in range(K)])
+        assert duals.lambda_u.tobytes() == lams.tobytes()
         assert new.v_u.tobytes() == up.solution(lams).tobytes()
         assert not np.any(new.v_d) and new.v_d.shape == bf.v_d.shape and duals.mu_d == 0.0
+
+
+def test_one_search_per_multiplier(monkeypatch):
+    """An update on S stacked seeds calls the module's `bisect_multiplier`
+    once per multiplier with a float budget: (1 + K) * S times, or K * S
+    times when the downlink right-hand side is zero, and each seed gets the
+    multipliers of its update alone."""
+    rng = np.random.default_rng(7)
+    S, K = 3, 2
+    draws = [random_instance(rng, K=K) for _ in range(S)]
+    gd, gu = draws[0][5], draws[0][6]
+    eff = _stack([d[2] for d in draws])
+    calls = []
+    monkeypatch.setattr(beamformers, "bisect_multiplier",
+                        lambda power_of, budget, eps_b: calls.append(budget)
+                        or bisect_multiplier(power_of, budget, eps_b))
+    for zero_downlink in (False, True):
+        sts = [update_state(LinkSet.at(d[2], BeamformerSet(
+            np.zeros_like(d[3].v_d) if zero_downlink else d[3].v_d, d[3].v_u), d[7], d[8]))
+            for d in draws]
+        calls.clear()
+        new, duals = update_beamformers(eff, _stack(sts), gd, gu, np.float64(4.0),
+                                        np.float64(0.05))
+        assert len(calls) == (K if zero_downlink else 1 + K) * S
+        assert all(type(budget) is float for budget in calls)
+        assert duals.lambda_u.shape == (S, K) and np.shape(duals.mu_d) == (S,)
+        for i in range(S):
+            one, alone = update_beamformers(draws[i][2], sts[i], gd, gu, 4.0, 0.05)
+            assert duals.lambda_u[i].tobytes() == alone.lambda_u.tobytes()
+            assert duals.mu_d[i] == alone.mu_d
+            assert new.v_u[i].tobytes() == one.v_u.tobytes()
 
 
 def _power_map(weights, eigvals):

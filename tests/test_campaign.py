@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -258,6 +259,28 @@ def test_geometry_errors_come_before_any_job(tmp_path, monkeypatch, capsys):
         assert not (tmp_path / "out").exists()
     assert config_from_dict(tiny_config(schemes=["WO_IOS"],
                                         scenario={**scenario, "n_user_rx": 3}))
+
+
+def test_zero_link_distance_is_a_config_error(tmp_path, monkeypatch, capsys):
+    """A user array that touches the surface passes `build_layout` but gives a
+    zero link distance; loading rejects it naming the scenario or the sweep
+    value, and `simulate` exits 2 before any job runs."""
+    data = {"name": "zero", "scenario": {"k_users": 2, "l_elements": 8,
+                                         "user_anchors": [[20.0, 20.0, 1.5],
+                                                          [1.0, 0.975, 5.0]]},
+            "schemes": ["WO_IOS", "DS_IOS"], "seeds": {"base": 0, "count": 2}}
+    swept = {**data, "sweep": {"axis": "L", "values": [4, 8]}}
+    _never_solve(monkeypatch)
+    for config, path in ((data, "scenario"), (swept, "sweep.values[0]")):
+        message = f"{path}: zero distance between points of different arrays"
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+            config_from_dict(config)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(cfg_path), "--threads", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_scheme_options_get_their_own_rows_and_traces(tmp_path):

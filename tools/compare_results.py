@@ -8,20 +8,29 @@ Two run directories agree when `results.csv` is equal apart from its
 `wall_ms` column, `traces/` holds the same file names with the same bytes,
 and `config.echo.json` has the same bytes.  For each run directory the
 script prints the row and trace counts and sha256 prefixes of the results
-without `wall_ms`, of the traces and of the config echo.  It exits with 0
-when everything agrees, 1 on any difference and 2 when a directory holds no
-results.  Standard library only.
+without `wall_ms`, of the traces and of the config echo.  When
+`results.csv` differs, it also prints the rows (keyed by scheme, sweep value
+and seed) whose `iterations` or `terminated_by` changed, and the largest
+relative change in `weighted_sum_rate`.  It exits with 0 when everything
+agrees, 1 on any difference and 2 when a directory holds no results.
+Standard library only.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import hashlib
+import io
+import math
 import sys
 from pathlib import Path
 
 TIMING_COLUMN = "wall_ms"
+KEY_COLUMNS = ("scheme", "sweep_value", "seed")
+RATE_COLUMN = "weighted_sum_rate"
+RUN_COLUMNS = ("iterations", "terminated_by")
 PREFIX = 16
+SHOWN = 10
 
 
 def results_text(path: Path) -> str:
@@ -60,6 +69,41 @@ def summarize(run: Path) -> Summary:
     return results_text(run / "results.csv"), traces(run), echo_bytes
 
 
+def keyed_rows(res: str) -> dict[tuple, dict[str, str]]:
+    """The rows of `results_text` output by (scheme, sweep value, seed)."""
+    rows = list(csv.DictReader(io.StringIO(res)))
+    return {tuple(row.get(c) for c in KEY_COLUMNS): row for row in rows}
+
+
+def relative_change(a: str, b: str) -> float:
+    x, y = float(a), float(b)
+    if a == b:
+        return 0.0
+    return abs(y - x) / abs(x) if x and math.isfinite(x) and math.isfinite(y) else math.inf
+
+
+def row_changes(res_a: str, res_b: str) -> list[str]:
+    """How the rows both results hold moved: how many differ, those whose
+    iterations or stop reason changed, and the largest relative change in
+    the weighted sum rate."""
+    rows_a, rows_b = keyed_rows(res_a), keyed_rows(res_b)
+    shared = [k for k in rows_a if k in rows_b]
+    differ = [k for k in shared if rows_a[k] != rows_b[k]]
+    moved = [k for k in differ if any(rows_a[k].get(c) != rows_b[k].get(c) for c in RUN_COLUMNS)]
+    lines = [f"{len(differ)} of {len(shared)} shared rows differ; {len(moved)} changed "
+             + " or ".join(RUN_COLUMNS)]
+    for k in moved[:SHOWN]:
+        lines.append(",".join(v or "" for v in k) + ": " + ", ".join(
+            f"{c} {rows_a[k].get(c)} -> {rows_b[k].get(c)}" for c in RUN_COLUMNS))
+    if differ and all(RATE_COLUMN in rows_a[k] for k in differ):
+        def change(k):
+            return relative_change(rows_a[k][RATE_COLUMN], rows_b[k][RATE_COLUMN])
+        key = max(differ, key=change)
+        lines.append(f"largest relative change in {RATE_COLUMN}: {change(key):.2g} "
+                     f"({','.join(v or '' for v in key)})")
+    return lines
+
+
 def compare_runs(a: Summary, b: Summary) -> list[str]:
     """Differences between two run directories, empty when they agree."""
     (res_a, tr_a, echo_a), (res_b, tr_b, echo_b) = a, b
@@ -70,6 +114,7 @@ def compare_runs(a: Summary, b: Summary) -> list[str]:
                      min(len(rows_a), len(rows_b)))
         diffs.append(f"results.csv differs (without {TIMING_COLUMN}) from line {first + 1}; "
                      f"{len(rows_a) - 1} against {len(rows_b) - 1} rows")
+        diffs += row_changes(res_a, res_b)
     if tr_a.keys() != tr_b.keys():
         only_a, only_b = sorted(tr_a.keys() - tr_b.keys()), sorted(tr_b.keys() - tr_a.keys())
         diffs.append(f"trace names differ: only in first {only_a[:5]}, only in second {only_b[:5]}")

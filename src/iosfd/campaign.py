@@ -21,7 +21,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -531,6 +530,14 @@ def campaign_jobs(cfg: CampaignConfig, threads: int = 1) -> list[tuple]:
     jobs = [(cfg, scheme, shared, chunk)
             for (scheme, shared), n in zip(groups, parts) for chunk in _chunks(seeds, n)]
     return sorted(jobs, key=lambda job: -len(job[3]))
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """`concurrent.futures.ProcessPoolExecutor`, imported at the first pool:
+    it loads `multiprocessing`, which an in-process campaign never needs.  A
+    module global, so that a test can stand another pool in for it."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def run_campaign(cfg: CampaignConfig, threads: int = 1

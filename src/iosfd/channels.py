@@ -87,15 +87,26 @@ def _rician(amplitude: np.ndarray, distances: np.ndarray, wavelength: float,
 def link_distances(layout: SpatialLayout, include_direct: bool = False) -> tuple:
     """Every distance `sample_channels` reads: r_ti, r_ir, r_tr, r_iu, r_uu and
     the direct links' (empty without `include_direct`).  Raises
-    `GeometryError` if any of them is zero."""
+    `GeometryError` if any of them is zero, naming the link family and the
+    two points of its first zero entry."""
     ios, tx, rx = layout.ios_positions, layout.tx_positions, layout.rx_positions
     u_rx, u_tx = layout.user_rx_positions, layout.user_tx_positions
-    return (pairwise_distances(ios, tx), pairwise_distances(ios, rx),
-            pairwise_distances(rx, tx),
-            pairwise_distances(ios, u_rx),                      # (K, L, N_ur)
-            pairwise_distances(u_rx[None], u_tx[:, None]),      # (K, K, N_ur, N_ut), [j, k]
-            (pairwise_distances(u_rx, tx), pairwise_distances(rx, u_tx))
-            if include_direct else ())                          # (K, N_ur, N_t), (K, N_r, N_ut)
+    return (pairwise_distances(ios, tx, lambda l, n: f"transmit-surface link, "
+                               f"surface element {l} – transmit antenna {n}"),
+            pairwise_distances(ios, rx, lambda l, n: f"surface-receive link, "
+                               f"surface element {l} – receive antenna {n}"),
+            pairwise_distances(rx, tx, lambda m, n: f"transmit-receive link, "
+                               f"receive antenna {m} – transmit antenna {n}"),
+            pairwise_distances(ios, u_rx, lambda k, l, a: f"surface-user link, "   # (K, L, N_ur)
+                               f"surface element {l} – user {k} receive antenna {a}"),
+            pairwise_distances(u_rx[None], u_tx[:, None],       # (K, K, N_ur, N_ut), [j, k]
+                               lambda j, k, a, b: f"user-user link, user {k} receive "
+                               f"antenna {a} – user {j} transmit antenna {b}"),
+            (pairwise_distances(u_rx, tx, lambda k, a, n: f"direct downlink, "  # (K, N_ur, N_t)
+                                f"user {k} receive antenna {a} – transmit antenna {n}"),
+             pairwise_distances(rx, u_tx, lambda k, m, b: f"direct uplink, "    # (K, N_r, N_ut)
+                                f"receive antenna {m} – user {k} transmit antenna {b}"))
+            if include_direct else ())
 
 
 def sample_channels(layout: SpatialLayout, fading: FadingParams, seed: int,

@@ -145,12 +145,14 @@ def _norms(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(diff * diff, axis=-1))
 
 
-def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def pairwise_distances(a: np.ndarray, b: np.ndarray, link=None) -> np.ndarray:
     """Distances (..., len(a), len(b)) between the points of a (..., m, 3) and
-    b (..., n, 3), leading axes broadcast; raises if any entry is zero."""
+    b (..., n, 3), leading axes broadcast; raises if any entry is zero, and
+    names the first zero entry by `link(*index)` when given."""
     d = _norms(a[..., :, None, :] - b[..., None, :, :])
     if not d.all():
-        raise GeometryError("zero distance between points of different arrays")
+        where = "" if link is None else f": {link(*np.argwhere(d == 0.0)[0].tolist())}"
+        raise GeometryError(f"zero distance between points of different arrays{where}")
     return d
 
 

@@ -14,6 +14,15 @@ coef[s, j] has the factor `PhaseQuadratic.factors[s][j]` and the linear vector
 `lin[s, j]`.  Each side is one `_newton_side` solve on a (2, L) array of
 (theta, phi).
 
+The two cross contractions of the linear terms, sum_j d_j m_jk^H
+(`_user_cross`) and sum_j b_j md_j^H (`_receiver_cross`), hand einsum the
+conjugated right operand as a contiguous copy with the summed axes last, j
+before s.  On the natural layout numpy falls back to its strided loop, four
+to six times slower at L = 256; on this one the bits are the natural form's,
+which the tests pin.  A matmul or a broadcast product and sum is no
+substitute: einsum's complex multiply-add does not round as numpy's `*` and
+`sum` do.
+
 No L-by-L matrix is ever formed.  Every coupling matrix is a low-rank Gram
 matrix, A = P P^H and B = R R^H with P, R of size L x s (s = stream count),
 and then A o B^T = F F^H where column (i, j) of F is p_i o conj(r_j).  By
@@ -88,6 +97,20 @@ def _diag_outer(gamma: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.einsum("k,kls,kls->l", gamma, m, n.conj())
 
 
+def _user_cross(d: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(K, L, N_ur) stack of sum_j d_j m_jk^H, for d (K, L, s) and m (K_j, K_k,
+    N_ur, s); einsum "jls,jkas->kla" on conj(m), bit for bit."""
+    mc = np.ascontiguousarray(m.conj().transpose(1, 2, 0, 3))     # (K_k, N_ur, K_j, s)
+    return np.einsum("jls,kajs->kla", d, mc)
+
+
+def _receiver_cross(b: np.ndarray, md: np.ndarray) -> np.ndarray:
+    """(L, N_r) sum_j b_j md_j^H, for b (K, L, s) and md (K, N_r, s); einsum
+    "jls,jas->la" on conj(md), bit for bit."""
+    mdc = np.ascontiguousarray(md.conj().transpose(2, 1, 0))      # (s, N_r, K_j)
+    return np.einsum("jls,saj->la", b, mdc)
+
+
 def build_quadratic_forms(ch: ChannelSet, bf: BeamformerSet, st: WmmseState,
                           gamma_down: np.ndarray, gamma_up: np.ndarray) -> QuadraticFormSet:
     gamma_down = np.asarray(gamma_down, dtype=float)
@@ -107,8 +130,8 @@ def build_quadratic_forms(ch: ChannelSet, bf: BeamformerSet, st: WmmseState,
     # m[j, k] = h_uu[j][k] V_ju reaches user k directly; md[j] = h_tr V_jd the receiver.
     m = ch.h_uu @ bf.v_u[:, None]                              # (K, K, N_ur, s_u)
     md = ch.h_tr @ bf.v_d                                      # (K, N_r, s_d)
-    u_left = np.einsum("jls,jkas->kla", d, m.conj()) @ uw_d      # sum_j d_j m_jk^H U W
-    t_left = np.einsum("jls,jas->la", b, md.conj()) @ uw_u       # sum_j b_j md_j^H U W
+    u_left = _user_cross(d, m) @ uw_d                          # sum_j d_j m_jk^H U W
+    t_left = _receiver_cross(b, md) @ uw_u                     # sum_j b_j md_j^H U W
     lin = np.array([[-_diag_outer(gamma_up, t_left, hr),          # theta_t
                      _diag_outer(gamma_down, b @ st.w_d, hu)],    # phi_t
                     [-_diag_outer(gamma_down, u_left, hu),        # theta_u
@@ -186,7 +209,7 @@ def _binary_scale(f: np.ndarray) -> tuple[np.ndarray, int]:
     """F~ and e with F = 2^e F~ exactly and the largest real or imaginary
     magnitude of F~ in [0.5, 1); e = 0 when F = 0."""
     parts = np.ascontiguousarray(f).view(np.float64)
-    e = int(np.frexp(np.max(np.abs(parts), initial=0.0))[1])
+    e = int(np.frexp(max(parts.max(initial=0.0), -parts.min(initial=0.0)))[1])
     return np.ldexp(parts, -e).view(f.dtype), e
 
 
@@ -210,17 +233,19 @@ def _line_max(c, b, dg, nu, dnu) -> float:
     a = _pair_sum(np.abs(dg) ** 2)
     xb = sum(np.vdot(x, dx).real for x, dx in zip(nu, dnu))
     xa = sum(np.vdot(dx, dx).real for dx in dnu)
+    b2 = 2.0 * b
     lo, hi, t = 0.0, 1.0, 1.0
     for _ in range(40):
-        rho = np.sqrt(c + t * (2.0 * b + t * a))
-        slope = -2.0 * (xb + t * xa) - 2.0 * float(np.sum((b + t * a) / rho))
+        rho = np.sqrt(c + t * (b2 + t * a))
+        bt = b + t * a
+        slope = -2.0 * (xb + t * xa) - 2.0 * float(np.add.reduce(bt / rho))
         if slope >= 0.0:
             if t == 1.0:
                 return t
             lo = t
         else:
             hi = t
-        curv = -2.0 * xa - 2.0 * float(np.sum((a * rho * rho - (b + t * a) ** 2) / rho ** 3))
+        curv = -2.0 * xa - 2.0 * float(np.add.reduce((a * rho * rho - bt ** 2) / rho ** 3))
         nxt = t - slope / curv if curv < 0.0 else 0.5 * (lo + hi)
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
@@ -238,12 +263,10 @@ def _newton_system(f, fh, s, d, g, inv, grad):
     sizes = [fk.shape[1] for fk in f]
     n = sum(sizes)
     w = inv * np.sqrt(inv)
-    u = np.empty((len(inv), 2 * n))
-    at = 0
-    for fhk, dk, gk, m in zip(fh, d, g, sizes):
-        c = (dk * gk * w)[:, None] * fhk.T
-        u[:, at:at + m], u[:, n + at:n + at + m] = c.real, c.imag
-        at += m
+    c = np.empty((len(inv), n), complex)
+    for fhk, dk, gk, end, m in zip(fh, d, g, itertools.accumulate(sizes), sizes):
+        c[:, end - m:end] = (dk * gk * w)[:, None] * fhk.T
+    u = np.concatenate([c.real, c.imag], axis=1)
     system = -(u.T @ u)
     at = 0
     for fk, fhk, sk, m in zip(f, fh, s, sizes):
@@ -282,7 +305,7 @@ def _newton_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings)
     """
     L = v.shape[-1]
     f, e = zip(*map(_binary_scale, factors))
-    nonzero = [np.any(fj) for fj in f]
+    nonzero = [ej != 0 or np.any(fj) for fj, ej in zip(f, e)]     # e = 0 also when F = 0
     top = max((e[j] for j in range(2) if nonzero[j]), default=0)
     # The side runs normalized by 2^top (F) and 4^top (b), so a rescaled
     # problem (F 2^k, lin 4^k) takes the same steps to the same bits.
@@ -296,7 +319,7 @@ def _newton_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings)
     d = [float(np.ldexp(1.0, e[j] - top)) for j in live]          # nu_j = d_j mu_j
     f = [f[j] for j in live]
     fh = [fk.conj().T for fk in f]
-    rows = [np.einsum("lr,lr->l", fk.view(np.float64), fk.view(np.float64)) for fk in f]
+    rows = None             # ||F~_j row l||^2, formed at the first Newton step
     blocks = range(len(live))
 
     def image(mu):
@@ -307,7 +330,8 @@ def _newton_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings)
         return out
 
     def dual(mu, rho):
-        return -sum(s[k] * np.vdot(mu[k], mu[k]).real for k in blocks) - 2.0 * float(np.sum(rho))
+        return (-sum(s[k] * np.vdot(mu[k], mu[k]).real for k in blocks)
+                - 2.0 * float(np.add.reduce(rho)))
 
     def offer(w):
         """Project w and keep it if its P beats the best; the projected point
@@ -350,6 +374,9 @@ def _newton_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings)
         # Hessian term step to the fixed point nu_j = F_j^H v_j.
         grad = [d[k] * (p[k] - mu[k]) for k in blocks]
         dnu = list(grad)
+        if rows is None:
+            rows = [np.einsum("lr,lr->l", fk.view(np.float64), fk.view(np.float64))
+                    for fk in f]
         newton = [k for k in blocks if s[k] * float(inv @ rows[k]) >= _FIXED_POINT]
         if newton:
             steps = _newton_system(*([x[k] for k in newton] for x in (f, fh, s, d)),
@@ -366,7 +393,8 @@ def _newton_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings)
         t = _line_max(c, gdg, dg, [d[k] * mu[k] for k in blocks], dnu)
         for _ in range(_HALVINGS):
             trial = [mu[k] + t * step[k] for k in blocks]
-            if dual(trial, np.sqrt(_pair_sum(np.abs(g + t * dg) ** 2) + delta * delta)) \
+            g_t = g + t * dg
+            if dual(trial, np.sqrt(_pair_sum(np.abs(g_t) ** 2) + delta * delta)) \
                     >= base + _ARMIJO * t * slope:
                 break
             t *= 0.5
@@ -375,7 +403,7 @@ def _newton_side(factors, lin: np.ndarray, v: np.ndarray, settings: PgdSettings)
             return ended(p_best - d_best > roundoff * (abs(p_best) + abs(d_best)))
         # The primal point the linearized step predicts, v + t dv with
         # dv = -dg / rho + g Re{g^H dg} / rho^3, and its nu = F^H v.
-        w, q = offer(-(g + t * dg) * inv + g * (t * gdg * inv ** 3))
+        w, q = offer(-g_t * inv + g * (t * gdg * inv ** 3))
         # At an optimum F^H v = nu, and elements inside their disks carry no
         # multiplier: correct those of this point by least squares to meet
         # the new nu, where the division by rho ~ delta has lost them.

@@ -32,6 +32,12 @@ radial projection `project_pair`.  `quantize_phases_per_vector` snaps and
 projects the four surface vectors one at a time, where
 `algorithm.quantize_phases` does it on the stacked array.
 
+`user_cross_natural` and `receiver_cross_natural` are the einsum subscripts
+on the natural operand layouts, and `newton_system_columns` the Newton
+system that fills U column block by column block; they are the forms
+`phases._user_cross`, `phases._receiver_cross` and `phases._newton_system`
+replaced, and must give the same bits.
+
 `run_plain` is the outer loop without extrapolation: one `outer_step` per
 iteration, the stop test after each.  `algorithm.run_algorithm2` runs it as
 is for schemes that quantize every iteration and adds SQUAREM cycles for the
@@ -46,6 +52,7 @@ whose order that fixes, also draws the tests' random matrices.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -571,10 +578,15 @@ def build_layout_cross(cfg) -> SpatialLayout:
                          cfg.wavelength, ios_axis, tx_normal, rx_normal)
 
 
-def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _pairwise_distances(a: np.ndarray, b: np.ndarray, link: str, a_name: str,
+                        b_name: str) -> np.ndarray:
+    """Distances of two point sets; a zero one raises naming the link and the
+    first such pair, a_name and b_name formatted with the point indices."""
     d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
     if np.any(d == 0.0):
-        raise GeometryError("zero distance between points of different arrays")
+        i, j = np.argwhere(d == 0.0)[0]
+        raise GeometryError("zero distance between points of different arrays: "
+                            f"{link}, {a_name.format(i)} – {b_name.format(j)}")
     return d
 
 
@@ -609,20 +621,23 @@ def sample_channels_loop(layout, fading, seed: int, include_direct: bool = False
     tx = layout.tx_positions
     rx = layout.rx_positions
 
-    def gainless_link(a: np.ndarray, b: np.ndarray, exponent: float = kappa / 2.0):
-        r = _pairwise_distances(a, b)
+    def gainless_link(a: np.ndarray, b: np.ndarray, names: tuple, exponent: float = kappa / 2.0):
+        r = _pairwise_distances(a, b, *names)
         return _rician(lam / (4.0 * np.pi * r ** exponent), r, lam, chi, rng)
 
-    def los_link(array: np.ndarray, gain_exponent: float):
-        r = _pairwise_distances(ios, array)
+    def los_link(array: np.ndarray, gain_exponent: float, names: tuple):
+        r = _pairwise_distances(ios, array, *names)
         th = elevations_from_axis(ios, array, layout.ios_axis)
         return (lam * np.sqrt(antenna_gain(th, gain_exponent))
                 / (4.0 * np.pi * r)) * np.exp(-2j * np.pi * r / lam)
 
-    h_ti = los_link(tx, fading.gain_exponent_tx)
-    h_ir = los_link(rx, fading.gain_exponent_rx)
+    h_ti = los_link(tx, fading.gain_exponent_tx,
+                    ("transmit-surface link", "surface element {}", "transmit antenna {}"))
+    h_ir = los_link(rx, fading.gain_exponent_rx,
+                    ("surface-receive link", "surface element {}", "receive antenna {}"))
 
-    r_tr = _pairwise_distances(rx, tx)
+    r_tr = _pairwise_distances(rx, tx, "transmit-receive link", "receive antenna {}",
+                               "transmit antenna {}")
     th_at_tx = elevations_from_normal(tx, rx, layout.tx_normal).T
     th_at_rx = elevations_from_normal(rx, tx, layout.rx_normal)
     amp_tr = (lam * np.sqrt(antenna_gain(th_at_tx, fading.gain_exponent_tx)
@@ -630,16 +645,64 @@ def sample_channels_loop(layout, fading, seed: int, include_direct: bool = False
               / (4.0 * np.pi * r_tr ** (kappa / 2.0)))
     h_tr = _rician(amp_tr, r_tr, lam, chi, rng)
 
-    h_iu = np.array([gainless_link(ios, pos) for pos in layout.user_rx_positions])
+    h_iu = np.array([gainless_link(ios, pos, ("surface-user link", "surface element {}",
+                                              f"user {k} receive antenna {{}}"))
+                     for k, pos in enumerate(layout.user_rx_positions)])
 
     uu_exp = 1.0 if fading.uu_free_space else kappa / 2.0
-    h_uu = np.array([[gainless_link(rx_pos, tx_pos, uu_exp)
-                      for rx_pos in layout.user_rx_positions]
-                     for tx_pos in layout.user_tx_positions])
+    h_uu = np.array([[gainless_link(rx_pos, tx_pos, ("user-user link",
+                                                     f"user {k} receive antenna {{}}",
+                                                     f"user {j} transmit antenna {{}}"), uu_exp)
+                      for k, rx_pos in enumerate(layout.user_rx_positions)]
+                     for j, tx_pos in enumerate(layout.user_tx_positions)])
 
     h_direct_tu = h_direct_ur = None
     if include_direct:
-        h_direct_tu = np.array([gainless_link(pos, tx) for pos in layout.user_rx_positions])
-        h_direct_ur = np.array([gainless_link(rx, pos) for pos in layout.user_tx_positions])
+        h_direct_tu = np.array([gainless_link(pos, tx, ("direct downlink",
+                                                        f"user {k} receive antenna {{}}",
+                                                        "transmit antenna {}"))
+                                for k, pos in enumerate(layout.user_rx_positions)])
+        h_direct_ur = np.array([gainless_link(rx, pos, ("direct uplink", "receive antenna {}",
+                                                        f"user {k} transmit antenna {{}}"))
+                                for k, pos in enumerate(layout.user_tx_positions)])
 
     return ChannelSet(h_ti, h_tr, h_iu, h_ir, h_uu, h_direct_tu, h_direct_ur)
+
+
+def user_cross_natural(d: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_j d_j m_jk^H per user k, on the natural layouts."""
+    return np.einsum("jls,jkas->kla", d, m.conj())
+
+
+def receiver_cross_natural(b: np.ndarray, md: np.ndarray) -> np.ndarray:
+    """sum_j b_j md_j^H, on the natural layouts."""
+    return np.einsum("jls,jas->la", b, md.conj())
+
+
+def newton_system_columns(f, fh, s, d, g, inv, grad):
+    """`phases._newton_system` with U filled block by block, real and
+    imaginary columns at once."""
+    sizes = [fk.shape[1] for fk in f]
+    n = sum(sizes)
+    w = inv * np.sqrt(inv)
+    u = np.empty((len(inv), 2 * n))
+    at = 0
+    for fhk, dk, gk, m in zip(fh, d, g, sizes):
+        c = (dk * gk * w)[:, None] * fhk.T
+        u[:, at:at + m], u[:, n + at:n + at + m] = c.real, c.imag
+        at += m
+    system = -(u.T @ u)
+    at = 0
+    for fk, fhk, sk, m in zip(f, fh, s, sizes):
+        gram = sk * (fhk @ (inv[:, None] * fk))
+        re, im = slice(at, at + m), slice(n + at, n + at + m)
+        system[re, re] += gram.real
+        system[im, im] += gram.real
+        system[re, im] -= gram.imag
+        system[im, re] += gram.imag
+        at += m
+    system.ravel()[::2 * n + 1] += 1.0
+    rhs = np.concatenate(grad)
+    x = np.linalg.solve(system, np.concatenate([rhs.real, rhs.imag]))
+    x = x[:n] + 1j * x[n:]
+    return [x[end - m:end] for end, m in zip(itertools.accumulate(sizes), sizes)]

@@ -1,5 +1,10 @@
+import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,7 +269,7 @@ def test_geometry_errors_come_before_any_job(tmp_path, monkeypatch, capsys):
 def test_zero_link_distance_is_a_config_error(tmp_path, monkeypatch, capsys):
     """A user array that touches the surface passes `build_layout` but gives a
     zero link distance; loading rejects it naming the scenario or the sweep
-    value, and `simulate` exits 2 before any job runs."""
+    value and the link, and `simulate` exits 2 before any job runs."""
     data = {"name": "zero", "scenario": {"k_users": 2, "l_elements": 8,
                                          "user_anchors": [[20.0, 20.0, 1.5],
                                                           [1.0, 0.975, 5.0]]},
@@ -272,7 +277,8 @@ def test_zero_link_distance_is_a_config_error(tmp_path, monkeypatch, capsys):
     swept = {**data, "sweep": {"axis": "L", "values": [4, 8]}}
     _never_solve(monkeypatch)
     for config, path in ((data, "scenario"), (swept, "sweep.values[0]")):
-        message = f"{path}: zero distance between points of different arrays"
+        message = (f"{path}: zero distance between points of different arrays: "
+                   "surface-user link, surface element 0 – user 1 receive antenna 0")
         with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
             config_from_dict(config)
         cfg_path = tmp_path / "cfg.json"
@@ -281,6 +287,32 @@ def test_zero_link_distance_is_a_config_error(tmp_path, monkeypatch, capsys):
                      "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_zero_distance_error_names_the_link(tmp_path, monkeypatch, capsys):
+    """A user's receive antenna placed on surface element 17: the config error
+    names the surface-user link, the element and the user's antenna, and
+    `simulate` prints it."""
+    data = {"name": "touch", "scenario": {"k_users": 2, "l_elements": 32,
+                                          "user_anchors": [[20.0, 20.0, 1.5],
+                                                           [25.0, -35.0, 1.5]]},
+            "schemes": ["DS_IOS"], "seeds": [0]}
+    cfg = config_from_dict(data)
+    element = iosfd.campaign._layout(cfg, cfg.scenario).ios_positions[17]
+    spacing = cfg.physics.wavelength_m / 2.0    # receive row: anchor + spacing along y
+    data["scenario"]["user_anchors"][1] = (element - [0.0, spacing, 0.0]).tolist()
+    touching = dataclasses.replace(cfg.scenario, user_anchors=data["scenario"]["user_anchors"])
+    assert np.array_equal(
+        iosfd.campaign._layout(cfg, touching).user_rx_positions[1][0], element)
+    _never_solve(monkeypatch)
+    message = ("scenario: zero distance between points of different arrays: surface-user "
+               "link, surface element 17 – user 1 receive antenna 0")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+        config_from_dict(data)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_scheme_options_get_their_own_rows_and_traces(tmp_path):
@@ -607,6 +639,18 @@ def test_scenario_counts_are_capped():
                                               r"integer in \[1, "):
             config_from_dict(tiny_config(sweep={"axis": "L", "values": [16, bad]}))
     assert config_from_dict(tiny_config(sweep={"axis": "L", "values": [1024]})).sweep.values
+
+
+def test_import_loads_no_multiprocessing():
+    """`import iosfd, iosfd.campaign` after numpy, in a fresh interpreter,
+    leaves `multiprocessing` unloaded: the pool class is imported at the
+    first pool."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", "import sys, numpy, iosfd, iosfd.campaign; "
+                          "print(sorted(m for m in sys.modules if 'multiprocessing' in m))"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def test_pool_starts_at_most_one_worker_per_cell_and_cpu(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,15 @@ from iosfd import (FadingParams, IosState, LinkSet, PgdSettings, RunConfig, Sche
                    project_feasible, sample_channels, solve_qcqp, update_beamformers,
                    vectorize)
 from iosfd.errors import NumericalError
-from iosfd.phases import _binary_scale, _newton_side, _value, gprime_value
+from iosfd.phases import (_binary_scale, _newton_side, _newton_system, _receiver_cross,
+                          _user_cross, _value, gprime_value)
 from iosfd.wmmse import surrogate_objective, update_state
 
 from conftest import (integrated_run_geometry, random_beamformers, random_instance,
-                      random_ios, reference_geometry, t_side_quadratic)
+                      random_ios, reference_geometry, same_bits, t_side_quadratic)
 from dense_forms import build_dense_forms, dense_blocks, g_value, hadamard_quadratic
-from oracles import cn_sample, min_eigval, pgd_side_plain
+from oracles import (cn_sample, min_eigval, newton_system_columns, pgd_side_plain,
+                     receiver_cross_natural, user_cross_natural)
 
 
 def build_from_instance(inst):
@@ -462,14 +466,23 @@ def test_accelerated_pgd_converges_where_plain_hits_the_cap():
 def test_binary_scale_is_exact(rng):
     """F = 2^e F~ bit for bit, with the largest real or imaginary magnitude of
     F~ in [0.5, 1): unit-scale, 1e-300-scale, subnormal-containing, strided,
-    real and all-zero factors."""
+    real and all-zero factors, and factors whose largest magnitude is a
+    negative real or imaginary part or whose entries are all negative."""
     base = cn_sample(rng, (40, 12))
     with_subnormals = 1e-300 * base
     with_subnormals[::3] *= 1e-15
     with_subnormals[1, 1] = -0.0
+    # the largest magnitude is a negative real part, a negative imaginary part,
+    # or in an all-negative real factor
+    negative_real, negative_imag = 0.5 * base, 0.5 * base
+    negative_real[3, 4] = -3.0 + 0.25j
+    negative_imag[5, 6] = 0.25 - 3.0j
+    all_negative = -np.abs(base.real) - 0.5
     cases = [base, 1e-300 * base, with_subnormals, base[:, ::2], 2.0 ** 600 * base,
-             base.real.copy(), np.full((1, 1), 5e-324 + 0j), np.zeros((7, 4), complex)]
+             base.real.copy(), np.full((1, 1), 5e-324 + 0j), np.zeros((7, 4), complex),
+             negative_real, negative_imag, all_negative, 1e-300 * negative_imag]
     assert np.any((np.abs(with_subnormals.real) < 2.2e-308) & (with_subnormals.real != 0))
+    assert np.max(np.abs(0.5 * base.view(np.float64))) < 3.0 and np.all(all_negative < 0)
     for f in cases:
         ft, e = _binary_scale(f)
         assert ft.dtype == f.dtype and ft.shape == f.shape
@@ -596,3 +609,38 @@ def test_pgd_matches_grid_search_within_tolerance(rng):
         pgd_obj = gprime_value(pq, out)
         grid_obj = _grid_minimum(q1, c1, q2, c2)
         assert pgd_obj <= grid_obj + 1e-3
+
+
+def test_cross_contractions_match_the_natural_einsum_bit_for_bit(rng):
+    """`_user_cross` and `_receiver_cross` give the bits of einsum on the
+    natural operand layouts for K = 1-4 users, s = 1-3 streams, 1-3 user or
+    receive antennas and L = 16 and 256, on unit-scale and 1e-4-scale
+    operands: a numpy whose einsum loop rounds otherwise fails here."""
+    for K, s, n, L, scale in itertools.product(range(1, 5), range(1, 4), range(1, 4),
+                                               (16, 256), (1.0, 1e-4)):
+        d, b = scale * cn_sample(rng, (K, L, s)), scale * cn_sample(rng, (K, L, s))
+        m, md = scale * cn_sample(rng, (K, K, n, s)), scale * cn_sample(rng, (K, n, s))
+        assert same_bits(_user_cross(d, m), user_cross_natural(d, m)), (K, s, n, L, scale)
+        assert same_bits(_receiver_cross(b, md), receiver_cross_natural(b, md)), (
+            K, s, n, L, scale)
+
+
+def test_newton_system_matches_the_column_fill_bit_for_bit(rng):
+    """`_newton_system` gives the bits of the column-by-column fill of U on
+    the phi_t block alone (width K s^2) and with a theta block of width
+    (K s)^2 beside it, for K = 1-4, s = 1-3 and L = 16 and 256, on unit-scale
+    and 1e-4-scale factors and residuals."""
+    for K, s, L, scale in itertools.product(range(1, 5), range(1, 4), (16, 256), (1.0, 1e-4)):
+        for widths in ([K * s * s], [(K * s) ** 2, K * s * s]):
+            f = [scale * cn_sample(rng, (L, r)) for r in widths]
+            fh = [fk.conj().T for fk in f]
+            e = rng.integers(-3, 1, size=len(widths))
+            d = [float(np.ldexp(1.0, k)) for k in e]
+            sk = [float(np.ldexp(1.0, 2 * k)) for k in e]
+            g = scale * cn_sample(rng, (2, L))
+            inv = 1.0 / np.sqrt(np.add.reduce(np.abs(g) ** 2, axis=0) + (0.01 * scale) ** 2)
+            grad = [cn_sample(rng, r) for r in widths]
+            args = (f, fh, sk, d, list(g[:len(widths)]), inv, grad)
+            got, want = _newton_system(*args), newton_system_columns(*args)
+            assert len(got) == len(widths)
+            assert all(same_bits(x, y) for x, y in zip(got, want)), (K, s, L, scale, widths)
